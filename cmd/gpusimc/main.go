@@ -36,7 +36,6 @@ import (
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -44,6 +43,7 @@ import (
 	"time"
 
 	gpgpumem "repro"
+	"repro/internal/api"
 	"repro/internal/fabric"
 	"repro/internal/serve"
 )
@@ -113,7 +113,7 @@ func main() {
 	// bound address from this line.
 	fmt.Printf("gpusimc: listening on http://%s\n", ln.Addr())
 
-	hs := &http.Server{Handler: coord.Handler()}
+	hs := api.NewHTTPServer(coord.Handler())
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.Serve(ln) }()
 

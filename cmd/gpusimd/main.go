@@ -36,7 +36,6 @@ import (
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -44,6 +43,7 @@ import (
 	"time"
 
 	gpgpumem "repro"
+	"repro/internal/api"
 	"repro/internal/serve"
 )
 
@@ -101,7 +101,7 @@ func main() {
 	// tests (and humans with -addr :0) parse the bound address from it.
 	fmt.Printf("gpusimd: listening on http://%s\n", ln.Addr())
 
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := api.NewHTTPServer(srv.Handler())
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.Serve(ln) }()
 

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"time"
 
 	"repro/internal/config"
 	"repro/internal/exp"
@@ -201,4 +202,16 @@ func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.WriteHeader(code)
 	w.Write(data)
 	w.Write([]byte("\n"))
+}
+
+// NewHTTPServer returns the http.Server both daemons listen with: a
+// slow or silent client is cut off by the header and idle timeouts. It
+// sets no ReadTimeout or WriteTimeout, which would cut off a long
+// sweep's server-sent event stream.
+func NewHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 }

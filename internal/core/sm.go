@@ -204,7 +204,7 @@ type SM struct {
 	// drain is active, and no warp could issue — a state only a
 	// DeliverResponse can change. While idle, Tick takes the O(1)
 	// fast path that applies exactly the stat deltas a full tick
-	// would (Cycles, StallNoWarp, empty-queue samples).
+	// would (Cycles, StallNoWarp, the tick count).
 	idle bool
 
 	// sleepUntil is the hit-wait analogue of idle: every queue is
@@ -214,6 +214,9 @@ type SM struct {
 	// so Tick takes the same O(1) fast path. Zero means "no hit-wait"
 	// — any value <= the current cycle is treated as active.
 	sleepUntil int64
+
+	// ticks counts cycles, skipped ones too, for the queues (queue.New).
+	ticks int64
 }
 
 // NewSM builds SM id with the given warp instruction streams. nextID
@@ -263,15 +266,15 @@ func NewSM(id int, cfg config.Config, streams []InstrStream, backend Backend, ne
 			Seed: cfg.Seed + uint64(id)*104729,
 		}),
 		mshr:        cache.NewMSHR(cfg.L1.MSHREntries, cfg.L1.MSHRMaxMerge),
-		ldstQ:       queue.New[tx](fmt.Sprintf("sm%d.ldst", id), cfg.Core.MemPipelineWidth),
-		missQ:       queue.New[*mem.Request](fmt.Sprintf("sm%d.miss", id), cfg.L1.MissQueue),
-		respQ:       queue.New[*mem.Packet](fmt.Sprintf("sm%d.resp", id), cfg.Core.ResponseQueue),
 		backend:     backend,
 		nextID:      nextID,
 		lineSize:    uint64(cfg.L1.LineSize),
 		missLat:     stats.NewSampler(8192, 128),
 		coalesceBuf: make([]uint64, 0, 32),
 	}
+	sm.ldstQ = queue.New[tx](fmt.Sprintf("sm%d.ldst", id), cfg.Core.MemPipelineWidth, &sm.ticks)
+	sm.missQ = queue.New[*mem.Request](fmt.Sprintf("sm%d.miss", id), cfg.L1.MissQueue, &sm.ticks)
+	sm.respQ = queue.New[*mem.Packet](fmt.Sprintf("sm%d.resp", id), cfg.Core.ResponseQueue, &sm.ticks)
 	// Prime the readiness masks. This fetches each warp's first
 	// instruction; streams are private per warp, so consuming them at
 	// construction instead of first issue changes nothing observable.
@@ -329,12 +332,6 @@ func (s *SM) Pending() int {
 	return n
 }
 
-// Quiescent reports whether the SM is in the idle state that only a
-// DeliverResponse can change: all queues and pipes empty, no active
-// drain, and no issuable warp. The GPU uses it to batch-skip cycles
-// in fixed-latency mode.
-func (s *SM) Quiescent() bool { return s.idle }
-
 // SleepUntil reports the SM's next interesting cycle — the first
 // cycle at which a full Tick could do anything a SkipIdle would not:
 // math.MaxInt64 while idle (only a DeliverResponse wakes it), the
@@ -350,11 +347,10 @@ func (s *SM) SleepUntil() int64 {
 }
 
 // SkipIdle accounts n frozen cycles in one call: the exact stat
-// deltas of n fast-path Ticks (cycle and no-warp-stall counts,
-// empty-queue occupancy samples, stall attribution) without executing
-// them. The caller must ensure the SM stays frozen (idle, or
-// hit-waiting short of SleepUntil) and receives no response in the
-// skipped span. With outstanding L1 misses the span is charged to the
+// deltas of n fast-path Ticks (cycle, no-warp-stall and tick counts,
+// stall attribution) without executing them. The caller must ensure
+// the SM stays frozen (idle, or hit-waiting short of SleepUntil) and
+// receives no response in the skipped span. With outstanding L1 misses the span is charged to the
 // backend's current memory-stall cause — an idle SM is by
 // construction waiting on fills, and queue fullness below is frozen
 // too, so the cause is constant across the span. With none (a pure
@@ -368,9 +364,7 @@ func (s *SM) SkipIdle(n int64) {
 		cause = s.backend.MemStallCause()
 	}
 	s.stalls.AddN(cause, n)
-	s.ldstQ.SampleN(n)
-	s.missQ.SampleN(n)
-	s.respQ.SampleN(n)
+	s.ticks += n
 }
 
 // Tick advances the SM by one core cycle.
@@ -387,10 +381,7 @@ func (s *SM) Tick(cycle int64) {
 	s.forwardMisses()
 	s.drainMemInstr()
 	s.issue(cycle)
-
-	s.ldstQ.Sample()
-	s.missQ.Sample()
-	s.respQ.Sample()
+	s.ticks++
 }
 
 // processResponses applies one fill per cycle: the L1 fill port.

@@ -27,7 +27,11 @@ type Stats struct {
 	IssueStalls   int64 // cycles with pending work but nothing issuable
 	ReturnStalls  int64 // cycles the return register was blocked
 	Refreshes     int64 // refresh operations performed
-	ActThrottles  int64 // activates deferred by tRRD/tFAW
+	// ActThrottles counts activates deferred by tRRD/tFAW, only in
+	// cycles where the data bus could take an access: a cycle whose
+	// busy bus rules out every queued access skips the scan and counts
+	// nothing here.
+	ActThrottles int64
 	// InFullCycles counts DRAM cycles the scheduler queue was full at
 	// tick time — the back pressure the channel exerts on its upstream
 	// (the L2 miss queue backs up behind a refused Push). It is one of
@@ -85,7 +89,11 @@ type Channel struct {
 	actWindow    [4]int64 // times of the last four activates (ring)
 	actIdx       int
 	nextRefresh  int64
-	stats        Stats
+	// maxCol is the longest issue-to-data latency (a row conflict).
+	maxCol int64
+	stats  Stats
+	// ticks counts cycles, skipped ones too, for the queue (queue.New).
+	ticks int64
 }
 
 // NewChannel builds a channel for one partition. lineSize is the L2
@@ -99,13 +107,14 @@ func NewChannel(id int, cfg config.DRAMConfig, lineSize, partitions int, sink Re
 		cfg: cfg,
 		addrMap: NewHashedAddrMap(lineSize, partitions, cfg.RowBytes,
 			cfg.BanksPerChip, cfg.BankHash == "xor"),
-		schedQ:       queue.New[schedEntry](fmt.Sprintf("dram%d.sched", id), cfg.SchedQueue),
 		banks:        banks,
 		sink:         sink,
 		burst:        cfg.BurstCycles(lineSize),
 		lastActivate: -1 << 20,
 		nextRefresh:  cfg.Timing.TREFI,
+		maxCol:       cfg.Timing.TRP + cfg.Timing.TRCD + cfg.Timing.CL,
 	}
+	ch.schedQ = queue.New[schedEntry](fmt.Sprintf("dram%d.sched", id), cfg.SchedQueue, &ch.ticks)
 	for i := range ch.actWindow {
 		ch.actWindow[i] = -1 << 20
 	}
@@ -146,16 +155,9 @@ func (c *Channel) Pending() int {
 	return n
 }
 
-// Quiescent reports whether the channel has no queued, in-flight or
-// stuck access. A quiescent tick reduces to the refresh-timer check
-// and the scheduler-queue occupancy sample.
-func (c *Channel) Quiescent() bool {
-	return c.schedQ.Empty() && c.inflight.Empty() && c.stuck == nil
-}
-
 // NextEvent returns the channel's next interesting DRAM cycle: the
-// first cycle at which a Tick could do anything beyond sampling the
-// (empty) scheduler queue. With requests queued or a stuck return the
+// first cycle at which a Tick could do anything beyond counting
+// itself. With requests queued or a stuck return the
 // channel needs every cycle (0). Otherwise the next event is the
 // earlier of the oldest in-flight access's completion (inflight is
 // completeAt-ordered) and the refresh timer, which marches on even
@@ -173,29 +175,19 @@ func (c *Channel) NextEvent() int64 {
 }
 
 // SkipTicks batch-applies n event-free ticks: the exact stat deltas
-// of n Ticks strictly before NextEvent (one scheduler-queue occupancy
-// sample each, nothing else — refresh cannot fire and no completion
-// is due in the span).
-func (c *Channel) SkipTicks(n int64) {
-	c.schedQ.SampleN(n)
-}
+// of n Ticks strictly before NextEvent (the tick count, nothing else —
+// refresh cannot fire and no completion is due in the span).
+func (c *Channel) SkipTicks(n int64) { c.ticks += n }
 
 // Tick advances the channel by one DRAM cycle.
 func (c *Channel) Tick(cycle int64) {
-	if c.Quiescent() {
-		// Refresh timing marches on even with no traffic (tREFI is
-		// wall-clock), but completions and issue would both no-op.
-		c.refresh(cycle)
-		c.schedQ.Sample()
-		return
-	}
 	if c.schedQ.Full() {
 		c.stats.InFullCycles++
 	}
 	c.refresh(cycle)
 	c.drainCompletions(cycle)
 	c.issue(cycle)
-	c.schedQ.Sample()
+	c.ticks++
 }
 
 // refresh performs an all-bank refresh every tREFI cycles: rows close
@@ -271,7 +263,8 @@ func (c *Channel) issue(cycle int64) {
 	}
 	// Back pressure: when a completed read cannot drain, stop issuing
 	// so the scheduler queue (and upstream L2 miss queue) back up.
-	if c.stuck != nil {
+	// A bus busy past maxCol fails canIssue's bus check for every entry.
+	if c.stuck != nil || c.busFreeAt > cycle+c.maxCol {
 		c.stats.IssueStalls++
 		return
 	}

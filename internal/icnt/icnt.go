@@ -15,6 +15,7 @@ package icnt
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/mem"
 	"repro/internal/queue"
@@ -54,9 +55,9 @@ type Stats struct {
 	InputFullRejects int64 // Push calls refused
 	BusyCycles       int64 // output-port cycles spent transferring
 	// InFullCycles counts input-queue cycles spent at capacity, summed
-	// over the inputs as the queues are sampled — the back pressure
-	// the crossbar exerts on its upstream injectors (SM miss paths on
-	// the request network, L2 response paths on the response network).
+	// over the inputs at the end of each tick — the back pressure the
+	// crossbar exerts on its upstream injectors (SM miss paths on the
+	// request network, L2 response paths on the response network).
 	// Dividing by ticks × inputs gives a per-queue average comparable
 	// to the L2/DRAM levels' counters; it is one of the per-level
 	// counters the stall-attribution stack composes from.
@@ -68,6 +69,11 @@ type Stats struct {
 type Crossbar struct {
 	cfg    Config
 	inputs []*queue.Queue[*mem.Packet]
+	// heads holds one bitset per output, words 64-bit words each, in
+	// one slice: bit in of out's set is on when input in's head packet
+	// targets out.
+	heads []uint64
+	words int
 	// Per-output in-flight transfer state.
 	current   []*mem.Packet
 	remaining []int
@@ -75,8 +81,12 @@ type Crossbar struct {
 	sink      Sink
 	// busy counts packets buffered at inputs plus packets mid-transfer
 	// at outputs; zero means a tick has nothing to arbitrate or move.
-	busy  int
+	busy int
+	// full counts the input queues at capacity right now.
+	full  int
 	stats Stats
+	// ticks counts cycles, skipped ones too, for the queues (queue.New).
+	ticks int64
 }
 
 // New builds a crossbar delivering into sink.
@@ -93,15 +103,18 @@ func New(cfg Config, sink Sink) *Crossbar {
 	if cfg.Lanes <= 0 {
 		cfg.Lanes = 1
 	}
+	words := (cfg.Inputs + 63) / 64
 	c := &Crossbar{
 		cfg:       cfg,
 		inputs:    make([]*queue.Queue[*mem.Packet], cfg.Inputs),
+		heads:     make([]uint64, cfg.Outputs*words),
+		words:     words,
 		current:   make([]*mem.Packet, cfg.Outputs),
 		remaining: make([]int, cfg.Outputs),
 		rr:        make([]int, cfg.Outputs),
 	}
 	for i := range c.inputs {
-		c.inputs[i] = queue.New[*mem.Packet](fmt.Sprintf("%s.in%d", cfg.Name, i), cfg.InputBuffer)
+		c.inputs[i] = queue.New[*mem.Packet](fmt.Sprintf("%s.in%d", cfg.Name, i), cfg.InputBuffer, &c.ticks)
 	}
 	c.sink = sink
 	return c
@@ -117,24 +130,26 @@ func (c *Crossbar) Flits(bytes int) int {
 // Push injects a packet at input port src. A false return means the
 // input buffer is full; the caller stalls.
 func (c *Crossbar) Push(src int, pkt *mem.Packet) bool {
-	if ok := c.inputs[src].Push(pkt); !ok {
+	in := c.inputs[src]
+	if !in.Push(pkt) {
 		c.stats.InputFullRejects++
 		return false
+	}
+	if in.Len() == 1 {
+		c.heads[pkt.Dst*c.words+src>>6] |= 1 << (src & 63)
+	}
+	if in.Full() {
+		c.full++
 	}
 	c.busy++
 	return true
 }
 
-// Quiescent reports whether the crossbar holds no packets — neither
-// buffered at an input nor mid-transfer at an output — so a tick
-// would only sample the (empty) input queues.
-func (c *Crossbar) Quiescent() bool { return c.busy == 0 }
-
 // NextEvent returns the crossbar's next interesting interconnect
 // cycle: 0 (every cycle matters) while any packet is buffered or
 // mid-transfer, math.MaxInt64 when empty — an empty crossbar stays
-// empty until someone Pushes, and a tick meanwhile only samples the
-// input queues. Ticks strictly before the returned cycle are exactly
+// empty until someone Pushes, and a tick meanwhile only counts
+// itself. Ticks strictly before the returned cycle are exactly
 // SkipTicks ticks.
 func (c *Crossbar) NextEvent() int64 {
 	if c.busy > 0 {
@@ -144,12 +159,8 @@ func (c *Crossbar) NextEvent() int64 {
 }
 
 // SkipTicks batch-applies n event-free ticks: the exact stat deltas
-// of n empty Ticks (one occupancy sample per input queue).
-func (c *Crossbar) SkipTicks(n int64) {
-	for _, in := range c.inputs {
-		in.SampleN(n)
-	}
-}
+// of n empty Ticks (n ticks of empty input queues).
+func (c *Crossbar) SkipTicks(n int64) { c.ticks += n }
 
 // InputFree returns the free slots at input port src.
 func (c *Crossbar) InputFree(src int) int { return c.inputs[src].Free() }
@@ -158,27 +169,12 @@ func (c *Crossbar) InputFree(src int) int { return c.inputs[src].Free() }
 // now — the crossbar is stalling at least one injector. The
 // stall-attribution engine reads it when charging SM memory-wait
 // cycles to a level.
-func (c *Crossbar) AnyInputFull() bool {
-	if c.busy == 0 {
-		return false
-	}
-	for _, in := range c.inputs {
-		if in.Full() {
-			return true
-		}
-	}
-	return false
-}
+func (c *Crossbar) AnyInputFull() bool { return c.full > 0 }
 
 // Tick advances the crossbar by one interconnect cycle.
 func (c *Crossbar) Tick(cycle int64) {
-	if c.busy == 0 {
-		for _, in := range c.inputs {
-			in.Sample()
-		}
-		return
-	}
-	for out := 0; out < c.cfg.Outputs; out++ {
+	// Once busy reaches zero no output holds or can start a packet.
+	for out := 0; c.busy > 0 && out < c.cfg.Outputs; out++ {
 		if c.current[out] == nil {
 			c.arbitrate(out)
 			// The chosen packet starts transferring this cycle.
@@ -203,35 +199,53 @@ func (c *Crossbar) Tick(cycle int64) {
 			}
 		}
 	}
-	var full int64
-	for _, in := range c.inputs {
-		in.Sample()
-		if in.Full() {
-			full++
-		}
-	}
-	c.stats.InFullCycles += full
+	c.stats.InFullCycles += int64(c.full)
+	c.ticks++
 }
 
-// arbitrate picks the next input whose head packet targets out,
-// starting after the last-served input (round robin).
+// arbitrate pops the next input head that targets out, starting after
+// the last-served input (round robin), and starts its transfer.
 func (c *Crossbar) arbitrate(out int) {
-	n := c.cfg.Inputs
-	for k := 1; k <= n; k++ {
-		in := (c.rr[out] + k) % n
-		pkt, ok := c.inputs[in].Peek()
-		if !ok || pkt.Dst != out {
-			continue
-		}
-		// An input head can feed only one output; skip heads already
-		// being transferred is unnecessary because a popped packet
-		// leaves the queue immediately.
-		c.inputs[in].Pop()
-		c.current[out] = pkt
-		c.remaining[out] = c.Flits(pkt.SizeBytes)
-		c.rr[out] = in
+	in := c.pick(out)
+	if in < 0 {
 		return
 	}
+	q := c.inputs[in]
+	if q.Full() {
+		c.full--
+	}
+	pkt, _ := q.Pop()
+	c.heads[out*c.words+in>>6] &^= 1 << (in & 63)
+	if next, ok := q.Peek(); ok {
+		c.heads[next.Dst*c.words+in>>6] |= 1 << (in & 63)
+	}
+	c.current[out] = pkt
+	c.remaining[out] = c.Flits(pkt.SizeBytes)
+	c.rr[out] = in
+}
+
+// pick returns the first input after rr[out], cyclically, whose head
+// targets out, or -1 when none does.
+func (c *Crossbar) pick(out int) int {
+	set := c.heads[out*c.words : (out+1)*c.words]
+	start := c.rr[out] + 1
+	sw := start >> 6
+	if sw < len(set) {
+		if w := set[sw] >> (start & 63); w != 0 {
+			return start + bits.TrailingZeros64(w)
+		}
+		for i := sw + 1; i < len(set); i++ {
+			if set[i] != 0 {
+				return i<<6 + bits.TrailingZeros64(set[i])
+			}
+		}
+	}
+	for i := 0; i <= sw && i < len(set); i++ {
+		if set[i] != 0 {
+			return i<<6 + bits.TrailingZeros64(set[i])
+		}
+	}
+	return -1
 }
 
 // Stats returns a copy of the event counters.

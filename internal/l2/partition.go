@@ -89,6 +89,8 @@ type Partition struct {
 	pool       *mem.Pool // request/packet recycling (nil: plain allocation)
 	stats      Stats
 	svcLatency *stats.Sampler // access-queue-entry → response latency
+	// ticks counts cycles, skipped ones too, for the queues (queue.New).
+	ticks int64
 }
 
 // New builds partition id. nextID is the shared request-id counter used
@@ -112,12 +114,8 @@ func New(id int, cfg config.Config, resp Injector, nextID *uint64) *Partition {
 		victim = l2Pol
 	}
 	p := &Partition{
-		id:      id,
-		cfg:     cfg,
-		accessQ: queue.New[*mem.Packet](fmt.Sprintf("l2p%d.access", id), cfg.L2.AccessQueue),
-		missQ:   queue.New[*mem.Request](fmt.Sprintf("l2p%d.miss", id), cfg.L2.MissQueue),
-		respQ:   queue.New[*mem.Packet](fmt.Sprintf("l2p%d.resp", id), cfg.L2.ResponseQueue),
-		retQ:    queue.New[*mem.Request](fmt.Sprintf("l2p%d.ret", id), cfg.L2.DRAMReturnQueue),
+		id:  id,
+		cfg: cfg,
 		l2: cache.New(cache.Config{
 			Sets: cfg.L2.Sets, Ways: cfg.L2.Ways, LineSize: ls,
 			Replacement: cfg.L2.Replacement, WriteBack: true,
@@ -132,6 +130,10 @@ func New(id int, cfg config.Config, resp Injector, nextID *uint64) *Partition {
 		nextID:        nextID,
 		svcLatency:    stats.NewSampler(4096, 64),
 	}
+	p.accessQ = queue.New[*mem.Packet](fmt.Sprintf("l2p%d.access", id), cfg.L2.AccessQueue, &p.ticks)
+	p.missQ = queue.New[*mem.Request](fmt.Sprintf("l2p%d.miss", id), cfg.L2.MissQueue, &p.ticks)
+	p.respQ = queue.New[*mem.Packet](fmt.Sprintf("l2p%d.resp", id), cfg.L2.ResponseQueue, &p.ticks)
+	p.retQ = queue.New[*mem.Request](fmt.Sprintf("l2p%d.ret", id), cfg.L2.DRAMReturnQueue, &p.ticks)
 	p.chn = dram.NewChannel(id, cfg.DRAM, ls, cfg.L2.Partitions, retSink{p})
 	return p
 }
@@ -203,19 +205,9 @@ func (p *Partition) Pending() int {
 		p.mshr.Used() + p.chn.Pending()
 }
 
-// Quiescent reports whether the partition has no work a tick could
-// advance: every queue, pipe and staging buffer is empty. (L2 MSHR
-// entries don't count — their fills arrive through the return queue,
-// which is checked.) A quiescent tick only samples occupancies.
-func (p *Partition) Quiescent() bool {
-	return p.accessQ.Empty() && p.missQ.Empty() && p.respQ.Empty() &&
-		p.retQ.Empty() && p.pendingResp.Empty() &&
-		p.hitPipe.Empty() && p.fillPipe.Empty()
-}
-
 // NextEvent returns the partition's next interesting L2 cycle: the
-// first cycle at which a Tick could do anything beyond sampling its
-// (empty) queues. With any queue or the response staging buffer
+// first cycle at which a Tick could do anything beyond counting
+// itself. With any queue or the response staging buffer
 // non-empty the partition needs every cycle (0). Otherwise only the
 // pipelined hit/fill latches hold work, frozen until the earlier of
 // their head completion times (both pipes are doneAt-ordered);
@@ -237,14 +229,9 @@ func (p *Partition) NextEvent() int64 {
 }
 
 // SkipTicks batch-applies n event-free ticks: the exact stat deltas
-// of n Ticks strictly before NextEvent (one occupancy sample per
-// queue, nothing else — no pipe head completes in the span).
-func (p *Partition) SkipTicks(n int64) {
-	p.accessQ.SampleN(n)
-	p.missQ.SampleN(n)
-	p.respQ.SampleN(n)
-	p.retQ.SampleN(n)
-}
+// of n Ticks strictly before NextEvent (n ticks of unchanged queue
+// occupancy, nothing else — no pipe head completes in the span).
+func (p *Partition) SkipTicks(n int64) { p.ticks += n }
 
 // bankFor maps a line address to a bank.
 func (p *Partition) bankFor(lineAddr uint64) int {
@@ -252,16 +239,8 @@ func (p *Partition) bankFor(lineAddr uint64) int {
 }
 
 // Tick advances the partition by one L2 cycle. The DRAM channel ticks
-// separately in its own domain. A quiescent partition only samples
-// its (empty) queues — the stages below would all no-op.
+// separately in its own domain.
 func (p *Partition) Tick(cycle int64) {
-	if p.Quiescent() {
-		p.accessQ.Sample()
-		p.missQ.Sample()
-		p.respQ.Sample()
-		p.retQ.Sample()
-		return
-	}
 	if p.accessQ.Full() {
 		p.stats.InFullCycles++
 	}
@@ -272,11 +251,7 @@ func (p *Partition) Tick(cycle int64) {
 	p.processAccesses(cycle)
 	p.forwardMisses()
 	p.injectResponses()
-
-	p.accessQ.Sample()
-	p.missQ.Sample()
-	p.respQ.Sample()
-	p.retQ.Sample()
+	p.ticks++
 }
 
 // completeHits moves finished hit accesses into the response queue. A

@@ -13,29 +13,35 @@ import (
 
 // Queue is a bounded FIFO with occupancy accounting. It is implemented
 // as a ring buffer; the zero value is not usable — construct with New.
+//
+// Occupancy is charged, not sampled: the owner bumps its tick counter
+// at the end of each Tick (by n for n skipped ticks), where a per-cycle
+// sample would read the length, and each length change or usage read
+// first charges the ticks since the last one at the old length.
 type Queue[T any] struct {
-	name  string
-	buf   []T
-	head  int
-	size  int
-	usage *stats.QueueUsage
+	name    string
+	buf     []T
+	head    int
+	size    int
+	ticks   *int64 // the owner's tick counter
+	charged int64  // usage holds the samples of every tick before this
+	usage   *stats.QueueUsage
 }
 
-// New returns a queue with the given capacity. Capacity must be
-// positive.
-func New[T any](name string, capacity int) *Queue[T] {
+// New returns a queue with the given capacity whose occupancy is
+// charged against ticks, its owner's tick counter. Capacity must be
+// positive and ticks non-nil.
+func New[T any](name string, capacity int, ticks *int64) *Queue[T] {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("queue: capacity must be positive, got %d (%s)", capacity, name))
 	}
 	return &Queue[T]{
 		name:  name,
 		buf:   make([]T, capacity),
+		ticks: ticks,
 		usage: stats.NewQueueUsage(name, capacity),
 	}
 }
-
-// Name returns the queue's diagnostic name.
-func (q *Queue[T]) Name() string { return q.name }
 
 // Cap returns the queue capacity.
 func (q *Queue[T]) Cap() int { return len(q.buf) }
@@ -52,13 +58,31 @@ func (q *Queue[T]) Full() bool { return q.size == len(q.buf) }
 // Free returns the number of unoccupied slots.
 func (q *Queue[T]) Free() int { return len(q.buf) - q.size }
 
+// settle charges the ticks since the last charge at the current
+// length; call it before the length changes.
+func (q *Queue[T]) settle() {
+	if n := *q.ticks - q.charged; n > 0 {
+		q.usage.SampleN(q.size, n)
+		q.charged = *q.ticks
+	}
+}
+
+// wrap maps a logical index in [0, 2·cap) onto the ring.
+func (q *Queue[T]) wrap(i int) int {
+	if i >= len(q.buf) {
+		i -= len(q.buf)
+	}
+	return i
+}
+
 // Push appends v and reports whether there was room. A false return is
 // the back-pressure signal to the caller.
 func (q *Queue[T]) Push(v T) bool {
 	if q.Full() {
 		return false
 	}
-	q.buf[(q.head+q.size)%len(q.buf)] = v
+	q.settle()
+	q.buf[q.wrap(q.head+q.size)] = v
 	q.size++
 	return true
 }
@@ -68,10 +92,11 @@ func (q *Queue[T]) Pop() (v T, ok bool) {
 	if q.size == 0 {
 		return v, false
 	}
+	q.settle()
 	v = q.buf[q.head]
 	var zero T
 	q.buf[q.head] = zero
-	q.head = (q.head + 1) % len(q.buf)
+	q.head = q.wrap(q.head + 1)
 	q.size--
 	return v, true
 }
@@ -91,7 +116,7 @@ func (q *Queue[T]) At(i int) T {
 	if i < 0 || i >= q.size {
 		panic(fmt.Sprintf("queue %s: At(%d) out of range (len %d)", q.name, i, q.size))
 	}
-	return q.buf[(q.head+i)%len(q.buf)]
+	return q.buf[q.wrap(q.head+i)]
 }
 
 // Segments returns the queued items oldest-first as at most two
@@ -104,7 +129,7 @@ func (q *Queue[T]) Segments() (a, b []T) {
 	if n := q.head + q.size; n <= len(q.buf) {
 		return q.buf[q.head:n], nil
 	}
-	return q.buf[q.head:], q.buf[:(q.head+q.size)%len(q.buf)]
+	return q.buf[q.head:], q.buf[:q.head+q.size-len(q.buf)]
 }
 
 // Remove deletes and returns the i-th oldest item, preserving the
@@ -114,29 +139,31 @@ func (q *Queue[T]) Remove(i int) T {
 	if i < 0 || i >= q.size {
 		panic(fmt.Sprintf("queue %s: Remove(%d) out of range (len %d)", q.name, i, q.size))
 	}
-	v := q.buf[(q.head+i)%len(q.buf)]
+	q.settle()
+	k := q.wrap(q.head + i)
+	v := q.buf[k]
 	// Shift the tail segment left by one.
 	for j := i; j < q.size-1; j++ {
-		q.buf[(q.head+j)%len(q.buf)] = q.buf[(q.head+j+1)%len(q.buf)]
+		next := q.wrap(k + 1)
+		q.buf[k] = q.buf[next]
+		k = next
 	}
 	var zero T
-	q.buf[(q.head+q.size-1)%len(q.buf)] = zero
+	q.buf[k] = zero
 	q.size--
 	return v
 }
 
-// Sample records this cycle's occupancy in the usage tracker. The
-// owning component calls it exactly once per cycle of its clock domain.
-func (q *Queue[T]) Sample() { q.usage.Sample(q.size) }
-
-// SampleN records the current occupancy for n consecutive cycles in
-// one call — the batch form of Sample used when the owning component
-// skips a quiescent span whose occupancy cannot change.
-func (q *Queue[T]) SampleN(n int64) { q.usage.SampleN(q.size, n) }
-
-// Usage returns the occupancy tracker for reporting.
-func (q *Queue[T]) Usage() *stats.QueueUsage { return q.usage }
+// Usage returns the occupancy tracker charged through the owner's
+// current tick; call it again rather than keeping the pointer.
+func (q *Queue[T]) Usage() *stats.QueueUsage {
+	q.settle()
+	return q.usage
+}
 
 // ResetUsage zeroes the occupancy tracker for a new measurement
 // window; queued items are untouched.
-func (q *Queue[T]) ResetUsage() { q.usage.Reset() }
+func (q *Queue[T]) ResetUsage() {
+	q.charged = *q.ticks
+	q.usage.Reset()
+}

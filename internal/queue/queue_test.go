@@ -1,12 +1,15 @@
 package queue
 
 import (
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/stats"
 )
 
 func TestPushPopFIFO(t *testing.T) {
-	q := New[int]("t", 3)
+	q := New[int]("t", 3, new(int64))
 	for i := 1; i <= 3; i++ {
 		if !q.Push(i) {
 			t.Fatalf("push %d failed", i)
@@ -27,7 +30,7 @@ func TestPushPopFIFO(t *testing.T) {
 }
 
 func TestWrapAround(t *testing.T) {
-	q := New[int]("t", 2)
+	q := New[int]("t", 2, new(int64))
 	for round := 0; round < 5; round++ {
 		q.Push(round * 2)
 		q.Push(round*2 + 1)
@@ -40,7 +43,7 @@ func TestWrapAround(t *testing.T) {
 }
 
 func TestPeekDoesNotRemove(t *testing.T) {
-	q := New[string]("t", 2)
+	q := New[string]("t", 2, new(int64))
 	q.Push("a")
 	v, ok := q.Peek()
 	if !ok || v != "a" {
@@ -49,13 +52,13 @@ func TestPeekDoesNotRemove(t *testing.T) {
 	if q.Len() != 1 {
 		t.Fatalf("peek removed item")
 	}
-	if _, ok := New[int]("e", 1).Peek(); ok {
+	if _, ok := New[int]("e", 1, new(int64)).Peek(); ok {
 		t.Fatalf("peek on empty should fail")
 	}
 }
 
 func TestAtAndRemove(t *testing.T) {
-	q := New[int]("t", 4)
+	q := New[int]("t", 4, new(int64))
 	for i := 0; i < 4; i++ {
 		q.Push(i)
 	}
@@ -82,7 +85,7 @@ func TestAtAndRemove(t *testing.T) {
 }
 
 func TestRemoveHeadEqualsPop(t *testing.T) {
-	q := New[int]("t", 3)
+	q := New[int]("t", 3, new(int64))
 	q.Push(7)
 	q.Push(8)
 	if v := q.Remove(0); v != 7 {
@@ -95,7 +98,7 @@ func TestRemoveHeadEqualsPop(t *testing.T) {
 }
 
 func TestRemoveWrapped(t *testing.T) {
-	q := New[int]("t", 3)
+	q := New[int]("t", 3, new(int64))
 	q.Push(1)
 	q.Push(2)
 	q.Pop() // head now at index 1
@@ -112,7 +115,7 @@ func TestRemoveWrapped(t *testing.T) {
 }
 
 func TestOutOfRangePanics(t *testing.T) {
-	q := New[int]("t", 2)
+	q := New[int]("t", 2, new(int64))
 	q.Push(1)
 	for _, f := range []func(){func() { q.At(1) }, func() { q.Remove(-1) }} {
 		func() {
@@ -132,19 +135,63 @@ func TestZeroCapacityPanics(t *testing.T) {
 			t.Fatalf("expected panic for zero capacity")
 		}
 	}()
-	New[int]("bad", 0)
+	New[int]("bad", 0, new(int64))
 }
 
 func TestUsageSampling(t *testing.T) {
-	q := New[int]("t", 2)
-	q.Sample() // empty
+	var ticks int64
+	q := New[int]("t", 2, &ticks)
+	ticks++ // empty
 	q.Push(1)
-	q.Sample() // non-empty
+	ticks++ // non-empty
 	q.Push(2)
-	q.Sample() // full
+	ticks++ // full
 	u := q.Usage()
 	if u.SampledCycles() != 3 || u.UsageCycles() != 2 || u.FullCycles() != 1 {
 		t.Fatalf("usage: sampled=%d usage=%d full=%d", u.SampledCycles(), u.UsageCycles(), u.FullCycles())
+	}
+}
+
+// TestUsageMatchesPerTickSampling: charging occupancy when the length
+// changes gives exactly the samples a per-tick sampler takes at the end
+// of every tick, across pushes, pops, removes, skipped spans, window
+// resets and usage reads in the middle of a run.
+func TestUsageMatchesPerTickSampling(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 7))
+	for trial := 0; trial < 300; trial++ {
+		var ticks int64
+		capacity := 1 + rng.IntN(6)
+		q := New[int]("p", capacity, &ticks)
+		ref := stats.NewQueueUsage("p", capacity)
+		for op := 0; op < 400; op++ {
+			switch rng.IntN(9) {
+			case 0, 1:
+				q.Push(op)
+			case 2:
+				q.Pop()
+			case 3:
+				if q.Len() > 0 {
+					q.Remove(rng.IntN(q.Len()))
+				}
+			case 4, 5: // the owner ends a tick
+				ref.SampleN(q.Len(), 1)
+				ticks++
+			case 6: // the owner skips a frozen span
+				n := int64(rng.IntN(6))
+				ref.SampleN(q.Len(), n)
+				ticks += n
+			case 7:
+				q.ResetUsage()
+				ref.Reset()
+			case 8:
+				if got := *q.Usage(); got != *ref {
+					t.Fatalf("trial %d op %d: usage %+v, want %+v", trial, op, got, *ref)
+				}
+			}
+		}
+		if got := *q.Usage(); got != *ref {
+			t.Fatalf("trial %d: usage %+v, want %+v", trial, got, *ref)
+		}
 	}
 }
 
@@ -152,7 +199,7 @@ func TestUsageSampling(t *testing.T) {
 // any sequence of operations.
 func TestQueueMatchesReference(t *testing.T) {
 	prop := func(ops []uint8) bool {
-		q := New[int]("p", 5)
+		q := New[int]("p", 5, new(int64))
 		var ref []int
 		next := 0
 		for _, op := range ops {
@@ -197,4 +244,29 @@ func TestQueueMatchesReference(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// BenchmarkQueueChurn runs one queue alone at saturation, the way an
+// L2 access queue sits under a congested crossbar: it stays one short
+// of full, and every op is one tick in which one packet leaves (by Pop,
+// or by Remove from the middle as FR-FCFS issues a row hit) and one
+// arrives. It reports host nanoseconds per packet.
+func BenchmarkQueueChurn(b *testing.B) {
+	var ticks int64
+	q := New[int]("churn", 16, &ticks)
+	for i := 0; i < q.Cap()-1; i++ {
+		q.Push(i)
+	}
+	i := 0
+	for b.Loop() {
+		if i&3 == 0 {
+			q.Remove(q.Len() / 2)
+		} else {
+			q.Pop()
+		}
+		q.Push(i)
+		ticks++
+		i++
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/packet")
 }

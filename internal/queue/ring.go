@@ -9,7 +9,8 @@ package queue
 //
 // Unlike Queue it has no capacity bound, no occupancy tracker and no
 // back-pressure semantics; it is deliberately minimal. The zero value
-// is ready to use.
+// is ready to use. Its capacity is always a power of two, so indices
+// wrap with a mask.
 type Ring[T any] struct {
 	buf  []T
 	head int
@@ -27,7 +28,7 @@ func (r *Ring[T]) Push(v T) {
 	if r.size == len(r.buf) {
 		r.grow()
 	}
-	r.buf[(r.head+r.size)%len(r.buf)] = v
+	r.buf[(r.head+r.size)&(len(r.buf)-1)] = v
 	r.size++
 }
 
@@ -39,7 +40,7 @@ func (r *Ring[T]) Pop() (v T, ok bool) {
 	v = r.buf[r.head]
 	var zero T
 	r.buf[r.head] = zero
-	r.head = (r.head + 1) % len(r.buf)
+	r.head = (r.head + 1) & (len(r.buf) - 1)
 	r.size--
 	return v, true
 }
@@ -57,7 +58,7 @@ func (r *Ring[T]) Peek() (v T, ok bool) {
 func (r *Ring[T]) grow() {
 	next := make([]T, max(2*len(r.buf), 8))
 	for i := 0; i < r.size; i++ {
-		next[i] = r.buf[(r.head+i)%len(r.buf)]
+		next[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
 	}
 	r.buf = next
 	r.head = 0

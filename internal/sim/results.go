@@ -157,7 +157,11 @@ func (g *GPU) Results() Results {
 	}
 	r.P95MissLatency = p95Max
 
-	r.L1MissQueue = g.aggregateSMQueue(func(i int) *statsUsage { return usage(g.sms[i].MissQueueUsage()) })
+	l1Miss := newAgg()
+	for _, sm := range g.sms {
+		l1Miss.add(sm.MissQueueUsage())
+	}
+	r.L1MissQueue = l1Miss.occ()
 
 	if len(g.parts) > 0 {
 		accessU := newAgg()
@@ -243,11 +247,6 @@ func sumSampled(us []*stats.QueueUsage) int64 {
 	return n
 }
 
-// statsUsage is a local alias to keep the aggregation helpers short.
-type statsUsage = stats.QueueUsage
-
-func usage(u *stats.QueueUsage) *statsUsage { return u }
-
 // agg folds queue trackers of the same family together.
 type agg struct {
 	merged *stats.QueueUsage
@@ -273,15 +272,6 @@ func (a *agg) occ() QueueOcc {
 		MeanOccupancy: a.merged.MeanOccupancy(),
 		Capacity:      a.cap,
 	}
-}
-
-// aggregateSMQueue folds one per-SM queue family.
-func (g *GPU) aggregateSMQueue(get func(i int) *statsUsage) QueueOcc {
-	a := newAgg()
-	for i := range g.sms {
-		a.add(get(i))
-	}
-	return a.occ()
 }
 
 // String renders a human-readable report.

@@ -15,7 +15,7 @@
 //   - Run's default engine (EngineEvent) is a next-event scheduler.
 //     Each component reports its next interesting cycle — the first
 //     cycle of its own clock domain at which a Tick could do anything
-//     beyond sampling its (empty) queues. Concretely: an SM reports
+//     beyond counting itself. Concretely: an SM reports
 //     math.MaxInt64 while idle (only a response delivery wakes it)
 //     and the oldest in-flight L1 hit's completion while hit-waiting
 //     (core.SM.SleepUntil); a DRAM channel with an empty scheduler
@@ -31,12 +31,18 @@
 //     SM is asleep, Run converts each domain's next event into a
 //     core-cycle bound with exact rational clock arithmetic
 //     (sched.Domain.StepsUntil) and jumps to the minimum (idleSpan).
+//   - Queue occupancy is not sampled cycle by cycle: each component
+//     counts its ticks, and each queue charges the ticks since its last
+//     change at the old length when its length changes or is read
+//     (queue.Queue) — exactly the per-cycle samples, at a cost that
+//     follows the traffic, not the clock.
 //   - A skipped span accounts the exact statistics stepping it would
 //     have produced: core.SM.SkipIdle batch-charges cycle counts,
-//     no-warp stalls, stall attribution and empty-queue samples;
-//     each downstream component's SkipTicks batch-samples its queues,
-//     with per-domain tick counts from the same phase accumulators
-//     the per-cycle loop uses. Reports are therefore byte-identical
+//     no-warp stalls and stall attribution, and every component's
+//     tick count advances by the span (SkipIdle, SkipTicks), with
+//     per-domain tick counts from the same phase accumulators the
+//     per-cycle loop uses, so frozen queues are charged the span at
+//     their unchanged lengths. Reports are therefore byte-identical
 //     under EngineEvent and EngineCycle — the per-cycle reference
 //     loop, kept compiled and tested as the oracle (SetEngine); the
 //     equivalence property tests and the golden files pin this.
@@ -522,8 +528,8 @@ func (g *GPU) idleSpan(end int64) int64 {
 // charges the span through SkipIdle (the memory-stall refinement is
 // memoized once — queue fullness is frozen, so it equals what each
 // stepped cycle would have computed); each derived domain advances
-// its phase accumulator exactly as k per-cycle steps would and
-// batch-samples its components' queues for the ticks that elapse.
+// its phase accumulator exactly as k per-cycle steps would and adds
+// the ticks that elapse to its components' tick counts.
 func (g *GPU) skipSpan(k int64) {
 	for _, sm := range g.sms {
 		sm.SkipIdle(k)

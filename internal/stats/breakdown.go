@@ -82,8 +82,7 @@ type StallBreakdown struct {
 func (b *StallBreakdown) Add(c StallCause) { b.cycles[c]++ }
 
 // AddN charges n consecutive cycles to cause in one call — the batch
-// form Add takes on the quiescence fast paths (core.SM.SkipIdle), the
-// same way QueueUsage.SampleN batches Sample.
+// form Add takes on the quiescence fast paths (core.SM.SkipIdle).
 func (b *StallBreakdown) AddN(c StallCause, n int64) {
 	if n > 0 {
 		b.cycles[c] += n

@@ -165,10 +165,11 @@ func (h *Histogram) NumBuckets() int { return len(h.bins) }
 // Overflow returns the number of observations at or above the limit.
 func (h *Histogram) Overflow() int64 { return h.over }
 
-// QueueUsage tracks a bounded queue's occupancy over time. The owning
-// component calls Sample once per clock cycle of its domain. The
-// paper's §III metric is FullOfUsage: the fraction of non-empty
-// ("usage lifetime") cycles during which the queue was full.
+// QueueUsage tracks a bounded queue's occupancy over time, one sample
+// per clock cycle of the owning component's domain, charged in runs of
+// equal length by the queue (queue.Queue). The paper's §III metric is
+// FullOfUsage: the fraction of non-empty ("usage lifetime") cycles
+// during which the queue was full.
 type QueueUsage struct {
 	Name string
 
@@ -184,22 +185,9 @@ func NewQueueUsage(name string, capacity int) *QueueUsage {
 	return &QueueUsage{Name: name, capacity: capacity}
 }
 
-// Sample records the queue length for one cycle.
-func (q *QueueUsage) Sample(length int) {
-	q.sampled++
-	q.occSum += int64(length)
-	if length > 0 {
-		q.nonEmpty++
-	}
-	if length >= q.capacity {
-		q.full++
-	}
-}
-
 // SampleN records the same queue length for n consecutive cycles in
-// one call. It is the batch form of Sample that lets quiescent
-// components account for a skipped span of cycles in O(1) while
-// keeping every derived metric identical to n individual samples.
+// one call; every derived metric is identical to n single-cycle
+// samples.
 func (q *QueueUsage) SampleN(length int, n int64) {
 	if n <= 0 {
 		return

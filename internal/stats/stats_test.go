@@ -102,11 +102,11 @@ func TestHistogramPanicsOnBadArgs(t *testing.T) {
 func TestQueueUsageFullOfUsage(t *testing.T) {
 	q := NewQueueUsage("q", 4)
 	// 2 empty cycles, 3 non-empty of which 2 full.
-	q.Sample(0)
-	q.Sample(0)
-	q.Sample(2)
-	q.Sample(4)
-	q.Sample(4)
+	q.SampleN(0, 1)
+	q.SampleN(0, 1)
+	q.SampleN(2, 1)
+	q.SampleN(4, 1)
+	q.SampleN(4, 1)
 	if q.SampledCycles() != 5 {
 		t.Fatalf("sampled = %d", q.SampledCycles())
 	}
@@ -126,7 +126,7 @@ func TestQueueUsageFullOfUsage(t *testing.T) {
 
 func TestQueueUsageNeverUsed(t *testing.T) {
 	q := NewQueueUsage("q", 4)
-	q.Sample(0)
+	q.SampleN(0, 1)
 	if q.FullOfUsage() != 0 {
 		t.Fatalf("unused queue FullOfUsage should be 0")
 	}
@@ -135,9 +135,9 @@ func TestQueueUsageNeverUsed(t *testing.T) {
 func TestQueueUsageMerge(t *testing.T) {
 	a := NewQueueUsage("a", 4)
 	b := NewQueueUsage("b", 4)
-	a.Sample(4)
-	b.Sample(0)
-	b.Sample(2)
+	a.SampleN(4, 1)
+	b.SampleN(0, 1)
+	b.SampleN(2, 1)
 	a.Merge(b)
 	if a.SampledCycles() != 3 || a.UsageCycles() != 2 || a.FullCycles() != 1 {
 		t.Fatalf("merge wrong: sampled=%d usage=%d full=%d", a.SampledCycles(), a.UsageCycles(), a.FullCycles())
@@ -173,7 +173,7 @@ func TestQueueUsageProperty(t *testing.T) {
 	prop := func(lengths []uint8) bool {
 		q := NewQueueUsage("p", 8)
 		for _, l := range lengths {
-			q.Sample(int(l % 12))
+			q.SampleN(int(l%12), 1)
 		}
 		return q.FullCycles() <= q.UsageCycles() && q.UsageCycles() <= q.SampledCycles()
 	}
