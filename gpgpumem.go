@@ -241,7 +241,9 @@ func ParseEngine(s string) (Engine, error) { return sim.ParseEngine(s) }
 // MeasureBatch runs a grid of independent simulations on a bounded
 // worker pool and returns their measurements in submission order
 // (completion order does not matter; results are deterministic).
-// parallelism 0 means runtime.GOMAXPROCS(0) and 1 is fully serial.
+// parallelism 0 means runtime.GOMAXPROCS(0) and 1 runs one job at a
+// time; a fixed-latency (Fig. 1) job still spreads its SMs over up to
+// GOMAXPROCS goroutines.
 // Errors are collected per job and joined; canceling ctx fails the
 // not-yet-started jobs but lets in-flight simulations finish.
 func MeasureBatch(ctx context.Context, jobs []Job, parallelism int, progress func(done, total int)) ([]Results, error) {

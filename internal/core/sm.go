@@ -220,7 +220,8 @@ type SM struct {
 }
 
 // NewSM builds SM id with the given warp instruction streams. nextID
-// is the simulation-wide request id counter.
+// is the request-ID counter: shared by every SM and L2 partition of a
+// full-hierarchy GPU, the SM's own in Fig. 1 mode.
 func NewSM(id int, cfg config.Config, streams []InstrStream, backend Backend, nextID *uint64) *SM {
 	if len(streams) == 0 || len(streams) > cfg.Core.MaxWarpsPerSM {
 		panic(fmt.Sprintf("core: warp count %d out of range 1..%d", len(streams), cfg.Core.MaxWarpsPerSM))
@@ -284,8 +285,9 @@ func NewSM(id int, cfg config.Config, streams []InstrStream, backend Backend, ne
 	return sm
 }
 
-// UsePool wires the simulation-wide request/packet free lists into
-// the SM. Without it the SM allocates normally.
+// UsePool wires a request/packet free list into the SM: the GPU's
+// with the full hierarchy, the SM's port's in Fig. 1 mode. Without it
+// the SM allocates normally.
 func (s *SM) UsePool(p *mem.Pool) { s.pool = p }
 
 // DeliverResponse accepts a fill response (the response crossbar's

@@ -36,8 +36,10 @@ func (k AccessKind) String() string {
 // Request is a single line-granular memory transaction below the
 // coalescer. A warp-level load coalesces into one or more Requests.
 type Request struct {
-	// ID is unique within a simulation and increases monotonically
-	// with creation order, which FCFS-style schedulers rely on.
+	// ID labels the request (tests, String); nothing in the timing
+	// model reads it. It increases with creation order and is unique
+	// per GPU with the full hierarchy, and per SM in Fig. 1
+	// (fixed-latency) mode, where each SM has its own counter.
 	ID uint64
 	// Addr is the byte address of the access. The memory system
 	// operates on the enclosing line ([Request.LineAddr]).

@@ -1,12 +1,14 @@
 package mem
 
 // Pool recycles Requests and Packets so the steady-state cycle loop
-// allocates nothing: every component of one simulated GPU draws from
-// and returns to the GPU's single Pool. It is deliberately NOT safe
-// for concurrent use — a sim.GPU is single-goroutine by construction
-// (the experiment engine parallelizes across GPU instances, never
-// within one), and an unsynchronized free-list keeps Get/Put at a few
-// instructions.
+// allocates nothing. With the full hierarchy every component of one
+// simulated GPU draws from and returns to the GPU's single Pool; in
+// Fig. 1 (fixed-latency) mode each SM and its port share a Pool of
+// their own. It is deliberately NOT safe for concurrent use: a Pool
+// is only ever touched by one goroutine at a time — sim.GPU runs the
+// full hierarchy on one goroutine, and in Fig. 1 mode runs each SM on
+// one goroutine with nothing shared between SMs — and an
+// unsynchronized free list keeps Get/Put at a few instructions.
 //
 // Ownership protocol: exactly one component owns a Request or Packet
 // at any time, and the owner at end-of-life returns it with

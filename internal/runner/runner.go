@@ -47,9 +47,11 @@ type Job struct {
 
 // Options tunes a batch run.
 type Options struct {
-	// Parallelism is the worker count. 0 (or negative) means
-	// runtime.GOMAXPROCS(0); 1 reproduces the historical serial path
-	// job-for-job.
+	// Parallelism is the worker count: how many jobs run at once. 0
+	// (or negative) means runtime.GOMAXPROCS(0); 1 runs the jobs one
+	// at a time, in order. A fixed-latency (Fig. 1) job spreads its
+	// SMs over up to GOMAXPROCS goroutines of its own, so even 1 can
+	// keep several cores busy.
 	Parallelism int
 	// Progress, when non-nil, is called after every job completes with
 	// the number of finished jobs and the batch size. Calls are
@@ -73,12 +75,14 @@ func (o Options) workers(jobs int) int {
 	return n
 }
 
-// Execute runs a single job to completion on the calling goroutine:
-// validate and build the GPU, run warmup, reset statistics, run the
-// measurement window. This is the one definition of the measurement
-// methodology; the serial exp.Measure path and every pool worker both
-// funnel through it, which is what makes "same job, any parallelism,
-// same bits" checkable.
+// Execute runs a single job to completion, returning on the calling
+// goroutine: validate and build the GPU, run warmup, reset
+// statistics, run the measurement window. A fixed-latency job runs
+// its SMs on up to GOMAXPROCS goroutines (sim.GPU.Run); any other job
+// runs entirely on the calling goroutine. This is the one definition
+// of the measurement methodology; the serial exp.Measure path and
+// every pool worker both funnel through it, which is what makes "same
+// job, any parallelism, same bits" checkable.
 func Execute(j Job) (sim.Results, error) {
 	g, err := sim.New(j.Config, j.Workload)
 	if err != nil {

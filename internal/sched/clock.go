@@ -1,11 +1,10 @@
-// Package sched is the next-event scheduling substrate of the
-// simulator: exact rational clock-domain arithmetic (Domain) and a
-// hierarchical timing wheel (Wheel) for scheduled deliveries. The
-// sim package's event engine uses both to advance the core clock to
-// the minimum "next interesting cycle" across components and clock
-// domains while keeping every statistic byte-identical to stepping
-// each cycle — the arithmetic here is the part of that guarantee
-// that must be exact, not approximately right.
+// Package sched holds the exact rational clock-domain arithmetic
+// (Domain) behind the simulator's next-event engine. The sim package
+// uses it to convert each derived domain's next interesting tick into
+// a core-cycle bound and to advance the domains across a skipped span
+// while keeping every statistic byte-identical to stepping each cycle
+// — the arithmetic here is the part of that guarantee that must be
+// exact, not approximately right.
 package sched
 
 // Domain tracks one derived clock domain advanced in rational

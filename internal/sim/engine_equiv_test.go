@@ -26,7 +26,7 @@ import (
 
 // equivJobs builds the property-test grid: one real-hierarchy job per
 // workload, plus a fixed-latency job per Fig. 1 suite benchmark so
-// the time-wheel fast path is exercised, not just the hierarchy path.
+// the per-SM event loops are exercised, not just the hierarchy path.
 func equivJobs(t *testing.T) []runner.Job {
 	t.Helper()
 	cfg := config.GTX480Baseline()

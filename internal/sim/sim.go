@@ -1,17 +1,18 @@
 // Package sim assembles the full GPU — SIMT cores, request/response
 // crossbars, L2 memory partitions and DRAM channels — and drives the
 // four clock domains. It also provides the Fig. 1 apparatus: a
-// fixed-latency, infinite-bandwidth memory backend that replaces the
-// hierarchy below the L1.
+// fixed-latency, infinite-bandwidth memory backend per SM that
+// replaces the hierarchy below the L1.
 //
 // # Hot-path invariants
 //
 // The engine allocates nothing in steady state and never spends time
 // on provably frozen components:
 //
-//   - All mem.Request and mem.Packet values are drawn from one
-//     per-GPU free-list pool (mem.Pool) and recycled at their
-//     retirement points; see the pool's ownership protocol.
+//   - All mem.Request and mem.Packet values are drawn from a
+//     free-list pool (mem.Pool) and recycled at their retirement
+//     points; see the pool's ownership protocol. The full hierarchy
+//     has one pool per GPU; in Fig. 1 mode each SM's port owns one.
 //   - Run's default engine (EngineEvent) is a next-event scheduler.
 //     Each component reports its next interesting cycle — the first
 //     cycle of its own clock domain at which a Tick could do anything
@@ -23,14 +24,20 @@
 //     completion and its refresh timer (dram.Channel.NextEvent); an
 //     L2 partition with empty queues reports its earliest hit/fill
 //     pipeline completion (l2.Partition.NextEvent); a crossbar
-//     reports math.MaxInt64 once empty (icnt.Crossbar.NextEvent); the
-//     Fig. 1 fixed-latency backend reports the earliest scheduled
-//     delivery from a hierarchical timing wheel (sched.Wheel). While
+//     reports math.MaxInt64 once empty (icnt.Crossbar.NextEvent). While
 //     any queue holds work the component reports 0 — "tick me every
 //     cycle" — because queue interactions are not frozen. When every
 //     SM is asleep, Run converts each domain's next event into a
 //     core-cycle bound with exact rational clock arithmetic
 //     (sched.Domain.StepsUntil) and jumps to the minimum (idleSpan).
+//   - In Fig. 1 mode the SMs share nothing that affects timing: each
+//     SM's misses return only to it, after a constant delay, from its
+//     own port (fixedPort), which owns the SM's pool and request-ID
+//     counter. So Run gives every SM its own next-event loop over the
+//     whole span — the next cycle is the earlier of the SM's
+//     SleepUntil and its port's head delivery — and runs the loops on
+//     up to GOMAXPROCS goroutines (runPorts). EngineCycle still steps
+//     the SMs in lockstep.
 //   - Queue occupancy is not sampled cycle by cycle: each component
 //     counts its ticks, and each queue charges the ticks since its last
 //     change at the old length when its length changes or is read
@@ -47,9 +54,12 @@
 //     loop, kept compiled and tested as the oracle (SetEngine); the
 //     equivalence property tests and the golden files pin this.
 //
-// Determinism is unaffected: a GPU instance owns all of its state, so
-// reports are bit-identical at any experiment-engine parallelism, and
-// golden-output tests (internal/exp/testdata) pin the exact bytes.
+// Determinism is unaffected: a GPU instance owns all of its state, and
+// in Fig. 1 mode the per-SM loops share no mutable state, so reports
+// are bit-identical at any experiment-engine parallelism and any
+// GOMAXPROCS. Golden-output tests (internal/exp/testdata) pin the
+// exact bytes, and TestFixedLatencyDeterministicAcrossCores pins the
+// per-SM spread.
 //
 // # Results are pure functions
 //
@@ -99,6 +109,9 @@ package sim
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/config"
 	"repro/internal/core"
@@ -119,9 +132,10 @@ const (
 	// EngineEvent (the default) is the next-event scheduler: Run
 	// batch-skips spans in which every component is provably frozen,
 	// jumping straight to the minimum next interesting cycle across
-	// SMs, crossbars, L2 partitions, DRAM channels and (in Fig. 1
-	// mode) the fixed-latency delivery wheel, charging the skipped
-	// cycles through the exact batch statistics paths.
+	// SMs, crossbars, L2 partitions and DRAM channels — in Fig. 1
+	// mode per SM, between the SM and its fixed-latency port —
+	// charging the skipped cycles through the exact batch statistics
+	// paths.
 	EngineEvent Engine = iota
 	// EngineCycle is the per-cycle reference loop: every component
 	// ticks on every cycle of its clock domain. It is kept compiled
@@ -159,8 +173,20 @@ type GPU struct {
 	parts []*l2.Partition
 	reqX  *icnt.Crossbar
 	respX *icnt.Crossbar
-	fixed *fixedBackend // non-nil in Fig. 1 mode
-	pool  *mem.Pool     // request/packet free lists shared by every component
+	pool  *mem.Pool // free lists shared by every component; nil in Fig. 1 mode
+
+	// ports are the per-SM fixed-latency backends; non-nil exactly in
+	// Fig. 1 mode, where each SM and its port form an independent
+	// simulation (runPorts).
+	ports []*fixedPort
+	// runEnd and nextPort hand out work to runPorts' workers; wg
+	// joins them, and workerPanic carries a worker's panic back to
+	// the calling goroutine. Kept in the GPU so starting the workers
+	// allocates nothing.
+	runEnd      int64
+	nextPort    atomic.Int32
+	wg          sync.WaitGroup
+	workerPanic atomic.Pointer[recovered]
 
 	addrMap dram.AddrMap
 	nextID  uint64
@@ -195,8 +221,7 @@ func New(cfg config.Config, wl workload.Workload) (*GPU, error) {
 			wl.Name(), wl.WarpsPerSM(), cfg.Core.MaxWarpsPerSM)
 	}
 	g := &GPU{
-		cfg:  cfg,
-		pool: mem.NewPool(),
+		cfg: cfg,
 		addrMap: dram.NewAddrMap(cfg.L2.LineSize, cfg.L2.Partitions,
 			cfg.DRAM.RowBytes, cfg.DRAM.BanksPerChip),
 		stallCauseAt: -1,
@@ -205,9 +230,8 @@ func New(cfg config.Config, wl workload.Workload) (*GPU, error) {
 		dramDom:      sched.NewDomain(cfg.Clock.DRAMMHz, cfg.Clock.CoreMHz),
 	}
 
-	if cfg.FixedLatency.Enabled {
-		g.fixed = &fixedBackend{latency: cfg.FixedLatency.Cycles, gpu: g}
-	} else {
+	if !cfg.FixedLatency.Enabled {
+		g.pool = mem.NewPool()
 		g.respX = icnt.New(icnt.Config{
 			Inputs: cfg.L2.Partitions, Outputs: cfg.Core.NumSMs,
 			FlitBytes: cfg.Icnt.FlitSizeBytes, Lanes: cfg.Icnt.LanesPerPort,
@@ -233,14 +257,16 @@ func New(cfg config.Config, wl workload.Workload) (*GPU, error) {
 		for w := range streams {
 			streams[w] = wl.Stream(i, w, cfg.Seed, uint64(cfg.L1.LineSize))
 		}
-		var backend core.Backend
-		if g.fixed != nil {
-			backend = g.fixed
-		} else {
-			backend = realBackend{g, i}
+		if !cfg.FixedLatency.Enabled {
+			g.sms[i] = core.NewSM(i, cfg, streams, realBackend{g, i}, &g.nextID)
+			g.sms[i].UsePool(g.pool)
+			continue
 		}
-		g.sms[i] = core.NewSM(i, cfg, streams, backend, &g.nextID)
-		g.sms[i].UsePool(g.pool)
+		p := &fixedPort{latency: cfg.FixedLatency.Cycles}
+		p.sm = core.NewSM(i, cfg, streams, p, &p.nextID)
+		p.sm.UsePool(&p.pool)
+		g.sms[i] = p.sm
+		g.ports = append(g.ports, p)
 	}
 	return g, nil
 }
@@ -313,127 +339,178 @@ func (g *GPU) memStallCause() stats.StallCause {
 	return g.stallCause
 }
 
-// fixedBackend answers every L1 load miss after exactly latency core
-// cycles with unlimited bandwidth; stores vanish instantly. This is
-// the Fig. 1 "all L1 miss responses returned with a fixed and
-// pre-determined latency" apparatus.
-type fixedBackend struct {
+// fixedPort is one SM's whole memory system in Fig. 1 mode: it
+// answers every L1 load miss after exactly latency core cycles with
+// unlimited bandwidth, and stores vanish instantly — the paper's "all
+// L1 miss responses returned with a fixed and pre-determined latency"
+// apparatus. A port serves only its own SM and owns that SM's request
+// pool and request-ID counter, so nothing that affects timing is
+// shared between SMs: each SM and its port are an independent
+// simulation (run).
+type fixedPort struct {
+	// The pads keep the fields below, written every stepped cycle, off
+	// the cache lines of the neighbouring ports, which sit next to
+	// this one in memory and run on other cores. Without them false
+	// sharing cancelled most of the parallel speedup.
+	_       [64]byte
+	sm      *core.SM
 	latency int64
-	gpu     *GPU
-	// pending is a per-SM FIFO of scheduled deliveries (constant
-	// latency keeps each FIFO sorted by ReadyAt).
-	pending []queue.Ring[*mem.Packet]
-	// inflight counts undelivered responses across all FIFOs.
-	inflight int
-	// wheel holds exactly one "attention due" hint per non-empty FIFO
-	// — at the head packet's ReadyAt, or at the next cycle after a
-	// refused delivery — so tick visits only SMs with due heads
-	// instead of scanning every FIFO every cycle. The invariant:
-	// SendMiss arms a hint when it makes a FIFO non-empty; tick
-	// consumes the popped hint and re-arms before every break that
-	// leaves the FIFO non-empty. Wheel occupancy is therefore bounded
-	// by the SM count, keeping the steady state allocation-free.
-	wheel  sched.Wheel
-	dueBuf []int32 // PopDue scratch
+	// now is the cycle being ticked; SendMiss stamps ReadyAt from it.
+	now int64
+	// pending holds the scheduled deliveries. Constant latency keeps
+	// it sorted by ReadyAt, so its head is the port's next event.
+	pending queue.Ring[*mem.Packet]
+	pool    mem.Pool
+	nextID  uint64
+	// stepped counts the cycles the SM was ticked, advanced every
+	// cycle it moved through, skipped ones included: host-work
+	// counters for BenchmarkSMFixedLatency, kept out of Results.
+	stepped, advanced int64
+	_                 [64]byte
 }
 
 // MemStallCause implements core.Backend: the fixed-latency responder
 // has no hierarchy to congest, so every memory wait is pure latency.
-func (b *fixedBackend) MemStallCause() stats.StallCause { return stats.StallL1Miss }
+func (p *fixedPort) MemStallCause() stats.StallCause { return stats.StallL1Miss }
 
 // SendMiss implements core.Backend; it never back-pressures.
-func (b *fixedBackend) SendMiss(req *mem.Request) bool {
+func (p *fixedPort) SendMiss(req *mem.Request) bool {
 	if req.Kind != mem.Load {
 		// Stores vanish here: this call is the request's last
 		// reference (the L1 forwards stores without MSHR tracking).
-		b.gpu.pool.PutRequest(req)
+		p.pool.PutRequest(req)
 		return true
 	}
-	if b.pending == nil {
-		b.pending = make([]queue.Ring[*mem.Packet], len(b.gpu.sms))
-		// One hint per SM bounds same-cycle wheel occupancy.
-		b.wheel.Preallocate(len(b.gpu.sms))
-	}
-	pkt := b.gpu.pool.GetPacket()
+	pkt := p.pool.GetPacket()
 	*pkt = mem.Packet{
 		Req: req, IsResponse: true, Dst: req.CoreID,
 		SizeBytes: mem.ResponsePacketBytes(req),
-		ReadyAt:   b.gpu.coreCycle + b.latency,
+		ReadyAt:   p.now + p.latency,
 	}
-	q := &b.pending[req.CoreID]
-	if q.Empty() {
-		b.wheel.Schedule(pkt.ReadyAt, int32(req.CoreID))
-	}
-	q.Push(pkt)
-	b.inflight++
+	p.pending.Push(pkt)
 	return true
 }
 
-// tick delivers every due response (unlimited bandwidth); a full SM
-// response queue retries next cycle. Only SMs with a due hint are
-// visited; delivery order within an SM is FIFO, and order across SMs
-// is irrelevant (disjoint response queues).
-func (b *fixedBackend) tick(cycle int64) {
-	// Called unconditionally (even with nothing scheduled): PopDue on
-	// an empty wheel just advances its base, which keeps subsequent
-	// Schedules in the fine-grained level-0 range.
-	b.dueBuf = b.wheel.PopDue(cycle, b.dueBuf[:0])
-	for _, smID := range b.dueBuf {
-		q := &b.pending[smID]
-		for {
-			pkt, ok := q.Peek()
-			if !ok {
-				break
-			}
-			if pkt.ReadyAt > cycle {
-				b.wheel.Schedule(pkt.ReadyAt, smID) // re-arm for the next head
-				break
-			}
-			if !b.gpu.sms[smID].DeliverResponse(pkt) {
-				b.wheel.Schedule(cycle+1, smID) // retry next cycle
-				break
-			}
-			q.Pop()
-			b.inflight--
+// step delivers every response due at cycle c (unlimited bandwidth,
+// FIFO; a full SM response queue retries next cycle), then ticks the
+// SM.
+func (p *fixedPort) step(c int64) {
+	for {
+		pkt, ok := p.pending.Peek()
+		if !ok || pkt.ReadyAt > c || !p.sm.DeliverResponse(pkt) {
+			break
 		}
+		p.pending.Pop()
+	}
+	p.now = c
+	p.sm.Tick(c)
+	p.stepped++
+	p.advanced++
+}
+
+// run advances the SM and its port from cycle c to end with a
+// next-event loop of their own: the next interesting cycle is the
+// earlier of the SM's SleepUntil and the head delivery's ReadyAt, and
+// every span before it is charged in one SkipIdle. Nothing else can
+// wake the SM, and its memory-stall cause is constant, so this
+// matches the per-cycle loop exactly.
+func (p *fixedPort) run(c, end int64) {
+	for c < end {
+		next := p.sm.SleepUntil()
+		if pkt, ok := p.pending.Peek(); ok && pkt.ReadyAt < next {
+			next = pkt.ReadyAt
+		}
+		if next <= c {
+			p.step(c)
+			c++
+			continue
+		}
+		k := min(next, end) - c
+		p.sm.SkipIdle(k)
+		p.advanced += k
+		c += k
 	}
 }
 
-// nextReady returns the earliest cycle at which tick could deliver
-// (or retry) anything, or ok=false when nothing is scheduled. O(1):
-// the wheel caches its minimum.
-func (b *fixedBackend) nextReady() (int64, bool) {
-	return b.wheel.Earliest()
+// recovered wraps a value recovered in a runPorts worker.
+type recovered struct{ val any }
+
+// runPorts advances every SM of a fixed-latency GPU to end, each on
+// its own event loop (fixedPort.run). The loops share no mutable
+// state, so they run on min(GOMAXPROCS, SMs) goroutines — the calling
+// one included — that pull SM indices from an atomic counter; the
+// Results do not depend on how the SMs are spread. A worker's panic
+// is re-raised on the calling goroutine.
+func (g *GPU) runPorts(end int64) {
+	g.runEnd = end
+	g.nextPort.Store(0)
+	workers := min(runtime.GOMAXPROCS(0), len(g.ports))
+	g.wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go g.portWorker()
+	}
+	g.drainPorts()
+	g.wg.Wait()
+	if p := g.workerPanic.Swap(nil); p != nil {
+		panic(p.val)
+	}
+	g.coreCycle = end
+}
+
+// portWorker is one spawned runPorts worker.
+func (g *GPU) portWorker() {
+	defer g.wg.Done()
+	defer func() {
+		if r := recover(); r != nil {
+			g.workerPanic.CompareAndSwap(nil, &recovered{r})
+		}
+	}()
+	g.drainPorts()
+}
+
+// drainPorts runs SMs until none is left unclaimed.
+func (g *GPU) drainPorts() {
+	for {
+		i := int(g.nextPort.Add(1)) - 1
+		if i >= len(g.ports) {
+			return
+		}
+		g.ports[i].run(g.coreCycle, g.runEnd)
+	}
 }
 
 // Step advances the system by one core clock cycle, ticking the other
 // domains in rational proportion (e.g. DRAM at 924 MHz vs core at
 // 700 MHz). Downstream domains tick first so back pressure resolves
-// before new work enters.
+// before new work enters. In Fig. 1 mode each SM's port delivers the
+// responses due this cycle, then the SM ticks.
 func (g *GPU) Step() {
-	if g.fixed == nil {
-		c := g.dramDom.Cycle()
-		for n := g.dramDom.Advance(1); n > 0; n-- {
-			for _, p := range g.parts {
-				p.Channel().Tick(c)
-			}
-			c++
+	if g.ports != nil {
+		for _, p := range g.ports {
+			p.step(g.coreCycle)
 		}
-		c = g.l2Dom.Cycle()
-		for n := g.l2Dom.Advance(1); n > 0; n-- {
-			for _, p := range g.parts {
-				p.Tick(c)
-			}
-			c++
+		g.coreCycle++
+		return
+	}
+	c := g.dramDom.Cycle()
+	for n := g.dramDom.Advance(1); n > 0; n-- {
+		for _, p := range g.parts {
+			p.Channel().Tick(c)
 		}
-		c = g.icntDom.Cycle()
-		for n := g.icntDom.Advance(1); n > 0; n-- {
-			g.respX.Tick(c)
-			g.reqX.Tick(c)
-			c++
+		c++
+	}
+	c = g.l2Dom.Cycle()
+	for n := g.l2Dom.Advance(1); n > 0; n-- {
+		for _, p := range g.parts {
+			p.Tick(c)
 		}
-	} else {
-		g.fixed.tick(g.coreCycle)
+		c++
+	}
+	c = g.icntDom.Cycle()
+	for n := g.icntDom.Advance(1); n > 0; n-- {
+		g.respX.Tick(c)
+		g.reqX.Tick(c)
+		c++
 	}
 	for _, sm := range g.sms {
 		sm.Tick(g.coreCycle)
@@ -444,7 +521,8 @@ func (g *GPU) Step() {
 // Run advances the system by n core cycles. Under EngineEvent it
 // batch-skips every span in which the whole system is provably frozen
 // (idleSpan), charging skipped cycles through the exact batch
-// statistics paths (skipSpan); under EngineCycle it steps each cycle.
+// statistics paths (skipSpan) — in Fig. 1 mode per SM, each SM on its
+// own event loop (runPorts); under EngineCycle it steps each cycle.
 // The engines are statistically indistinguishable by construction —
 // only wall-clock time differs.
 func (g *GPU) Run(n int64) {
@@ -452,6 +530,12 @@ func (g *GPU) Run(n int64) {
 	if g.engine == EngineCycle {
 		for g.coreCycle < end {
 			g.Step()
+		}
+		return
+	}
+	if g.ports != nil {
+		if n > 0 {
+			g.runPorts(end)
 		}
 		return
 	}
@@ -471,8 +555,8 @@ func (g *GPU) Run(n int64) {
 // means the next cycle must be stepped. During such a span no
 // component's observable state changes except via the batch paths —
 // in particular no response can be delivered (delivery requires a
-// busy crossbar, a due L2/DRAM completion or a due fixed-latency
-// delivery, all of which bound the span) — so queue fullness, and
+// busy crossbar or a due L2/DRAM completion, both of which bound the
+// span) — so queue fullness, and
 // with it the memory-stall refinement, is constant across it.
 func (g *GPU) idleSpan(end int64) int64 {
 	wake := end
@@ -485,41 +569,30 @@ func (g *GPU) idleSpan(end int64) int64 {
 			wake = su
 		}
 	}
-	if g.fixed != nil {
-		if next, ok := g.fixed.nextReady(); ok {
-			if next <= g.coreCycle {
-				return 0
-			}
-			if next < wake {
-				wake = next
-			}
-		}
-	} else {
-		ev := int64(math.MaxInt64)
-		for _, p := range g.parts {
-			if e := p.Channel().NextEvent(); e < ev {
-				ev = e
-			}
-		}
-		if w := g.coreCycle + g.dramDom.StepsUntil(ev); w < wake {
-			wake = w
-		}
-		ev = math.MaxInt64
-		for _, p := range g.parts {
-			if e := p.NextEvent(); e < ev {
-				ev = e
-			}
-		}
-		if w := g.coreCycle + g.l2Dom.StepsUntil(ev); w < wake {
-			wake = w
-		}
-		ev = g.respX.NextEvent()
-		if e := g.reqX.NextEvent(); e < ev {
+	ev := int64(math.MaxInt64)
+	for _, p := range g.parts {
+		if e := p.Channel().NextEvent(); e < ev {
 			ev = e
 		}
-		if w := g.coreCycle + g.icntDom.StepsUntil(ev); w < wake {
-			wake = w
+	}
+	if w := g.coreCycle + g.dramDom.StepsUntil(ev); w < wake {
+		wake = w
+	}
+	ev = math.MaxInt64
+	for _, p := range g.parts {
+		if e := p.NextEvent(); e < ev {
+			ev = e
 		}
+	}
+	if w := g.coreCycle + g.l2Dom.StepsUntil(ev); w < wake {
+		wake = w
+	}
+	ev = g.respX.NextEvent()
+	if e := g.reqX.NextEvent(); e < ev {
+		ev = e
+	}
+	if w := g.coreCycle + g.icntDom.StepsUntil(ev); w < wake {
+		wake = w
 	}
 	return wake - g.coreCycle
 }
@@ -534,21 +607,19 @@ func (g *GPU) skipSpan(k int64) {
 	for _, sm := range g.sms {
 		sm.SkipIdle(k)
 	}
-	if g.fixed == nil {
-		if n := g.dramDom.Advance(k); n > 0 {
-			for _, p := range g.parts {
-				p.Channel().SkipTicks(n)
-			}
+	if n := g.dramDom.Advance(k); n > 0 {
+		for _, p := range g.parts {
+			p.Channel().SkipTicks(n)
 		}
-		if n := g.l2Dom.Advance(k); n > 0 {
-			for _, p := range g.parts {
-				p.SkipTicks(n)
-			}
+	}
+	if n := g.l2Dom.Advance(k); n > 0 {
+		for _, p := range g.parts {
+			p.SkipTicks(n)
 		}
-		if n := g.icntDom.Advance(k); n > 0 {
-			g.respX.SkipTicks(n)
-			g.reqX.SkipTicks(n)
-		}
+	}
+	if n := g.icntDom.Advance(k); n > 0 {
+		g.respX.SkipTicks(n)
+		g.reqX.SkipTicks(n)
 	}
 	g.coreCycle += k
 }
