@@ -20,6 +20,13 @@ const maxPendingLoadsPerWarp = 8
 // request crossbar in baseline mode, or the infinite-bandwidth
 // fixed-latency responder in Fig. 1 mode.
 type Backend interface {
+	// CanSend reports whether a SendMiss made now would be accepted.
+	// The SM asks before building each miss packet, and a sleeping SM
+	// whose miss queue holds work asks every cycle whether to wake, so
+	// the answer must be exact whenever it is false: a false CanSend
+	// for a SendMiss that would have succeeded loses that cycle's
+	// forward progress. It must not allocate.
+	CanSend() bool
 	// SendMiss forwards an L1 miss or store downstream. A false
 	// return (no capacity) stalls the L1 miss path.
 	SendMiss(req *mem.Request) bool
@@ -200,20 +207,43 @@ type SM struct {
 	coalesceBuf []uint64       // scratch for the coalescer (one drain at a time)
 	trackerFree []*loadTracker // loadTracker free list
 
-	// idle marks the SM quiescent: every queue and pipe is empty, no
-	// drain is active, and no warp could issue — a state only a
-	// DeliverResponse can change. While idle, Tick takes the O(1)
-	// fast path that applies exactly the stat deltas a full tick
-	// would (Cycles, StallNoWarp, the tick count).
-	idle bool
-
-	// sleepUntil is the hit-wait analogue of idle: every queue is
-	// empty and no warp can issue, but the hit pipe holds in-flight L1
-	// hits, the oldest completing at sleepUntil. Until then (or until
-	// a response delivery clears it) a full Tick is a provable no-op,
-	// so Tick takes the same O(1) fast path. Zero means "no hit-wait"
-	// — any value <= the current cycle is treated as active.
-	sleepUntil int64
+	// asleep marks a sleeping SM: its last full Tick made no progress
+	// (progress stayed false), so every later full Tick would repeat
+	// it exactly — the same blocked L1 head, the same full LDST queue,
+	// the same empty issue — and change nothing but counters. Until
+	// something wakes it, Tick takes the O(1) path that replays those
+	// counter deltas (SkipIdle). Three things wake it: a
+	// DeliverResponse; the cycle wakeAt, the earliest in-flight L1
+	// hit's completion or the response-queue head's ReadyAt
+	// (math.MaxInt64 with neither); and, when waitSend is set because
+	// the miss queue holds work, the backend turning able to accept
+	// it (Backend.CanSend). Nothing else can change what a full Tick
+	// does: the L1 head unblocks only on a fill or a miss-queue pop,
+	// the drain only on an LDST pop, and warp readiness and the issue
+	// policy's inputs only on a fill, a hit, an issue or an MSHR
+	// allocation — all of them progress. An idle SM and a hit-waiting
+	// one are the cases with no blocked head and no active drain.
+	asleep   bool
+	waitSend bool
+	wakeAt   int64
+	// progress is set, during a full Tick, by every stage that pops,
+	// pushes or issues: a retired response or hit, an LDST or
+	// miss-queue pop, a drain push, an issued instruction.
+	progress bool
+	// headStall points at the Stats counter the L1 head blocked on
+	// (StallMSHR, StallMissQ, StallResFail or StallStoreQ), nil while
+	// the head is not known to be blocked. The blocking condition can
+	// only lift on a fill or a miss-queue pop, which clear it, so until
+	// then accessL1 charges the counter without probing the set again.
+	// A sleeping tick charges it too.
+	headStall *int64
+	// noSleep turns sleeping and the headStall memo off (SetSleep), so
+	// every Tick is a full one: the cycle engine's oracle mode.
+	noSleep bool
+	// fullTicks counts full Ticks; with ticks it is the host-work
+	// counter pair HostTicks reports. Not a statistic: ResetStats
+	// leaves it alone.
+	fullTicks int64
 
 	// ticks counts cycles, skipped ones too, for the queues (queue.New).
 	ticks int64
@@ -297,8 +327,7 @@ func (s *SM) DeliverResponse(pkt *mem.Packet) bool {
 	if !s.respQ.Push(pkt) {
 		return false
 	}
-	s.idle = false
-	s.sleepUntil = 0
+	s.asleep = false
 	return true
 }
 
@@ -334,48 +363,76 @@ func (s *SM) Pending() int {
 	return n
 }
 
-// SleepUntil reports the SM's next interesting cycle — the first
-// cycle at which a full Tick could do anything a SkipIdle would not:
-// math.MaxInt64 while idle (only a DeliverResponse wakes it), the
-// oldest in-flight L1 hit's completion cycle while hit-waiting, and a
-// value <= the current cycle (meaning "tick me every cycle")
-// otherwise. Ticks strictly before the returned cycle are exactly
-// SkipIdle ticks, which is what lets the event engine batch them.
-func (s *SM) SleepUntil() int64 {
-	if s.idle {
-		return math.MaxInt64
+// SetSleep turns sleeping on (the default) or off. With it off every
+// Tick runs every pipeline stage, so a run is the per-cycle reference
+// the sleeping path is checked against (sim.EngineCycle).
+func (s *SM) SetSleep(on bool) {
+	s.noSleep = !on
+	if !on {
+		s.asleep = false
+		s.headStall = nil
 	}
-	return s.sleepUntil
 }
 
-// SkipIdle accounts n frozen cycles in one call: the exact stat
-// deltas of n fast-path Ticks (cycle, no-warp-stall and tick counts,
-// stall attribution) without executing them. The caller must ensure
-// the SM stays frozen (idle, or hit-waiting short of SleepUntil) and
-// receives no response in the skipped span. With outstanding L1 misses the span is charged to the
-// backend's current memory-stall cause — an idle SM is by
-// construction waiting on fills, and queue fullness below is frozen
-// too, so the cause is constant across the span. With none (a pure
-// hit-wait), the wait is a dependency on in-flight L1 hits, charged
-// to the scoreboard exactly as a full tick's stallCause would.
+// HostTicks returns the SM's host-work counters: the full Ticks it
+// executed and the cycles it advanced through, sleeping ticks and
+// skipped spans included. They measure the simulator, not the
+// simulated machine, so they stay out of Stats and Results.
+func (s *SM) HostTicks() (full, cycles int64) { return s.fullTicks, s.ticks }
+
+// SleepUntil reports the SM's next interesting cycle — the first
+// cycle at which a full Tick could do anything a SkipIdle would not.
+// An awake SM, and a sleeping one waiting on the backend to accept
+// its miss queue's head, report 0: "tick me every cycle" (Tick still
+// takes the O(1) path while the backend refuses). Otherwise a
+// sleeping SM reports its wake cycle: the earliest in-flight L1 hit's
+// completion or the response-queue head's ReadyAt, or math.MaxInt64
+// when only a DeliverResponse can wake it. Ticks strictly before the
+// returned cycle are exactly SkipIdle ticks, which is what lets the
+// event engine batch them.
+func (s *SM) SleepUntil() int64 {
+	if !s.asleep || s.waitSend {
+		return 0
+	}
+	return s.wakeAt
+}
+
+// SkipIdle replays n sleeping ticks in one call: the exact counter
+// deltas of n Ticks that make no progress — cycles, the no-warp stall,
+// the counter the L1 head is blocked on (if any), the LDST-full stall
+// while a drain is active, stall attribution and the tick count. The
+// caller must ensure the SM is asleep for the whole span (it is
+// ticked before SleepUntil and receives no response). The stall cause
+// is evaluated once: inside a span the event engine skips, queue
+// fullness below is frozen, so the backend's memory-stall cause is
+// constant.
 func (s *SM) SkipIdle(n int64) {
 	s.stats.Cycles += n
 	s.stats.StallNoWarp += n
-	cause := stats.StallScoreboard
-	if s.mshr.Used() > 0 {
-		cause = s.backend.MemStallCause()
+	if s.headStall != nil {
+		*s.headStall += n
 	}
-	s.stalls.AddN(cause, n)
+	if s.drainOn {
+		s.stats.StallLDSTFull += n
+	}
+	s.stalls.AddN(s.stallCause(), n)
 	s.ticks += n
 }
 
-// Tick advances the SM by one core cycle.
+// Tick advances the SM by one core cycle. A sleeping SM that nothing
+// has woken replays its last tick's counter deltas in O(1); otherwise
+// Tick runs every pipeline stage and, if none of them made progress,
+// puts the SM to sleep.
 func (s *SM) Tick(cycle int64) {
-	if s.idle || cycle < s.sleepUntil {
-		s.SkipIdle(1)
-		return
+	if s.asleep {
+		if cycle < s.wakeAt && !(s.waitSend && s.backend.CanSend()) {
+			s.SkipIdle(1)
+			return
+		}
+		s.asleep = false
 	}
-	s.sleepUntil = 0
+	s.fullTicks++
+	s.progress = false
 	s.stats.Cycles++
 	s.processResponses(cycle)
 	s.completeHits(cycle)
@@ -384,6 +441,23 @@ func (s *SM) Tick(cycle int64) {
 	s.drainMemInstr()
 	s.issue(cycle)
 	s.ticks++
+	if !s.progress && !s.noSleep {
+		s.sleep()
+	}
+}
+
+// sleep puts the SM to sleep after a full Tick that made no progress,
+// recording what can wake it.
+func (s *SM) sleep() {
+	s.asleep = true
+	s.waitSend = !s.missQ.Empty()
+	s.wakeAt = math.MaxInt64
+	if h, ok := s.hitPipe.Peek(); ok {
+		s.wakeAt = h.doneAt
+	}
+	if pkt, ok := s.respQ.Peek(); ok && pkt.ReadyAt < s.wakeAt {
+		s.wakeAt = pkt.ReadyAt
+	}
 }
 
 // processResponses applies one fill per cycle: the L1 fill port.
@@ -393,6 +467,8 @@ func (s *SM) processResponses(cycle int64) {
 		return
 	}
 	s.respQ.Pop()
+	s.progress = true
+	s.headStall = nil // the fill can free an MSHR entry or an L1 way
 	line := pkt.Req.LineAddr()
 	if !pkt.Req.NoFill {
 		s.l1.Fill(line, cycle, false)
@@ -421,6 +497,7 @@ func (s *SM) completeHits(cycle int64) {
 			return
 		}
 		s.hitPipe.Pop()
+		s.progress = true
 		h.tracker.remaining--
 		if h.tracker.remaining == 0 {
 			s.evalWarp(int(h.tracker.warp))
@@ -430,8 +507,14 @@ func (s *SM) completeHits(cycle int64) {
 
 // accessL1 services the LDST queue head against the L1: one access
 // per cycle. Structural failures leave the head in place (the
-// "reservation failure" stall of §I implication ②).
+// "reservation failure" stall of §I implication ②) and are charged
+// through blockHead, which remembers the counter so the retries that
+// follow skip the probes until a fill or a miss-queue pop.
 func (s *SM) accessL1(cycle int64) {
+	if s.headStall != nil {
+		*s.headStall++
+		return
+	}
 	t, ok := s.ldstQ.Peek()
 	if !ok {
 		return
@@ -442,13 +525,13 @@ func (s *SM) accessL1(cycle int64) {
 	// Lookup happens exactly once, when the access is consumed.
 	if t.tracker == nil { // store: write-through, no-allocate
 		if s.missQ.Full() {
-			s.stats.StallStoreQ++
+			s.blockHead(&s.stats.StallStoreQ)
 			return
 		}
 		s.l1.Lookup(line, true, cycle)
 		t.req.IssueCycle = cycle
 		s.missQ.Push(t.req)
-		s.ldstQ.Pop()
+		s.popHead()
 		return
 	}
 
@@ -458,13 +541,13 @@ func (s *SM) accessL1(cycle int64) {
 	switch s.l1.ProbeAndConsumeHit(line, false, cycle) {
 	case cache.Hit:
 		s.hitPipe.Push(hitDone{doneAt: cycle + s.cfg.L1.HitLatency, tracker: t.tracker})
-		s.ldstQ.Pop()
+		s.popHead()
 		// An L1 hit never leaves the core: the request retires here
 		// (only its tracker lives on, in the hit pipe).
 		s.pool.PutRequest(t.req)
 	case cache.HitReserved:
 		if !s.mshr.CanMerge(line) {
-			s.stats.StallMSHR++
+			s.blockHead(&s.stats.StallMSHR)
 			return
 		}
 		s.l1.Lookup(line, false, cycle)
@@ -472,7 +555,7 @@ func (s *SM) accessL1(cycle int64) {
 			panic(fmt.Sprintf("core: expected L1 MSHR merge, got %v", res))
 		}
 		t.req.IssueCycle = cycle
-		s.ldstQ.Pop()
+		s.popHead()
 	case cache.Miss:
 		if s.mayBypass && s.mshr.Lookup(line) != nil {
 			// A bypassed line holds no Reserved tag, so a secondary
@@ -480,7 +563,7 @@ func (s *SM) accessL1(cycle int64) {
 			// line (unreachable with fill-always). Merge like the
 			// HitReserved arm instead of allocating a second entry.
 			if !s.mshr.CanMerge(line) {
-				s.stats.StallMSHR++
+				s.blockHead(&s.stats.StallMSHR)
 				return
 			}
 			s.l1.Lookup(line, false, cycle)
@@ -488,20 +571,25 @@ func (s *SM) accessL1(cycle int64) {
 				panic(fmt.Sprintf("core: expected L1 MSHR merge, got %v", res))
 			}
 			t.req.IssueCycle = cycle
-			s.ldstQ.Pop()
+			s.popHead()
 			return
 		}
 		if s.mshr.Full() {
-			s.stats.StallMSHR++
+			s.blockHead(&s.stats.StallMSHR)
 			return
 		}
 		if s.missQ.Full() {
-			s.stats.StallMissQ++
+			s.blockHead(&s.stats.StallMissQ)
 			return
 		}
+		// A head that blocks below on a reservation failure has had
+		// ShouldFill answer true, and the policies answer true again
+		// without writing state (bypass-low-reuse: the line's tag is
+		// already in its table), so skipping the retried call while the
+		// head stays blocked, or repeating it, changes nothing.
 		fill := !s.mayBypass || s.fillPol.ShouldFill(line)
 		if fill && !s.l1.CanReserve(line) {
-			s.stats.StallResFail++
+			s.blockHead(&s.stats.StallResFail)
 			return
 		}
 		s.l1.Lookup(line, false, cycle)
@@ -521,20 +609,36 @@ func (s *SM) accessL1(cycle int64) {
 		}
 		t.req.IssueCycle = cycle
 		s.missQ.Push(t.req)
-		s.ldstQ.Pop()
+		s.popHead()
 	}
 }
 
+// blockHead charges a blocked L1 head to counter c and, unless
+// sleeping is off, remembers c as headStall.
+func (s *SM) blockHead(c *int64) {
+	*c++
+	if !s.noSleep {
+		s.headStall = c
+	}
+}
+
+// popHead consumes the L1 head.
+func (s *SM) popHead() {
+	s.ldstQ.Pop()
+	s.progress = true
+}
+
 // forwardMisses hands one miss-queue entry to the backend per cycle.
+// Asking CanSend first keeps a blocked miss queue from building and
+// discarding a packet every cycle.
 func (s *SM) forwardMisses() {
 	req, ok := s.missQ.Peek()
-	if !ok {
-		return
-	}
-	if !s.backend.SendMiss(req) {
-		return // network back pressure
+	if !ok || !s.backend.CanSend() || !s.backend.SendMiss(req) {
+		return // empty, or network back pressure
 	}
 	s.missQ.Pop()
+	s.progress = true
+	s.headStall = nil // a full miss queue has room again
 }
 
 // drainMemInstr feeds the active memory instruction's transactions
@@ -562,6 +666,7 @@ func (s *SM) drainMemInstr() {
 		req.Meta = d.tracker
 	}
 	s.ldstQ.Push(tx{req: req, tracker: d.tracker})
+	s.progress = true
 	s.stats.Transactions++
 	d.next++
 	if d.next == len(d.lines) {
@@ -582,6 +687,9 @@ func (s *SM) issue(cycle int64) {
 		if cand == 0 {
 			break
 		}
+		// Pick is a pure function of the mask and the context (the
+		// throttler's -1 included), so a sleeping SM, which never calls
+		// it, misses no policy state change.
 		wid := s.issuePol.Pick(cand, policy.IssueCtx{
 			LastIssued: s.lastIssued, MemMask: s.memCur,
 			MSHRUsed: s.mshr.Used(), MSHRCap: s.mshrCap,
@@ -598,21 +706,8 @@ func (s *SM) issue(cycle int64) {
 	if issued == 0 {
 		s.stats.StallNoWarp++
 		s.stalls.Add(s.stallCause())
-		// Nothing issued and nothing in the queues: the SM is frozen
-		// until either a response arrives (idle) or the oldest
-		// in-flight L1 hit retires (hit-wait), so later Ticks can take
-		// the fast path (same stats, none of the work). This holds for
-		// a throttled zero-issue too: the policy's inputs (ready/memCur
-		// masks, MSHR occupancy) only change through response delivery
-		// or hit completion, both of which end the frozen span.
-		if !s.drainOn && s.respQ.Empty() && s.ldstQ.Empty() && s.missQ.Empty() {
-			if h, ok := s.hitPipe.Peek(); ok {
-				s.sleepUntil = h.doneAt
-			} else {
-				s.idle = true
-			}
-		}
 	} else {
+		s.progress = true
 		s.stalls.Add(stats.StallIssue)
 	}
 }

@@ -30,6 +30,8 @@ type testBackend struct {
 	rejects int
 }
 
+func (b *testBackend) CanSend() bool { return !b.refuse }
+
 func (b *testBackend) SendMiss(req *mem.Request) bool {
 	if b.refuse {
 		b.rejects++

@@ -49,10 +49,14 @@ type Config struct {
 
 // Stats counts crossbar events.
 type Stats struct {
-	Packets          int64 // packets delivered
-	Flits            int64 // flits transferred
-	OutputStalls     int64 // cycles an assembled packet waited on a full sink
-	InputFullRejects int64 // Push calls refused
+	Packets      int64 // packets delivered
+	Flits        int64 // flits transferred
+	OutputStalls int64 // cycles an assembled packet waited on a full sink
+	// InputFullRejects counts Push calls refused on a full input.
+	// Injectors that ask InputFree first never retry into a full
+	// input (the SMs on the request network), so it does not count
+	// per-cycle retries.
+	InputFullRejects int64
 	BusyCycles       int64 // output-port cycles spent transferring
 	// InFullCycles counts input-queue cycles spent at capacity, summed
 	// over the inputs at the end of each tick — the back pressure the

@@ -1,0 +1,61 @@
+package sim
+
+import (
+	"testing"
+
+	"repro/internal/config"
+	"repro/internal/workload"
+)
+
+// BenchmarkHierarchyStep is the full GTX480 hierarchy on cfd: all SMs,
+// both crossbars, the L2 partitions and DRAM channels, congested. It
+// reports host ns per core cycle and sm_awake_frac, the share of SM
+// cycles that ran a full tick rather than a sleeping or skipped one.
+func BenchmarkHierarchyStep(b *testing.B) {
+	wl, err := workload.ByName("cfd")
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := New(config.GTX480Baseline(), wl)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g.Run(5000) // fill the pool, queues and MSHRs
+	ticks := func() (full, cycles int64) {
+		for _, sm := range g.sms {
+			f, c := sm.HostTicks()
+			full, cycles = full+f, cycles+c
+		}
+		return full, cycles
+	}
+	full, cycles := ticks()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.Run(1000)
+	}
+	b.StopTimer()
+	full2, cycles2 := ticks()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(1000*b.N), "ns/cycle")
+	b.ReportMetric(float64(full2-full)/float64(cycles2-cycles), "sm_awake_frac")
+}
+
+// BenchmarkNew is system construction alone: config validation, the
+// hierarchy's components and one instruction stream per warp. kmeans
+// is multi-phase, so its streams carry per-phase state.
+func BenchmarkNew(b *testing.B) {
+	for _, name := range []string{"cfd", "kmeans"} {
+		b.Run(name, func(b *testing.B) {
+			wl, err := workload.ByName(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cfg := config.GTX480Baseline()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := New(cfg, wl); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -80,7 +80,8 @@ func TestFixedLatencyDeterministicAcrossCores(t *testing.T) {
 // MSHRs and the workload streams of one SM behind its fixed-latency
 // port (400 cycles), on cfd, which keeps the SM busy every cycle. It
 // reports host ns per warp instruction and stepped_frac, the share of
-// the cycles advanced that the SM was ticked rather than skipped.
+// the cycles advanced that the SM ran a full tick rather than sleeping
+// or being skipped.
 func BenchmarkSMFixedLatency(b *testing.B) {
 	wl, err := workload.ByName("cfd")
 	if err != nil {
@@ -95,13 +96,15 @@ func BenchmarkSMFixedLatency(b *testing.B) {
 	}
 	p := g.ports[0]
 	g.Run(5000) // fill the pool, rings and MSHRs
-	insts, stepped, advanced := p.sm.Stats().Instructions, p.stepped, p.advanced
+	insts := p.sm.Stats().Instructions
+	full, cycles := p.sm.HostTicks()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.Run(1000)
 	}
 	b.StopTimer()
 	insts = p.sm.Stats().Instructions - insts
+	full2, cycles2 := p.sm.HostTicks()
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(insts), "ns/inst")
-	b.ReportMetric(float64(p.stepped-stepped)/float64(p.advanced-advanced), "stepped_frac")
+	b.ReportMetric(float64(full2-full)/float64(cycles2-cycles), "stepped_frac")
 }

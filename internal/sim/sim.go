@@ -13,12 +13,22 @@
 //     free-list pool (mem.Pool) and recycled at their retirement
 //     points; see the pool's ownership protocol. The full hierarchy
 //     has one pool per GPU; in Fig. 1 mode each SM's port owns one.
+//   - An SM whose last full tick made no progress — it retired no
+//     response or hit, popped neither its LDST nor its miss queue,
+//     pushed no drain transaction and issued nothing — sleeps
+//     (core.SM): its later ticks replay that tick's counter deltas in
+//     O(1) until a response delivery, a due hit or response, or (with
+//     its miss queue non-empty) room in its request-crossbar input
+//     wakes it. Idle, hit-wait and stalls behind a full MSHR file, a
+//     full miss queue or crossbar back pressure are all this one
+//     state. The hierarchy path still ticks every SM each stepped
+//     cycle, but a sleeping SM's tick is cheap.
 //   - Run's default engine (EngineEvent) is a next-event scheduler.
 //     Each component reports its next interesting cycle — the first
 //     cycle of its own clock domain at which a Tick could do anything
-//     beyond counting itself. Concretely: an SM reports
-//     math.MaxInt64 while idle (only a response delivery wakes it)
-//     and the oldest in-flight L1 hit's completion while hit-waiting
+//     beyond counting itself. Concretely: a sleeping SM reports its
+//     wake cycle, math.MaxInt64 when only a response delivery can
+//     wake it, and 0 when it waits on the crossbar
 //     (core.SM.SleepUntil); a DRAM channel with an empty scheduler
 //     queue reports the earlier of its oldest in-flight access's
 //     completion and its refresh timer (dram.Channel.NextEvent); an
@@ -35,9 +45,10 @@
 //     own port (fixedPort), which owns the SM's pool and request-ID
 //     counter. So Run gives every SM its own next-event loop over the
 //     whole span — the next cycle is the earlier of the SM's
-//     SleepUntil and its port's head delivery — and runs the loops on
-//     up to GOMAXPROCS goroutines (runPorts). EngineCycle still steps
-//     the SMs in lockstep.
+//     SleepUntil and its port's head delivery, so every sleeping span
+//     is skipped outright — and runs the loops on up to GOMAXPROCS
+//     goroutines (runPorts). EngineCycle still steps the SMs in
+//     lockstep.
 //   - Queue occupancy is not sampled cycle by cycle: each component
 //     counts its ticks, and each queue charges the ticks since its last
 //     change at the old length when its length changes or is read
@@ -45,7 +56,8 @@
 //     follows the traffic, not the clock.
 //   - A skipped span accounts the exact statistics stepping it would
 //     have produced: core.SM.SkipIdle batch-charges cycle counts,
-//     no-warp stalls and stall attribution, and every component's
+//     the no-warp, blocked-L1-head and LDST-full stalls and stall
+//     attribution, and every component's
 //     tick count advances by the span (SkipIdle, SkipTicks), with
 //     per-domain tick counts from the same phase accumulators the
 //     per-cycle loop uses, so frozen queues are charged the span at
@@ -138,8 +150,9 @@ const (
 	// paths.
 	EngineEvent Engine = iota
 	// EngineCycle is the per-cycle reference loop: every component
-	// ticks on every cycle of its clock domain. It is kept compiled
-	// and tested as the oracle the event engine is checked against —
+	// runs a full tick on every cycle of its clock domain — SMs do
+	// not sleep (core.SM.SetSleep). It is kept compiled and tested as
+	// the oracle the event engine is checked against —
 	// Results, stall breakdowns and golden reports must be
 	// byte-identical under either engine — and as a debugging escape
 	// hatch (gpusim -engine=cycle).
@@ -287,6 +300,10 @@ type realBackend struct {
 	sm int
 }
 
+// CanSend implements core.Backend: the SM's request-crossbar input
+// has a free slot, exactly the condition under which Push accepts.
+func (b realBackend) CanSend() bool { return b.g.reqX.InputFree(b.sm) > 0 }
+
 // SendMiss implements core.Backend.
 func (b realBackend) SendMiss(req *mem.Request) bool {
 	part := b.g.addrMap.Partition(req.LineAddr())
@@ -362,16 +379,15 @@ type fixedPort struct {
 	pending queue.Ring[*mem.Packet]
 	pool    mem.Pool
 	nextID  uint64
-	// stepped counts the cycles the SM was ticked, advanced every
-	// cycle it moved through, skipped ones included: host-work
-	// counters for BenchmarkSMFixedLatency, kept out of Results.
-	stepped, advanced int64
-	_                 [64]byte
+	_       [64]byte
 }
 
 // MemStallCause implements core.Backend: the fixed-latency responder
 // has no hierarchy to congest, so every memory wait is pure latency.
 func (p *fixedPort) MemStallCause() stats.StallCause { return stats.StallL1Miss }
+
+// CanSend implements core.Backend: the port never back-pressures.
+func (p *fixedPort) CanSend() bool { return true }
 
 // SendMiss implements core.Backend; it never back-pressures.
 func (p *fixedPort) SendMiss(req *mem.Request) bool {
@@ -404,16 +420,15 @@ func (p *fixedPort) step(c int64) {
 	}
 	p.now = c
 	p.sm.Tick(c)
-	p.stepped++
-	p.advanced++
 }
 
 // run advances the SM and its port from cycle c to end with a
 // next-event loop of their own: the next interesting cycle is the
 // earlier of the SM's SleepUntil and the head delivery's ReadyAt, and
 // every span before it is charged in one SkipIdle. Nothing else can
-// wake the SM, and its memory-stall cause is constant, so this
-// matches the per-cycle loop exactly.
+// wake the SM (the port always accepts, so no sleeping SM waits on
+// it), and its memory-stall cause is constant, so this matches the
+// per-cycle loop exactly.
 func (p *fixedPort) run(c, end int64) {
 	for c < end {
 		next := p.sm.SleepUntil()
@@ -427,7 +442,6 @@ func (p *fixedPort) run(c, end int64) {
 		}
 		k := min(next, end) - c
 		p.sm.SkipIdle(k)
-		p.advanced += k
 		c += k
 	}
 }
@@ -549,15 +563,15 @@ func (g *GPU) Run(n int64) {
 }
 
 // idleSpan returns how many core cycles, starting at the current one,
-// the whole system is provably frozen for: every SM asleep (idle or
-// hit-waiting) and no downstream component's next interesting cycle
-// inside the span. The result is capped so the span ends at end; zero
-// means the next cycle must be stepped. During such a span no
-// component's observable state changes except via the batch paths —
-// in particular no response can be delivered (delivery requires a
-// busy crossbar or a due L2/DRAM completion, both of which bound the
-// span) — so queue fullness, and
-// with it the memory-stall refinement, is constant across it.
+// the whole system is provably frozen for: every SM asleep, none of
+// them waiting on the crossbar, and no downstream component's next
+// interesting cycle inside the span. The result is capped so the span
+// ends at end; zero means the next cycle must be stepped. During such
+// a span no component's observable state changes except via the batch
+// paths — in particular no response can be delivered (delivery
+// requires a busy crossbar or a due L2/DRAM completion, both of which
+// bound the span) — so queue fullness, and with it the memory-stall
+// refinement, is constant across it.
 func (g *GPU) idleSpan(end int64) int64 {
 	wake := end
 	for _, sm := range g.sms {
@@ -630,8 +644,14 @@ func (g *GPU) skipSpan(k int64) {
 // feed are byte-identical under either engine, an equivalence the
 // property tests assert over every built-in workload, scenario and
 // fuzzed spec — so EngineCycle exists purely as the slow, obviously
-// correct reference.
-func (g *GPU) SetEngine(e Engine) { g.engine = e }
+// correct reference. EngineCycle also turns SM sleeping off
+// (core.SM.SetSleep), so every SM runs a full tick every cycle.
+func (g *GPU) SetEngine(e Engine) {
+	g.engine = e
+	for _, sm := range g.sms {
+		sm.SetSleep(e == EngineEvent)
+	}
+}
 
 // Cycle returns the current core cycle.
 func (g *GPU) Cycle() int64 { return g.coreCycle }

@@ -46,6 +46,7 @@
 package workload
 
 import (
+	"errors"
 	"fmt"
 	"math/rand/v2"
 	"sort"
@@ -218,34 +219,35 @@ func (p PhaseSpec) knobs() knobs {
 	}
 }
 
-// validate checks one knob set; label names the spec (and phase) in
-// errors.
-func (k knobs) validate(label string) error {
+// validate checks one knob set. Its errors do not name the spec: the
+// caller prefixes the label, built only on that error path, because
+// Validate runs once per warp stream.
+func (k knobs) validate() error {
 	if k.computePerMem < 0 {
-		return fmt.Errorf("workload %s: compute-per-mem must be >= 0", label)
+		return errors.New("compute-per-mem must be >= 0")
 	}
 	if k.storeFrac < 0 || k.storeFrac > 1 {
-		return fmt.Errorf("workload %s: store-frac out of [0,1]", label)
+		return errors.New("store-frac out of [0,1]")
 	}
 	if k.hitFrac < 0 || k.hitFrac > 1 {
-		return fmt.Errorf("workload %s: hit-frac out of [0,1]", label)
+		return errors.New("hit-frac out of [0,1]")
 	}
 	if k.linesPerAccess < 1 || k.linesPerAccess > 32 {
-		return fmt.Errorf("workload %s: lines-per-access out of [1,32]", label)
+		return errors.New("lines-per-access out of [1,32]")
 	}
 	if k.workingSetLines < k.linesPerAccess {
-		return fmt.Errorf("workload %s: working set smaller than one access", label)
+		return errors.New("working set smaller than one access")
 	}
 	switch k.pattern {
 	case Streaming, Strided, Stencil, Gather, Thrash, Hotset, Transpose:
 	default:
-		return fmt.Errorf("workload %s: unknown pattern %q", label, k.pattern)
+		return fmt.Errorf("unknown pattern %q", k.pattern)
 	}
 	if k.pattern == Strided && k.strideLines < 1 {
-		return fmt.Errorf("workload %s: strided pattern needs stride >= 1", label)
+		return errors.New("strided pattern needs stride >= 1")
 	}
 	if k.pattern == Transpose && (k.strideLines < 0 || k.strideLines > k.workingSetLines) {
-		return fmt.Errorf("workload %s: transpose column height out of [0,%d]", label, k.workingSetLines)
+		return fmt.Errorf("transpose column height out of [0,%d]", k.workingSetLines)
 	}
 	return nil
 }
@@ -262,27 +264,36 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("workload %s: dep-dist must be >= 1", s.SpecName)
 	}
 	if len(s.Phases) == 0 {
-		return s.topKnobs().validate(s.SpecName)
+		if err := s.topKnobs().validate(); err != nil {
+			return fmt.Errorf("workload %s: %w", s.SpecName, err)
+		}
+		return nil
 	}
 	for i, p := range s.Phases {
-		label := fmt.Sprintf("%s phase %d", s.SpecName, i)
-		if p.PhaseName != "" {
-			label = fmt.Sprintf("%s phase %q", s.SpecName, p.PhaseName)
-		}
-		if p.Instructions < 1 {
-			return fmt.Errorf("workload %s: instructions must be >= 1", label)
-		}
-		if p.DepDist < 0 {
-			return fmt.Errorf("workload %s: dep-dist must be >= 0 (0 inherits)", label)
-		}
-		if p.Region < 0 || p.Region >= maxPhaseRegions {
-			return fmt.Errorf("workload %s: region out of [0,%d)", label, maxPhaseRegions)
-		}
-		if err := p.knobs().validate(label); err != nil {
-			return err
+		if err := p.validate(); err != nil {
+			label := fmt.Sprintf("%s phase %d", s.SpecName, i)
+			if p.PhaseName != "" {
+				label = fmt.Sprintf("%s phase %q", s.SpecName, p.PhaseName)
+			}
+			return fmt.Errorf("workload %s: %w", label, err)
 		}
 	}
 	return nil
+}
+
+// validate checks one phase; like knobs.validate, its errors leave the
+// label to the caller.
+func (p PhaseSpec) validate() error {
+	if p.Instructions < 1 {
+		return errors.New("instructions must be >= 1")
+	}
+	if p.DepDist < 0 {
+		return errors.New("dep-dist must be >= 0 (0 inherits)")
+	}
+	if p.Region < 0 || p.Region >= maxPhaseRegions {
+		return fmt.Errorf("region out of [0,%d)", maxPhaseRegions)
+	}
+	return p.knobs().validate()
 }
 
 // Flatten collapses a multi-phase spec into its fixed-mix control: a
