@@ -1,4 +1,7 @@
-package main_test
+// Package advise_test checks `gpusim sweep advise`, which replaced the
+// advise command. The package holds only these tests, so the checks
+// the advise command carried keep their names.
+package advise_test
 
 import (
 	"encoding/json"
@@ -18,8 +21,8 @@ func TestAdviseGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bin := clitest.Build(t, "repro/cmd/advise")
-	args := []string{"-workloads", "sc,kmeans", "-warmup", "2000", "-window", "5000", "-seed", "1"}
+	bin := clitest.Build(t, "repro/cmd/gpusim")
+	args := []string{"sweep", "advise", "-workloads", "sc,kmeans", "-warmup", "2000", "-window", "5000", "-seed", "1"}
 	for _, j := range []string{"1", "4"} {
 		out, _ := clitest.Run(t, bin, append(args, "-j", j)...)
 		if out != string(want) {
@@ -32,8 +35,8 @@ func TestAdviseGolden(t *testing.T) {
 // carries one ranked line per (workload, intervention), and -json
 // emits the exact report document the sweep endpoints serve.
 func TestAdviseCSVAndJSON(t *testing.T) {
-	bin := clitest.Build(t, "repro/cmd/advise")
-	args := []string{"-workloads", "sc", "-warmup", "100", "-window", "300"}
+	bin := clitest.Build(t, "repro/cmd/gpusim")
+	args := []string{"sweep", "advise", "-workloads", "sc", "-warmup", "100", "-window", "300"}
 
 	csv, _ := clitest.Run(t, bin, append(args, "-csv")...)
 	if !strings.HasPrefix(csv, "workload,baseline_ipc,bound,rank,intervention,") {
@@ -65,8 +68,8 @@ func TestAdviseCSVAndJSON(t *testing.T) {
 // TestAdviseUnknownWorkload: a bad name must exit non-zero with a
 // useful message, not fall back to the default sweep.
 func TestAdviseUnknownWorkload(t *testing.T) {
-	bin := clitest.Build(t, "repro/cmd/advise")
-	stderr := clitest.RunExpectError(t, bin, "-workloads", "nosuch")
+	bin := clitest.Build(t, "repro/cmd/gpusim")
+	stderr := clitest.RunExpectError(t, bin, "sweep", "advise", "-workloads", "nosuch")
 	if !strings.Contains(stderr, "nosuch") {
 		t.Fatalf("unexpected error for unknown workload: %s", stderr)
 	}

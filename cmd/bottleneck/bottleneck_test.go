@@ -1,4 +1,7 @@
-package main_test
+// Package bottleneck_test checks `gpusim sweep bottleneck`, which
+// replaced the bottleneck command. The package holds only these
+// tests, so the checks the bottleneck command carried keep their names.
+package bottleneck_test
 
 import (
 	"strings"
@@ -11,8 +14,8 @@ import (
 // must carry one row per requested workload and the report must be
 // byte-identical at -j 1 and -j 4.
 func TestBottleneckSmoke(t *testing.T) {
-	bin := clitest.Build(t, "repro/cmd/bottleneck")
-	args := []string{"-workloads", "sc,kmeans", "-warmup", "200", "-window", "600"}
+	bin := clitest.Build(t, "repro/cmd/gpusim")
+	args := []string{"sweep", "bottleneck", "-workloads", "sc,kmeans", "-warmup", "200", "-window", "600"}
 	serial, _ := clitest.Run(t, bin, append(args, "-j", "1")...)
 	for _, want := range []string{"bottleneck breakdown", "dram-queue", "sc ", "kmeans "} {
 		if !strings.Contains(serial, want) {
@@ -27,8 +30,8 @@ func TestBottleneckSmoke(t *testing.T) {
 
 // TestBottleneckCSV checks the -csv output shape.
 func TestBottleneckCSV(t *testing.T) {
-	bin := clitest.Build(t, "repro/cmd/bottleneck")
-	out, _ := clitest.Run(t, bin, "-workloads", "sc", "-warmup", "100", "-window", "300", "-csv")
+	bin := clitest.Build(t, "repro/cmd/gpusim")
+	out, _ := clitest.Run(t, bin, "sweep", "bottleneck", "-workloads", "sc", "-warmup", "100", "-window", "300", "-csv")
 	if !strings.HasPrefix(out, "workload,ipc,issue_slots,") {
 		t.Fatalf("unexpected CSV header:\n%s", out)
 	}
@@ -40,8 +43,8 @@ func TestBottleneckCSV(t *testing.T) {
 // TestBottleneckUnknownWorkload: a bad name must exit non-zero with a
 // useful message, not fall back to the default sweep.
 func TestBottleneckUnknownWorkload(t *testing.T) {
-	bin := clitest.Build(t, "repro/cmd/bottleneck")
-	stderr := clitest.RunExpectError(t, bin, "-workloads", "nosuch")
+	bin := clitest.Build(t, "repro/cmd/gpusim")
+	stderr := clitest.RunExpectError(t, bin, "sweep", "bottleneck", "-workloads", "nosuch")
 	if !strings.Contains(stderr, "nosuch") {
 		t.Fatalf("unexpected error for unknown workload: %s", stderr)
 	}

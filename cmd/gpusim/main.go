@@ -22,6 +22,19 @@
 //	       [-engine event|cycle] [-cache-dir DIR]
 //	       [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
+// The sweep subcommand runs one kind of the sweep registry the
+// daemons serve (bottleneck, scenarios, advise, mitigation, run) on
+// the local worker pool, with one flag set for every kind:
+//
+//	gpusim sweep <kind> [-workloads sc,kmeans] [-j N]
+//	       [-scale baseline|l1|l2|dram|l1l2|l2dram|all] [-seed 1]
+//	       [-warmup 6000] [-window 20000] [-csv] [-json]
+//
+// It prints the report's table, its CSV, or (-json) the exact report
+// payload gpusimd and gpusimc serve for the same request; the run
+// kind's report is a list of measurement envelopes and prints only as
+// JSON. An empty -workloads means the kind's standard set.
+//
 // -engine selects the time-advancement strategy: "event" (default)
 // batch-skips provably frozen spans via next-event scheduling; "cycle"
 // ticks every component every cycle — the slow reference loop kept as
@@ -52,6 +65,12 @@ import (
 )
 
 func main() {
+	if len(os.Args) > 1 && os.Args[1] == "sweep" {
+		if err := runSweep(os.Args[2:]); err != nil {
+			fatal(err)
+		}
+		return
+	}
 	var (
 		wlName   = flag.String("workload", "sc", "comma-separated built-in workloads (benchmarks cfd dwt2d leukocyte nn nw sc lbm ss; scenarios kmeans bfs histo dct8x8)")
 		wlFile   = flag.String("workload-file", "", "also run the user-defined JSON workload spec(s) in this file")

@@ -290,8 +290,8 @@ func TestGpusimcWorkerKilledMidSweep(t *testing.T) {
 // real processes: a 3-worker fleet runs /v1/sweep/advise — perturbed
 // per-job configs and all — while one worker is SIGKILLed mid-sweep.
 // The merged body must stay byte-identical to a single worker's, and
-// the report payload must equal cmd/advise -json for the same request,
-// tying the fleet bytes to the single-node CLI.
+// the report payload must equal `gpusim sweep advise -json` for the
+// same request, tying the fleet bytes to the single-node CLI.
 func TestGpusimcAdviseKilledWorker(t *testing.T) {
 	cmds, urls, coordURL := fleet(t, 3, "-backoff", "10ms")
 
@@ -354,20 +354,20 @@ func TestGpusimcAdviseKilledWorker(t *testing.T) {
 		t.Errorf("merged advise after worker kill differs from single node:\n got: %s\nwant: %s", done, want)
 	}
 
-	// The report inside the envelope is exactly cmd/advise -json for
-	// the same workloads and methodology (seed 1 is both the CLI
-	// default and the workers' baseline).
+	// The report inside the envelope is exactly `gpusim sweep advise
+	// -json` for the same workloads and methodology (seed 1 is both
+	// the CLI default and the workers' baseline).
 	var env struct {
 		Report json.RawMessage `json:"report"`
 	}
 	if err := json.Unmarshal([]byte(done), &env); err != nil {
 		t.Fatal(err)
 	}
-	adviseBin := clitest.Build(t, "repro/cmd/advise")
-	cliOut, _ := clitest.Run(t, adviseBin,
+	gpusimBin := clitest.Build(t, "repro/cmd/gpusim")
+	cliOut, _ := clitest.Run(t, gpusimBin, "sweep", "advise",
 		"-workloads", "sc,kmeans", "-warmup", "200", "-window", "500", "-seed", "1", "-json")
 	if strings.TrimSuffix(cliOut, "\n") != string(env.Report) {
-		t.Errorf("fleet advise report differs from cmd/advise -json:\n got: %s\nwant: %s", env.Report, cliOut)
+		t.Errorf("fleet advise report differs from gpusim sweep advise -json:\n got: %s\nwant: %s", env.Report, cliOut)
 	}
 }
 

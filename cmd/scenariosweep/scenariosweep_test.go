@@ -1,4 +1,8 @@
-package main_test
+// Package scenariosweep_test checks `gpusim sweep scenarios`, which
+// replaced the scenariosweep command. The package holds only these
+// tests, so the checks the scenariosweep command carried keep their
+// names.
+package scenariosweep_test
 
 import (
 	"strings"
@@ -10,8 +14,8 @@ import (
 // TestScenarioSweepSmoke runs the real binary on a tiny window: one
 // row per built-in scenario, byte-identical at -j 1 and -j 4.
 func TestScenarioSweepSmoke(t *testing.T) {
-	bin := clitest.Build(t, "repro/cmd/scenariosweep")
-	args := []string{"-warmup", "200", "-window", "600"}
+	bin := clitest.Build(t, "repro/cmd/gpusim")
+	args := []string{"sweep", "scenarios", "-warmup", "200", "-window", "600"}
 	serial, _ := clitest.Run(t, bin, append(args, "-j", "1")...)
 	for _, want := range []string{"scenario sweep", "kmeans", "bfs", "histo", "dct8x8"} {
 		if !strings.Contains(serial, want) {
@@ -26,8 +30,8 @@ func TestScenarioSweepSmoke(t *testing.T) {
 
 // TestScenarioSweepCSV checks the -csv output shape.
 func TestScenarioSweepCSV(t *testing.T) {
-	bin := clitest.Build(t, "repro/cmd/scenariosweep")
-	out, _ := clitest.Run(t, bin, "-warmup", "100", "-window", "300", "-csv")
+	bin := clitest.Build(t, "repro/cmd/gpusim")
+	out, _ := clitest.Run(t, bin, "sweep", "scenarios", "-warmup", "100", "-window", "300", "-csv")
 	if !strings.HasPrefix(out, "scenario,phases,") {
 		t.Fatalf("unexpected CSV header:\n%s", out)
 	}

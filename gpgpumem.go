@@ -32,6 +32,8 @@ package gpgpumem
 import (
 	"context"
 	"io"
+	"math"
+	"runtime"
 
 	"repro/internal/api"
 	"repro/internal/config"
@@ -339,23 +341,11 @@ type StallBreakdown = stats.StallBreakdown
 type BackPressure = sim.BackPressure
 
 // BottleneckReport is the per-workload stall-stack characterization
-// (cmd/bottleneck's output): where the cycles go, per workload.
+// (the "bottleneck" sweep's report): where the cycles go, per workload.
 type BottleneckReport = exp.BottleneckReport
 
 // BottleneckRow is one workload's stall stack in a BottleneckReport.
 type BottleneckRow = exp.BottleneckRow
-
-// DefaultBottleneckWorkloads returns the breakdown sweep's default
-// scope: the paper suite followed by the multi-phase scenarios.
-func DefaultBottleneckWorkloads() []Workload { return exp.DefaultBottleneckWorkloads() }
-
-// RunBottleneckBreakdown measures every workload on the base
-// architecture (one batch on the worker pool) and attributes each
-// one's issue slots to stall causes — the paper's "which level is the
-// bottleneck" characterization as a per-workload stall stack.
-func RunBottleneckBreakdown(base Config, wls []Workload, p RunParams) (BottleneckReport, error) {
-	return exp.RunBottleneckBreakdown(base, wls, p)
-}
 
 // RenderBatchStallReport renders the per-workload stall-stack sections
 // cmd/gpusim appends under its -stalls flag.
@@ -363,8 +353,8 @@ func RenderBatchStallReport(wls []Workload, res []Results) string {
 	return exp.BatchStallReport(wls, res)
 }
 
-// Perturbation is one candidate intervention of the what-if advisor: a
-// named architectural (or software) change, the stall causes it
+// Perturbation is one variant of the advise and mitigation sweeps: a
+// named architectural, software or policy change, the stall causes it
 // targets, its rough relative cost, and the pure transform producing
 // the perturbed (config, spec) pair.
 type Perturbation = exp.Perturbation
@@ -384,47 +374,20 @@ type AdviseRow = exp.AdviseRow
 // AdviseOutcome is one measured intervention within an AdviseRow.
 type AdviseOutcome = exp.AdviseOutcome
 
-// DefaultAdviseWorkloads returns the advisor's default scope — the
-// suite-plus-scenarios set the bottleneck breakdown sweeps — as specs.
-func DefaultAdviseWorkloads() []WorkloadSpec { return exp.DefaultAdviseWorkloads() }
-
 // WorkloadSpecByName returns a built-in benchmark or scenario as its
 // underlying spec (the form the advisor and the sweep endpoints take).
 func WorkloadSpecByName(name string) (WorkloadSpec, error) { return workload.SpecByName(name) }
 
-// RunAdvise runs the what-if bottleneck advisor: for each workload it
-// measures the baseline plus every Perturbations() candidate (one
-// batch on the worker pool) and ranks the interventions by IPC
-// recovered per unit of cost, marking the ones that target the
-// workload's dominant stall cause. The engine behind cmd/advise and
-// the "advise" sweep kind; the report is bit-identical at any
-// parallelism.
-func RunAdvise(base Config, specs []WorkloadSpec, p RunParams) (AdviseReport, error) {
-	return exp.RunAdvise(base, specs, p)
-}
-
 // PolicyPerturbations returns the internal/policy mitigation policies
-// as advisor interventions — zero-silicon-cost knobs ranked alongside
-// the hardware ones. Append them to Perturbations() and call
-// RunAdviseWith (cmd/advise -policies does exactly that); the
-// registered "advise" sweep kind is unchanged.
+// as advisor candidates — zero-silicon-cost knobs to rank alongside
+// the hardware ones; the registered "advise" sweep kind measures
+// Perturbations() alone.
 func PolicyPerturbations() []Perturbation { return exp.PolicyPerturbations() }
-
-// RunAdviseWith is RunAdvise over an explicit perturbation set, for
-// callers extending the advisor's candidate list.
-func RunAdviseWith(base Config, specs []WorkloadSpec, perts []Perturbation, p RunParams) (AdviseReport, error) {
-	return exp.RunAdviseWith(base, specs, perts, p)
-}
-
-// Mitigation is one opt-in policy intervention of the mitigation
-// sweep: a named, zero-silicon-cost config transform enabling one or
-// more of the internal/policy seams.
-type Mitigation = exp.Mitigation
 
 // Mitigations returns the mitigation sweep's candidate policies in
 // grid order: issue throttling, L1 bypass, L2 pinning, and all three
-// combined.
-func Mitigations() []Mitigation { return exp.Mitigations() }
+// combined — config-only Perturbations.
+func Mitigations() []Perturbation { return exp.Mitigations() }
 
 // MitigationReport is the mitigation sweep's answer: per workload,
 // every policy ranked by IPC recovered, with the stall-share shift
@@ -438,18 +401,26 @@ type MitigationRow = exp.MitigationRow
 // MitigationOutcome is one measured policy within a MitigationRow.
 type MitigationOutcome = exp.MitigationOutcome
 
-// DefaultMitigationWorkloads returns the mitigation sweep's default
-// scope — the multi-phase scenarios — as specs.
-func DefaultMitigationWorkloads() []WorkloadSpec { return exp.DefaultMitigationWorkloads() }
+// JobRequest is the request document of the daemons' job endpoints
+// and of RunSweep: a workloads list, seed, scaling set, methodology
+// and parallelism (docs/api.md describes every field).
+type JobRequest = api.JobRequest
 
-// RunMitigationSweep measures the mitigation grid — baseline plus
-// every Mitigations() policy per workload, one batch on the worker
-// pool — and reports IPC recovered and where each policy moved cycles
-// in the stall breakdown. The engine behind cmd/mitigate and the
-// "mitigation" sweep kind; the report is bit-identical at any
-// parallelism.
-func RunMitigationSweep(base Config, specs []WorkloadSpec, p RunParams) (MitigationReport, error) {
-	return exp.RunMitigationSweep(base, specs, p)
+// RunSweep runs one registered sweep kind (SweepKindNames) locally on
+// the path `gpusim sweep <kind>`, gpusimd and gpusimc share, and
+// returns its report: a BottleneckReport, ScenarioReport, AdviseReport
+// or MitigationReport, or for the "run" kind the ordered per-workload
+// measurement envelopes. The request resolves against DefaultConfig
+// (or its inline config) with no window cap; Parallelism N runs N
+// workers, 0 all cores. The report is bit-identical at any
+// parallelism, and its json.Marshal bytes are the daemons' report
+// payload for the same request.
+func RunSweep(kind string, req JobRequest) (any, error) {
+	sw, err := api.ResolveSweep(kind, DefaultConfig(), req, max(req.Parallelism, runtime.GOMAXPROCS(0)), math.MaxInt64)
+	if err != nil {
+		return nil, err
+	}
+	return sw.Compute()
 }
 
 // IssuePolicyNames lists the registered warp-issue policies — the
@@ -476,14 +447,6 @@ type ScenarioReport = exp.ScenarioReport
 // ScenarioRow is one scenario-vs-control comparison of a
 // ScenarioReport.
 type ScenarioRow = exp.ScenarioRow
-
-// RunScenarioSweep measures every multi-phase scenario and its
-// flattened fixed-mix control on the base architecture (one batch on
-// the worker pool) and reports IPC and queue congestion side by side —
-// what the phase structure alone costs or buys.
-func RunScenarioSweep(base Config, scenarios []WorkloadSpec, p RunParams) (ScenarioReport, error) {
-	return exp.RunScenarioSweep(base, scenarios, p)
-}
 
 // EncodeResults renders a Results snapshot as stable, compact JSON:
 // the same measurement always encodes to the same bytes, which is

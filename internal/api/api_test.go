@@ -3,8 +3,11 @@ package api
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -138,6 +141,59 @@ func TestResolveMethodologyInlineConfig(t *testing.T) {
 		if tc.want != "" && !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not mention %q", name, err, tc.want)
 		}
+	}
+}
+
+// TestResolveMethodologyWindowCap: warmup+window is checked against
+// the cap without forming the sum, so a hostile request whose sum
+// wraps past int64 cannot slip under it and pin a run slot.
+func TestResolveMethodologyWindowCap(t *testing.T) {
+	base := config.GTX480Baseline()
+	for name, tc := range map[string]struct {
+		warmup, window int64
+		ok             bool
+	}{
+		"at cap":          {4_000_000, 6_000_000, true},
+		"over cap":        {4_000_000, 6_000_001, false},
+		"sum wraps":       {5e18, 5e18, false},
+		"window at max":   {1, math.MaxInt64, false},
+		"negative warmup": {-1, 1000, false},
+	} {
+		_, _, err := ResolveMethodology(base, JobRequest{Warmup: &tc.warmup, Window: &tc.window}, 4, 10_000_000)
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: warmup %d window %d: err = %v, want ok=%v", name, tc.warmup, tc.window, err, tc.ok)
+		}
+	}
+}
+
+// TestDocsKindTable: the sweep-kind table in docs/api.md lists
+// exactly the registered kinds, in registry order, each with its
+// response kind — the documentation cannot drift from the registry.
+func TestDocsKindTable(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "..", "docs", "api.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(data), "\n## Sweep kinds\n")
+	if !ok {
+		t.Fatal("docs/api.md has no \"## Sweep kinds\" section")
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	var got []string
+	for _, line := range strings.Split(section, "\n") {
+		cells := strings.Split(line, "|")
+		if len(cells) < 3 || !strings.HasPrefix(strings.TrimSpace(cells[1]), "`") {
+			continue // not a kind row
+		}
+		got = append(got, strings.TrimSpace(cells[1])+" "+strings.TrimSpace(cells[2]))
+	}
+	var want []string
+	for _, k := range Kinds() {
+		want = append(want, "`"+k.Name+"` `"+k.ResponseKind+"`")
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("docs/api.md kind table rows (kind, response kind):\n%s\nwant, in registry order:\n%s",
+			strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
 

@@ -1,7 +1,6 @@
 package api
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -13,12 +12,10 @@ import (
 
 // Job is one grid entry of a sweep: the exact (config, spec) pair to
 // measure. Most kinds measure every spec on the request's resolved
-// config; the advise kind perturbs the architecture per job, which is
-// why the grid carries configs rather than assuming one.
-type Job struct {
-	Config config.Config
-	Spec   workload.Spec
-}
+// config; the variant kinds (advise, mitigation) perturb the
+// architecture per job, which is why the grid carries configs rather
+// than assuming one.
+type Job = exp.GridJob
 
 // GridResult is one grid entry's measurement, however it was obtained
 // — computed locally, served from a cache, or collected from a fleet
@@ -38,8 +35,8 @@ type GridResult struct {
 // and merge ordered results into the deterministic report — the
 // single definition consumed by internal/serve (POST /v1/sweep/{kind}),
 // the internal/fabric coordinator (sharded + SSE) and the one-shot
-// CLIs. Adding a sweep to every surface at once is adding one entry
-// to the registry.
+// `gpusim sweep <kind>` CLI. Adding a sweep to every surface at once
+// is adding one entry to the registry.
 type Kind struct {
 	// Name is the kind's wire name — the {kind} path segment and the
 	// resultcache.SweepKey kind string.
@@ -58,11 +55,12 @@ type Kind struct {
 	// measurement grid. The order is part of the sweep's byte-identity
 	// contract: Report reads results at exactly these indices.
 	Grid func(cfg config.Config, specs []workload.Spec) ([]Job, error)
-	// Report is the pure merge half: it assembles the report payload
+	// Report is the pure merge half: it assembles the typed report
 	// from ordered grid results. res[i] belongs to grid[i]; the same
 	// function merges local batches and fleet-collected results, which
-	// is what makes the two byte-identical.
-	Report func(cfg config.Config, specs []workload.Spec, p exp.RunParams, grid []Job, res []GridResult) (json.RawMessage, error)
+	// is what makes the two byte-identical. The served payload is the
+	// report's json.Marshal bytes.
+	Report func(cfg config.Config, specs []workload.Spec, p exp.RunParams, grid []Job, res []GridResult) (any, error)
 }
 
 // decoded projects grid results onto the []sim.Results layout the exp
@@ -99,12 +97,8 @@ func kinds() []Kind {
 			Description:  "per-workload stall-cycle attribution (exp.BottleneckReport)",
 			Defaults:     suiteAndScenarioNames,
 			Grid:         specJobs,
-			Report: func(cfg config.Config, specs []workload.Spec, p exp.RunParams, grid []Job, res []GridResult) (json.RawMessage, error) {
-				wls := make([]workload.Workload, len(specs))
-				for i, sp := range specs {
-					wls[i] = sp
-				}
-				return json.Marshal(exp.BuildBottleneckReport(cfg, wls, p, decoded(res)))
+			Report: func(cfg config.Config, specs []workload.Spec, p exp.RunParams, grid []Job, res []GridResult) (any, error) {
+				return exp.BuildBottleneckReport(cfg, specs, p, decoded(res)), nil
 			},
 		},
 		{
@@ -112,19 +106,9 @@ func kinds() []Kind {
 			ResponseKind: "sweep-scenarios",
 			Description:  "multi-phase scenarios vs their fixed-mix controls (exp.ScenarioReport)",
 			Defaults:     scenarioNames,
-			Grid: func(cfg config.Config, specs []workload.Spec) ([]Job, error) {
-				pairs, err := exp.ScenarioGrid(specs)
-				if err != nil {
-					return nil, err
-				}
-				grid := make([]Job, len(pairs))
-				for i, sp := range pairs {
-					grid[i] = Job{Config: cfg, Spec: sp}
-				}
-				return grid, nil
-			},
-			Report: func(cfg config.Config, specs []workload.Spec, p exp.RunParams, grid []Job, res []GridResult) (json.RawMessage, error) {
-				return json.Marshal(exp.BuildScenarioReport(specs, decoded(res)))
+			Grid:         exp.ScenarioGrid,
+			Report: func(cfg config.Config, specs []workload.Spec, p exp.RunParams, grid []Job, res []GridResult) (any, error) {
+				return exp.BuildScenarioReport(specs, decoded(res)), nil
 			},
 		},
 		{
@@ -133,22 +117,10 @@ func kinds() []Kind {
 			Description:  "what-if advisor: interventions ranked by IPC recovered per unit cost (exp.AdviseReport)",
 			Defaults:     suiteAndScenarioNames,
 			Grid: func(cfg config.Config, specs []workload.Spec) ([]Job, error) {
-				ajs, err := exp.AdviseGrid(cfg, specs)
-				if err != nil {
-					return nil, err
-				}
-				grid := make([]Job, len(ajs))
-				for i, aj := range ajs {
-					grid[i] = Job{Config: aj.Config, Spec: aj.Spec}
-				}
-				return grid, nil
+				return exp.VariantGrid(cfg, specs, exp.Perturbations())
 			},
-			Report: func(cfg config.Config, specs []workload.Spec, p exp.RunParams, grid []Job, res []GridResult) (json.RawMessage, error) {
-				rep, err := exp.BuildAdviseReport(specs, p, decoded(res))
-				if err != nil {
-					return nil, err
-				}
-				return json.Marshal(rep)
+			Report: func(cfg config.Config, specs []workload.Spec, p exp.RunParams, grid []Job, res []GridResult) (any, error) {
+				return exp.BuildAdviseReport(specs, exp.Perturbations(), p, decoded(res))
 			},
 		},
 		{
@@ -157,22 +129,10 @@ func kinds() []Kind {
 			Description:  "mitigation policies: scenario × policy grid of the internal/policy seams (exp.MitigationReport)",
 			Defaults:     scenarioNames,
 			Grid: func(cfg config.Config, specs []workload.Spec) ([]Job, error) {
-				mjs, err := exp.MitigationGrid(cfg, specs)
-				if err != nil {
-					return nil, err
-				}
-				grid := make([]Job, len(mjs))
-				for i, mj := range mjs {
-					grid[i] = Job{Config: mj.Config, Spec: mj.Spec}
-				}
-				return grid, nil
+				return exp.VariantGrid(cfg, specs, exp.Mitigations())
 			},
-			Report: func(cfg config.Config, specs []workload.Spec, p exp.RunParams, grid []Job, res []GridResult) (json.RawMessage, error) {
-				rep, err := exp.BuildMitigationReport(specs, p, decoded(res))
-				if err != nil {
-					return nil, err
-				}
-				return json.Marshal(rep)
+			Report: func(cfg config.Config, specs []workload.Spec, p exp.RunParams, grid []Job, res []GridResult) (any, error) {
+				return exp.BuildMitigationReport(specs, p, decoded(res))
 			},
 		},
 		{
@@ -181,7 +141,7 @@ func kinds() []Kind {
 			Description:  "plain measurement batch: the ordered per-workload run envelopes",
 			Defaults:     nil, // a run batch needs an explicit workloads list
 			Grid:         specJobs,
-			Report: func(cfg config.Config, specs []workload.Spec, p exp.RunParams, grid []Job, res []GridResult) (json.RawMessage, error) {
+			Report: func(cfg config.Config, specs []workload.Spec, p exp.RunParams, grid []Job, res []GridResult) (any, error) {
 				envs := make([]Envelope, len(grid))
 				for i := range grid {
 					envs[i] = Envelope{
@@ -191,7 +151,7 @@ func kinds() []Kind {
 						Results: res[i].Encoded,
 					}
 				}
-				return json.Marshal(envs)
+				return envs, nil
 			},
 		},
 	}
@@ -223,16 +183,16 @@ func KindByName(name string) (Kind, error) {
 	return Kind{}, fmt.Errorf("unknown sweep kind %q (want %s)", name, strings.Join(KindNames(), ", "))
 }
 
-// suiteAndScenarioNames is the suite-plus-scenarios default scope
-// shared by the bottleneck and advise kinds, mirroring
-// exp.DefaultBottleneckWorkloads as names.
+// suiteAndScenarioNames is the default scope of the bottleneck and
+// advise kinds: the paper's Fig. 1 benchmark suite followed by the
+// built-in multi-phase scenarios, so a sweep covers both steady and
+// phased behaviour.
 func suiteAndScenarioNames() []string {
-	wls := exp.DefaultBottleneckWorkloads()
-	names := make([]string, len(wls))
-	for i, wl := range wls {
-		names[i] = wl.Name()
+	var names []string
+	for _, wl := range workload.Suite() {
+		names = append(names, wl.Name())
 	}
-	return names
+	return append(names, scenarioNames()...)
 }
 
 // scenarioNames lists the built-in multi-phase scenarios.

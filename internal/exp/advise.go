@@ -5,231 +5,9 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/config"
-	"repro/internal/runner"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/workload"
 )
-
-// Perturbation is one candidate intervention of the what-if advisor: a
-// named architectural (or software) change, the stall causes it is
-// expected to relieve, its rough hardware cost, and the pure transform
-// that produces the perturbed (config, spec) pair to measure.
-type Perturbation struct {
-	// Name identifies the intervention in reports and CSV.
-	Name string
-	// Description is the one-line summary reports print next to the
-	// name.
-	Description string
-	// Targets lists the stall causes this intervention attacks; a
-	// workload whose dominant cause is in the list gets the
-	// intervention marked as targeted in its report row.
-	Targets []stats.StallCause
-	// Cost is the intervention's price in rough relative silicon units
-	// (1.0 ≈ quadrupling the MSHR files). It is the denominator of the
-	// ranking score, so cheap fixes outrank equally effective expensive
-	// ones.
-	Cost float64
-	// Apply derives the perturbed simulation from the baseline pair.
-	// It must be pure: same inputs, same outputs, no mutation of the
-	// originals — the grid must stay a deterministic function of
-	// (config, specs).
-	Apply func(config.Config, workload.Spec) (config.Config, workload.Spec)
-}
-
-// Perturbations returns the advisor's candidate set, in grid order.
-// The set covers the mitigations the paper's related work keeps
-// recommending — bigger caches, more MSHRs, a wider interconnect,
-// deeper queues — plus one software counterfactual (forced full
-// coalescing); RunAdvise measures them all instead of citing them.
-func Perturbations() []Perturbation {
-	return []Perturbation{
-		{
-			Name:        "l1-x2",
-			Description: "double the L1 data cache (2x sets)",
-			Targets:     []stats.StallCause{stats.StallL1Miss},
-			Cost:        2.0,
-			Apply: func(cfg config.Config, sp workload.Spec) (config.Config, workload.Spec) {
-				cfg.L1.Sets *= 2
-				return cfg, sp
-			},
-		},
-		{
-			Name:        "l2-x2",
-			Description: "double the shared L2 (2x sets per partition)",
-			Targets:     []stats.StallCause{stats.StallL1Miss, stats.StallL2Queue},
-			Cost:        4.0,
-			Apply: func(cfg config.Config, sp workload.Spec) (config.Config, workload.Spec) {
-				cfg.L2.Sets *= 2
-				return cfg, sp
-			},
-		},
-		{
-			Name:        "mshr-x4",
-			Description: "4x the L1 and L2 MSHR files",
-			Targets:     []stats.StallCause{stats.StallMemPipe, stats.StallL1Miss},
-			Cost:        1.0,
-			Apply: func(cfg config.Config, sp workload.Spec) (config.Config, workload.Spec) {
-				cfg.L1.MSHREntries *= 4
-				cfg.L2.MSHREntries *= 4
-				return cfg, sp
-			},
-		},
-		{
-			Name:        "icnt-x2",
-			Description: "double the crossbar flit size",
-			Targets:     []stats.StallCause{stats.StallIcnt},
-			Cost:        2.0,
-			Apply: func(cfg config.Config, sp workload.Spec) (config.Config, workload.Spec) {
-				cfg.Icnt.FlitSizeBytes *= 2
-				return cfg, sp
-			},
-		},
-		{
-			Name:        "l2q-x4",
-			Description: "4x the L2 access/miss/response/return queues",
-			Targets:     []stats.StallCause{stats.StallL2Queue},
-			Cost:        0.5,
-			Apply: func(cfg config.Config, sp workload.Spec) (config.Config, workload.Spec) {
-				cfg.L2.AccessQueue *= 4
-				cfg.L2.MissQueue *= 4
-				cfg.L2.ResponseQueue *= 4
-				cfg.L2.DRAMReturnQueue *= 4
-				return cfg, sp
-			},
-		},
-		{
-			Name:        "dramq-x4",
-			Description: "4x the DRAM scheduler queues",
-			Targets:     []stats.StallCause{stats.StallDRAMQueue},
-			Cost:        0.5,
-			Apply: func(cfg config.Config, sp workload.Spec) (config.Config, workload.Spec) {
-				cfg.DRAM.SchedQueue *= 4
-				return cfg, sp
-			},
-		},
-		{
-			Name:        "coalesce",
-			Description: "software: restructure accesses to coalesce fully",
-			Targets:     []stats.StallCause{stats.StallIcnt, stats.StallL2Queue, stats.StallDRAMQueue},
-			Cost:        0.25,
-			Apply: func(cfg config.Config, sp workload.Spec) (config.Config, workload.Spec) {
-				return cfg, Coalesced(sp)
-			},
-		},
-	}
-}
-
-// PolicyPerturbations returns the mitigation policies of
-// internal/policy as advisor interventions: zero-silicon-cost config
-// knobs ranked alongside the hardware ones. They are not part of
-// Perturbations() — the registered advise sweep's grid (and its pinned
-// golden) is unchanged — but callers can append them and use the With
-// variants (cmd/advise -policies does).
-func PolicyPerturbations() []Perturbation {
-	mit := func(name string) func(config.Config, workload.Spec) (config.Config, workload.Spec) {
-		for _, m := range Mitigations() {
-			if m.Name == name {
-				apply := m.Apply
-				return func(cfg config.Config, sp workload.Spec) (config.Config, workload.Spec) {
-					return apply(cfg), sp
-				}
-			}
-		}
-		panic(fmt.Sprintf("exp: unknown mitigation %q", name))
-	}
-	// Cost 0.1: not free (scheduling/bypass logic and verification
-	// effort), but far below any capacity change.
-	return []Perturbation{
-		{
-			Name:        "p-throttle",
-			Description: "policy: throttle memory-warp issue while MSHRs saturate",
-			Targets:     []stats.StallCause{stats.StallL1Miss, stats.StallIcnt, stats.StallL2Queue, stats.StallDRAMQueue},
-			Cost:        0.1,
-			Apply:       mit("throttle"),
-		},
-		{
-			Name:        "p-l1bypass",
-			Description: "policy: bypass first-touch (streaming) L1 fills",
-			Targets:     []stats.StallCause{stats.StallL1Miss, stats.StallMemPipe},
-			Cost:        0.1,
-			Apply:       mit("l1-bypass"),
-		},
-		{
-			Name:        "p-l2pin",
-			Description: "policy: pin L2 lines with proven reuse",
-			Targets:     []stats.StallCause{stats.StallL1Miss, stats.StallL2Queue},
-			Cost:        0.1,
-			Apply:       mit("l2-pin"),
-		},
-	}
-}
-
-// Coalesced returns the fully coalesced variant of a spec: every warp
-// memory access touches exactly one cache line (top level and in every
-// phase), modelling the kernel after a perfect access-restructuring
-// pass. The variant is renamed "<name>-coalesced" so its measurements
-// content-address separately from the original's.
-func Coalesced(sp workload.Spec) workload.Spec {
-	out := sp
-	out.SpecName = sp.SpecName + "-coalesced"
-	out.LinesPerAccess = 1
-	if len(sp.Phases) > 0 {
-		out.Phases = make([]workload.PhaseSpec, len(sp.Phases))
-		for i, p := range sp.Phases {
-			p.LinesPerAccess = 1
-			out.Phases[i] = p
-		}
-	}
-	return out
-}
-
-// AdviseJob is one grid entry of the advisor sweep: the exact
-// (config, spec) pair to measure. Unlike the other sweeps, advise
-// varies the architecture per job, so the grid carries configs.
-type AdviseJob struct {
-	Config config.Config
-	Spec   workload.Spec
-}
-
-// AdviseGrid validates the workloads and expands them into the
-// advisor's measurement grid: for each spec, the baseline measurement
-// followed by one job per Perturbations() entry, in that order. The
-// layout is part of the sweep's byte-identity contract —
-// BuildAdviseReport reads results in exactly this stride.
-func AdviseGrid(base config.Config, specs []workload.Spec) ([]AdviseJob, error) {
-	return AdviseGridWith(base, specs, Perturbations())
-}
-
-// AdviseGridWith is AdviseGrid over an explicit perturbation set (grid
-// stride 1+len(perts)); pair it with BuildAdviseReportWith on the same
-// set. It exists so callers can extend the candidate list — e.g. with
-// PolicyPerturbations() — without changing the registered advise
-// sweep's grid.
-func AdviseGridWith(base config.Config, specs []workload.Spec, perts []Perturbation) ([]AdviseJob, error) {
-	if len(specs) == 0 {
-		return nil, fmt.Errorf("exp: advise needs at least one workload")
-	}
-	grid := make([]AdviseJob, 0, len(specs)*(1+len(perts)))
-	for _, sp := range specs {
-		if err := sp.Validate(); err != nil {
-			return nil, err
-		}
-		grid = append(grid, AdviseJob{Config: base, Spec: sp})
-		for _, pt := range perts {
-			cfg, psp := pt.Apply(base, sp)
-			if err := cfg.Validate(); err != nil {
-				return nil, fmt.Errorf("exp: advise perturbation %s: %w", pt.Name, err)
-			}
-			if err := psp.Validate(); err != nil {
-				return nil, fmt.Errorf("exp: advise perturbation %s: %w", pt.Name, err)
-			}
-			grid = append(grid, AdviseJob{Config: cfg, Spec: psp})
-		}
-	}
-	return grid, nil
-}
 
 // AdviseOutcome is one measured intervention in a workload's report
 // row, ranked by Score.
@@ -270,81 +48,31 @@ type AdviseReport struct {
 	Rows   []AdviseRow `json:"rows"`
 }
 
-// DefaultAdviseWorkloads returns the advisor's default scope — the
-// same suite-plus-scenarios set the bottleneck breakdown sweeps — as
-// specs.
-func DefaultAdviseWorkloads() []workload.Spec {
-	wls := DefaultBottleneckWorkloads()
-	specs := make([]workload.Spec, len(wls))
-	for i, wl := range wls {
-		sp, err := workload.SpecByName(wl.Name())
-		if err != nil {
-			panic(err)
-		}
-		specs[i] = sp
-	}
-	return specs
-}
-
-// RunAdvise measures the advisor grid — baseline plus every
-// Perturbations() candidate per workload — as one batch on the worker
-// pool and ranks the interventions. Like every harness, the report is
-// bit-identical at any parallelism.
-func RunAdvise(base config.Config, specs []workload.Spec, p RunParams) (AdviseReport, error) {
-	return RunAdviseWith(base, specs, Perturbations(), p)
-}
-
-// RunAdviseWith is RunAdvise over an explicit perturbation set, for
-// callers extending the candidates (cmd/advise -policies appends
-// PolicyPerturbations()).
-func RunAdviseWith(base config.Config, specs []workload.Spec, perts []Perturbation, p RunParams) (AdviseReport, error) {
-	grid, err := AdviseGridWith(base, specs, perts)
-	if err != nil {
-		return AdviseReport{}, err
-	}
-	jobs := make([]runner.Job, len(grid))
-	for i, g := range grid {
-		jobs[i] = job(g.Config, g.Spec, p)
-	}
-	res, err := run(jobs, p)
-	if err != nil {
-		return AdviseReport{}, err
-	}
-	return BuildAdviseReportWith(specs, perts, p, res)
-}
-
 // BuildAdviseReport assembles the advisor report from already-measured
-// grid results laid out as AdviseGrid produces them: for specs[i],
-// res[i*(1+P)] is the baseline and the following P entries are the
-// perturbations in Perturbations() order. It is the pure merge half of
-// RunAdvise, shared with the internal/fabric coordinator so a
-// fleet-merged report is byte-identical to a local one.
-func BuildAdviseReport(specs []workload.Spec, p RunParams, res []sim.Results) (AdviseReport, error) {
-	return BuildAdviseReportWith(specs, Perturbations(), p, res)
-}
-
-// BuildAdviseReportWith is BuildAdviseReport over an explicit
-// perturbation set, matching a grid from AdviseGridWith on the same
-// set.
-func BuildAdviseReportWith(specs []workload.Spec, perts []Perturbation, p RunParams, res []sim.Results) (AdviseReport, error) {
-	stride := 1 + len(perts)
-	if len(res) != len(specs)*stride {
-		return AdviseReport{}, fmt.Errorf("exp: advise merge: %d results for %d workloads (want %d)",
-			len(res), len(specs), len(specs)*stride)
+// grid results laid out as VariantGrid produces them for the same
+// variant set: for specs[i], res[i*(1+V)] is the baseline and the
+// following V entries are the variants in order. It is the advise
+// sweep's pure merge half, shared by local runs and the
+// internal/fabric coordinator so a fleet-merged report is
+// byte-identical to a local one.
+func BuildAdviseReport(specs []workload.Spec, variants []Perturbation, p RunParams, res []sim.Results) (AdviseReport, error) {
+	bases, vres, err := variantRows("advise", specs, len(variants), res)
+	if err != nil {
+		return AdviseReport{}, err
 	}
 	rep := AdviseReport{Warmup: p.WarmupCycles, Window: p.WindowCycles,
 		Rows: make([]AdviseRow, len(specs))}
 	for i, sp := range specs {
-		baseRes := res[i*stride]
+		baseRes := bases[i]
 		dominant := baseRes.Stalls.Dominant()
 		row := AdviseRow{
 			Workload:      sp.SpecName,
 			BaselineIPC:   baseRes.IPC,
 			Dominant:      dominant.String(),
-			Interventions: make([]AdviseOutcome, len(perts)),
+			Interventions: make([]AdviseOutcome, len(variants)),
 		}
-		for j, pt := range perts {
-			r := res[i*stride+1+j]
+		for j, pt := range variants {
+			r := vres[i][j]
 			out := AdviseOutcome{
 				Name:        pt.Name,
 				Description: pt.Description,

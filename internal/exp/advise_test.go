@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/runner"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -21,23 +23,18 @@ func adviseSpecs(t *testing.T, names ...string) []workload.Spec {
 	return specs
 }
 
-// TestGoldenAdviseReport pins the advisor's rendered verdict — grid
-// layout, ranking and formatting — at serial and parallel worker
-// counts. Regenerate with scripts/regen-golden.sh.
-func TestGoldenAdviseReport(t *testing.T) {
-	want := readGolden(t, "advise.golden")
-	cfg := config.GTX480Baseline()
-	cfg.Seed = 1
-	specs := adviseSpecs(t, "sc", "kmeans")
-	for _, j := range []int{1, 4} {
-		rep, err := RunAdvise(cfg, specs, goldenParams(j))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := rep.String(); got != want {
-			t.Errorf("j=%d: advise report drifted from golden:\n got:\n%s\nwant:\n%s", j, got, want)
-		}
+// runGrid measures a sweep grid as one batch on the worker pool.
+func runGrid(t *testing.T, grid []GridJob, p RunParams) []sim.Results {
+	t.Helper()
+	jobs := make([]runner.Job, len(grid))
+	for i, g := range grid {
+		jobs[i] = job(g.Config, g.Spec, p)
 	}
+	res, err := run(jobs, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 // TestAdviseGridLayout: the grid is baseline-first with one entry per
@@ -49,11 +46,11 @@ func TestAdviseGridLayout(t *testing.T) {
 	specs := adviseSpecs(t, "sc", "kmeans")
 	origKmeans := specs[1]
 
-	grid, err := AdviseGrid(base, specs)
+	perts := Perturbations()
+	grid, err := VariantGrid(base, specs, perts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	perts := Perturbations()
 	stride := 1 + len(perts)
 	if len(grid) != len(specs)*stride {
 		t.Fatalf("grid has %d entries, want %d", len(grid), len(specs)*stride)
@@ -71,13 +68,13 @@ func TestAdviseGridLayout(t *testing.T) {
 		}
 	}
 	if base != orig {
-		t.Error("AdviseGrid mutated the base config")
+		t.Error("VariantGrid mutated the base config")
 	}
 	if specs[1].SpecName != origKmeans.SpecName || len(specs[1].Phases) != len(origKmeans.Phases) {
-		t.Error("AdviseGrid mutated an input spec")
+		t.Error("VariantGrid mutated an input spec")
 	}
 
-	if _, err := AdviseGrid(base, nil); err == nil || !strings.Contains(err.Error(), "at least one workload") {
+	if _, err := VariantGrid(base, nil, perts); err == nil || !strings.Contains(err.Error(), "at least one workload") {
 		t.Errorf("empty grid error = %v", err)
 	}
 }
@@ -110,16 +107,22 @@ func TestCoalesced(t *testing.T) {
 
 // TestBuildAdviseReportShape: the merge half rejects a result slice
 // that does not match the grid stride, and every row ranks all
-// perturbations.
+// variants of an explicit set — here the hardware perturbations
+// extended with the policy ones.
 func TestBuildAdviseReportShape(t *testing.T) {
 	cfg := config.GTX480Baseline()
 	specs := adviseSpecs(t, "sc")
 	p := goldenParams(2)
-	rep, err := RunAdvise(cfg, specs, p)
+	perts := append(Perturbations(), PolicyPerturbations()...)
+	grid, err := VariantGrid(cfg, specs, perts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Rows) != 1 || len(rep.Rows[0].Interventions) != len(Perturbations()) {
+	rep, err := BuildAdviseReport(specs, perts, p, runGrid(t, grid, p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Rows) != 1 || len(rep.Rows[0].Interventions) != len(perts) {
 		t.Fatalf("report shape: %d rows, %d interventions", len(rep.Rows), len(rep.Rows[0].Interventions))
 	}
 	for i := 1; i < len(rep.Rows[0].Interventions); i++ {
@@ -132,7 +135,7 @@ func TestBuildAdviseReportShape(t *testing.T) {
 		t.Errorf("CSV header: %q", strings.SplitN(rep.CSV(), "\n", 2)[0])
 	}
 
-	if _, err := BuildAdviseReport(specs, p, nil); err == nil || !strings.Contains(err.Error(), "advise merge") {
+	if _, err := BuildAdviseReport(specs, perts, p, nil); err == nil || !strings.Contains(err.Error(), "advise merge") {
 		t.Errorf("mismatched result count error = %v", err)
 	}
 }

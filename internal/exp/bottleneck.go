@@ -32,46 +32,17 @@ type BottleneckReport struct {
 	Rows           []BottleneckRow
 }
 
-// DefaultBottleneckWorkloads returns the sweep's default scope: the
-// paper's Fig. 1 benchmark suite followed by the built-in multi-phase
-// scenarios, so the breakdown covers both steady and phased behaviour.
-func DefaultBottleneckWorkloads() []workload.Workload {
-	suite := workload.Suite()
-	wls := make([]workload.Workload, 0, len(suite)+4)
-	wls = append(wls, suite...)
-	for _, s := range workload.Scenarios() {
-		wls = append(wls, s)
-	}
-	return wls
-}
-
-// RunBottleneckBreakdown measures every workload on the base
-// architecture as one batch on the worker pool and reports each one's
-// stall stack. Like every harness, the report is bit-identical at any
-// parallelism.
-func RunBottleneckBreakdown(base config.Config, wls []workload.Workload, p RunParams) (BottleneckReport, error) {
-	if len(wls) == 0 {
-		return BottleneckReport{}, fmt.Errorf("exp: bottleneck breakdown needs at least one workload")
-	}
-	res, err := Baselines(base, wls, p)
-	if err != nil {
-		return BottleneckReport{}, err
-	}
-	return BuildBottleneckReport(base, wls, p, res), nil
-}
-
 // BuildBottleneckReport assembles the breakdown report from
-// already-measured results, res[i] belonging to wls[i]. It is the
-// pure merge half of RunBottleneckBreakdown, split out so a caller
-// that obtained the measurements elsewhere — the internal/fabric
-// coordinator collects them from a worker fleet — produces a report
-// byte-identical to a local run of the whole batch.
-func BuildBottleneckReport(base config.Config, wls []workload.Workload, p RunParams, res []sim.Results) BottleneckReport {
+// already-measured results, res[i] belonging to specs[i]. It is the
+// bottleneck sweep's pure merge half, shared by local runs and the
+// internal/fabric coordinator, which collects the measurements from a
+// worker fleet, so the two reports are byte-identical.
+func BuildBottleneckReport(base config.Config, specs []workload.Spec, p RunParams, res []sim.Results) BottleneckReport {
 	rep := BottleneckReport{Warmup: p.WarmupCycles, Window: p.WindowCycles,
-		Rows: make([]BottleneckRow, len(wls))}
-	for i, wl := range wls {
+		Rows: make([]BottleneckRow, len(specs))}
+	for i, sp := range specs {
 		rep.Rows[i] = BottleneckRow{
-			Workload: wl.Name(),
+			Workload: sp.SpecName,
 			IPC:      res[i].IPC,
 			Cycles:   res[i].Cycles,
 			SMs:      base.Core.NumSMs,

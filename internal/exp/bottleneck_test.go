@@ -9,37 +9,22 @@ import (
 	"repro/internal/workload"
 )
 
-// bottleneckSuite is the golden scope: a memory-bound streaming
-// benchmark, a compute-leaning one, and a multi-phase scenario.
-func bottleneckSuite(t *testing.T) []workload.Workload {
+// bottleneckReport measures the golden scope — a memory-bound
+// streaming benchmark, a compute-leaning one, and a multi-phase
+// scenario — and builds its breakdown report.
+func bottleneckReport(t *testing.T, p RunParams) BottleneckReport {
 	t.Helper()
-	wls := make([]workload.Workload, 0, 3)
-	for _, name := range []string{"sc", "leukocyte", "kmeans"} {
-		wl, err := workload.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wls = append(wls, wl)
-	}
-	return wls
-}
-
-// TestGoldenBottleneckReport pins the cmd/bottleneck output the same
-// way the other CLI reports are pinned: byte-identical to the golden
-// at serial and parallel worker counts. CI regenerates the file with
-// the real binary via scripts/regen-golden.sh and git-diffs it.
-func TestGoldenBottleneckReport(t *testing.T) {
-	want := readGolden(t, "bottleneck.golden")
 	cfg := config.GTX480Baseline()
-	for _, j := range []int{1, 4} {
-		rep, err := RunBottleneckBreakdown(cfg, bottleneckSuite(t), goldenParams(j))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := rep.String(); got != want {
-			t.Errorf("j=%d: bottleneck report drifted from golden:\n got:\n%s\nwant:\n%s", j, got, want)
-		}
+	specs := adviseSpecs(t, "sc", "leukocyte", "kmeans")
+	wls := make([]workload.Workload, len(specs))
+	for i, sp := range specs {
+		wls[i] = sp
 	}
+	res, err := Baselines(cfg, wls, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return BuildBottleneckReport(cfg, specs, p, res)
 }
 
 // TestBottleneckStacksSumToIssueSlots enforces the report-level
@@ -48,12 +33,7 @@ func TestGoldenBottleneckReport(t *testing.T) {
 // cycle double-charged — and the rendered percentages come from the
 // same breakdown.
 func TestBottleneckStacksSumToIssueSlots(t *testing.T) {
-	cfg := config.GTX480Baseline()
-	rep, err := RunBottleneckBreakdown(cfg, bottleneckSuite(t),
-		RunParams{WarmupCycles: 500, WindowCycles: 1500, Parallelism: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := bottleneckReport(t, RunParams{WarmupCycles: 500, WindowCycles: 1500, Parallelism: 2})
 	for _, row := range rep.Rows {
 		slots := row.Cycles * int64(row.SMs)
 		if got := row.Stalls.Total(); got != slots {
@@ -72,12 +52,7 @@ func TestBottleneckStacksSumToIssueSlots(t *testing.T) {
 
 // TestBottleneckCSVHasAllRows sanity-checks the CSV renderer.
 func TestBottleneckCSVHasAllRows(t *testing.T) {
-	cfg := config.GTX480Baseline()
-	rep, err := RunBottleneckBreakdown(cfg, bottleneckSuite(t),
-		RunParams{WarmupCycles: 200, WindowCycles: 600, Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := bottleneckReport(t, RunParams{WarmupCycles: 200, WindowCycles: 600, Parallelism: 1})
 	csv := rep.CSV()
 	lines := strings.Split(strings.TrimSpace(csv), "\n")
 	if len(lines) != 1+len(rep.Rows) {

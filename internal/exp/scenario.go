@@ -41,43 +41,22 @@ type ScenarioReport struct {
 	Rows []ScenarioRow
 }
 
-// RunScenarioSweep measures every scenario and its Flatten() fixed-mix
-// control on the base architecture, as one batch on the worker pool
-// (two simulations per scenario), and reports IPC and queue-occupancy
-// side by side. Single-phase specs are rejected: their control would
-// be themselves.
-func RunScenarioSweep(base config.Config, scenarios []workload.Spec, p RunParams) (ScenarioReport, error) {
-	grid, err := ScenarioGrid(scenarios)
-	if err != nil {
-		return ScenarioReport{}, err
-	}
-	wls := make([]workload.Workload, len(grid))
-	for i, s := range grid {
-		wls[i] = s
-	}
-	res, err := Baselines(base, wls, p)
-	if err != nil {
-		return ScenarioReport{}, err
-	}
-	return BuildScenarioReport(scenarios, res), nil
-}
-
 // ScenarioGrid validates the scenarios and expands them into the
 // sweep's measurement grid: scenario, control, scenario, control —
 // each scenario immediately followed by its Flatten() fixed-mix
 // control, in input order. The grid order is part of the sweep's
 // byte-identity contract: BuildScenarioReport reads results pairwise
 // in exactly this layout.
-func ScenarioGrid(scenarios []workload.Spec) ([]workload.Spec, error) {
+func ScenarioGrid(base config.Config, scenarios []workload.Spec) ([]GridJob, error) {
 	if len(scenarios) == 0 {
 		return nil, fmt.Errorf("exp: scenario sweep needs at least one scenario")
 	}
-	grid := make([]workload.Spec, 0, 2*len(scenarios))
+	grid := make([]GridJob, 0, 2*len(scenarios))
 	for _, s := range scenarios {
 		if len(s.Phases) == 0 {
 			return nil, fmt.Errorf("exp: %s is single-phase; the sweep compares phase structure against its flattened control", s.SpecName)
 		}
-		grid = append(grid, s, s.Flatten())
+		grid = append(grid, GridJob{Config: base, Spec: s}, GridJob{Config: base, Spec: s.Flatten()})
 	}
 	return grid, nil
 }
@@ -85,8 +64,8 @@ func ScenarioGrid(scenarios []workload.Spec) ([]workload.Spec, error) {
 // BuildScenarioReport assembles the comparison rows from
 // already-measured grid results laid out as ScenarioGrid produces
 // them: res[2i] is scenarios[i], res[2i+1] its flattened control. It
-// is the pure merge half of RunScenarioSweep, shared with the
-// internal/fabric coordinator so a fleet-merged report is
+// is the scenario sweep's pure merge half, shared by local runs and
+// the internal/fabric coordinator so a fleet-merged report is
 // byte-identical to a local one.
 func BuildScenarioReport(scenarios []workload.Spec, res []sim.Results) ScenarioReport {
 	rep := ScenarioReport{Rows: make([]ScenarioRow, len(scenarios))}

@@ -20,11 +20,18 @@ func testScenarios(t *testing.T) []workload.Spec {
 	return out
 }
 
-func TestScenarioSweepComparesControls(t *testing.T) {
-	rep, err := RunScenarioSweep(testConfig(), testScenarios(t), testParams(1))
+// scenarioReport measures the scenario grid and builds its report.
+func scenarioReport(t *testing.T, scenarios []workload.Spec, p RunParams) ScenarioReport {
+	t.Helper()
+	grid, err := ScenarioGrid(testConfig(), scenarios)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return BuildScenarioReport(scenarios, runGrid(t, grid, p))
+}
+
+func TestScenarioSweepComparesControls(t *testing.T) {
+	rep := scenarioReport(t, testScenarios(t), testParams(1))
 	if len(rep.Rows) != 2 {
 		t.Fatalf("rows = %d, want 2", len(rep.Rows))
 	}
@@ -56,14 +63,8 @@ func TestScenarioSweepComparesControls(t *testing.T) {
 // byte-identically at any worker count, like every other harness.
 func TestScenarioSweepParallelismInvariant(t *testing.T) {
 	scen := testScenarios(t)
-	serial, err := RunScenarioSweep(testConfig(), scen, testParams(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := RunScenarioSweep(testConfig(), scen, testParams(4))
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := scenarioReport(t, scen, testParams(1))
+	parallel := scenarioReport(t, scen, testParams(4))
 	if serial.String() != parallel.String() {
 		t.Fatalf("scenario sweep differs across parallelism\nserial:\n%s\nparallel:\n%s",
 			serial.String(), parallel.String())
@@ -75,10 +76,10 @@ func TestScenarioSweepRejectsSinglePhase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunScenarioSweep(testConfig(), []workload.Spec{sc}, testParams(1)); err == nil {
+	if _, err := ScenarioGrid(testConfig(), []workload.Spec{sc}); err == nil {
 		t.Fatalf("expected error for single-phase spec")
 	}
-	if _, err := RunScenarioSweep(testConfig(), nil, testParams(1)); err == nil {
+	if _, err := ScenarioGrid(testConfig(), nil); err == nil {
 		t.Fatalf("expected error for empty scenario list")
 	}
 }

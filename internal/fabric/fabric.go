@@ -25,7 +25,7 @@
 // The sweeps themselves come from the internal/api sweep-kind
 // registry: the coordinator holds no per-kind logic. A kind's Grid
 // half expands the request into (config, spec) jobs — per-job configs
-// are what let the advise kind perturb the architecture — and its
+// are what let the variant kinds perturb the architecture — and its
 // Report half merges the ordered results, the same pure function a
 // single node runs, which is what makes the fleet-merged report
 // byte-identical.
@@ -58,7 +58,6 @@ import (
 	"repro/internal/exp"
 	"repro/internal/resultcache"
 	"repro/internal/runner"
-	"repro/internal/workload"
 )
 
 // Options configures a Coordinator.
@@ -254,36 +253,31 @@ func badRequest(format string, args ...any) error {
 // /v1/sweep/{kind} endpoint. progress, when non-nil, is called
 // serially after each job completes.
 func (c *Coordinator) RunSweep(ctx context.Context, kind string, req api.JobRequest, progress func(JobEvent)) (api.Envelope, error) {
-	k, err := api.KindByName(kind)
+	sw, err := c.resolve(kind, req)
 	if err != nil {
-		return api.Envelope{}, badRequest("%v", err)
+		return api.Envelope{}, err
 	}
-	if req.Workload != "" || len(req.Spec) > 0 {
-		return api.Envelope{}, badRequest("sweeps take a workloads list, not workload/spec")
-	}
-	names := req.Workloads
-	if len(names) == 0 {
-		if k.Defaults == nil {
-			return api.Envelope{}, badRequest("a %s batch needs an explicit workloads list", k.Name)
-		}
-		names = k.Defaults()
-	}
-	specs := make([]workload.Spec, len(names))
-	for i, n := range names {
-		sp, err := workload.SpecByName(n)
-		if err != nil {
-			return api.Envelope{}, badRequest("%v", err)
-		}
-		specs[i] = sp
-	}
-	cfg, p, err := api.ResolveMethodology(c.base, req, c.maxParallel, c.maxWindow)
-	if err != nil {
-		return api.Envelope{}, badRequest("%v", err)
-	}
+	return c.runSweep(ctx, sw, req, progress)
+}
 
+// resolve checks a sweep request against the registry and this
+// coordinator's base and caps; every failure is a RequestError.
+func (c *Coordinator) resolve(kind string, req api.JobRequest) (api.Sweep, error) {
+	sw, err := api.ResolveSweep(kind, c.base, req, c.maxParallel, c.maxWindow)
+	if err != nil {
+		return api.Sweep{}, badRequest("%v", err)
+	}
+	return sw, nil
+}
+
+// runSweep shards a resolved sweep across the fleet and merges it.
+// req supplies the seed, scale and fixed-latency transforms each
+// worker re-applies to its base config.
+func (c *Coordinator) runSweep(ctx context.Context, sw api.Sweep, req api.JobRequest, progress func(JobEvent)) (api.Envelope, error) {
+	cfg, p := sw.Config, sw.Params
 	// The grid is the sweep's unit of distribution: one /v1/run
 	// measurement per entry, in an order the merge step depends on.
-	grid, err := k.Grid(cfg, specs)
+	grid, err := sw.Kind.Grid(cfg, sw.Specs)
 	if err != nil {
 		return api.Envelope{}, badRequest("%v", err)
 	}
@@ -308,7 +302,7 @@ func (c *Coordinator) RunSweep(ctx context.Context, kind string, req api.JobRequ
 			Window:       &p.WindowCycles,
 		}
 		if g.Config != cfg {
-			// A perturbed grid entry (the advise kind) does not share
+			// A perturbed grid entry (the variant kinds) does not share
 			// the fleet's base architecture: ship the fully resolved
 			// config inline and drop the transforms, which are already
 			// baked into it. The worker's key check still guards
@@ -370,25 +364,22 @@ func (c *Coordinator) RunSweep(ctx context.Context, kind string, req api.JobRequ
 		}
 		res[i] = api.GridResult{Key: keys[i], Encoded: out.env.Results, Results: r}
 	}
-	report, err := k.Report(cfg, specs, p, grid, res)
+	report, err := sw.Kind.Report(cfg, sw.Specs, p, grid, res)
 	if err != nil {
-		return api.Envelope{}, fmt.Errorf("fabric: merge %s report: %w", k.Name, err)
+		return api.Envelope{}, fmt.Errorf("fabric: merge %s report: %w", sw.Kind.Name, err)
 	}
-	env := api.Envelope{
-		Kind:         k.ResponseKind,
-		Workloads:    names,
-		WarmupCycles: p.WarmupCycles,
-		WindowCycles: p.WindowCycles,
-		Report:       report,
+	data, err := json.Marshal(report)
+	if err != nil {
+		return api.Envelope{}, fmt.Errorf("fabric: marshal %s report: %w", sw.Kind.Name, err)
 	}
 	// The sweep's content address is computed exactly as a single
 	// node computes it, so the merged envelope carries the same key a
 	// single-node response would.
-	env.Key, err = resultcache.SweepKey(k.Name, cfg, specs, p.WarmupCycles, p.WindowCycles)
+	key, err := sw.Key()
 	if err != nil {
 		return api.Envelope{}, fmt.Errorf("fabric: sweep key: %w", err)
 	}
-	return env, nil
+	return sw.Envelope(key, data), nil
 }
 
 // jobResult is one grid entry's outcome: the worker's envelope plus

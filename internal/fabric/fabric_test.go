@@ -441,7 +441,8 @@ func TestConfigDriftDetected(t *testing.T) {
 }
 
 // TestRequestErrors: request mistakes are 400s with a JSON error
-// document, not retries or 502s.
+// document, not retries or 502s — also when the client asked for SSE,
+// because the request is resolved before the stream commits its 200.
 func TestRequestErrors(t *testing.T) {
 	_, urls := newFleet(t, 1, serve.Options{})
 	coord := newCoordinator(t, urls, Options{})
@@ -455,9 +456,12 @@ func TestRequestErrors(t *testing.T) {
 		{"unknown workload", "/v1/sweep/bottleneck", `{"workloads":["nope"]}`},
 		{"bad methodology", "/v1/sweep/bottleneck", `{"workloads":["sc"],"window_cycles":-5}`},
 	} {
-		code, body := post(t, cts.URL, tc.path, tc.body, nil)
-		if code != http.StatusBadRequest || !strings.Contains(body, `"error"`) {
-			t.Errorf("%s: code=%d body=%s, want 400 with error document", tc.name, code, body)
+		for _, hdr := range []http.Header{nil, {"Accept": []string{"text/event-stream"}}} {
+			code, body := post(t, cts.URL, tc.path, tc.body, hdr)
+			if code != http.StatusBadRequest || !strings.Contains(body, `"error"`) {
+				t.Errorf("%s (Accept %q): code=%d body=%s, want 400 with error document",
+					tc.name, hdr.Get("Accept"), code, body)
+			}
 		}
 	}
 

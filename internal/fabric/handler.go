@@ -51,26 +51,26 @@ func (c *Coordinator) handleWorkers(w http.ResponseWriter, r *http.Request) {
 
 // handleSweep runs one sweep, streaming progress when the client asks
 // for SSE and answering with the single merged document otherwise.
-// The kind is validated against the registry up front — rejecting
-// before the SSE path commits its 200 keeps unknown kinds a status
-// code, not a mid-stream error event.
+// The request is resolved against the registry up front — rejecting
+// before the SSE path commits its 200 keeps every request mistake a
+// status code, not a mid-stream error event.
 func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
-	kind := r.PathValue("kind")
-	if _, err := api.KindByName(kind); err != nil {
+	req, err := api.DecodeJobRequest(r)
+	if err != nil {
 		api.Error(w, http.StatusBadRequest, err)
 		return
 	}
-	req, err := api.DecodeJobRequest(r)
+	sw, err := c.resolve(r.PathValue("kind"), req)
 	if err != nil {
 		api.Error(w, http.StatusBadRequest, err)
 		return
 	}
 	flusher, canFlush := w.(http.Flusher)
 	if canFlush && strings.Contains(r.Header.Get("Accept"), "text/event-stream") {
-		c.streamSweep(w, r, flusher, kind, req)
+		c.streamSweep(w, r, flusher, sw, req)
 		return
 	}
-	env, err := c.RunSweep(r.Context(), kind, req, nil)
+	env, err := c.runSweep(r.Context(), sw, req, nil)
 	if err != nil {
 		api.Error(w, errStatus(err), err)
 		return
@@ -81,14 +81,14 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 // streamSweep is the SSE form of handleSweep. The 200 header commits
 // before the sweep's outcome is known — SSE's usual bargain — so a
 // late failure arrives as an "error" event rather than a status code.
-func (c *Coordinator) streamSweep(w http.ResponseWriter, r *http.Request, flusher http.Flusher, kind string, req api.JobRequest) {
+func (c *Coordinator) streamSweep(w http.ResponseWriter, r *http.Request, flusher http.Flusher, sw api.Sweep, req api.JobRequest) {
 	h := w.Header()
 	h.Set("Content-Type", "text/event-stream")
 	h.Set("Cache-Control", "no-cache")
 	h.Set("X-Accel-Buffering", "no")
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush()
-	env, err := c.RunSweep(r.Context(), kind, req, func(ev JobEvent) {
+	env, err := c.runSweep(r.Context(), sw, req, func(ev JobEvent) {
 		writeEvent(w, "job", ev)
 		flusher.Flush()
 	})

@@ -8,11 +8,9 @@ import (
 	"testing"
 
 	"repro/internal/config"
-	"repro/internal/exp"
 	"repro/internal/policy"
 	"repro/internal/resultcache"
 	"repro/internal/serve"
-	"repro/internal/workload"
 )
 
 // TestCoordinatorPolicyNameErrors mirrors the workers' strict-decode
@@ -76,8 +74,8 @@ func TestCoordinatorPolicyNameErrors(t *testing.T) {
 // contract: the fleet-merged mitigation sweep — per-job policy configs
 // shipped inline to the workers — is byte-identical to a single node's
 // /v1/sweep/mitigation body, survives losing a worker mid-sweep, and
-// its report payload is exactly what the library's RunMitigationSweep
-// marshals (cmd/mitigate -json output).
+// its report payload is exactly what the local compute marshals
+// (`gpusim sweep mitigation -json` output).
 func TestFleetMitigationMatchesSingleNode(t *testing.T) {
 	_, single := newWorker(t, serve.Options{})
 
@@ -113,22 +111,7 @@ func TestFleetMitigationMatchesSingleNode(t *testing.T) {
 	if env.Kind != "sweep-mitigation" || !resultcache.ValidKey(env.Key) {
 		t.Errorf("mitigation envelope kind=%q key=%q", env.Kind, env.Key)
 	}
-	specs := make([]workload.Spec, 2)
-	for i, n := range []string{"sc", "kmeans"} {
-		if specs[i], err = workload.SpecByName(n); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rep, err := exp.RunMitigationSweep(config.GTX480Baseline(), specs,
-		exp.RunParams{WarmupCycles: 200, WindowCycles: 500, Parallelism: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	local, err := json.Marshal(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(env.Report) != string(local) {
-		t.Errorf("fleet mitigation report differs from RunMitigationSweep:\n got: %s\nwant: %s", env.Report, local)
+	if local := localReport(t, "mitigation", body); string(env.Report) != local {
+		t.Errorf("fleet mitigation report differs from the local compute:\n got: %s\nwant: %s", env.Report, local)
 	}
 }

@@ -3,6 +3,7 @@ package fabric
 import (
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -10,10 +11,8 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/config"
-	"repro/internal/exp"
 	"repro/internal/resultcache"
 	"repro/internal/serve"
-	"repro/internal/workload"
 )
 
 // TestCoordinatorKindErrors: the coordinator's handler validates
@@ -59,8 +58,8 @@ func TestCoordinatorKindErrors(t *testing.T) {
 // the fleet-merged advise sweep — perturbed per-job configs shipped
 // inline to the workers — is byte-identical to a single node's
 // /v1/sweep/advise body, survives losing a worker mid-sweep, and its
-// report payload is exactly what the library's RunAdvise marshals
-// (cmd/advise -json output).
+// report payload is exactly what the local compute marshals
+// (`gpusim sweep advise -json` output).
 func TestFleetAdviseMatchesSingleNode(t *testing.T) {
 	_, single := newWorker(t, serve.Options{})
 
@@ -96,24 +95,33 @@ func TestFleetAdviseMatchesSingleNode(t *testing.T) {
 	if env.Kind != "sweep-advise" || !resultcache.ValidKey(env.Key) {
 		t.Errorf("advise envelope kind=%q key=%q", env.Kind, env.Key)
 	}
-	specs := make([]workload.Spec, 2)
-	for i, n := range []string{"sc", "kmeans"} {
-		if specs[i], err = workload.SpecByName(n); err != nil {
-			t.Fatal(err)
-		}
+	if local := localReport(t, "advise", body); string(env.Report) != local {
+		t.Errorf("fleet advise report differs from the local compute:\n got: %s\nwant: %s", env.Report, local)
 	}
-	rep, err := exp.RunAdvise(config.GTX480Baseline(), specs,
-		exp.RunParams{WarmupCycles: 200, WindowCycles: 500, Parallelism: 2})
+}
+
+// localReport is the report payload a sweep request computes locally
+// through api.ResolveSweep and Sweep.Compute — the bytes
+// `gpusim sweep <kind> -json` prints for the same request.
+func localReport(t *testing.T, kind, body string) string {
+	t.Helper()
+	var req api.JobRequest
+	if err := json.Unmarshal([]byte(body), &req); err != nil {
+		t.Fatal(err)
+	}
+	sw, err := api.ResolveSweep(kind, config.GTX480Baseline(), req, 2, math.MaxInt64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := json.Marshal(rep)
+	rep, err := sw.Compute()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(env.Report) != string(local) {
-		t.Errorf("fleet advise report differs from RunAdvise:\n got: %s\nwant: %s", env.Report, local)
+	data, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return string(data)
 }
 
 // TestCoordinatorHealthzVersions: the coordinator's /healthz carries

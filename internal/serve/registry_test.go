@@ -3,15 +3,14 @@ package serve
 import (
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"strings"
 	"testing"
 
 	"repro/internal/api"
 	"repro/internal/config"
-	"repro/internal/exp"
 	"repro/internal/resultcache"
-	"repro/internal/workload"
 )
 
 // TestSweepKindErrors drives the generic /v1/sweep/{kind} handler
@@ -57,8 +56,8 @@ func TestSweepKindErrors(t *testing.T) {
 
 // TestAdviseEndpoint: POST /v1/advise is the documented alias for
 // /v1/sweep/advise — same bytes, same cache entry — and the report
-// payload is exactly what the library's RunAdvise marshals (which is
-// also what cmd/advise -json prints).
+// payload is exactly what the local compute marshals (which is also
+// what `gpusim sweep advise -json` prints).
 func TestAdviseEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	body := `{"workloads":["sc"],"warmup_cycles":200,"window_cycles":500,"parallelism":2}`
@@ -81,22 +80,33 @@ func TestAdviseEndpoint(t *testing.T) {
 			code, cacheHdr, aliased == fresh)
 	}
 
-	sp, err := workload.SpecByName("sc")
+	if want := localReport(t, "advise", body); string(env.Report) != want {
+		t.Errorf("served advise report differs from the local compute:\n got: %s\nwant: %s", env.Report, want)
+	}
+}
+
+// localReport is the report payload a sweep request computes locally
+// through api.ResolveSweep and Sweep.Compute — the bytes
+// `gpusim sweep <kind> -json` prints for the same request.
+func localReport(t *testing.T, kind, body string) string {
+	t.Helper()
+	var req api.JobRequest
+	if err := json.Unmarshal([]byte(body), &req); err != nil {
+		t.Fatal(err)
+	}
+	sw, err := api.ResolveSweep(kind, config.GTX480Baseline(), req, 2, math.MaxInt64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := exp.RunAdvise(config.GTX480Baseline(), []workload.Spec{sp},
-		exp.RunParams{WarmupCycles: 200, WindowCycles: 500, Parallelism: 2})
+	rep, err := sw.Compute()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := json.Marshal(rep)
+	data, err := json.Marshal(rep)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(env.Report) != string(want) {
-		t.Errorf("served advise report differs from RunAdvise:\n got: %s\nwant: %s", env.Report, want)
-	}
+	return string(data)
 }
 
 // TestRunInlineConfig: /v1/run accepts a complete inline architecture

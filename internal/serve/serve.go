@@ -33,7 +33,7 @@
 // The sweep endpoints are not per-kind handlers: one generic handler
 // walks the internal/api sweep-kind registry, so a kind registered
 // there (bottleneck, scenarios, advise, run, ...) is served here, by
-// the fabric coordinator, and by the CLIs without further wiring.
+// the fabric coordinator, and by `gpusim sweep` without further wiring.
 //
 // Responses carry an X-Cache: hit|miss|peer header; the JSON body of
 // a hit is byte-identical to the body the original miss returned.
@@ -66,7 +66,6 @@ import (
 	"repro/internal/config"
 	"repro/internal/exp"
 	"repro/internal/resultcache"
-	"repro/internal/runner"
 	"repro/internal/workload"
 )
 
@@ -321,12 +320,6 @@ func validateEntry(key string, val []byte) error {
 	return nil
 }
 
-// methodology resolves the request against this server's base and
-// caps.
-func (s *Server) methodology(req JobRequest) (config.Config, exp.RunParams, error) {
-	return api.ResolveMethodology(s.base, req, s.maxParallel, s.maxWindow)
-}
-
 // handleRun measures one workload, serving cached bytes when the job
 // has run before.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
@@ -366,7 +359,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		api.Error(w, http.StatusBadRequest, fmt.Errorf("request needs a workload name or an inline spec"))
 		return
 	}
-	cfg, p, err := s.methodology(req)
+	cfg, p, err := api.ResolveMethodology(s.base, req, s.maxParallel, s.maxWindow)
 	if err != nil {
 		api.Error(w, http.StatusBadRequest, err)
 		return
@@ -423,48 +416,21 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 	s.sweep(w, r, "advise")
 }
 
-// sweep is the one sweep skeleton: look the kind up in the registry,
-// resolve names to specs, content-address the sweep, expand and run
-// the kind's grid under admission control, merge with the kind's pure
-// report half, and serve the stored report bytes.
+// sweep is the one sweep skeleton: resolve the request against the
+// registry, content-address the sweep, compute it under admission
+// control, and serve the stored report bytes.
 func (s *Server) sweep(w http.ResponseWriter, r *http.Request, kindName string) {
-	k, err := api.KindByName(kindName)
-	if err != nil {
-		api.Error(w, http.StatusBadRequest, err)
-		return
-	}
 	req, err := api.DecodeJobRequest(r)
 	if err != nil {
 		api.Error(w, http.StatusBadRequest, err)
 		return
 	}
-	if req.Workload != "" || len(req.Spec) > 0 {
-		api.Error(w, http.StatusBadRequest, fmt.Errorf("sweeps take a workloads list, not workload/spec"))
-		return
-	}
-	names := req.Workloads
-	if len(names) == 0 {
-		if k.Defaults == nil {
-			api.Error(w, http.StatusBadRequest, fmt.Errorf("a %s batch needs an explicit workloads list", k.Name))
-			return
-		}
-		names = k.Defaults()
-	}
-	specs := make([]workload.Spec, len(names))
-	for i, n := range names {
-		sp, err := workload.SpecByName(n)
-		if err != nil {
-			api.Error(w, http.StatusBadRequest, err)
-			return
-		}
-		specs[i] = sp
-	}
-	cfg, p, err := s.methodology(req)
+	sw, err := api.ResolveSweep(kindName, s.base, req, s.maxParallel, s.maxWindow)
 	if err != nil {
 		api.Error(w, http.StatusBadRequest, err)
 		return
 	}
-	key, err := resultcache.SweepKey(k.Name, cfg, specs, p.WarmupCycles, p.WindowCycles)
+	key, err := sw.Key()
 	if err != nil {
 		api.Error(w, http.StatusBadRequest, err)
 		return
@@ -476,7 +442,11 @@ func (s *Server) sweep(w http.ResponseWriter, r *http.Request, kindName string) 
 			return val, nil
 		}
 		return s.runJob(r.Context(), func() ([]byte, error) {
-			return s.computeSweep(k, cfg, specs, p)
+			rep, err := sw.Compute()
+			if err != nil {
+				return nil, err
+			}
+			return json.Marshal(rep)
 		})
 	})
 	if err != nil {
@@ -486,48 +456,7 @@ func (s *Server) sweep(w http.ResponseWriter, r *http.Request, kindName string) 
 	if hit {
 		source = sourceHit
 	}
-	writeEnvelope(w, source, Envelope{
-		Key: key, Kind: k.ResponseKind, Workloads: names,
-		WarmupCycles: p.WarmupCycles, WindowCycles: p.WindowCycles,
-		Report: val,
-	})
-}
-
-// computeSweep executes a sweep kind locally: expand the grid, run it
-// as one batch on the worker pool (per-job configs — the advise grid
-// varies the architecture), and hand the ordered results to the
-// kind's pure merge half. The fabric coordinator runs the same Grid
-// and Report against fleet-collected results, which is what makes a
-// fleet-merged report byte-identical to this one.
-func (s *Server) computeSweep(k api.Kind, cfg config.Config, specs []workload.Spec, p exp.RunParams) ([]byte, error) {
-	grid, err := k.Grid(cfg, specs)
-	if err != nil {
-		return nil, err
-	}
-	jobs := make([]runner.Job, len(grid))
-	for i, g := range grid {
-		jobs[i] = runner.Job{
-			Config: g.Config, Workload: g.Spec,
-			WarmupCycles: p.WarmupCycles, WindowCycles: p.WindowCycles,
-		}
-	}
-	results, err := runner.Run(context.Background(), jobs, runner.Options{Parallelism: p.Parallelism})
-	if err != nil {
-		return nil, err
-	}
-	res := make([]api.GridResult, len(grid))
-	for i, g := range grid {
-		jobKey, err := resultcache.JobKey(g.Config, g.Spec, p.WarmupCycles, p.WindowCycles)
-		if err != nil {
-			return nil, err
-		}
-		enc, err := exp.EncodeResults(results[i])
-		if err != nil {
-			return nil, err
-		}
-		res[i] = api.GridResult{Key: jobKey, Encoded: enc, Results: results[i]}
-	}
-	return k.Report(cfg, specs, p, grid, res)
+	writeEnvelope(w, source, sw.Envelope(key, val))
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {

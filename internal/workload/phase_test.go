@@ -227,7 +227,7 @@ func TestFlatten(t *testing.T) {
 		t.Fatalf("flattened spec invalid: %v", err)
 	}
 	// Per-phase DepDist overrides are duration-weighted into the
-	// control, so RunScenarioSweep's comparison isolates the phase
+	// control, so the scenarios sweep's comparison isolates the phase
 	// structure, not a dependency-distance difference.
 	over := phasedSpec()
 	over.DepDist = 1

@@ -4,7 +4,7 @@ package workload
 // behaviour shifts over time — the case the paper's single-window
 // methodology averages away and Ausavarungnirun et al. motivate
 // modelling explicitly. Each one alternates phases that stress
-// different levels of the hierarchy; exp.RunScenarioSweep compares
+// different levels of the hierarchy; the scenarios sweep compares
 // every scenario against its Flatten() fixed-mix control.
 func init() {
 	register(Spec{

@@ -300,7 +300,7 @@ func (p PhaseSpec) validate() error {
 // single-phase spec with the duration-weighted mean of every scalar
 // knob and the longest phase's access pattern. Comparing a scenario
 // against its Flatten shows what the phase structure alone costs or
-// buys (exp.RunScenarioSweep); single-phase specs flatten to
+// buys (the scenarios sweep); single-phase specs flatten to
 // themselves.
 func (s Spec) Flatten() Spec {
 	if len(s.Phases) == 0 {

@@ -52,9 +52,9 @@ fi
 go run ./cmd/gpusim -workload sc,cfd -warmup 2000 -window 5000 -seed 1 -j "$J" > "$OUT/gpusim-sc-cfd.golden"
 go run ./cmd/gpusim -workload kmeans -warmup 2000 -window 5000 -seed 1 -j "$J" > "$OUT/gpusim-kmeans.golden"
 go run ./cmd/latsweep -workloads sc,cfd -max 400 -step 200 -warmup 2000 -window 5000 -j "$LJ" > "$OUT/latsweep-sc-cfd.golden"
-go run ./cmd/bottleneck -workloads sc,leukocyte,kmeans -warmup 2000 -window 5000 -seed 1 -j "$J" > "$OUT/bottleneck.golden"
-go run ./cmd/advise -workloads sc,kmeans -warmup 2000 -window 5000 -seed 1 -j "$J" > "$OUT/advise.golden"
-go run ./cmd/mitigate -workloads kmeans,bfs -warmup 2000 -window 5000 -seed 1 -j "$J" > "$OUT/mitigation.golden"
+go run ./cmd/gpusim sweep bottleneck -workloads sc,leukocyte,kmeans -warmup 2000 -window 5000 -seed 1 -j "$J" > "$OUT/bottleneck.golden"
+go run ./cmd/gpusim sweep advise -workloads sc,kmeans -warmup 2000 -window 5000 -seed 1 -j "$J" > "$OUT/advise.golden"
+go run ./cmd/gpusim sweep mitigation -workloads kmeans,bfs -warmup 2000 -window 5000 -seed 1 -j "$J" > "$OUT/mitigation.golden"
 
 # The fabric golden pins a fleet-merged sweep body (coordinator over
 # three in-process workers). Its test owns the regeneration because
