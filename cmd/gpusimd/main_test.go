@@ -3,6 +3,7 @@ package main_test
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"io"
 	"net/http"
 	"os/exec"
@@ -12,6 +13,8 @@ import (
 	"time"
 
 	"repro/internal/clitest"
+	"repro/internal/config"
+	"repro/internal/workload"
 )
 
 // startDaemon launches gpusimd on a free port and returns its base
@@ -117,5 +120,33 @@ func TestGpusimdSmoke(t *testing.T) {
 	code, cache, reloaded := postJSON(t, url2+"/v1/run", run)
 	if code != http.StatusOK || cache != "hit" || reloaded != fresh {
 		t.Fatalf("persisted cache not reused: code=%d cache=%s identical=%v", code, cache, reloaded == fresh)
+	}
+}
+
+// TestGpusimdRejectsWarpLimitAboveMask: a config whose
+// core.max_warps_per_sm exceeds the warp scheduler's 64-bit masks used
+// to pass validation and the request's warp check, then panic in the
+// simulator (a 500 the fleet would retry elsewhere). It is a 400 that
+// names the field.
+func TestGpusimdRejectsWarpLimitAboveMask(t *testing.T) {
+	bin := clitest.Build(t, "repro/cmd/gpusimd")
+	_, url, _ := startDaemon(t, bin, "-cache-dir", t.TempDir())
+
+	cfg := config.GTX480Baseline()
+	cfg.Core.MaxWarpsPerSM = 100
+	spec, err := workload.SpecByName("sc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.SpecName, spec.Warps = "wide", 80
+	body, err := json.Marshal(map[string]any{
+		"spec": spec, "config": cfg, "warmup_cycles": 200, "window_cycles": 500,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, _, resp := postJSON(t, url+"/v1/run", string(body))
+	if code != http.StatusBadRequest || !strings.Contains(resp, "core.max_warps_per_sm") {
+		t.Fatalf("got %d %s, want 400 naming core.max_warps_per_sm", code, resp)
 	}
 }

@@ -43,12 +43,35 @@ func (s LineState) String() string {
 	}
 }
 
+// line is one way. meta packs the line's state (bits 0-1), its dirty
+// flag (bit 2) and its replacement stamp (bits 3 and up): the
+// reservation, fill and (under LRU only) hit cycles each overwrite the
+// stamp, so it is the last use for LRU and the fill time for FIFO.
+// Stamps are cycle numbers, non-negative and far below 2^61, so a line
+// fits 16 bytes.
 type line struct {
-	tag      uint64
-	state    LineState
-	dirty    bool
-	lastUse  int64 // LRU timestamp
-	fillTime int64 // FIFO timestamp (reservation time)
+	tag  uint64
+	meta uint64
+}
+
+const (
+	stateMask  = 3
+	dirtyBit   = 4
+	stampShift = 3
+)
+
+func newLine(tag uint64, s LineState, now int64) line {
+	return line{tag: tag, meta: uint64(now)<<stampShift | uint64(s)}
+}
+
+func (l *line) state() LineState { return LineState(l.meta & stateMask) }
+func (l *line) dirty() bool      { return l.meta&dirtyBit != 0 }
+func (l *line) stamp() int64     { return int64(l.meta >> stampShift) }
+
+func (l *line) setState(s LineState) { l.meta = l.meta&^stateMask | uint64(s) }
+func (l *line) markDirty()           { l.meta |= dirtyBit }
+func (l *line) setStamp(now int64) {
+	l.meta = l.meta&(stateMask|dirtyBit) | uint64(now)<<stampShift
 }
 
 // VictimPolicy biases Reserve's victim selection (the L2
@@ -109,13 +132,18 @@ func (s Stats) MissRate() float64 {
 }
 
 // Cache is a set-associative tag array. It tracks tags and states only
-// (no data payloads — the simulator is timing-only).
+// (no data payloads — the simulator is timing-only). Owners hold it by
+// value, so a cache costs one allocation, its tag array; a Cache must
+// not be copied once in use (copies share the array).
 type Cache struct {
-	cfg       Config
-	sets      [][]line
+	cfg Config
+	// lines holds every set's ways, set-major, in one slab: set i is
+	// lines[i*Ways : (i+1)*Ways] (set).
+	lines     []line
 	setShift  uint
 	setMask   uint64
-	rng       *rand.Rand
+	lru       bool     // hits refresh line stamps
+	pcg       rand.PCG // the random policy's draws
 	stats     Stats
 	lineShift uint
 	// hits counts reuse per way (set-major), reset when the way is
@@ -125,7 +153,7 @@ type Cache struct {
 }
 
 // New builds a cache. Sets and LineSize must be powers of two.
-func New(cfg Config) *Cache {
+func New(cfg Config) Cache {
 	if cfg.Sets <= 0 || cfg.Sets&(cfg.Sets-1) != 0 {
 		panic(fmt.Sprintf("cache: sets must be a power of two, got %d", cfg.Sets))
 	}
@@ -140,19 +168,15 @@ func New(cfg Config) *Cache {
 	default:
 		panic(fmt.Sprintf("cache: unknown replacement policy %q", cfg.Replacement))
 	}
-	sets := make([][]line, cfg.Sets)
-	backing := make([]line, cfg.Sets*cfg.Ways)
-	for i := range sets {
-		sets[i], backing = backing[:cfg.Ways:cfg.Ways], backing[cfg.Ways:]
-	}
-	c := &Cache{
+	c := Cache{
 		cfg:       cfg,
-		sets:      sets,
+		lines:     make([]line, cfg.Sets*cfg.Ways),
 		setShift:  uint(bits.TrailingZeros(uint(cfg.LineSize))),
 		setMask:   uint64(cfg.Sets - 1),
+		lru:       cfg.Replacement == "lru",
 		lineShift: uint(bits.TrailingZeros(uint(cfg.LineSize))),
-		rng:       rand.New(rand.NewPCG(cfg.Seed, 0xcac4e)),
 	}
+	c.pcg.Seed(cfg.Seed, 0xcac4e)
 	if cfg.Victim != nil {
 		c.hits = make([]int64, cfg.Sets*cfg.Ways)
 	}
@@ -161,6 +185,12 @@ func New(cfg Config) *Cache {
 
 // Stats returns a copy of the event counters.
 func (c *Cache) Stats() Stats { return c.stats }
+
+// set returns the ways of set i.
+func (c *Cache) set(i int) []line {
+	w := c.cfg.Ways
+	return c.lines[i*w : (i+1)*w : (i+1)*w]
+}
 
 // SetIndex returns the set an address maps to.
 func (c *Cache) SetIndex(addr uint64) int {
@@ -202,23 +232,25 @@ func (r AccessResult) String() string {
 func (c *Cache) Lookup(addr uint64, isWrite bool, now int64) AccessResult {
 	c.stats.Accesses++
 	setIdx := c.SetIndex(addr)
-	set := c.sets[setIdx]
+	set := c.set(setIdx)
 	tag := c.tag(addr)
 	for i := range set {
 		ln := &set[i]
-		if ln.state == Invalid || ln.tag != tag {
+		if ln.state() == Invalid || ln.tag != tag {
 			continue
 		}
-		if ln.state == Reserved {
+		if ln.state() == Reserved {
 			c.stats.HitsReserved++
 			return HitReserved
 		}
-		ln.lastUse = now
+		if c.lru {
+			ln.setStamp(now)
+		}
 		if c.hits != nil {
 			c.hits[setIdx*c.cfg.Ways+i]++
 		}
 		if isWrite && c.cfg.WriteBack {
-			ln.dirty = true
+			ln.markDirty()
 		}
 		c.stats.Hits++
 		return Hit
@@ -241,13 +273,13 @@ type Victim struct {
 // A dirty Valid victim is returned for write-back.
 func (c *Cache) Reserve(addr uint64, now int64) (v Victim, evicted, ok bool) {
 	setIdx := c.SetIndex(addr)
-	set := c.sets[setIdx]
+	set := c.set(setIdx)
 	tag := c.tag(addr)
 
 	// Prefer an Invalid way.
 	for i := range set {
-		if set[i].state == Invalid {
-			set[i] = line{tag: tag, state: Reserved, fillTime: now, lastUse: now}
+		if set[i].state() == Invalid {
+			set[i] = newLine(tag, Reserved, now)
 			if c.hits != nil {
 				c.hits[setIdx*c.cfg.Ways+i] = 0
 			}
@@ -263,14 +295,14 @@ func (c *Cache) Reserve(addr uint64, now int64) (v Victim, evicted, ok bool) {
 	}
 	old := set[victimIdx]
 	c.stats.Evictions++
-	if old.dirty {
+	if old.dirty() {
 		c.stats.DirtyEvictions++
 	}
-	set[victimIdx] = line{tag: tag, state: Reserved, fillTime: now, lastUse: now}
+	set[victimIdx] = newLine(tag, Reserved, now)
 	if c.hits != nil {
 		c.hits[setIdx*c.cfg.Ways+victimIdx] = 0
 	}
-	return Victim{Addr: old.tag << c.setShift, Dirty: old.dirty}, true, true
+	return Victim{Addr: old.tag << c.setShift, Dirty: old.dirty()}, true, true
 }
 
 // pickVictim chooses the Valid way to evict. With a VictimPolicy
@@ -295,36 +327,28 @@ func (c *Cache) victimAmong(setIdx int, set []line, filtered bool) int {
 	}
 	victimIdx := -1
 	switch c.cfg.Replacement {
-	case "lru":
+	case "lru", "fifo":
 		var oldest int64
 		for i := range set {
-			if set[i].state != Valid || protected(i) {
+			if set[i].state() != Valid || protected(i) {
 				continue
 			}
-			if victimIdx == -1 || set[i].lastUse < oldest {
-				victimIdx, oldest = i, set[i].lastUse
-			}
-		}
-	case "fifo":
-		var oldest int64
-		for i := range set {
-			if set[i].state != Valid || protected(i) {
-				continue
-			}
-			if victimIdx == -1 || set[i].fillTime < oldest {
-				victimIdx, oldest = i, set[i].fillTime
+			if victimIdx == -1 || set[i].stamp() < oldest {
+				victimIdx, oldest = i, set[i].stamp()
 			}
 		}
 	case "random":
 		valid := make([]int, 0, len(set))
 		for i := range set {
-			if set[i].state != Valid || protected(i) {
+			if set[i].state() != Valid || protected(i) {
 				continue
 			}
 			valid = append(valid, i)
 		}
 		if len(valid) > 0 {
-			victimIdx = valid[c.rng.IntN(len(valid))]
+			// A Rand holds nothing but its source, so a fresh one
+			// over the cache's PCG draws exactly what a kept one would.
+			victimIdx = valid[rand.New(&c.pcg).IntN(len(valid))]
 		}
 	}
 	return victimIdx
@@ -335,15 +359,14 @@ func (c *Cache) victimAmong(setIdx int, set []line, filtered bool) int {
 // store miss on a write-back cache). Filling a line that is not
 // Reserved is a simulator bug and panics.
 func (c *Cache) Fill(addr uint64, now int64, makeDirty bool) {
-	set := c.sets[c.SetIndex(addr)]
+	set := c.set(c.SetIndex(addr))
 	tag := c.tag(addr)
 	for i := range set {
-		if set[i].tag == tag && set[i].state == Reserved {
-			set[i].state = Valid
-			set[i].lastUse = now
-			set[i].fillTime = now
+		if set[i].tag == tag && set[i].state() == Reserved {
+			set[i].setState(Valid)
+			set[i].setStamp(now)
 			if makeDirty && c.cfg.WriteBack {
-				set[i].dirty = true
+				set[i].markDirty()
 			}
 			return
 		}
@@ -353,11 +376,11 @@ func (c *Cache) Fill(addr uint64, now int64, makeDirty bool) {
 
 // State returns the state of the line holding addr, or Invalid.
 func (c *Cache) State(addr uint64) LineState {
-	set := c.sets[c.SetIndex(addr)]
+	set := c.set(c.SetIndex(addr))
 	tag := c.tag(addr)
 	for i := range set {
-		if set[i].state != Invalid && set[i].tag == tag {
-			return set[i].state
+		if set[i].state() != Invalid && set[i].tag == tag {
+			return set[i].state()
 		}
 	}
 	return Invalid
@@ -367,11 +390,9 @@ func (c *Cache) State(addr uint64) LineState {
 // used by tests and occupancy diagnostics.
 func (c *Cache) CountState(s LineState) int {
 	n := 0
-	for _, set := range c.sets {
-		for i := range set {
-			if set[i].state == s {
-				n++
-			}
+	for i := range c.lines {
+		if c.lines[i].state() == s {
+			n++
 		}
 	}
 	return n
@@ -387,13 +408,13 @@ func (c *Cache) ResetStats() { c.stats = Stats{} }
 // blocked requests that retry every cycle must not inflate the
 // hit/miss counters.
 func (c *Cache) Probe(addr uint64) AccessResult {
-	set := c.sets[c.SetIndex(addr)]
+	set := c.set(c.SetIndex(addr))
 	tag := c.tag(addr)
 	for i := range set {
-		if set[i].state == Invalid || set[i].tag != tag {
+		if set[i].state() == Invalid || set[i].tag != tag {
 			continue
 		}
-		if set[i].state == Reserved {
+		if set[i].state() == Reserved {
 			return HitReserved
 		}
 		return Hit
@@ -411,22 +432,24 @@ func (c *Cache) Probe(addr uint64) AccessResult {
 // usual Lookup.
 func (c *Cache) ProbeAndConsumeHit(addr uint64, isWrite bool, now int64) AccessResult {
 	setIdx := c.SetIndex(addr)
-	set := c.sets[setIdx]
+	set := c.set(setIdx)
 	tag := c.tag(addr)
 	for i := range set {
 		ln := &set[i]
-		if ln.state == Invalid || ln.tag != tag {
+		if ln.state() == Invalid || ln.tag != tag {
 			continue
 		}
-		if ln.state == Reserved {
+		if ln.state() == Reserved {
 			return HitReserved
 		}
-		ln.lastUse = now
+		if c.lru {
+			ln.setStamp(now)
+		}
 		if c.hits != nil {
 			c.hits[setIdx*c.cfg.Ways+i]++
 		}
 		if isWrite && c.cfg.WriteBack {
-			ln.dirty = true
+			ln.markDirty()
 		}
 		c.stats.Accesses++
 		c.stats.Hits++
@@ -438,9 +461,9 @@ func (c *Cache) ProbeAndConsumeHit(addr uint64, isWrite bool, now int64) AccessR
 // CanReserve reports whether Reserve for addr would succeed: the set
 // has an Invalid way or an evictable Valid way.
 func (c *Cache) CanReserve(addr uint64) bool {
-	set := c.sets[c.SetIndex(addr)]
+	set := c.set(c.SetIndex(addr))
 	for i := range set {
-		if set[i].state != Reserved {
+		if set[i].state() != Reserved {
 			return true
 		}
 	}

@@ -11,17 +11,23 @@ import (
 // entry. Exhaustion of entries or merge slots is a structural stall —
 // the paper's §I implication ② ("prolonged contention of cache
 // resources such as MSHRs ... serializes succeeding requests").
+//
+// The table is built whole at construction, in three allocations: the
+// entries, their request lists (one slab, maxMerge slots per entry)
+// and the line index. Allocate and Release only move entries within
+// it, so an MSHR allocates nothing after NewMSHR. Owners hold it by
+// value; it must not be copied once in use.
 type MSHR struct {
-	// lines and live are parallel: lines[i] is live[i].LineAddr. The
-	// table is searched linearly over the compact lines slice — with
-	// at most maxEntry (32–128) live misses, and usually far fewer, a
-	// cache-friendly word scan beats a map lookup on the hot
+	// lines and entries are parallel over the live prefix: the first
+	// len(lines) entries are live, and lines[i] is entries[i].LineAddr.
+	// The table is searched linearly over the compact lines slice —
+	// with at most maxEntry (32–128) live misses, and usually far
+	// fewer, a cache-friendly word scan beats a map lookup on the hot
 	// allocate/release path. Slot order is not meaningful (Release
-	// swap-removes); nothing iterates the table.
+	// swaps the released entry past the live prefix); nothing iterates
+	// the table.
 	lines    []uint64
-	live     []*MSHREntry
-	free     []*MSHREntry // released entries, reused by Allocate
-	maxEntry int
+	entries  []MSHREntry
 	maxMerge int
 	stats    MSHRStats
 }
@@ -78,14 +84,18 @@ func (r AllocResult) String() string {
 
 // NewMSHR builds a table with maxEntry entries and maxMerge requests
 // per entry (the primary miss counts toward maxMerge).
-func NewMSHR(maxEntry, maxMerge int) *MSHR {
+func NewMSHR(maxEntry, maxMerge int) MSHR {
 	if maxEntry <= 0 || maxMerge <= 0 {
 		panic(fmt.Sprintf("mshr: sizes must be positive, got %d/%d", maxEntry, maxMerge))
 	}
-	return &MSHR{
+	entries := make([]MSHREntry, maxEntry)
+	reqs := make([]*mem.Request, maxEntry*maxMerge)
+	for i := range entries {
+		entries[i].Requests = reqs[i*maxMerge : i*maxMerge : (i+1)*maxMerge]
+	}
+	return MSHR{
 		lines:    make([]uint64, 0, maxEntry),
-		live:     make([]*MSHREntry, 0, maxEntry),
-		maxEntry: maxEntry,
+		entries:  entries,
 		maxMerge: maxMerge,
 	}
 }
@@ -103,7 +113,7 @@ func (m *MSHR) find(lineAddr uint64) int {
 // Allocate records a miss on lineAddr for req.
 func (m *MSHR) Allocate(lineAddr uint64, req *mem.Request, now int64) AllocResult {
 	if i := m.find(lineAddr); i >= 0 {
-		e := m.live[i]
+		e := &m.entries[i]
 		if len(e.Requests) >= m.maxMerge {
 			m.stats.MergeFails++
 			return AllocStallMerge
@@ -112,38 +122,28 @@ func (m *MSHR) Allocate(lineAddr uint64, req *mem.Request, now int64) AllocResul
 		m.stats.Merges++
 		return AllocMerged
 	}
-	if len(m.live) >= m.maxEntry {
+	n := len(m.lines)
+	if n >= len(m.entries) {
 		m.stats.FullStalls++
 		return AllocStallFull
 	}
-	var e *MSHREntry
-	if n := len(m.free); n > 0 {
-		e = m.free[n-1]
-		m.free = m.free[:n-1]
-		e.LineAddr = lineAddr
-		e.Requests = append(e.Requests[:0], req)
-		e.AllocCycle = now
-	} else {
-		e = &MSHREntry{
-			LineAddr:   lineAddr,
-			Requests:   make([]*mem.Request, 1, 4),
-			AllocCycle: now,
-		}
-		e.Requests[0] = req
-	}
+	e := &m.entries[n]
+	e.LineAddr = lineAddr
+	e.Requests = append(e.Requests[:0], req)
+	e.AllocCycle = now
 	m.lines = append(m.lines, lineAddr)
-	m.live = append(m.live, e)
 	m.stats.Allocs++
-	if n := len(m.live); n > m.stats.PeakUsed {
-		m.stats.PeakUsed = n
+	if n+1 > m.stats.PeakUsed {
+		m.stats.PeakUsed = n + 1
 	}
 	return AllocNew
 }
 
-// Lookup returns the entry for lineAddr, or nil.
+// Lookup returns the entry for lineAddr, or nil. The pointer is valid
+// until the next Allocate or Release.
 func (m *MSHR) Lookup(lineAddr uint64) *MSHREntry {
 	if i := m.find(lineAddr); i >= 0 {
-		return m.live[i]
+		return &m.entries[i]
 	}
 	return nil
 }
@@ -160,32 +160,29 @@ func (m *MSHR) Release(lineAddr uint64) []*mem.Request {
 	if i < 0 {
 		panic(fmt.Sprintf("mshr: Release(%#x) without entry", lineAddr))
 	}
-	e := m.live[i]
-	last := len(m.live) - 1
+	last := len(m.lines) - 1
 	m.lines[i] = m.lines[last]
-	m.live[i] = m.live[last]
 	m.lines = m.lines[:last]
-	m.live = m.live[:last]
-	m.free = append(m.free, e)
-	return e.Requests
+	m.entries[i], m.entries[last] = m.entries[last], m.entries[i]
+	return m.entries[last].Requests
 }
 
 // Used returns the number of live entries.
-func (m *MSHR) Used() int { return len(m.live) }
+func (m *MSHR) Used() int { return len(m.lines) }
 
 // Full reports whether no entry can be allocated.
-func (m *MSHR) Full() bool { return len(m.live) >= m.maxEntry }
+func (m *MSHR) Full() bool { return len(m.lines) >= len(m.entries) }
 
 // Stats returns a copy of the event counters.
 func (m *MSHR) Stats() MSHRStats { return m.stats }
 
 // ResetStats zeroes the event counters for a new measurement window;
 // live entries are untouched and seed the new peak.
-func (m *MSHR) ResetStats() { m.stats = MSHRStats{PeakUsed: len(m.live)} }
+func (m *MSHR) ResetStats() { m.stats = MSHRStats{PeakUsed: len(m.lines)} }
 
 // CanMerge reports whether a secondary miss on lineAddr could merge
 // into the existing entry without stalling.
 func (m *MSHR) CanMerge(lineAddr uint64) bool {
 	i := m.find(lineAddr)
-	return i >= 0 && len(m.live[i].Requests) < m.maxMerge
+	return i >= 0 && len(m.entries[i].Requests) < m.maxMerge
 }

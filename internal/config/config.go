@@ -306,6 +306,11 @@ func (d DRAMConfig) BurstCycles(lineSize int) int64 {
 	return int64((lineSize + bpc - 1) / bpc)
 }
 
+// MaxWarpsPerSM is the largest core.max_warps_per_sm Validate
+// accepts: the SM's warp scheduler keeps its ready and memory masks in
+// one 64-bit word each.
+const MaxWarpsPerSM = 64
+
 // Validate checks structural invariants and returns a descriptive error
 // for the first violation found.
 func (c Config) Validate() error {
@@ -360,6 +365,10 @@ func (c Config) Validate() error {
 		if err := pos(ch.name, ch.v); err != nil {
 			return err
 		}
+	}
+	if c.Core.MaxWarpsPerSM > MaxWarpsPerSM {
+		return fmt.Errorf("config: core.max_warps_per_sm must be <= %d (the warp scheduler's mask width), got %d",
+			MaxWarpsPerSM, c.Core.MaxWarpsPerSM)
 	}
 	if c.L1.LineSize != c.L2.LineSize {
 		return fmt.Errorf("config: L1 line size %d != L2 line size %d", c.L1.LineSize, c.L2.LineSize)

@@ -212,3 +212,19 @@ func TestTableIHasThirteenRows(t *testing.T) {
 		t.Errorf("group counts = %v", groups)
 	}
 }
+
+// TestValidateMaxWarpsBound rejects warp limits the SM's warp
+// scheduler cannot hold, so such a config fails here instead of
+// panicking when the simulator is built.
+func TestValidateMaxWarpsBound(t *testing.T) {
+	c := GTX480Baseline()
+	c.Core.MaxWarpsPerSM = MaxWarpsPerSM
+	if err := c.Validate(); err != nil {
+		t.Fatalf("max_warps_per_sm %d rejected: %v", MaxWarpsPerSM, err)
+	}
+	c.Core.MaxWarpsPerSM = MaxWarpsPerSM + 1
+	err := c.Validate()
+	if err == nil || !strings.Contains(err.Error(), "core.max_warps_per_sm") {
+		t.Fatalf("max_warps_per_sm %d: got %v, want an error naming the field", MaxWarpsPerSM+1, err)
+	}
+}

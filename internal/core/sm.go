@@ -42,20 +42,16 @@ type Backend interface {
 
 // loadTracker follows one load instruction's outstanding transactions.
 type loadTracker struct {
-	remaining int   // transactions still in flight
 	blockIdx  int64 // first dependent instruction index
+	remaining int32 // transactions still in flight
 	warp      int32 // owning warp id (readiness re-evaluation target)
 }
 
 // warp is one resident warp's execution state.
 type warp struct {
-	id     int
 	stream InstrStream
 	cur    Instr // fetched but unissued instruction
-	hasCur bool
-	idx    int64 // dynamic instruction index
-	loads  []*loadTracker
-	issued int64
+	idx    int64 // dynamic instruction index: instructions issued so far
 	// minBlock is a lower bound on the smallest blockIdx among active
 	// trackers (math.MaxInt64 with none): while idx stays below it the
 	// scheduler skips the scoreboard scan entirely. It is maintained
@@ -64,11 +60,21 @@ type warp struct {
 	minBlock int64
 	// blkBy caches the tracker found blocking this warp, making the
 	// (very common) still-blocked recheck a single counter load. It
-	// always points at one of w.loads, and blocked() clears it the
-	// moment the tracker completes — before pruneLoads could recycle
-	// it — so it never dangles into the tracker free list.
+	// always points at one of the pending loads, and blocked() clears
+	// it the moment the tracker completes — before pruneLoads could
+	// recycle it — so it never dangles into the tracker free list.
 	blkBy *loadTracker
+	// loads[:nloads] are the outstanding load trackers: a warp never
+	// has more than maxPendingLoadsPerWarp (evalWarp withholds
+	// readiness at the limit), so the list lives in the warp.
+	loads  [maxPendingLoadsPerWarp]*loadTracker
+	id     int32
+	nloads uint8
+	hasCur bool
 }
+
+// pending returns the warp's outstanding load trackers.
+func (w *warp) pending() []*loadTracker { return w.loads[:w.nloads] }
 
 // fetch ensures w.cur holds the next instruction and returns it.
 func (w *warp) fetch() *Instr {
@@ -92,7 +98,7 @@ func (w *warp) blocked() bool {
 		return false
 	}
 	min := int64(math.MaxInt64)
-	for _, lt := range w.loads {
+	for _, lt := range w.pending() {
 		if lt.remaining == 0 {
 			continue
 		}
@@ -156,8 +162,9 @@ func (s Stats) IPC() float64 {
 
 // SM is one streaming multiprocessor.
 type SM struct {
-	id  int
-	cfg config.Config
+	id         int
+	hitLatency int64 // cfg.L1.HitLatency
+	issueWidth int   // cfg.Core.IssueWidth
 
 	// warps lives in one contiguous value slice (not a slice of
 	// pointers) so the scheduler's hot state walks cache lines, not
@@ -187,11 +194,11 @@ type SM struct {
 	mayBypass bool
 	mshrCap   int
 
-	l1      *cache.Cache
-	mshr    *cache.MSHR
-	ldstQ   *queue.Queue[tx]
-	missQ   *queue.Queue[*mem.Request]
-	respQ   *queue.Queue[*mem.Packet]
+	l1      cache.Cache
+	mshr    cache.MSHR
+	ldstQ   queue.Queue[tx]
+	missQ   queue.Queue[*mem.Request]
+	respQ   queue.Queue[*mem.Packet]
 	drain   memDrain // active memory instruction (single issue register)
 	drainOn bool
 	hitPipe queue.Ring[hitDone]
@@ -201,11 +208,14 @@ type SM struct {
 	lineSize uint64
 	stats    Stats
 	stalls   stats.StallBreakdown // per-cycle issue-slot attribution
-	missLat  *stats.Sampler       // L1 miss round-trip latency, core cycles
+	missLat  stats.Sampler        // L1 miss round-trip latency, core cycles
 
-	pool        *mem.Pool      // request/packet recycling (nil: plain allocation)
-	coalesceBuf []uint64       // scratch for the coalescer (one drain at a time)
-	trackerFree []*loadTracker // loadTracker free list
+	pool     *mem.Pool                 // request/packet recycling (nil: plain allocation)
+	trackers mem.FreeList[loadTracker] // loadTracker recycling, chunked
+	// coalesceBuf is scratch for the coalescer (one drain at a time),
+	// in coalesceArr: a warp access coalesces to at most 32 lines.
+	coalesceBuf []uint64
+	coalesceArr [32]uint64
 
 	// asleep marks a sleeping SM: its last full Tick made no progress
 	// (progress stayed false), so every later full Tick would repeat
@@ -249,15 +259,19 @@ type SM struct {
 	ticks int64
 }
 
-// NewSM builds SM id with the given warp instruction streams. nextID
-// is the request-ID counter: shared by every SM and L2 partition of a
-// full-hierarchy GPU, the SM's own in Fig. 1 mode.
+// NewSM builds SM id with the given warp instruction streams, which it
+// copies (the caller may reuse the slice). nextID is the request-ID
+// counter: shared by every SM and L2 partition of a full-hierarchy
+// GPU, the SM's own in Fig. 1 mode. Everything the SM holds is sized
+// here from the config — the SM, its warps, L1, MSHR table, queues and
+// sampler take a handful of allocations — so its warm-up adds only
+// ring growth and load-tracker chunks.
 func NewSM(id int, cfg config.Config, streams []InstrStream, backend Backend, nextID *uint64) *SM {
 	if len(streams) == 0 || len(streams) > cfg.Core.MaxWarpsPerSM {
 		panic(fmt.Sprintf("core: warp count %d out of range 1..%d", len(streams), cfg.Core.MaxWarpsPerSM))
 	}
-	if len(streams) > 64 {
-		panic(fmt.Sprintf("core: ready-mask scheduler supports at most 64 warps per SM, got %d", len(streams)))
+	if len(streams) > config.MaxWarpsPerSM {
+		panic(fmt.Sprintf("core: ready-mask scheduler supports at most %d warps per SM, got %d", config.MaxWarpsPerSM, len(streams)))
 	}
 	// The issue seam defaults to the classic scheduler knob; a
 	// non-empty Policy.Issue (e.g. "throttle") overrides it. Unknown
@@ -281,31 +295,32 @@ func NewSM(id int, cfg config.Config, streams []InstrStream, backend Backend, ne
 	}
 	warps := make([]warp, len(streams))
 	for i, s := range streams {
-		warps[i] = warp{id: i, stream: s}
+		warps[i] = warp{id: int32(i), stream: s}
 	}
 	sm := &SM{
-		id:        id,
-		cfg:       cfg,
-		warps:     warps,
-		issuePol:  issuePol,
-		fillPol:   fillPol,
-		mayBypass: fillPol.MayBypass(),
-		mshrCap:   cfg.L1.MSHREntries,
+		id:         id,
+		hitLatency: cfg.L1.HitLatency,
+		issueWidth: cfg.Core.IssueWidth,
+		warps:      warps,
+		issuePol:   issuePol,
+		fillPol:    fillPol,
+		mayBypass:  fillPol.MayBypass(),
+		mshrCap:    cfg.L1.MSHREntries,
 		l1: cache.New(cache.Config{
 			Sets: cfg.L1.Sets, Ways: cfg.L1.Ways, LineSize: cfg.L1.LineSize,
 			Replacement: cfg.L1.Replacement, WriteBack: false,
 			Seed: cfg.Seed + uint64(id)*104729,
 		}),
-		mshr:        cache.NewMSHR(cfg.L1.MSHREntries, cfg.L1.MSHRMaxMerge),
-		backend:     backend,
-		nextID:      nextID,
-		lineSize:    uint64(cfg.L1.LineSize),
-		missLat:     stats.NewSampler(8192, 128),
-		coalesceBuf: make([]uint64, 0, 32),
+		mshr:     cache.NewMSHR(cfg.L1.MSHREntries, cfg.L1.MSHRMaxMerge),
+		backend:  backend,
+		nextID:   nextID,
+		lineSize: uint64(cfg.L1.LineSize),
+		missLat:  stats.NewSampler(8192, 128),
 	}
-	sm.ldstQ = queue.New[tx](fmt.Sprintf("sm%d.ldst", id), cfg.Core.MemPipelineWidth, &sm.ticks)
-	sm.missQ = queue.New[*mem.Request](fmt.Sprintf("sm%d.miss", id), cfg.L1.MissQueue, &sm.ticks)
-	sm.respQ = queue.New[*mem.Packet](fmt.Sprintf("sm%d.resp", id), cfg.Core.ResponseQueue, &sm.ticks)
+	sm.ldstQ = queue.New[tx]("sm.ldst", cfg.Core.MemPipelineWidth, &sm.ticks)
+	sm.missQ = queue.New[*mem.Request]("sm.miss", cfg.L1.MissQueue, &sm.ticks)
+	sm.respQ = queue.New[*mem.Packet]("sm.resp", cfg.Core.ResponseQueue, &sm.ticks)
+	sm.coalesceBuf = sm.coalesceArr[:0]
 	// Prime the readiness masks. This fetches each warp's first
 	// instruction; streams are private per warp, so consuming them at
 	// construction instead of first issue changes nothing observable.
@@ -346,7 +361,7 @@ func (s *SM) CacheStats() cache.Stats { return s.l1.Stats() }
 func (s *SM) MSHRStats() cache.MSHRStats { return s.mshr.Stats() }
 
 // MissLatency samples the L1-miss round trip (miss issue → fill).
-func (s *SM) MissLatency() *stats.Sampler { return s.missLat }
+func (s *SM) MissLatency() *stats.Sampler { return &s.missLat }
 
 // MissQueueUsage exposes the L1 miss-queue occupancy tracker.
 func (s *SM) MissQueueUsage() *stats.QueueUsage { return s.missQ.Usage() }
@@ -540,7 +555,7 @@ func (s *SM) accessL1(cycle int64) {
 	// HitReserved/Miss count nothing until their gates pass.
 	switch s.l1.ProbeAndConsumeHit(line, false, cycle) {
 	case cache.Hit:
-		s.hitPipe.Push(hitDone{doneAt: cycle + s.cfg.L1.HitLatency, tracker: t.tracker})
+		s.hitPipe.Push(hitDone{doneAt: cycle + s.hitLatency, tracker: t.tracker})
 		s.popHead()
 		// An L1 hit never leaves the core: the request retires here
 		// (only its tracker lives on, in the hit pipe).
@@ -657,7 +672,7 @@ func (s *SM) drainMemInstr() {
 	req := s.pool.GetRequest()
 	*req = mem.Request{
 		ID: *s.nextID, Addr: addr, LineSize: s.lineSize,
-		CoreID: s.id, WarpID: d.w.id,
+		CoreID: s.id, WarpID: int(d.w.id),
 	}
 	if d.store {
 		req.Kind = mem.Store
@@ -679,7 +694,7 @@ func (s *SM) drainMemInstr() {
 func (s *SM) issue(cycle int64) {
 	issued := 0
 	var issuedNow uint64 // warps already issued this cycle
-	for slot := 0; slot < s.cfg.Core.IssueWidth; slot++ {
+	for slot := 0; slot < s.issueWidth; slot++ {
 		cand := s.ready &^ issuedNow
 		if s.drainOn {
 			cand &^= s.memCur // single mem-issue register per SM
@@ -747,9 +762,9 @@ func (s *SM) evalWarp(wid int) {
 	in := w.fetch()
 	if in.Kind == Mem {
 		s.memCur |= bit
-		if !in.Store && len(w.loads) >= maxPendingLoadsPerWarp {
+		if !in.Store && w.nloads >= maxPendingLoadsPerWarp {
 			s.pruneLoads(w)
-			if len(w.loads) >= maxPendingLoadsPerWarp {
+			if w.nloads >= maxPendingLoadsPerWarp {
 				return // pending-load (scoreboard register) budget exhausted
 			}
 		}
@@ -760,24 +775,14 @@ func (s *SM) evalWarp(wid int) {
 // pruneLoads drops w's completed trackers, recycling them.
 func (s *SM) pruneLoads(w *warp) {
 	kept := w.loads[:0]
-	for _, lt := range w.loads {
+	for _, lt := range w.pending() {
 		if lt.remaining > 0 {
 			kept = append(kept, lt)
 		} else {
-			s.trackerFree = append(s.trackerFree, lt)
+			s.trackers.Put(lt)
 		}
 	}
-	w.loads = kept
-}
-
-// getTracker returns a recycled or fresh loadTracker.
-func (s *SM) getTracker() *loadTracker {
-	if n := len(s.trackerFree); n > 0 {
-		lt := s.trackerFree[n-1]
-		s.trackerFree = s.trackerFree[:n-1]
-		return lt
-	}
-	return &loadTracker{}
+	w.nloads = uint8(len(kept))
 }
 
 // issueOn issues warp w's fetched instruction.
@@ -791,7 +796,6 @@ func (s *SM) issueOn(w *warp, cycle int64) {
 		w.hasCur = false
 	}
 	w.idx++
-	w.issued++
 	s.stats.Instructions++
 	if in.Kind != Mem {
 		return
@@ -823,9 +827,10 @@ func (s *SM) issueOn(w *warp, cycle int64) {
 		s.pruneLoads(w)
 		// The load was instruction w.idx-1; dep subsequent instructions
 		// are independent, so the first dependent one is at w.idx-1+dep+1.
-		lt := s.getTracker()
-		*lt = loadTracker{remaining: len(lines), blockIdx: w.idx + int64(dep), warp: int32(w.id)}
-		w.loads = append(w.loads, lt)
+		lt := s.trackers.Get()
+		*lt = loadTracker{remaining: int32(len(lines)), blockIdx: w.idx + int64(dep), warp: w.id}
+		w.loads[w.nloads] = lt
+		w.nloads++
 		if lt.blockIdx < w.minBlock {
 			w.minBlock = lt.blockIdx
 		}

@@ -257,9 +257,9 @@ func TestGTOSticksToOneWarp(t *testing.T) {
 	// Greedy: with two always-ready ALU warps, warp selected first
 	// keeps issuing; warp 1 should have issued nothing... the greedy
 	// warp is whichever issued last (initially warp 0).
-	if sm.warps[0].issued == 0 || sm.warps[1].issued != 0 {
+	if sm.warps[0].idx == 0 || sm.warps[1].idx != 0 {
 		t.Fatalf("GTO issue counts = %d,%d; want all on warp 0",
-			sm.warps[0].issued, sm.warps[1].issued)
+			sm.warps[0].idx, sm.warps[1].idx)
 	}
 }
 
@@ -272,10 +272,10 @@ func TestLRRRotatesWarps(t *testing.T) {
 	streams := []InstrStream{&scriptStream{}, &scriptStream{}}
 	sm := NewSM(0, cfg, streams, be, &id)
 	run(sm, 0, 50)
-	d := sm.warps[0].issued - sm.warps[1].issued
+	d := sm.warps[0].idx - sm.warps[1].idx
 	if d < -1 || d > 1 {
 		t.Fatalf("LRR issue counts unbalanced: %d vs %d",
-			sm.warps[0].issued, sm.warps[1].issued)
+			sm.warps[0].idx, sm.warps[1].idx)
 	}
 }
 

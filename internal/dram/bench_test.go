@@ -29,7 +29,7 @@ func (s *recycleSink) Accept(r *mem.Request) bool {
 func BenchmarkChannelSaturated(b *testing.B) {
 	cfg := config.GTX480Baseline().DRAM
 	sink := &recycleSink{}
-	ch := NewChannel(0, cfg, 128, 6, sink)
+	ch := NewChannel(cfg, 128, 6, sink)
 	for i := 0; i < 4*cfg.SchedQueue; i++ {
 		sink.free = append(sink.free, &mem.Request{LineSize: 128, Kind: mem.Load})
 	}

@@ -72,7 +72,7 @@ type schedEntry struct {
 type Channel struct {
 	cfg     config.DRAMConfig
 	addrMap AddrMap
-	schedQ  *queue.Queue[schedEntry]
+	schedQ  queue.Queue[schedEntry]
 	banks   []bank
 	// busFreeAt is the first cycle the shared data bus is free.
 	busFreeAt int64
@@ -92,13 +92,15 @@ type Channel struct {
 	// maxCol is the longest issue-to-data latency (a row conflict).
 	maxCol int64
 	stats  Stats
-	// ticks counts cycles, skipped ones too, for the queue (queue.New).
-	ticks int64
+	// ticks counts cycles, skipped ones too, for the queue (queue.New);
+	// fullTicks counts the Ticks that ran (HostTicks).
+	ticks     int64
+	fullTicks int64
 }
 
 // NewChannel builds a channel for one partition. lineSize is the L2
 // line size; partitions is the interleave factor of the address map.
-func NewChannel(id int, cfg config.DRAMConfig, lineSize, partitions int, sink ReturnSink) *Channel {
+func NewChannel(cfg config.DRAMConfig, lineSize, partitions int, sink ReturnSink) *Channel {
 	banks := make([]bank, cfg.BanksPerChip)
 	for i := range banks {
 		banks[i].openRow = -1
@@ -114,7 +116,7 @@ func NewChannel(id int, cfg config.DRAMConfig, lineSize, partitions int, sink Re
 		nextRefresh:  cfg.Timing.TREFI,
 		maxCol:       cfg.Timing.TRP + cfg.Timing.TRCD + cfg.Timing.CL,
 	}
-	ch.schedQ = queue.New[schedEntry](fmt.Sprintf("dram%d.sched", id), cfg.SchedQueue, &ch.ticks)
+	ch.schedQ = queue.New[schedEntry]("dram.sched", cfg.SchedQueue, &ch.ticks)
 	for i := range ch.actWindow {
 		ch.actWindow[i] = -1 << 20
 	}
@@ -179,6 +181,13 @@ func (c *Channel) NextEvent() int64 {
 // refresh cannot fire and no completion is due in the span).
 func (c *Channel) SkipTicks(n int64) { c.ticks += n }
 
+// HostTicks returns the channel's host-work counters: the full Ticks
+// it executed and the DRAM cycles it advanced through, skipped spans
+// included. Like core.SM.HostTicks they measure the simulator, not the
+// simulated machine, so they stay out of Stats and Results, and
+// ResetStats leaves them alone.
+func (c *Channel) HostTicks() (full, cycles int64) { return c.fullTicks, c.ticks }
+
 // Tick advances the channel by one DRAM cycle.
 func (c *Channel) Tick(cycle int64) {
 	if c.schedQ.Full() {
@@ -188,6 +197,7 @@ func (c *Channel) Tick(cycle int64) {
 	c.drainCompletions(cycle)
 	c.issue(cycle)
 	c.ticks++
+	c.fullTicks++
 }
 
 // refresh performs an all-bank refresh every tREFI cycles: rows close

@@ -50,7 +50,7 @@ func TestRefreshClosesRowsAndCounts(t *testing.T) {
 	cfg.Timing.TREFI = 200
 	cfg.Timing.TRFC = 50
 	sink := &sliceSink{}
-	ch := NewChannel(0, cfg, 128, 1, sink)
+	ch := NewChannel(cfg, 128, 1, sink)
 	ch.Push(load(1, 0))
 	runCh(ch, 0, 1000)
 	if ch.Stats().Refreshes < 4 {
@@ -69,7 +69,7 @@ func TestRefreshDelaysAccess(t *testing.T) {
 		cfg.Timing.TREFI = trefi
 		cfg.Timing.TRFC = 60
 		sink := &sliceSink{}
-		ch := NewChannel(0, cfg, 128, 1, sink)
+		ch := NewChannel(cfg, 128, 1, sink)
 		// Arrive exactly when the first refresh fires.
 		for c := int64(0); c < 2000; c++ {
 			if c == trefi {
@@ -94,7 +94,7 @@ func TestTFAWThrottlesActivates(t *testing.T) {
 	cfg.SchedQueue = 16
 	cfg.Timing.TFAW = 200 // absurdly long window to force throttling
 	sink := &sliceSink{}
-	ch := NewChannel(0, cfg, 128, 1, sink)
+	ch := NewChannel(cfg, 128, 1, sink)
 	// Eight accesses to eight different banks, all needing activates.
 	for i := 0; i < 8; i++ {
 		ch.Push(load(uint64(i+1), uint64(i)*2048))

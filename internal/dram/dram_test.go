@@ -106,7 +106,7 @@ func TestAddrMapPanics(t *testing.T) {
 
 func TestReadCompletesWithExpectedLatency(t *testing.T) {
 	sink := &sliceSink{}
-	ch := NewChannel(0, dcfg(), 128, 1, sink)
+	ch := NewChannel(dcfg(), 128, 1, sink)
 	ch.Push(load(1, 0))
 	// Closed row: tRCD(12) + CL(12) + burst(8) = 32 cycles.
 	runCh(ch, 0, 32)
@@ -126,7 +126,7 @@ func TestReadCompletesWithExpectedLatency(t *testing.T) {
 func TestRowHitFasterThanConflict(t *testing.T) {
 	// Same row twice: second access is a row hit.
 	sink := &sliceSink{}
-	ch := NewChannel(0, dcfg(), 128, 1, sink)
+	ch := NewChannel(dcfg(), 128, 1, sink)
 	ch.Push(load(1, 0))
 	ch.Push(load(2, 128)) // same row, next column
 	end := runCh(ch, 0, 200)
@@ -137,7 +137,7 @@ func TestRowHitFasterThanConflict(t *testing.T) {
 
 	// Same bank, different row: conflict.
 	sink2 := &sliceSink{}
-	ch2 := NewChannel(0, dcfg(), 128, 1, sink2)
+	ch2 := NewChannel(dcfg(), 128, 1, sink2)
 	ch2.Push(load(1, 0))
 	rowStride := uint64(2048 * 16) // next row in the same bank
 	ch2.Push(load(2, rowStride))
@@ -153,7 +153,7 @@ func TestRowHitFasterThanConflict(t *testing.T) {
 func TestFRFCFSPrefersRowHit(t *testing.T) {
 	cfg := dcfg()
 	sink := &sliceSink{}
-	ch := NewChannel(0, cfg, 128, 1, sink)
+	ch := NewChannel(cfg, 128, 1, sink)
 	// Open row 0 in bank 0.
 	ch.Push(load(1, 0))
 	runCh(ch, 0, 40)
@@ -179,7 +179,7 @@ func TestFCFSHonorsArrivalOrder(t *testing.T) {
 	cfg := dcfg()
 	cfg.Scheduler = "fcfs"
 	sink := &sliceSink{}
-	ch := NewChannel(0, cfg, 128, 1, sink)
+	ch := NewChannel(cfg, 128, 1, sink)
 	ch.Push(load(1, 0))
 	runCh(ch, 0, 40)
 	conflict := load(2, uint64(2048*16))
@@ -202,7 +202,7 @@ func ids(rs []*mem.Request) []uint64 {
 
 func TestWritesDoNotReturn(t *testing.T) {
 	sink := &sliceSink{}
-	ch := NewChannel(0, dcfg(), 128, 1, sink)
+	ch := NewChannel(dcfg(), 128, 1, sink)
 	ch.Push(write(1, 0))
 	ch.Push(load(2, 128))
 	runCh(ch, 0, 300)
@@ -216,7 +216,7 @@ func TestWritesDoNotReturn(t *testing.T) {
 
 func TestReturnBackPressureStopsIssue(t *testing.T) {
 	sink := &sliceSink{full: true}
-	ch := NewChannel(0, dcfg(), 128, 1, sink)
+	ch := NewChannel(dcfg(), 128, 1, sink)
 	for i := 0; i < 8; i++ {
 		ch.Push(load(uint64(i+1), uint64(i)*128))
 	}
@@ -246,7 +246,7 @@ func TestReturnBackPressureStopsIssue(t *testing.T) {
 }
 
 func TestSchedQueueBound(t *testing.T) {
-	ch := NewChannel(0, dcfg(), 128, 1, &sliceSink{})
+	ch := NewChannel(dcfg(), 128, 1, &sliceSink{})
 	for i := 0; i < 8; i++ {
 		if !ch.Push(load(uint64(i), uint64(i)*128)) {
 			t.Fatalf("push %d failed", i)
@@ -261,7 +261,7 @@ func TestBusSerializesBanks(t *testing.T) {
 	// Two row hits in different banks still share the data bus: total
 	// time >= 2 bursts.
 	sink := &sliceSink{}
-	ch := NewChannel(0, dcfg(), 128, 1, sink)
+	ch := NewChannel(dcfg(), 128, 1, sink)
 	bankStride := uint64(2048) // next bank
 	ch.Push(load(1, 0))
 	ch.Push(load(2, bankStride))
@@ -300,7 +300,7 @@ func TestAllLoadsReturnProperty(t *testing.T) {
 		sink := &sliceSink{}
 		cfg := dcfg()
 		cfg.SchedQueue = 64
-		ch := NewChannel(0, cfg, 128, 1, sink)
+		ch := NewChannel(cfg, 128, 1, sink)
 		n := len(addrs)
 		if n > 32 {
 			n = 32

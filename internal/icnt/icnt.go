@@ -72,25 +72,33 @@ type Stats struct {
 // arbitration over input heads.
 type Crossbar struct {
 	cfg    Config
-	inputs []*queue.Queue[*mem.Packet]
+	inputs []queue.Queue[*mem.Packet] // one backing array (queue.NewSet)
 	// heads holds one bitset per output, words 64-bit words each, in
 	// one slice: bit in of out's set is on when input in's head packet
 	// targets out.
 	heads []uint64
 	words int
-	// Per-output in-flight transfer state.
-	current   []*mem.Packet
-	remaining []int
-	rr        []int
-	sink      Sink
+	// outs is the per-output in-flight transfer state.
+	outs []output
+	sink Sink
 	// busy counts packets buffered at inputs plus packets mid-transfer
 	// at outputs; zero means a tick has nothing to arbitrate or move.
 	busy int
 	// full counts the input queues at capacity right now.
 	full  int
 	stats Stats
-	// ticks counts cycles, skipped ones too, for the queues (queue.New).
-	ticks int64
+	// ticks counts cycles, skipped ones too, for the queues (queue.New);
+	// fullTicks counts the Ticks that ran (HostTicks).
+	ticks     int64
+	fullTicks int64
+}
+
+// output is one output port's transfer state: the packet it is moving,
+// the flits left, and the input it last served (round robin).
+type output struct {
+	current   *mem.Packet
+	remaining int
+	rr        int
 }
 
 // New builds a crossbar delivering into sink.
@@ -109,18 +117,13 @@ func New(cfg Config, sink Sink) *Crossbar {
 	}
 	words := (cfg.Inputs + 63) / 64
 	c := &Crossbar{
-		cfg:       cfg,
-		inputs:    make([]*queue.Queue[*mem.Packet], cfg.Inputs),
-		heads:     make([]uint64, cfg.Outputs*words),
-		words:     words,
-		current:   make([]*mem.Packet, cfg.Outputs),
-		remaining: make([]int, cfg.Outputs),
-		rr:        make([]int, cfg.Outputs),
+		cfg:   cfg,
+		heads: make([]uint64, cfg.Outputs*words),
+		words: words,
+		outs:  make([]output, cfg.Outputs),
+		sink:  sink,
 	}
-	for i := range c.inputs {
-		c.inputs[i] = queue.New[*mem.Packet](fmt.Sprintf("%s.in%d", cfg.Name, i), cfg.InputBuffer, &c.ticks)
-	}
-	c.sink = sink
+	c.inputs = queue.NewSet[*mem.Packet](cfg.Name+".in", cfg.Inputs, cfg.InputBuffer, &c.ticks)
 	return c
 }
 
@@ -134,7 +137,7 @@ func (c *Crossbar) Flits(bytes int) int {
 // Push injects a packet at input port src. A false return means the
 // input buffer is full; the caller stalls.
 func (c *Crossbar) Push(src int, pkt *mem.Packet) bool {
-	in := c.inputs[src]
+	in := &c.inputs[src]
 	if !in.Push(pkt) {
 		c.stats.InputFullRejects++
 		return false
@@ -166,6 +169,13 @@ func (c *Crossbar) NextEvent() int64 {
 // of n empty Ticks (n ticks of empty input queues).
 func (c *Crossbar) SkipTicks(n int64) { c.ticks += n }
 
+// HostTicks returns the crossbar's host-work counters: the full Ticks
+// it executed and the interconnect cycles it advanced through, skipped
+// spans included. Like core.SM.HostTicks they measure the simulator,
+// not the simulated machine, so they stay out of Stats and Results,
+// and ResetStats leaves them alone.
+func (c *Crossbar) HostTicks() (full, cycles int64) { return c.fullTicks, c.ticks }
+
 // InputFree returns the free slots at input port src.
 func (c *Crossbar) InputFree(src int) int { return c.inputs[src].Free() }
 
@@ -179,24 +189,25 @@ func (c *Crossbar) AnyInputFull() bool { return c.full > 0 }
 func (c *Crossbar) Tick(cycle int64) {
 	// Once busy reaches zero no output holds or can start a packet.
 	for out := 0; c.busy > 0 && out < c.cfg.Outputs; out++ {
-		if c.current[out] == nil {
+		o := &c.outs[out]
+		if o.current == nil {
 			c.arbitrate(out)
 			// The chosen packet starts transferring this cycle.
 		}
-		if c.current[out] == nil {
+		if o.current == nil {
 			continue
 		}
-		if c.remaining[out] > 0 {
-			c.remaining[out]--
+		if o.remaining > 0 {
+			o.remaining--
 			c.stats.Flits++
 			c.stats.BusyCycles++
 		}
-		if c.remaining[out] == 0 {
-			pkt := c.current[out]
+		if o.remaining == 0 {
+			pkt := o.current
 			pkt.ReadyAt = cycle + c.cfg.WireLatency
 			if c.sink.Accept(out, pkt) {
 				c.stats.Packets++
-				c.current[out] = nil
+				o.current = nil
 				c.busy--
 			} else {
 				c.stats.OutputStalls++
@@ -205,6 +216,7 @@ func (c *Crossbar) Tick(cycle int64) {
 	}
 	c.stats.InFullCycles += int64(c.full)
 	c.ticks++
+	c.fullTicks++
 }
 
 // arbitrate pops the next input head that targets out, starting after
@@ -214,7 +226,7 @@ func (c *Crossbar) arbitrate(out int) {
 	if in < 0 {
 		return
 	}
-	q := c.inputs[in]
+	q := &c.inputs[in]
 	if q.Full() {
 		c.full--
 	}
@@ -223,16 +235,14 @@ func (c *Crossbar) arbitrate(out int) {
 	if next, ok := q.Peek(); ok {
 		c.heads[next.Dst*c.words+in>>6] |= 1 << (in & 63)
 	}
-	c.current[out] = pkt
-	c.remaining[out] = c.Flits(pkt.SizeBytes)
-	c.rr[out] = in
+	c.outs[out] = output{current: pkt, remaining: c.Flits(pkt.SizeBytes), rr: in}
 }
 
 // pick returns the first input after rr[out], cyclically, whose head
 // targets out, or -1 when none does.
 func (c *Crossbar) pick(out int) int {
 	set := c.heads[out*c.words : (out+1)*c.words]
-	start := c.rr[out] + 1
+	start := c.outs[out].rr + 1
 	sw := start >> 6
 	if sw < len(set) {
 		if w := set[sw] >> (start & 63); w != 0 {
@@ -258,8 +268,8 @@ func (c *Crossbar) Stats() Stats { return c.stats }
 // InputUsages returns the occupancy trackers of all input queues.
 func (c *Crossbar) InputUsages() []*stats.QueueUsage {
 	us := make([]*stats.QueueUsage, len(c.inputs))
-	for i, q := range c.inputs {
-		us[i] = q.Usage()
+	for i := range c.inputs {
+		us[i] = c.inputs[i].Usage()
 	}
 	return us
 }
@@ -268,7 +278,7 @@ func (c *Crossbar) InputUsages() []*stats.QueueUsage {
 // for a new measurement window.
 func (c *Crossbar) ResetStats() {
 	c.stats = Stats{}
-	for _, in := range c.inputs {
-		in.ResetUsage()
+	for i := range c.inputs {
+		c.inputs[i].ResetUsage()
 	}
 }

@@ -60,13 +60,13 @@ type Partition struct {
 	id  int
 	cfg config.Config
 
-	accessQ *queue.Queue[*mem.Packet]  // icnt → L2 (Table I "L2 access queue")
-	missQ   *queue.Queue[*mem.Request] // L2 → DRAM (Table I "L2 miss queue")
-	respQ   *queue.Queue[*mem.Packet]  // L2 → icnt (Table I "L2 response queue")
-	retQ    *queue.Queue[*mem.Request] // DRAM → L2 fill return
+	accessQ queue.Queue[*mem.Packet]  // icnt → L2 (Table I "L2 access queue")
+	missQ   queue.Queue[*mem.Request] // L2 → DRAM (Table I "L2 miss queue")
+	respQ   queue.Queue[*mem.Packet]  // L2 → icnt (Table I "L2 response queue")
+	retQ    queue.Queue[*mem.Request] // DRAM → L2 fill return
 
-	l2   *cache.Cache
-	mshr *cache.MSHR
+	l2   cache.Cache
+	mshr cache.MSHR
 	// bankBusyUntil models each bank's data-port occupancy: a bank
 	// accepts a new access only when free. Latency beyond occupancy
 	// is pipelined (hitPipe/fillPipe).
@@ -88,9 +88,11 @@ type Partition struct {
 	nextID     *uint64   // simulation-wide request id counter (writebacks)
 	pool       *mem.Pool // request/packet recycling (nil: plain allocation)
 	stats      Stats
-	svcLatency *stats.Sampler // access-queue-entry → response latency
-	// ticks counts cycles, skipped ones too, for the queues (queue.New).
-	ticks int64
+	svcLatency stats.Sampler // access-queue-entry → response latency
+	// ticks counts cycles, skipped ones too, for the queues (queue.New);
+	// fullTicks counts the Ticks that ran (HostTicks).
+	ticks     int64
+	fullTicks int64
 }
 
 // New builds partition id. nextID is the shared request-id counter used
@@ -130,11 +132,11 @@ func New(id int, cfg config.Config, resp Injector, nextID *uint64) *Partition {
 		nextID:        nextID,
 		svcLatency:    stats.NewSampler(4096, 64),
 	}
-	p.accessQ = queue.New[*mem.Packet](fmt.Sprintf("l2p%d.access", id), cfg.L2.AccessQueue, &p.ticks)
-	p.missQ = queue.New[*mem.Request](fmt.Sprintf("l2p%d.miss", id), cfg.L2.MissQueue, &p.ticks)
-	p.respQ = queue.New[*mem.Packet](fmt.Sprintf("l2p%d.resp", id), cfg.L2.ResponseQueue, &p.ticks)
-	p.retQ = queue.New[*mem.Request](fmt.Sprintf("l2p%d.ret", id), cfg.L2.DRAMReturnQueue, &p.ticks)
-	p.chn = dram.NewChannel(id, cfg.DRAM, ls, cfg.L2.Partitions, retSink{p})
+	p.accessQ = queue.New[*mem.Packet]("l2.access", cfg.L2.AccessQueue, &p.ticks)
+	p.missQ = queue.New[*mem.Request]("l2.miss", cfg.L2.MissQueue, &p.ticks)
+	p.respQ = queue.New[*mem.Packet]("l2.resp", cfg.L2.ResponseQueue, &p.ticks)
+	p.retQ = queue.New[*mem.Request]("l2.ret", cfg.L2.DRAMReturnQueue, &p.ticks)
+	p.chn = dram.NewChannel(cfg.DRAM, ls, cfg.L2.Partitions, retSink{p})
 	return p
 }
 
@@ -196,7 +198,14 @@ func (p *Partition) ReturnUsage() *stats.QueueUsage { return p.retQ.Usage() }
 
 // ServiceLatency samples cycles from access-queue arrival to response
 // injection for L2-serviced requests.
-func (p *Partition) ServiceLatency() *stats.Sampler { return p.svcLatency }
+func (p *Partition) ServiceLatency() *stats.Sampler { return &p.svcLatency }
+
+// HostTicks returns the partition's host-work counters: the full Ticks
+// it executed and the L2 cycles it advanced through, skipped spans
+// included. Like core.SM.HostTicks they measure the simulator, not the
+// simulated machine, so they stay out of Stats and Results, and
+// ResetStats leaves them alone.
+func (p *Partition) HostTicks() (full, cycles int64) { return p.fullTicks, p.ticks }
 
 // Pending returns in-flight work, for drain checks in tests.
 func (p *Partition) Pending() int {
@@ -252,6 +261,7 @@ func (p *Partition) Tick(cycle int64) {
 	p.forwardMisses()
 	p.injectResponses()
 	p.ticks++
+	p.fullTicks++
 }
 
 // completeHits moves finished hit accesses into the response queue. A

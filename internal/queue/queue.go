@@ -7,40 +7,80 @@ package queue
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"repro/internal/stats"
 )
 
 // Queue is a bounded FIFO with occupancy accounting. It is implemented
-// as a ring buffer; the zero value is not usable — construct with New.
+// as a ring buffer; the zero value is not usable — construct with New
+// (or NewSet). Owners hold queues by value, so a component's queues
+// cost one allocation each, their ring buffers; a Queue must not be
+// copied once in use.
 //
 // Occupancy is charged, not sampled: the owner bumps its tick counter
 // at the end of each Tick (by n for n skipped ticks), where a per-cycle
 // sample would read the length, and each length change or usage read
 // first charges the ticks since the last one at the old length.
 type Queue[T any] struct {
-	name    string
 	buf     []T
 	head    int
 	size    int
 	ticks   *int64 // the owner's tick counter
 	charged int64  // usage holds the samples of every tick before this
-	usage   *stats.QueueUsage
+	usage   stats.QueueUsage
 }
 
 // New returns a queue with the given capacity whose occupancy is
 // charged against ticks, its owner's tick counter. Capacity must be
-// positive and ticks non-nil.
-func New[T any](name string, capacity int, ticks *int64) *Queue[T] {
+// positive and ticks non-nil. name labels the queue's diagnostics and
+// usage tracker; owners pass the queue's family ("l2.access"), which
+// every instance shares, so naming one allocates nothing.
+func New[T any](name string, capacity int, ticks *int64) Queue[T] {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("queue: capacity must be positive, got %d (%s)", capacity, name))
 	}
-	return &Queue[T]{
-		name:  name,
-		buf:   make([]T, capacity),
-		ticks: ticks,
-		usage: stats.NewQueueUsage(name, capacity),
+	return newQueue(name, make([]T, capacity), ticks)
+}
+
+// NewSet returns n queues like New's, charged against the same tick
+// counter, whose ring buffers share one backing array: a component
+// with many identical queues (a crossbar's inputs) builds them in
+// three allocations. Queue i is named prefix followed by i; the names
+// are cut from one string.
+func NewSet[T any](prefix string, n, capacity int, ticks *int64) []Queue[T] {
+	if capacity <= 0 {
+		panic(fmt.Sprintf("queue: capacity must be positive, got %d (%s)", capacity, prefix))
 	}
+	var b strings.Builder
+	b.Grow(n * (len(prefix) + 2))
+	for i := 0; i < n; i++ {
+		b.WriteString(prefix)
+		b.WriteString(strconv.Itoa(i))
+	}
+	names := b.String()
+	qs := make([]Queue[T], n)
+	backing := make([]T, n*capacity)
+	for i := range qs {
+		l := len(prefix) + decimalLen(i)
+		qs[i] = newQueue(names[:l], backing[i*capacity:(i+1)*capacity:(i+1)*capacity], ticks)
+		names = names[l:]
+	}
+	return qs
+}
+
+// decimalLen is the number of digits of i >= 0.
+func decimalLen(i int) int {
+	n := 1
+	for ; i >= 10; i /= 10 {
+		n++
+	}
+	return n
+}
+
+func newQueue[T any](name string, buf []T, ticks *int64) Queue[T] {
+	return Queue[T]{buf: buf, ticks: ticks, usage: *stats.NewQueueUsage(name, len(buf))}
 }
 
 // Cap returns the queue capacity.
@@ -114,7 +154,7 @@ func (q *Queue[T]) Peek() (v T, ok bool) {
 // of range; schedulers that scan the queue (FR-FCFS) use it with Len.
 func (q *Queue[T]) At(i int) T {
 	if i < 0 || i >= q.size {
-		panic(fmt.Sprintf("queue %s: At(%d) out of range (len %d)", q.name, i, q.size))
+		panic(fmt.Sprintf("queue %s: At(%d) out of range (len %d)", q.usage.Name, i, q.size))
 	}
 	return q.buf[q.wrap(q.head+i)]
 }
@@ -137,7 +177,7 @@ func (q *Queue[T]) Segments() (a, b []T) {
 // this to issue row hits from the middle of the scheduler queue.
 func (q *Queue[T]) Remove(i int) T {
 	if i < 0 || i >= q.size {
-		panic(fmt.Sprintf("queue %s: Remove(%d) out of range (len %d)", q.name, i, q.size))
+		panic(fmt.Sprintf("queue %s: Remove(%d) out of range (len %d)", q.usage.Name, i, q.size))
 	}
 	q.settle()
 	k := q.wrap(q.head + i)
@@ -158,7 +198,7 @@ func (q *Queue[T]) Remove(i int) T {
 // current tick; call it again rather than keeping the pointer.
 func (q *Queue[T]) Usage() *stats.QueueUsage {
 	q.settle()
-	return q.usage
+	return &q.usage
 }
 
 // ResetUsage zeroes the occupancy tracker for a new measurement

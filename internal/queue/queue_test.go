@@ -2,6 +2,7 @@ package queue
 
 import (
 	"math/rand/v2"
+	"strconv"
 	"testing"
 	"testing/quick"
 
@@ -52,7 +53,8 @@ func TestPeekDoesNotRemove(t *testing.T) {
 	if q.Len() != 1 {
 		t.Fatalf("peek removed item")
 	}
-	if _, ok := New[int]("e", 1, new(int64)).Peek(); ok {
+	empty := New[int]("e", 1, new(int64))
+	if _, ok := empty.Peek(); ok {
 		t.Fatalf("peek on empty should fail")
 	}
 }
@@ -269,4 +271,33 @@ func BenchmarkQueueChurn(b *testing.B) {
 		i++
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/packet")
+}
+
+// TestNewSet checks that queues sharing one backing array stay
+// independent: each holds its own capacity, FIFO order and usage, and
+// carries its indexed name.
+func TestNewSet(t *testing.T) {
+	var ticks int64
+	qs := NewSet[int]("x.in", 12, 2, &ticks)
+	for i := range qs {
+		if !qs[i].Push(i) || !qs[i].Push(100+i) || qs[i].Push(-1) {
+			t.Fatalf("queue %d: capacity is not 2", i)
+		}
+	}
+	ticks = 5
+	for i := range qs {
+		if v, _ := qs[i].Pop(); v != i {
+			t.Fatalf("queue %d: popped %d, want %d", i, v, i)
+		}
+		if v, _ := qs[i].Peek(); v != 100+i {
+			t.Fatalf("queue %d: head %d, want %d", i, v, 100+i)
+		}
+		u := qs[i].Usage()
+		if want := "x.in" + strconv.Itoa(i); u.Name != want {
+			t.Errorf("queue %d named %q, want %q", i, u.Name, want)
+		}
+		if u.SampledCycles() != 5 || u.MeanOccupancy() != 2 {
+			t.Errorf("queue %d: usage %+v, want 5 cycles at length 2", i, *u)
+		}
+	}
 }

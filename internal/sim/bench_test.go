@@ -9,8 +9,10 @@ import (
 
 // BenchmarkHierarchyStep is the full GTX480 hierarchy on cfd: all SMs,
 // both crossbars, the L2 partitions and DRAM channels, congested. It
-// reports host ns per core cycle and sm_awake_frac, the share of SM
-// cycles that ran a full tick rather than a sleeping or skipped one.
+// reports host ns per core cycle and, per clock domain, the share of
+// its component cycles that ran a full tick rather than a sleeping or
+// skipped one: sm_awake_frac, l2_stepped_frac, dram_stepped_frac and
+// icnt_stepped_frac (both crossbars).
 func BenchmarkHierarchyStep(b *testing.B) {
 	wl, err := workload.ByName("cfd")
 	if err != nil {
@@ -21,22 +23,18 @@ func BenchmarkHierarchyStep(b *testing.B) {
 		b.Fatal(err)
 	}
 	g.Run(5000) // fill the pool, queues and MSHRs
-	ticks := func() (full, cycles int64) {
-		for _, sm := range g.sms {
-			f, c := sm.HostTicks()
-			full, cycles = full+f, cycles+c
-		}
-		return full, cycles
-	}
-	full, cycles := ticks()
+	before := g.domainTicks()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.Run(1000)
 	}
 	b.StopTimer()
-	full2, cycles2 := ticks()
+	after := g.domainTicks()
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(1000*b.N), "ns/cycle")
-	b.ReportMetric(float64(full2-full)/float64(cycles2-cycles), "sm_awake_frac")
+	for d, unit := range []string{"sm_awake_frac", "l2_stepped_frac", "dram_stepped_frac", "icnt_stepped_frac"} {
+		full, cycles := after[d][0]-before[d][0], after[d][1]-before[d][1]
+		b.ReportMetric(float64(full)/float64(cycles), unit)
+	}
 }
 
 // BenchmarkNew is system construction alone: config validation, the

@@ -7,8 +7,20 @@
 // # Hot-path invariants
 //
 // The engine allocates nothing in steady state and never spends time
-// on provably frozen components:
+// on provably frozen components, and building a system costs what its
+// state costs:
 //
+//   - Construction allocates per component, not per warp or per
+//     object. The workload validates once per SM and builds that SM's
+//     streams in a few per-SM slabs (workload.Workload.Streams);
+//     components hold their queues, caches, MSHR tables and samplers by
+//     value, each backed by one allocation sized from the config; an
+//     MSHR's entries and merge lists and every warp's load list exist
+//     at their bounds from the start. Slabs are never shared across
+//     SMs, so per-SM mutable state stays on each SM's own cache lines
+//     (runPorts). The priming fetch stays in New. What grows during a
+//     run grows in chunks: mem.Pool and the SMs' load trackers
+//     (mem.FreeList), and the pipeline rings, by doubling.
 //   - All mem.Request and mem.Packet values are drawn from a
 //     free-list pool (mem.Pool) and recycled at their retirement
 //     points; see the pool's ownership protocol. The full hierarchy
@@ -265,13 +277,20 @@ func New(cfg config.Config, wl workload.Workload) (*GPU, error) {
 	}
 
 	g.sms = make([]*core.SM, cfg.Core.NumSMs)
+	// NewSM copies the streams into its warps, so one dst serves every
+	// SM; the streams themselves live in per-SM slabs (Streams).
+	streams := make([]core.InstrStream, wl.WarpsPerSM())
+	var backends []realBackend
+	if cfg.FixedLatency.Enabled {
+		g.ports = make([]*fixedPort, 0, cfg.Core.NumSMs)
+	} else {
+		backends = make([]realBackend, cfg.Core.NumSMs)
+	}
 	for i := range g.sms {
-		streams := make([]core.InstrStream, wl.WarpsPerSM())
-		for w := range streams {
-			streams[w] = wl.Stream(i, w, cfg.Seed, uint64(cfg.L1.LineSize))
-		}
+		wl.Streams(i, cfg.Seed, uint64(cfg.L1.LineSize), streams)
 		if !cfg.FixedLatency.Enabled {
-			g.sms[i] = core.NewSM(i, cfg, streams, realBackend{g, i}, &g.nextID)
+			backends[i] = realBackend{g, i}
+			g.sms[i] = core.NewSM(i, cfg, streams, &backends[i], &g.nextID)
 			g.sms[i].UsePool(g.pool)
 			continue
 		}
@@ -294,7 +313,9 @@ type respSink struct{ g *GPU }
 
 func (s respSink) Accept(dst int, pkt *mem.Packet) bool { return s.g.sms[dst].DeliverResponse(pkt) }
 
-// realBackend routes L1 misses into the request crossbar.
+// realBackend routes L1 misses into the request crossbar. New keeps
+// every SM's in one slice and hands out pointers, so wiring an SM
+// allocates nothing.
 type realBackend struct {
 	g  *GPU
 	sm int
@@ -302,10 +323,10 @@ type realBackend struct {
 
 // CanSend implements core.Backend: the SM's request-crossbar input
 // has a free slot, exactly the condition under which Push accepts.
-func (b realBackend) CanSend() bool { return b.g.reqX.InputFree(b.sm) > 0 }
+func (b *realBackend) CanSend() bool { return b.g.reqX.InputFree(b.sm) > 0 }
 
 // SendMiss implements core.Backend.
-func (b realBackend) SendMiss(req *mem.Request) bool {
+func (b *realBackend) SendMiss(req *mem.Request) bool {
 	part := b.g.addrMap.Partition(req.LineAddr())
 	req.PartitionID = part
 	pkt := b.g.pool.GetPacket()
@@ -322,7 +343,7 @@ func (b realBackend) SendMiss(req *mem.Request) bool {
 
 // MemStallCause implements core.Backend: the GPU-wide hierarchical
 // refinement, memoized per core cycle.
-func (b realBackend) MemStallCause() stats.StallCause { return b.g.memStallCause() }
+func (b *realBackend) MemStallCause() stats.StallCause { return b.g.memStallCause() }
 
 // memStallCause names the level responsible for memory waits this
 // cycle: the deepest one whose input queue is saturated. DRAM

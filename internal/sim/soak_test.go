@@ -21,8 +21,11 @@ type finiteWorkload struct {
 func (f finiteWorkload) Name() string    { return f.inner.Name() + "-finite" }
 func (f finiteWorkload) WarpsPerSM() int { return f.inner.WarpsPerSM() }
 
-func (f finiteWorkload) Stream(sm, warp int, seed uint64, lineSize uint64) core.InstrStream {
-	return &finiteStream{inner: f.inner.Stream(sm, warp, seed, lineSize), left: f.n}
+func (f finiteWorkload) Streams(sm int, seed, lineSize uint64, dst []core.InstrStream) {
+	f.inner.Streams(sm, seed, lineSize, dst)
+	for w, s := range dst {
+		dst[w] = &finiteStream{inner: s, left: f.n}
+	}
 }
 
 type finiteStream struct {

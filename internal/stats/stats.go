@@ -37,20 +37,22 @@ func (c *Counter) Ratio(other *Counter) float64 {
 
 // Sampler accumulates a stream of values (typically latencies) and
 // reports mean, min, max and a coarse histogram. The zero value is
-// ready to use.
+// ready to use, without a histogram. The histogram lives inside the
+// Sampler, so owners that hold one by value pay a single allocation,
+// its bins; a Sampler must not be copied once in use.
 type Sampler struct {
 	count int64
 	sum   float64
 	min   float64
 	max   float64
-	hist  *Histogram
+	hist  Histogram // attached when hist.bins is non-nil
 }
 
 // NewSampler returns a Sampler with an attached histogram covering
 // [0, limit) in the given number of bins; values >= limit land in an
 // overflow bin.
-func NewSampler(limit float64, bins int) *Sampler {
-	return &Sampler{hist: NewHistogram(limit, bins)}
+func NewSampler(limit float64, bins int) Sampler {
+	return Sampler{hist: makeHistogram(limit, bins)}
 }
 
 // Add records one observation.
@@ -63,7 +65,7 @@ func (s *Sampler) Add(v float64) {
 	}
 	s.count++
 	s.sum += v
-	if s.hist != nil {
+	if s.hist.bins != nil {
 		s.hist.Add(v)
 	}
 }
@@ -88,14 +90,19 @@ func (s *Sampler) Max() float64 { return s.max }
 // Percentile returns the p-th percentile (0 < p <= 100) estimated from
 // the histogram, or NaN if the sampler has no histogram or no data.
 func (s *Sampler) Percentile(p float64) float64 {
-	if s.hist == nil || s.count == 0 {
+	if s.hist.bins == nil || s.count == 0 {
 		return math.NaN()
 	}
 	return s.hist.Percentile(p)
 }
 
 // Histogram returns the attached histogram (may be nil).
-func (s *Sampler) Histogram() *Histogram { return s.hist }
+func (s *Sampler) Histogram() *Histogram {
+	if s.hist.bins == nil {
+		return nil
+	}
+	return &s.hist
+}
 
 // Histogram is a fixed-range linear histogram with an overflow bin.
 type Histogram struct {
@@ -109,10 +116,15 @@ type Histogram struct {
 // NewHistogram builds a histogram over [0, limit) with bins equal-width
 // buckets. limit must be positive and bins at least 1.
 func NewHistogram(limit float64, bins int) *Histogram {
+	h := makeHistogram(limit, bins)
+	return &h
+}
+
+func makeHistogram(limit float64, bins int) Histogram {
 	if limit <= 0 || bins < 1 {
 		panic(fmt.Sprintf("stats: invalid histogram limit=%v bins=%d", limit, bins))
 	}
-	return &Histogram{limit: limit, width: limit / float64(bins), bins: make([]int64, bins)}
+	return Histogram{limit: limit, width: limit / float64(bins), bins: make([]int64, bins)}
 }
 
 // Add records one observation.
@@ -318,13 +330,6 @@ func (q *QueueUsage) Reset() {
 
 // Reset zeroes the sampler (and its histogram) for a new window.
 func (s *Sampler) Reset() {
-	h := s.hist
-	*s = Sampler{}
-	if h != nil {
-		for i := range h.bins {
-			h.bins[i] = 0
-		}
-		h.over, h.total = 0, 0
-		s.hist = h
-	}
+	clear(s.hist.bins)
+	*s = Sampler{hist: Histogram{limit: s.hist.limit, width: s.hist.width, bins: s.hist.bins}}
 }

@@ -55,12 +55,13 @@ func Record(wl workload.Workload, sms int, n int, seed uint64, lineSize uint64, 
 	if _, err := fmt.Fprintf(bw, "H %d %d %d\n", FormatVersion, lineSize, wl.WarpsPerSM()); err != nil {
 		return fmt.Errorf("trace: %w", err)
 	}
+	streams := make([]core.InstrStream, wl.WarpsPerSM())
 	for sm := 0; sm < sms; sm++ {
-		for warp := 0; warp < wl.WarpsPerSM(); warp++ {
+		wl.Streams(sm, seed, lineSize, streams)
+		for warp, s := range streams {
 			if _, err := fmt.Fprintf(bw, "W %d %d\n", sm, warp); err != nil {
 				return fmt.Errorf("trace: %w", err)
 			}
-			s := wl.Stream(sm, warp, seed, lineSize)
 			for i := 0; i < n; {
 				in := core.NextOf(s)
 				// A batched compute run stands for Run identical
@@ -337,15 +338,20 @@ func (t *Trace) Name() string { return t.name }
 // WarpsPerSM implements workload.Workload.
 func (t *Trace) WarpsPerSM() int { return t.warps }
 
-// Stream implements workload.Workload: it replays the recorded
-// instructions and pads with ALU once exhausted. SMs beyond the
-// recorded range reuse SM 0's streams.
-func (t *Trace) Stream(sm, warp int, _ uint64, _ uint64) core.InstrStream {
+// Streams implements workload.Workload: each stream replays its
+// warp's recorded instructions and pads with ALU once exhausted. SMs
+// beyond the recorded range reuse SM 0's streams. The SM's replay
+// cursors share one slab.
+func (t *Trace) Streams(sm int, _, _ uint64, dst []core.InstrStream) {
 	per, ok := t.instrs[sm]
 	if !ok {
 		per = t.instrs[0]
 	}
-	return &replay{instrs: per[warp]}
+	rs := make([]replay, len(dst))
+	for w := range dst {
+		rs[w].instrs = per[w]
+		dst[w] = &rs[w]
+	}
 }
 
 type replay struct {

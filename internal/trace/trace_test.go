@@ -18,6 +18,14 @@ func sampleSpec() workload.Spec {
 	}
 }
 
+// replayStream returns warp's replay stream on SM sm, built the way
+// the simulator builds it: one Streams call for the whole SM.
+func replayStream(tr *Trace, sm, warp int) core.InstrStream {
+	dst := make([]core.InstrStream, tr.WarpsPerSM())
+	tr.Streams(sm, 0, 0, dst)
+	return dst[warp]
+}
+
 // unbatch expands batched compute runs (Instr.Run > 1) back into one
 // Instr per instruction, so streams with different batching compare
 // instruction-for-instruction.
@@ -91,7 +99,7 @@ func TestRecordParseRoundTrip(t *testing.T) {
 	if tr.Name() != "sample" || tr.WarpsPerSM() != 2 {
 		t.Fatalf("metadata: %s %d", tr.Name(), tr.WarpsPerSM())
 	}
-	assertStreamsEqual(t, "sample", sampleSpec().Stream(1, 1, 7, 128), tr.Stream(1, 1, 0, 0), 50)
+	assertStreamsEqual(t, "sample", sampleSpec().Stream(1, 1, 7, 128), replayStream(tr, 1, 1), 50)
 }
 
 // TestRoundTripEveryPattern is the Record→Parse→Stream property test:
@@ -129,7 +137,7 @@ func TestRoundTripEveryPattern(t *testing.T) {
 		for sm := 0; sm < sms; sm++ {
 			for warp := 0; warp < spec.Warps; warp++ {
 				label := fmt.Sprintf("%s sm=%d warp=%d", spec.SpecName, sm, warp)
-				assertStreamsEqual(t, label, spec.Stream(sm, warp, 7, 128), tr.Stream(sm, warp, 0, 0), n)
+				assertStreamsEqual(t, label, spec.Stream(sm, warp, 7, 128), replayStream(tr, sm, warp), n)
 			}
 		}
 	}
@@ -144,7 +152,7 @@ func TestReplayPadsWithALU(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := tr.Stream(0, 0, 0, 0)
+	s := replayStream(tr, 0, 0)
 	for i := 0; i < 5; i++ {
 		core.NextOf(s)
 	}
@@ -159,7 +167,7 @@ func TestReplayUnknownSMFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr, _ := Parse("sample", &buf)
-	s := tr.Stream(9, 0, 0, 0) // SM 9 not recorded: reuse SM 0
+	s := replayStream(tr, 9, 0) // SM 9 not recorded: reuse SM 0
 	if s == nil {
 		t.Fatalf("no stream for unrecorded SM")
 	}
@@ -191,7 +199,7 @@ func TestParseAcceptsBlankLines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := tr.Stream(0, 0, 0, 0)
+	s := replayStream(tr, 0, 0)
 	kinds := []core.InstrKind{core.ALU, core.Mem, core.Mem}
 	for i, want := range kinds {
 		if got := core.NextOf(s); got.Kind != want {
@@ -244,7 +252,7 @@ func TestLegacyHeaderlessTrace(t *testing.T) {
 	if err != nil || verified {
 		t.Fatalf("legacy check: verified=%v err=%v (want unverified, no error)", verified, err)
 	}
-	assertStreamsEqual(t, "legacy", sampleSpec().Stream(0, 1, 7, 128), tr.Stream(0, 1, 0, 0), 5)
+	assertStreamsEqual(t, "legacy", sampleSpec().Stream(0, 1, 7, 128), replayStream(tr, 0, 1), 5)
 }
 
 func TestParseRejectsDuplicateWarpSection(t *testing.T) {

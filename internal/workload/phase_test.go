@@ -298,7 +298,7 @@ func streamHash(t *testing.T, name string, sm, warp int, n int) uint64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := wl.Stream(sm, warp, 1, 128)
+	s := warpStream(wl, sm, warp, 1, 128)
 	h := fnv.New64a()
 	var buf [8]byte
 	for i := 0; i < n; i++ {

@@ -89,9 +89,15 @@ type Workload interface {
 	Name() string
 	// WarpsPerSM is the number of resident warps each SM runs.
 	WarpsPerSM() int
-	// Stream builds the (deterministic) instruction stream for one
-	// warp. lineSize is the cache-line size addresses should target.
-	Stream(sm, warp int, seed uint64, lineSize uint64) core.InstrStream
+	// Streams builds the (deterministic) instruction streams of SM
+	// sm's warps: dst[w] becomes warp w's stream. The simulator calls
+	// it once per SM with len(dst) == WarpsPerSM(), so an
+	// implementation validates once and may carve every warp's state
+	// from per-SM slabs. lineSize is the cache-line size addresses
+	// should target. The streams stay valid for the GPU's lifetime;
+	// dst itself is the caller's, which may reuse it once it has
+	// copied the streams out.
+	Streams(sm int, seed, lineSize uint64, dst []core.InstrStream)
 }
 
 // PhaseSpec is one phase of a multi-phase kernel model: the same
@@ -195,7 +201,7 @@ type knobs struct {
 	hitFrac         float64
 }
 
-func (s Spec) topKnobs() knobs {
+func (s *Spec) topKnobs() knobs {
 	return knobs{
 		computePerMem:   s.ComputePerMem,
 		storeFrac:       s.StoreFrac,
@@ -220,8 +226,7 @@ func (p PhaseSpec) knobs() knobs {
 }
 
 // validate checks one knob set. Its errors do not name the spec: the
-// caller prefixes the label, built only on that error path, because
-// Validate runs once per warp stream.
+// caller prefixes the label, built only on that error path.
 func (k knobs) validate() error {
 	if k.computePerMem < 0 {
 		return errors.New("compute-per-mem must be >= 0")
@@ -354,7 +359,7 @@ func (s Spec) Flatten() Spec {
 
 // phaseBase places one phase's region for one warp, reproducing the
 // historical single-phase placement for region 0.
-func (s Spec) phaseBase(pattern Pattern, sm, warp int, lineSize uint64, region int) uint64 {
+func (s *Spec) phaseBase(pattern Pattern, sm, warp int, lineSize uint64, region int) uint64 {
 	var base uint64
 	switch {
 	case s.Shared:
@@ -377,42 +382,97 @@ func (s Spec) phaseBase(pattern Pattern, sm, warp int, lineSize uint64, region i
 	return base + uint64(region)<<46
 }
 
-// Stream implements Workload.
+// Streams implements Workload: it validates the spec once and builds
+// the SM's streams, their phase shapes and cursors and their line
+// buffers in four per-SM slabs.
+func (s Spec) Streams(sm int, seed, lineSize uint64, dst []core.InstrStream) {
+	streams := make([]stream, len(dst))
+	s.initStreams(sm, 0, seed, lineSize, streams)
+	for w := range dst {
+		dst[w] = &streams[w]
+	}
+}
+
+// Stream builds the stream of one warp alone, through the same
+// initializer as Streams; tools and tests that look at a single warp
+// use it.
 func (s Spec) Stream(sm, warp int, seed uint64, lineSize uint64) core.InstrStream {
+	g := make([]stream, 1)
+	s.initStreams(sm, warp, seed, lineSize, g)
+	return &g[0]
+}
+
+// initStreams validates the spec and initializes out[i] as the stream
+// of warp first+i of SM sm. The streams share one read-only table of
+// phase shapes, and each one's phase cursors and line buffer are
+// carved from one slab each; its PCG lives inside it. So n streams
+// cost three allocations beside out.
+func (s *Spec) initStreams(sm, first int, seed, lineSize uint64, out []stream) {
 	if err := s.Validate(); err != nil {
 		panic(err)
 	}
-	// The hot window is always warp-private, even for Shared
-	// patterns: it models per-thread state, not the shared data set.
-	id := uint64(sm*128 + warp)
-	hotBase := (id+1)<<27 + 1<<45 + (id*41)*lineSize
-	g := &stream{
-		spec:     s,
-		rng:      rand.New(rand.NewPCG(seed, uint64(sm)<<32|uint64(warp)+0x9e3779b9)),
-		hotBase:  hotBase,
-		warp:     warp,
-		lineSize: lineSize,
-	}
-	// Interleave warps across the region so Shared patterns cover it
-	// instead of marching in lockstep.
-	startPos := uint64(sm*s.Warps+warp) * 17
-	if len(s.Phases) == 0 {
-		g.phases = []phaseState{newPhaseState(s.topKnobs(), s.DepDist, s.phaseBase(s.AccessPattern, sm, warp, lineSize, 0), startPos)}
-	} else {
-		g.multi = true
-		g.phases = make([]phaseState, len(s.Phases))
-		for i, p := range s.Phases {
-			dep := p.DepDist
-			if dep == 0 {
-				dep = s.DepDist
-			}
-			ps := newPhaseState(p.knobs(), dep, s.phaseBase(p.AccessPattern, sm, warp, lineSize, p.Region), startPos)
-			ps.instructions = p.Instructions
-			g.phases[i] = ps
+	shapes := s.phaseShapes()
+	nph := len(shapes)
+	k := s.maxLinesPerAccess()
+	cursors := make([]phaseCursor, len(out)*nph)
+	lines := make([]uint64, len(out)*k)
+	for i := range out {
+		warp := first + i
+		g := &out[i]
+		// The hot window is always warp-private, even for Shared
+		// patterns: it models per-thread state, not the shared data set.
+		id := uint64(sm*128 + warp)
+		g.pcg.Seed(seed, uint64(sm)<<32|uint64(warp)+0x9e3779b9)
+		g.hotBase = (id+1)<<27 + 1<<45 + (id*41)*lineSize
+		g.warp = warp
+		g.warps = s.Warps
+		g.lineSize = lineSize
+		g.linesBuf = lines[i*k : i*k : (i+1)*k]
+		g.shapes = shapes
+		g.cursors = cursors[i*nph : (i+1)*nph : (i+1)*nph]
+		// Interleave warps across the region so Shared patterns cover it
+		// instead of marching in lockstep.
+		startPos := uint64(sm*s.Warps+warp) * 17
+		if len(s.Phases) == 0 {
+			g.cursors[0] = phaseCursor{base: s.phaseBase(s.AccessPattern, sm, warp, lineSize, 0), pos: startPos}
+			continue
 		}
-		g.left = g.phases[0].instructions
+		g.multi = true
+		for j, p := range s.Phases {
+			g.cursors[j] = phaseCursor{base: s.phaseBase(p.AccessPattern, sm, warp, lineSize, p.Region), pos: startPos}
+		}
+		g.left = shapes[0].instructions
 	}
-	return g
+}
+
+// phaseShapes resolves the spec's phases (its top-level knobs when
+// single-phase) into generator shapes.
+func (s *Spec) phaseShapes() []phaseShape {
+	if len(s.Phases) == 0 {
+		return []phaseShape{newPhaseShape(s.topKnobs(), s.DepDist, 0)}
+	}
+	shapes := make([]phaseShape, len(s.Phases))
+	for j, p := range s.Phases {
+		dep := p.DepDist
+		if dep == 0 {
+			dep = s.DepDist
+		}
+		shapes[j] = newPhaseShape(p.knobs(), dep, p.Instructions)
+	}
+	return shapes
+}
+
+// maxLinesPerAccess is the largest coalescing degree over the spec's
+// phases: the line buffer a stream needs (the hot window takes one).
+func (s *Spec) maxLinesPerAccess() int {
+	if len(s.Phases) == 0 {
+		return s.LinesPerAccess
+	}
+	k := 1
+	for _, p := range s.Phases {
+		k = max(k, p.LinesPerAccess)
+	}
+	return k
 }
 
 // hotWindowLines is the size of the warp-private hot window; small
@@ -423,22 +483,19 @@ const hotWindowLines = 2
 // working set (at least one line).
 const hotsetHotProb = 0.9
 
-// phaseState is one phase's knob set plus its private pattern cursors
-// and region base. A single-phase stream is exactly one phaseState.
-type phaseState struct {
+// phaseShape is one phase's knob set as the generator reads it, with
+// the transpose geometry and the phase length resolved once. Shapes
+// are read-only once built, so one table serves all of an SM's
+// streams; what a warp changes lives in its phaseCursor.
+type phaseShape struct {
 	knobs
 	depDist      int
-	instructions int // phase length; unused for single-phase streams
-	base         uint64
+	instructions int    // phase length; unused for single-phase streams
 	rows, cols   uint64 // transpose geometry
-
-	pos      uint64 // pattern cursor (line units)
-	iter     uint64 // streaming grid-stride iteration
-	accesses uint64
 }
 
-func newPhaseState(k knobs, depDist int, base uint64, startPos uint64) phaseState {
-	ps := phaseState{knobs: k, depDist: depDist, base: base, pos: startPos}
+func newPhaseShape(k knobs, depDist, instructions int) phaseShape {
+	sh := phaseShape{knobs: k, depDist: depDist, instructions: instructions}
 	if k.pattern == Transpose {
 		ws := uint64(k.workingSetLines)
 		rows := uint64(k.strideLines)
@@ -452,9 +509,19 @@ func newPhaseState(k knobs, depDist int, base uint64, startPos uint64) phaseStat
 		if cols < 1 {
 			cols = 1
 		}
-		ps.rows, ps.cols = rows, cols
+		sh.rows, sh.cols = rows, cols
 	}
-	return ps
+	return sh
+}
+
+// phaseCursor is one warp's place in one phase: the phase's region
+// base for this warp and its pattern cursors. A single-phase stream
+// has exactly one.
+type phaseCursor struct {
+	base     uint64
+	pos      uint64 // pattern cursor (line units)
+	iter     uint64 // streaming grid-stride iteration
+	accesses uint64
 }
 
 // isqrt returns the integer square root of v.
@@ -471,42 +538,50 @@ func isqrt(v uint64) uint64 {
 
 // stream generates the instruction sequence for one warp.
 type stream struct {
-	spec     Spec
-	rng      *rand.Rand
+	pcg      rand.PCG // the stream's draws (rand)
 	hotBase  uint64
 	warp     int
+	warps    int // the spec's warps per SM (streaming grid stride)
 	lineSize uint64
 
-	// phases holds one entry per phase (exactly one for single-phase
-	// specs); cur and left drive the round-robin schedule.
-	phases []phaseState
-	cur    int
-	left   int
-	multi  bool
+	// shapes (shared with the SM's other streams) and cursors hold
+	// one entry per phase (exactly one for single-phase specs); cur
+	// and left drive the round-robin schedule.
+	shapes  []phaseShape
+	cursors []phaseCursor
+	cur     int
+	left    int
+	multi   bool
 
 	hotCursor   uint64
 	computeLeft int
 
 	// linesBuf is reused across Next calls (the InstrStream contract
 	// lets a stream invalidate the previous instruction's Lines on
-	// the next call), so the steady-state instruction feed allocates
+	// the next call). Its capacity is the spec's largest coalescing
+	// degree, set at construction, so the instruction feed allocates
 	// nothing.
 	linesBuf []uint64
 }
+
+// rand returns the stream's generator. A Rand holds nothing but its
+// source, so a fresh one over the stream's PCG draws exactly what a
+// kept one would, and a stream holds no pointer into itself.
+func (g *stream) rand() *rand.Rand { return rand.New(&g.pcg) }
 
 // NextInto implements core.InstrStream.
 func (g *stream) NextInto(in *core.Instr) {
 	if g.multi {
 		if g.left == 0 {
-			g.cur = (g.cur + 1) % len(g.phases)
-			g.left = g.phases[g.cur].instructions
+			g.cur = (g.cur + 1) % len(g.shapes)
+			g.left = g.shapes[g.cur].instructions
 			// A phase boundary cuts the current compute run: the new
 			// phase's mix takes over immediately.
 			g.computeLeft = 0
 		}
 		g.left--
 	}
-	p := &g.phases[g.cur]
+	p := &g.shapes[g.cur]
 	if g.computeLeft > 0 {
 		// Single-phase streams emit the whole compute run as one
 		// batched Instr (the run draws nothing from the RNG, so the
@@ -523,15 +598,15 @@ func (g *stream) NextInto(in *core.Instr) {
 		return
 	}
 	g.computeLeft = g.nextComputeGap(p.computePerMem)
-	store := g.rng.Float64() < p.storeFrac
+	store := g.rand().Float64() < p.storeFrac
 	var lines []uint64
-	if p.hitFrac > 0 && g.rng.Float64() < p.hitFrac {
+	if p.hitFrac > 0 && g.rand().Float64() < p.hitFrac {
 		g.hotCursor++
 		g.linesBuf = append(g.linesBuf[:0], g.hotBase+(g.hotCursor%hotWindowLines)*g.lineSize)
 		lines = g.linesBuf
 		store = false // hot-window traffic models read-mostly state
 	} else {
-		lines = dedupLines(g.nextLines(p))
+		lines = dedupLines(g.nextLines(p, &g.cursors[g.cur]))
 	}
 	// The instruction semantically reads lines[i%n] on lane i at byte
 	// offset i*4%lineSize, but that expansion is pure bookkeeping: the
@@ -597,7 +672,7 @@ func (g *stream) nextComputeGap(c int) int {
 	if c == 0 {
 		return 0
 	}
-	gap := c + g.rng.IntN(3) - 1
+	gap := c + g.rand().IntN(3) - 1
 	if gap < 0 {
 		gap = 0
 	}
@@ -606,42 +681,39 @@ func (g *stream) nextComputeGap(c int) int {
 
 // nextLines produces the distinct line addresses of one warp access
 // into the stream's reused line buffer.
-func (g *stream) nextLines(p *phaseState) []uint64 {
+func (g *stream) nextLines(p *phaseShape, c *phaseCursor) []uint64 {
 	k := p.linesPerAccess
 	ws := uint64(p.workingSetLines)
-	if cap(g.linesBuf) < k {
-		g.linesBuf = make([]uint64, k)
-	}
 	out := g.linesBuf[:k]
-	p.accesses++
+	c.accesses++
 	switch p.pattern {
 	case Streaming:
 		// Grid-stride loop: on iteration t, warp w touches the chunk
 		// at (t·W + w)·k, so the SM's warps jointly scan the region
 		// densely and in order — DRAM rows see sequential bursts.
-		start := (p.iter*uint64(g.spec.Warps) + uint64(g.warp)) * uint64(k)
+		start := (c.iter*uint64(g.warps) + uint64(g.warp)) * uint64(k)
 		for i := range out {
-			out[i] = p.lineAddr((start+uint64(i))%ws, g.lineSize)
+			out[i] = c.lineAddr((start+uint64(i))%ws, g.lineSize)
 		}
-		p.iter++
+		c.iter++
 	case Thrash:
 		// Sequential scan that wraps: the working set exceeds the L1
 		// but stays L2-resident.
 		for i := range out {
-			out[i] = p.lineAddr((p.pos+uint64(i))%ws, g.lineSize)
+			out[i] = c.lineAddr((c.pos+uint64(i))%ws, g.lineSize)
 		}
-		p.pos += uint64(k)
+		c.pos += uint64(k)
 	case Strided:
 		stride := uint64(p.strideLines)
 		for i := range out {
-			out[i] = p.lineAddr(((p.pos+uint64(i))*stride)%ws, g.lineSize)
+			out[i] = c.lineAddr(((c.pos+uint64(i))*stride)%ws, g.lineSize)
 		}
-		p.pos += uint64(k)
+		c.pos += uint64(k)
 	case Stencil:
 		// The window advances one line every 8 accesses.
-		center := (p.accesses / 8) % ws
+		center := (c.accesses / 8) % ws
 		for i := range out {
-			out[i] = p.lineAddr((center+uint64(i))%ws, g.lineSize)
+			out[i] = c.lineAddr((center+uint64(i))%ws, g.lineSize)
 		}
 	case Gather:
 		// Rejection-sample distinct line indices. The duplicate check
@@ -650,7 +722,7 @@ func (g *stream) nextLines(p *phaseState) []uint64 {
 		for i := range out {
 		draw:
 			for {
-				idx := p.lineAddr(g.rng.Uint64N(ws), g.lineSize)
+				idx := c.lineAddr(g.rand().Uint64N(ws), g.lineSize)
 				for _, prev := range out[:i] {
 					if prev == idx {
 						continue draw
@@ -671,12 +743,12 @@ func (g *stream) nextLines(p *phaseState) []uint64 {
 		}
 		for i := range out {
 			var idx uint64
-			if g.rng.Float64() < hotsetHotProb {
-				idx = g.rng.Uint64N(hot)
+			if g.rand().Float64() < hotsetHotProb {
+				idx = g.rand().Uint64N(hot)
 			} else {
-				idx = g.rng.Uint64N(ws)
+				idx = g.rand().Uint64N(ws)
 			}
-			out[i] = p.lineAddr(idx, g.lineSize)
+			out[i] = c.lineAddr(idx, g.lineSize)
 		}
 	case Transpose:
 		// Walk a rows×cols column-major region in row-major element
@@ -684,20 +756,20 @@ func (g *stream) nextLines(p *phaseState) []uint64 {
 		// the k lines of one warp access are whole columns apart —
 		// pathological coalescing and no DRAM row locality.
 		for i := range out {
-			t := p.pos + uint64(i)
+			t := c.pos + uint64(i)
 			r := (t / p.cols) % p.rows
-			c := t % p.cols
-			out[i] = p.lineAddr((c*p.rows+r)%ws, g.lineSize)
+			col := t % p.cols
+			out[i] = c.lineAddr((col*p.rows+r)%ws, g.lineSize)
 		}
-		p.pos += uint64(k)
+		c.pos += uint64(k)
 	default:
 		panic(fmt.Sprintf("workload: unknown pattern %q", p.pattern))
 	}
 	return out
 }
 
-func (p *phaseState) lineAddr(lineIdx uint64, lineSize uint64) uint64 {
-	return p.base + lineIdx*lineSize
+func (c *phaseCursor) lineAddr(lineIdx uint64, lineSize uint64) uint64 {
+	return c.base + lineIdx*lineSize
 }
 
 // registry holds the built-in benchmark models.

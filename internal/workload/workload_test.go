@@ -1,10 +1,65 @@
 package workload
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/core"
 )
+
+// warpStream returns warp's stream on SM sm, built the way the
+// simulator builds it: one Streams call for the whole SM.
+func warpStream(wl Workload, sm, warp int, seed, lineSize uint64) core.InstrStream {
+	dst := make([]core.InstrStream, wl.WarpsPerSM())
+	wl.Streams(sm, seed, lineSize, dst)
+	return dst[warp]
+}
+
+// TestStreamsMatchStream pins the per-SM slab construction to the
+// one-warp convenience: every warp's stream out of Streams emits the
+// same instructions as Stream builds for that warp alone.
+func TestStreamsMatchStream(t *testing.T) {
+	for _, name := range Names() {
+		spec, _ := SpecByName(name)
+		for _, sm := range []int{0, 7} {
+			dst := make([]core.InstrStream, spec.Warps)
+			spec.Streams(sm, 3, 128, dst)
+			for w, got := range dst {
+				want := spec.Stream(sm, w, 3, 128)
+				for i := 0; i < 300; i++ {
+					x, y := core.NextOf(want), core.NextOf(got)
+					if x.Kind != y.Kind || x.Run != y.Run || x.Store != y.Store ||
+						x.DepDist != y.DepDist || !slices.Equal(x.Lines, y.Lines) {
+						t.Fatalf("%s sm %d warp %d: instr %d differs: %+v vs %+v", name, sm, w, i, x, y)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestStreamsAllocations holds Streams to its four per-SM slabs
+// (streams, phase shapes, phase cursors, line buffers), whatever the
+// warp count, with the priming fetch included: the line buffers start
+// at their final capacity.
+func TestStreamsAllocations(t *testing.T) {
+	for _, name := range []string{"cfd", "kmeans"} {
+		spec, _ := SpecByName(name)
+		dst := make([]core.InstrStream, spec.Warps)
+		var in core.Instr
+		allocs := testing.AllocsPerRun(20, func() {
+			spec.Streams(2, 1, 128, dst)
+			for _, s := range dst {
+				for k := 0; k < 8; k++ {
+					s.NextInto(&in)
+				}
+			}
+		})
+		if allocs != 4 {
+			t.Errorf("%s: Streams allocates %.0f times per SM, want 4", name, allocs)
+		}
+	}
+}
 
 func TestRegistryHasPaperSuite(t *testing.T) {
 	paper := []string{"cfd", "dwt2d", "leukocyte", "nn", "nw", "sc", "lbm", "ss"}
@@ -43,8 +98,8 @@ func TestByNameUnknown(t *testing.T) {
 func TestStreamsAreDeterministic(t *testing.T) {
 	for _, name := range Names() {
 		wl, _ := ByName(name)
-		a := wl.Stream(3, 5, 42, 128)
-		b := wl.Stream(3, 5, 42, 128)
+		a := warpStream(wl, 3, 5, 42, 128)
+		b := warpStream(wl, 3, 5, 42, 128)
 		for i := 0; i < 500; i++ {
 			x, y := core.NextOf(a), core.NextOf(b)
 			if x.Kind != y.Kind || x.Store != y.Store || len(x.Lines) != len(y.Lines) {
@@ -61,8 +116,8 @@ func TestStreamsAreDeterministic(t *testing.T) {
 
 func TestStreamsDifferAcrossWarps(t *testing.T) {
 	wl, _ := ByName("cfd")
-	a := wl.Stream(0, 0, 1, 128)
-	b := wl.Stream(0, 1, 1, 128)
+	a := warpStream(wl, 0, 0, 1, 128)
+	b := warpStream(wl, 0, 1, 1, 128)
 	same := true
 	for i := 0; i < 200 && same; i++ {
 		x, y := core.NextOf(a), core.NextOf(b)
@@ -143,7 +198,7 @@ func TestMemoryIntensityMatchesSpec(t *testing.T) {
 	for _, name := range Names() {
 		wl, _ := ByName(name)
 		spec := wl.(Spec)
-		memN, storeN, _ := instrMix(wl.Stream(0, 0, 1, 128), 20000, 128)
+		memN, storeN, _ := instrMix(warpStream(wl, 0, 0, 1, 128), 20000, 128)
 		wantFrac := expectedMemFrac(spec)
 		gotFrac := float64(memN) / 20000
 		if gotFrac < wantFrac*0.7 || gotFrac > wantFrac*1.3 {
@@ -164,7 +219,7 @@ func TestMemoryIntensityMatchesSpec(t *testing.T) {
 func TestWorkingSetBounded(t *testing.T) {
 	wl, _ := ByName("sc") // shared 3072-line thrash set
 	spec := wl.(Spec)
-	_, _, lines := instrMix(wl.Stream(0, 0, 1, 128), 50000, 128)
+	_, _, lines := instrMix(warpStream(wl, 0, 0, 1, 128), 50000, 128)
 	// Pattern lines plus the warp-private hot window.
 	limit := spec.WorkingSetLines + hotWindowLines
 	if len(lines) > limit {
@@ -174,7 +229,7 @@ func TestWorkingSetBounded(t *testing.T) {
 
 func TestStreamingCoversNewLines(t *testing.T) {
 	wl, _ := ByName("lbm")
-	_, _, a := instrMix(wl.Stream(0, 0, 1, 128), 10000, 128)
+	_, _, a := instrMix(warpStream(wl, 0, 0, 1, 128), 10000, 128)
 	if len(a) < 100 {
 		t.Fatalf("streaming workload touched only %d lines", len(a))
 	}
@@ -214,7 +269,7 @@ func TestLanesStayWithinLines(t *testing.T) {
 	var lanes []uint64
 	for _, name := range Names() {
 		wl, _ := ByName(name)
-		s := wl.Stream(1, 2, 7, 128)
+		s := warpStream(wl, 1, 2, 7, 128)
 		for i := 0; i < 2000; {
 			in := core.NextOf(s)
 			if r := in.Run; r > 1 {
