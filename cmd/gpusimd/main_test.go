@@ -150,3 +150,35 @@ func TestGpusimdRejectsWarpLimitAboveMask(t *testing.T) {
 		t.Fatalf("got %d %s, want 400 naming core.max_warps_per_sm", code, resp)
 	}
 }
+
+// TestGpusimdRejectsNarrowDRAMBus: a dram.bus_width_bits too narrow
+// for one byte per beat (2 bits × 2 chips) used to pass validation
+// and divide by zero building the DRAM channels, which dropped the
+// connection and left the job's cache key in flight, so posting the
+// job again hung. Both posts now answer promptly with a 400 that
+// names the field.
+func TestGpusimdRejectsNarrowDRAMBus(t *testing.T) {
+	bin := clitest.Build(t, "repro/cmd/gpusimd")
+	_, url, _ := startDaemon(t, bin, "-cache-dir", t.TempDir())
+
+	cfg := config.GTX480Baseline()
+	cfg.DRAM.BusWidthBits = 2
+	body, err := json.Marshal(map[string]any{
+		"workload": "sc", "config": cfg, "warmup_cycles": 200, "window_cycles": 500,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := &http.Client{Timeout: 10 * time.Second}
+	for i := 0; i < 2; i++ {
+		resp, err := client.Post(url+"/v1/run", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("post %d: %v", i+1, err)
+		}
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), "dram.bus_width_bits") {
+			t.Fatalf("post %d: got %d %s, want 400 naming dram.bus_width_bits", i+1, resp.StatusCode, data)
+		}
+	}
+}

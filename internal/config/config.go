@@ -379,6 +379,10 @@ func (c Config) Validate() error {
 	if !isPow2(c.DRAM.RowBytes) || c.DRAM.RowBytes < c.L2.LineSize {
 		return fmt.Errorf("config: dram.row_bytes must be a power of two >= line size, got %d", c.DRAM.RowBytes)
 	}
+	if c.DRAM.ChipsPerChannel*c.DRAM.BusWidthBits%8 != 0 {
+		return fmt.Errorf("config: dram.bus_width_bits × dram.chips_per_channel must be a multiple of 8 (whole bytes per beat), got %d × %d",
+			c.DRAM.BusWidthBits, c.DRAM.ChipsPerChannel)
+	}
 	if !isPow2(c.DRAM.BanksPerChip) {
 		return fmt.Errorf("config: dram.banks_per_chip must be a power of two, got %d", c.DRAM.BanksPerChip)
 	}

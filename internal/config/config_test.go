@@ -228,3 +228,32 @@ func TestValidateMaxWarpsBound(t *testing.T) {
 		t.Fatalf("max_warps_per_sm %d: got %v, want an error naming the field", MaxWarpsPerSM+1, err)
 	}
 }
+
+// TestValidateDRAMBusWholeBytes: the channel moves whole bytes per
+// beat, so chips_per_channel × bus_width_bits must be a positive
+// multiple of 8. A narrower bus used to pass validation and divide by
+// zero when the DRAM channel was built; a ragged one rounded down.
+func TestValidateDRAMBusWholeBytes(t *testing.T) {
+	for _, c := range []struct {
+		chips, bits int
+		ok          bool
+	}{
+		{2, 32, true}, {2, 4, true}, {1, 8, true}, {4, 2, true},
+		{2, 1, false}, {2, 2, false}, {2, 3, false}, {2, 14, false}, {1, 4, false},
+	} {
+		cfg := GTX480Baseline()
+		cfg.DRAM.ChipsPerChannel, cfg.DRAM.BusWidthBits = c.chips, c.bits
+		err := cfg.Validate()
+		if c.ok {
+			if err != nil {
+				t.Errorf("%d chips × %d bits rejected: %v", c.chips, c.bits, err)
+			} else if cfg.DRAM.ChannelBytesPerCycle() <= 0 {
+				t.Errorf("%d chips × %d bits accepted with %d bytes per cycle", c.chips, c.bits, cfg.DRAM.ChannelBytesPerCycle())
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), "dram.bus_width_bits") {
+			t.Errorf("%d chips × %d bits: got %v, want an error naming dram.bus_width_bits", c.chips, c.bits, err)
+		}
+	}
+}

@@ -59,8 +59,9 @@ type Instr struct {
 	// Streams batch uniform compute (non-Mem) stretches into one
 	// Run>1 Instr so the per-instruction stream call disappears from
 	// the issue hot path; the SM still issues the run one
-	// instruction per slot, decrementing Run in place. Memory
-	// instructions are never batched (Run <= 1).
+	// instruction per slot, decrementing Run in place, and skips the
+	// readiness re-check while the scoreboard cannot block the next
+	// one (SM.issue). Memory instructions are never batched (Run <= 1).
 	Run int
 }
 

@@ -52,11 +52,20 @@ type twin struct {
 
 func newTwin(t *testing.T, cfg config.Config, script []Instr) *twin {
 	t.Helper()
-	mk := func() side {
+	return twinOf(t, func() (*SM, *testBackend) {
 		sm, be, _ := newTestSM(t, cfg, 1, script)
+		return sm, be
+	})
+}
+
+// twinOf builds a twin from two SMs that mk builds alike, turning
+// sleeping off in the second.
+func twinOf(t *testing.T, mk func() (*SM, *testBackend)) *twin {
+	mkSide := func() side {
+		sm, be := mk()
 		return side{sm: sm, be: be}
 	}
-	tw := &twin{t: t, on: mk(), off: mk(), headSlept: map[*int64]bool{}}
+	tw := &twin{t: t, on: mkSide(), off: mkSide(), headSlept: map[*int64]bool{}}
 	tw.off.sm.SetSleep(false)
 	return tw
 }
@@ -66,7 +75,7 @@ func (tw *twin) refuse(r bool) { tw.on.be.refuse, tw.off.be.refuse = r, r }
 func (tw *twin) answer(at int64) { tw.on.answer(at); tw.off.answer(at) }
 
 // run ticks both SMs n cycles, failing on the first cycle whose
-// Stats or StallStack differ.
+// Stats, StallStack or warp ready and memory masks differ.
 func (tw *twin) run(n int64) {
 	tw.t.Helper()
 	for end := tw.c + n; tw.c < end; tw.c++ {
@@ -81,6 +90,10 @@ func (tw *twin) run(n int64) {
 		}
 		if a, b := tw.on.sm.StallStack(), tw.off.sm.StallStack(); !reflect.DeepEqual(a, b) {
 			tw.t.Fatalf("cycle %d: StallStack diverged:\nsleeping %+v\nfull     %+v", tw.c, a, b)
+		}
+		if on, off := tw.on.sm, tw.off.sm; on.ready != off.ready || on.memCur != off.memCur {
+			tw.t.Fatalf("cycle %d: masks diverged: ready %#x/%#x, memory %#x/%#x",
+				tw.c, on.ready, off.ready, on.memCur, off.memCur)
 		}
 	}
 }

@@ -247,8 +247,8 @@ type SM struct {
 	// then accessL1 charges the counter without probing the set again.
 	// A sleeping tick charges it too.
 	headStall *int64
-	// noSleep turns sleeping and the headStall memo off (SetSleep), so
-	// every Tick is a full one: the cycle engine's oracle mode.
+	// noSleep turns sleeping, the headStall memo and the mid-run issue
+	// fast path off (SetSleep): the cycle engine's oracle mode.
 	noSleep bool
 	// fullTicks counts full Ticks; with ticks it is the host-work
 	// counter pair HostTicks reports. Not a statistic: ResetStats
@@ -379,8 +379,9 @@ func (s *SM) Pending() int {
 }
 
 // SetSleep turns sleeping on (the default) or off. With it off every
-// Tick runs every pipeline stage, so a run is the per-cycle reference
-// the sleeping path is checked against (sim.EngineCycle).
+// Tick is a full one and every instruction takes the full issue path,
+// so a run is the per-cycle reference the sleeping path and the
+// mid-run issue fast path are checked against (sim.EngineCycle).
 func (s *SM) SetSleep(on bool) {
 	s.noSleep = !on
 	if !on {
@@ -449,11 +450,22 @@ func (s *SM) Tick(cycle int64) {
 	s.fullTicks++
 	s.progress = false
 	s.stats.Cycles++
-	s.processResponses(cycle)
-	s.completeHits(cycle)
-	s.accessL1(cycle)
-	s.forwardMisses()
-	s.drainMemInstr()
+	// Each stage runs only when it has work, which it takes as given.
+	if !s.respQ.Empty() {
+		s.processResponses(cycle)
+	}
+	if !s.hitPipe.Empty() {
+		s.completeHits(cycle)
+	}
+	if s.headStall != nil || !s.ldstQ.Empty() {
+		s.accessL1(cycle)
+	}
+	if !s.missQ.Empty() {
+		s.forwardMisses()
+	}
+	if s.drainOn {
+		s.drainMemInstr()
+	}
 	s.issue(cycle)
 	s.ticks++
 	if !s.progress && !s.noSleep {
@@ -477,8 +489,8 @@ func (s *SM) sleep() {
 
 // processResponses applies one fill per cycle: the L1 fill port.
 func (s *SM) processResponses(cycle int64) {
-	pkt, ok := s.respQ.Peek()
-	if !ok || pkt.ReadyAt > cycle {
+	pkt, _ := s.respQ.Peek()
+	if pkt.ReadyAt > cycle {
 		return
 	}
 	s.respQ.Pop()
@@ -530,10 +542,7 @@ func (s *SM) accessL1(cycle int64) {
 		*s.headStall++
 		return
 	}
-	t, ok := s.ldstQ.Peek()
-	if !ok {
-		return
-	}
+	t, _ := s.ldstQ.Peek()
 	line := t.req.LineAddr()
 
 	// Feasibility is tested with non-counting probes; the counting
@@ -647,9 +656,9 @@ func (s *SM) popHead() {
 // Asking CanSend first keeps a blocked miss queue from building and
 // discarding a packet every cycle.
 func (s *SM) forwardMisses() {
-	req, ok := s.missQ.Peek()
-	if !ok || !s.backend.CanSend() || !s.backend.SendMiss(req) {
-		return // empty, or network back pressure
+	req, _ := s.missQ.Peek()
+	if !s.backend.CanSend() || !s.backend.SendMiss(req) {
+		return // network back pressure
 	}
 	s.missQ.Pop()
 	s.progress = true
@@ -659,9 +668,6 @@ func (s *SM) forwardMisses() {
 // drainMemInstr feeds the active memory instruction's transactions
 // into the LDST queue, one per cycle.
 func (s *SM) drainMemInstr() {
-	if !s.drainOn {
-		return
-	}
 	d := &s.drain
 	if s.ldstQ.Full() {
 		s.stats.StallLDSTFull++
@@ -690,7 +696,11 @@ func (s *SM) drainMemInstr() {
 }
 
 // issue runs the warp scheduler: up to IssueWidth warps issue one
-// instruction each, selected from the ready mask.
+// instruction each, selected from the ready mask. A compute
+// instruction from the middle of a batched run whose successor stays
+// below the warp's minBlock issues as counter updates: a picked warp
+// has no blkBy and blocked() answers false there, so issueOn and
+// evalWarp would change nothing else. Sleeping off turns this off.
 func (s *SM) issue(cycle int64) {
 	issued := 0
 	var issuedNow uint64 // warps already issued this cycle
@@ -712,8 +722,14 @@ func (s *SM) issue(cycle int64) {
 		if wid < 0 {
 			break // policy throttled the slot: issue nothing
 		}
-		s.issueOn(&s.warps[wid], cycle)
-		s.evalWarp(wid)
+		if w := &s.warps[wid]; w.cur.Run > 1 && w.idx+1 < w.minBlock && !s.noSleep {
+			w.cur.Run--
+			w.idx++
+			s.stats.Instructions++
+		} else {
+			s.issueOn(w, cycle)
+			s.evalWarp(wid)
+		}
 		issuedNow |= uint64(1) << uint(wid)
 		s.lastIssued = wid
 		issued++

@@ -1,7 +1,9 @@
 // Package policy defines the three pluggable mitigation seams of the
 // simulated memory hierarchy — warp issue, L1 fill/bypass, and L2
-// victim protection — as small interfaces with a registry of named
-// implementations.
+// victim protection — each with a registry of named implementations.
+// The issue seam is a small value type whose Pick the compiler
+// inlines into the per-instruction issue loop; the fill and L2 seams,
+// stateful and off that path, are interfaces.
 //
 // The paper (Dublish et al., IISWC 2016) characterizes *where* GPGPU
 // cycles go; its related work names the mechanisms that claw them
@@ -28,7 +30,7 @@
 //
 // policy is a leaf package (no simulator imports), so internal/config
 // can validate names at decode time while internal/core, internal/cache
-// and internal/l2 consume the interfaces without an import cycle.
+// and internal/l2 consume the seams without an import cycle.
 package policy
 
 import (
@@ -80,61 +82,50 @@ type IssueCtx struct {
 // returns the chosen warp id, or -1 to deliberately issue nothing this
 // slot (throttling); the core charges the empty slot through the
 // normal stall-attribution path.
-type IssuePolicy interface {
-	// Name returns the registered policy name.
-	Name() string
-	// Pick chooses a warp from the non-zero candidate mask, or -1.
-	Pick(cand uint64, ctx IssueCtx) int
+//
+// Unlike the fill and L2 seams it is a value, not an interface: the
+// registered schedulers differ only in two switches, and Pick runs
+// once per issued instruction, so a static call the compiler inlines
+// beats a dynamic dispatch. The zero value is not a policy; build one
+// with NewIssuePolicy.
+type IssuePolicy struct {
+	name string
+	// rotate picks loose round-robin (lrr) instead of
+	// greedy-then-oldest (gto).
+	rotate bool
+	// throttle caps concurrently-issuing memory warps when the L1
+	// MSHR file saturates (>= 3/4 occupied): under back-pressure the
+	// memory warps are masked out of the candidate set and the
+	// compute warps are gto-picked, issuing nothing if only memory
+	// warps are ready. This is the CTA/warp throttling idea of
+	// Ausavarungnirun et al.: stop piling requests onto a saturated
+	// hierarchy and let the queues drain.
+	throttle bool
 }
 
-// gtoPick is the greedy-then-oldest-loose choice shared by the gto and
-// throttle policies: stay on the last-issued warp while it remains
-// eligible, else fall back to the lowest-numbered (oldest) candidate.
-func gtoPick(cand uint64, last int) int {
-	if last >= 0 && cand&(uint64(1)<<uint(last)) != 0 {
+// Name returns the registered policy name.
+func (p IssuePolicy) Name() string { return p.name }
+
+// Pick chooses a warp from the non-zero candidate mask, or -1.
+func (p IssuePolicy) Pick(cand uint64, ctx IssueCtx) int {
+	if p.throttle && ctx.MSHRUsed*4 >= ctx.MSHRCap*3 {
+		if cand &^= ctx.MemMask; cand == 0 {
+			return -1
+		}
+	}
+	last := ctx.LastIssued
+	if p.rotate {
+		// Rotate: first candidate strictly above the last-issued warp,
+		// wrapping to the lowest candidate.
+		if hi := cand &^ (uint64(1)<<uint(last+1) - 1); hi != 0 {
+			return bits.TrailingZeros64(hi)
+		}
+	} else if last >= 0 && cand&(uint64(1)<<uint(last)) != 0 {
+		// Greedy: stay on the last-issued warp while it remains
+		// eligible, else fall back to the oldest candidate.
 		return last
 	}
 	return bits.TrailingZeros64(cand)
-}
-
-type gtoPolicy struct{}
-
-func (gtoPolicy) Name() string { return IssueGTO }
-func (gtoPolicy) Pick(cand uint64, ctx IssueCtx) int {
-	return gtoPick(cand, ctx.LastIssued)
-}
-
-type lrrPolicy struct{}
-
-func (lrrPolicy) Name() string { return IssueLRR }
-func (lrrPolicy) Pick(cand uint64, ctx IssueCtx) int {
-	// Rotate: first candidate strictly above the last-issued warp,
-	// wrapping to the lowest candidate.
-	hi := cand &^ (uint64(1)<<uint(ctx.LastIssued+1) - 1)
-	if hi != 0 {
-		return bits.TrailingZeros64(hi)
-	}
-	return bits.TrailingZeros64(cand)
-}
-
-// throttlePolicy caps concurrently-issuing memory warps when the L1
-// MSHR file saturates (≥ 3/4 occupied): under back-pressure it masks
-// the memory warps out of the candidate set and gto-picks among the
-// compute warps, issuing nothing if only memory warps are ready. This
-// is the CTA/warp throttling idea of Ausavarungnirun et al.: stop
-// piling requests onto a saturated hierarchy and let the queues drain.
-type throttlePolicy struct{}
-
-func (throttlePolicy) Name() string { return IssueThrottle }
-func (throttlePolicy) Pick(cand uint64, ctx IssueCtx) int {
-	if ctx.MSHRUsed*4 >= ctx.MSHRCap*3 {
-		nonMem := cand &^ ctx.MemMask
-		if nonMem == 0 {
-			return -1
-		}
-		cand = nonMem
-	}
-	return gtoPick(cand, ctx.LastIssued)
 }
 
 // FillPolicy decides, at L1 miss time, whether the missing line
@@ -240,13 +231,13 @@ func L2Names() []string { return []string{L2Plain, L2PinHot} }
 func NewIssuePolicy(name string) (IssuePolicy, error) {
 	switch name {
 	case IssueGTO:
-		return gtoPolicy{}, nil
+		return IssuePolicy{name: name}, nil
 	case IssueLRR:
-		return lrrPolicy{}, nil
+		return IssuePolicy{name: name, rotate: true}, nil
 	case IssueThrottle:
-		return throttlePolicy{}, nil
+		return IssuePolicy{name: name, throttle: true}, nil
 	}
-	return nil, fmt.Errorf("policy: unknown issue policy %q (want %s)",
+	return IssuePolicy{}, fmt.Errorf("policy: unknown issue policy %q (want %s)",
 		name, strings.Join(IssueNames(), ", "))
 }
 

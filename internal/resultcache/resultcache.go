@@ -193,7 +193,9 @@ func (c *Cache) Put(key string, val []byte) {
 // produce (and store) them. Concurrent calls for the same key share a
 // single compute execution; its result is delivered to every waiter.
 // hit reports whether the bytes came from the cache (memory or disk)
-// rather than this call's — or a concurrent call's — compute.
+// rather than this call's — or a concurrent call's — compute. A
+// compute that panics stores nothing: the panic propagates to the
+// caller that ran it, and the callers waiting on it get an error.
 func (c *Cache) GetOrCompute(key string, compute func() ([]byte, error)) (val []byte, hit bool, err error) {
 	if val, ok := c.Get(key); ok {
 		return val, true, nil
@@ -222,14 +224,19 @@ func (c *Cache) GetOrCompute(key string, compute func() ([]byte, error)) (val []
 	c.stats.Computes++
 	c.mu.Unlock()
 
+	// Released on a panicking compute too: its waiters get this error
+	// while the panic goes on up this stack.
+	defer func() {
+		c.mu.Lock()
+		delete(c.inflight, key)
+		c.mu.Unlock()
+		close(cl.done)
+	}()
+	cl.err = fmt.Errorf("resultcache: compute for %s panicked", key)
 	cl.val, cl.err = compute()
 	if cl.err == nil {
 		c.Put(key, cl.val)
 	}
-	c.mu.Lock()
-	delete(c.inflight, key)
-	c.mu.Unlock()
-	close(cl.done)
 	return cl.val, false, cl.err
 }
 

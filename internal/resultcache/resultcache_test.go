@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -282,5 +283,55 @@ func TestGetOrComputeError(t *testing.T) {
 	val, hit, err := c.GetOrCompute("k", func() ([]byte, error) { return []byte("ok"), nil })
 	if err != nil || hit || string(val) != "ok" {
 		t.Fatalf("retry after error broken: val=%q hit=%v err=%v", val, hit, err)
+	}
+}
+
+// TestGetOrComputePanic: a compute that panics must not wedge its key.
+// The panic reaches the caller that ran it, a concurrent waiter gets
+// an error instead of blocking forever, nothing is cached, and the
+// next call for the key computes afresh.
+func TestGetOrComputePanic(t *testing.T) {
+	c, err := New(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	release := make(chan struct{})
+	leader := make(chan any, 1)
+	go func() {
+		defer func() { leader <- recover() }()
+		c.GetOrCompute("k", func() ([]byte, error) {
+			<-release
+			panic("boom")
+		})
+	}()
+	waiter := make(chan error, 1)
+	go func() {
+		for c.Stats().Computes == 0 {
+			time.Sleep(time.Millisecond)
+		}
+		_, _, err := c.GetOrCompute("k", func() ([]byte, error) {
+			t.Error("a waiter ran its own compute while the key was in flight")
+			return nil, nil
+		})
+		waiter <- err
+	}()
+	for c.Stats().Shared == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	select {
+	case err := <-waiter:
+		if err == nil || !strings.Contains(err.Error(), "panicked") {
+			t.Fatalf("waiter got %v, want an error saying the compute panicked", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("waiter still blocked on the panicked compute")
+	}
+	if r := <-leader; r != "boom" {
+		t.Fatalf("leader recovered %v, want the compute's panic", r)
+	}
+	val, hit, err := c.GetOrCompute("k", func() ([]byte, error) { return []byte("ok"), nil })
+	if err != nil || hit || string(val) != "ok" {
+		t.Fatalf("retry after panic broken: val=%q hit=%v err=%v", val, hit, err)
 	}
 }

@@ -279,8 +279,9 @@ func (s *Server) release() { <-s.sem }
 // first client disconnecting must not fail everyone else (or discard
 // a simulation whose result every later request would reuse). Load is
 // still bounded — the queue depth caps waiters and every simulation
-// window is finite.
-func (s *Server) runJob(ctx context.Context, compute func() ([]byte, error)) ([]byte, error) {
+// window is finite. A compute that panics fails its job (a 500
+// envelope naming the panic), not the connection.
+func (s *Server) runJob(ctx context.Context, compute func() ([]byte, error)) (val []byte, err error) {
 	if !s.begin() {
 		return nil, errDraining
 	}
@@ -292,6 +293,11 @@ func (s *Server) runJob(ctx context.Context, compute func() ([]byte, error)) ([]
 	s.mu.Lock()
 	s.simulations++
 	s.mu.Unlock()
+	defer func() {
+		if r := recover(); r != nil {
+			val, err = nil, fmt.Errorf("serve: job panicked: %v", r)
+		}
+	}()
 	return compute()
 }
 

@@ -310,3 +310,40 @@ func TestRequestValidation(t *testing.T) {
 		t.Fatalf("unexpected workload listing: %s", data)
 	}
 }
+
+// TestRunJobPanicIsAnError: a simulation that panics fails its job
+// with an error the handlers answer as a 500 envelope, instead of
+// dropping the connection, and leaves nothing behind: its admission
+// slot is released and a second request for the same key computes
+// and answers.
+func TestRunJobPanicIsAnError(t *testing.T) {
+	s, _ := newTestServer(t, Options{MaxConcurrent: 1})
+	job := func(compute func() ([]byte, error)) ([]byte, error) {
+		done := make(chan struct{})
+		var val []byte
+		var err error
+		go func() {
+			defer close(done)
+			val, _, err = s.cache.GetOrCompute("crash", func() ([]byte, error) {
+				return s.runJob(context.Background(), compute)
+			})
+		}()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatal("job did not answer")
+		}
+		return val, err
+	}
+	_, err := job(func() ([]byte, error) { panic("integer divide by zero") })
+	if err == nil || !strings.Contains(err.Error(), "integer divide by zero") {
+		t.Fatalf("panicking job: err %v, want one naming the panic", err)
+	}
+	if code := errStatus(err); code != http.StatusInternalServerError {
+		t.Fatalf("panicking job maps to %d, want 500", code)
+	}
+	val, err := job(func() ([]byte, error) { return []byte("ok"), nil })
+	if err != nil || string(val) != "ok" {
+		t.Fatalf("second post of the key: val=%q err=%v", val, err)
+	}
+}

@@ -37,6 +37,34 @@ func BenchmarkHierarchyStep(b *testing.B) {
 	}
 }
 
+// BenchmarkSMIssue is the SM issue layer alone: nn on one SM behind
+// a fixed-latency port with zero latency, so loads return at once and
+// the host time goes to the warp scheduler and its instruction feed,
+// mostly batched compute runs. It reports host ns per warp
+// instruction.
+func BenchmarkSMIssue(b *testing.B) {
+	wl, err := workload.ByName("nn")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := config.GTX480Baseline()
+	cfg.Core.NumSMs = 1
+	cfg.FixedLatency = config.FixedLatencyConfig{Enabled: true, Cycles: 0}
+	g, err := New(cfg, wl)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g.Run(5000) // fill the pool, rings and MSHRs
+	insts := g.Results().Instructions
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.Run(1000)
+	}
+	b.StopTimer()
+	insts = g.Results().Instructions - insts
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(insts), "ns/inst")
+}
+
 // BenchmarkNew is system construction alone: config validation, the
 // hierarchy's components and one instruction stream per warp. kmeans
 // is multi-phase, so its streams carry per-phase state.

@@ -27,11 +27,29 @@ func phasedSpec() Spec {
 	}
 }
 
+// stepper hands out a stream's instructions one at a time, expanding
+// batched compute runs (Instr.Run > 1), so tests can count
+// instructions the way the SM issues them.
+type stepper struct {
+	s    core.InstrStream
+	in   core.Instr
+	left int // instructions of in not yet handed out
+}
+
+func (st *stepper) next() core.Instr {
+	if st.left == 0 {
+		st.s.NextInto(&st.in)
+		st.left = max(st.in.Run, 1)
+	}
+	st.left--
+	return st.in
+}
+
 // memCount counts memory instructions among the next n.
-func memCount(s core.InstrStream, n int) int {
+func memCount(s *stepper, n int) int {
 	mem := 0
 	for i := 0; i < n; i++ {
-		if core.NextOf(s).Kind == core.Mem {
+		if s.next().Kind == core.Mem {
 			mem++
 		}
 	}
@@ -39,7 +57,7 @@ func memCount(s core.InstrStream, n int) int {
 }
 
 func TestPhasesAlternateRoundRobin(t *testing.T) {
-	s := phasedSpec().Stream(0, 0, 1, 128)
+	s := &stepper{s: phasedSpec().Stream(0, 0, 1, 128)}
 	// Phase 1 is every-instruction memory; phase 2 is ~1 in 10.
 	windows := []struct {
 		wantMin, wantMax int
@@ -59,12 +77,12 @@ func TestPhasesAlternateRoundRobin(t *testing.T) {
 
 func TestPhaseRegionsArePlacedApart(t *testing.T) {
 	spec := phasedSpec()
-	s := spec.Stream(0, 0, 1, 128)
+	s := &stepper{s: spec.Stream(0, 0, 1, 128)}
 	// Collect the pattern lines touched by each phase (skip nothing:
 	// no HitFrac, so every mem access is pattern traffic).
 	phaseLines := [2]map[uint64]bool{{}, {}}
 	for i := 0; i < 400; i++ {
-		in := core.NextOf(s)
+		in := s.next()
 		if in.Kind != core.Mem {
 			continue
 		}
@@ -86,10 +104,10 @@ func TestPhaseSharedRegionOverlaps(t *testing.T) {
 	spec.Phases[1].AccessPattern = Streaming
 	spec.Phases[1].WorkingSetLines = 1 << 16
 	spec.Phases[1].LinesPerAccess = 1
-	s := spec.Stream(0, 0, 1, 128)
+	s := &stepper{s: spec.Stream(0, 0, 1, 128)}
 	seen := [2]map[uint64]bool{{}, {}}
 	for i := 0; i < 4000; i++ {
-		in := core.NextOf(s)
+		in := s.next()
 		if in.Kind != core.Mem {
 			continue
 		}
@@ -114,9 +132,9 @@ func TestPhaseDepDistInheritance(t *testing.T) {
 	spec.DepDist = 3
 	spec.Phases[0].DepDist = 0 // inherit
 	spec.Phases[1].DepDist = 7 // override
-	s := spec.Stream(0, 0, 1, 128)
+	s := &stepper{s: spec.Stream(0, 0, 1, 128)}
 	for i := 0; i < 200; i++ {
-		in := core.NextOf(s)
+		in := s.next()
 		if in.Kind != core.Mem {
 			continue
 		}
@@ -382,5 +400,39 @@ func TestSeedMixDecorrelatesWarps(t *testing.T) {
 				p.sm, p.warp, prev[0], prev[1])
 		}
 		seen[h] = [2]int{p.sm, p.warp}
+	}
+}
+
+// TestMultiPhaseRunsStopAtPhaseBoundary: multi-phase streams batch
+// their compute gaps into runs, but no run crosses a phase boundary,
+// so the expanded runs give every phase exactly its configured
+// instruction count. Each memory instruction must also have the shape
+// of the phase it lands in (no more lines than that phase's
+// coalescing degree), which a schedule shifted by a run would break.
+func TestMultiPhaseRunsStopAtPhaseBoundary(t *testing.T) {
+	for _, spec := range Scenarios() {
+		s := spec.Stream(1, 3, 1, 128)
+		batched := false
+		for pass := 0; pass < 3; pass++ {
+			for j, p := range spec.Phases {
+				for got := 0; got < p.Instructions; {
+					in := core.NextOf(s)
+					n := max(in.Run, 1)
+					if in.Kind == core.Mem && len(in.Lines) > p.LinesPerAccess {
+						t.Fatalf("%s pass %d phase %d: memory instruction with %d lines, phase allows %d",
+							spec.SpecName, pass, j, len(in.Lines), p.LinesPerAccess)
+					}
+					if got+n > p.Instructions {
+						t.Fatalf("%s pass %d phase %d: run of %d at instruction %d crosses the boundary at %d",
+							spec.SpecName, pass, j, n, got, p.Instructions)
+					}
+					batched = batched || n > 1
+					got += n
+				}
+			}
+		}
+		if !batched {
+			t.Errorf("%s: the stream never emitted a batched run", spec.SpecName)
+		}
 	}
 }

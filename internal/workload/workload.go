@@ -536,7 +536,9 @@ func isqrt(v uint64) uint64 {
 	return r - 1
 }
 
-// stream generates the instruction sequence for one warp.
+// stream generates the instruction sequence for one warp. It emits
+// each compute gap as one batched Instr; a run stops at a phase
+// boundary, so every phase runs exactly its instruction count.
 type stream struct {
 	pcg      rand.PCG // the stream's draws (rand)
 	hotBase  uint64
@@ -583,14 +585,15 @@ func (g *stream) NextInto(in *core.Instr) {
 	}
 	p := &g.shapes[g.cur]
 	if g.computeLeft > 0 {
-		// Single-phase streams emit the whole compute run as one
-		// batched Instr (the run draws nothing from the RNG, so the
-		// random sequence is unchanged). Multi-phase streams keep
-		// per-instruction calls: the phase schedule above accounts
-		// instructions one at a time.
+		// The compute run is emitted as one batched Instr (it draws
+		// nothing from the RNG, so the random sequence is unchanged).
+		// In a multi-phase stream it stops at the phase boundary: the
+		// call above counted its first instruction, and the rest come
+		// out of what is left of the phase.
 		run := g.computeLeft
 		if g.multi {
-			run = 1
+			run = min(run, g.left+1)
+			g.left -= run - 1
 		}
 		g.computeLeft -= run
 		in.Kind = core.ALU
