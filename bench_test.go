@@ -1,9 +1,10 @@
 package gpgpumem
 
 // One benchmark per paper artifact. Each regenerates the experiment
-// behind a figure or table at reduced scale (the cmd/ binaries run
-// the full-scale versions) and reports the headline quantity with
-// b.ReportMetric so `go test -bench=.` prints the reproduced numbers:
+// behind a figure or table at reduced scale (`gpusim sweep latsweep`,
+// `occupancy` and `designspace` run the full-scale versions) and
+// reports the headline quantity with b.ReportMetric so
+// `go test -bench=.` prints the reproduced numbers:
 //
 //	BenchmarkFig1LatencyTolerance  — Fig. 1: plateau speedup and
 //	                                 crossover latency per benchmark
@@ -14,24 +15,62 @@ package gpgpumem
 //	                                  L1+L2 +69, L2+DRAM +76)
 //	BenchmarkAblation*             — beyond-paper design ablations
 import (
+	"context"
 	"fmt"
 	"testing"
+
+	"repro/internal/exp"
 )
 
-// benchParams trades a little measurement stability for bench speed;
-// cmd/ binaries use the full DefaultRunParams.
-func benchParams() RunParams { return RunParams{WarmupCycles: 4000, WindowCycles: 10000} }
+// The bench methodology trades a little measurement stability for
+// bench speed; the sweep kinds default to 6000 + 20000 cycles.
+const benchWarmup, benchWindow = 4000, 10000
+
+// benchSweep measures the Fig. 1 suite under a "baseline + variants"
+// grid (exp.VariantGrid; no variants is one job per workload) as one
+// MeasureBatch at the bench methodology — the grid and compute a sweep
+// kind runs, at the benchmark's own axis — and returns the specs and
+// ordered results for the kind's build half.
+func benchSweep(b *testing.B, variants []exp.Perturbation, parallelism int) ([]WorkloadSpec, []Results) {
+	b.Helper()
+	suite := Suite()
+	specs := make([]WorkloadSpec, len(suite))
+	for i, wl := range suite {
+		specs[i] = wl.(WorkloadSpec)
+	}
+	grid, err := exp.VariantGrid(DefaultConfig(), specs, variants)
+	if err != nil {
+		b.Fatal(err)
+	}
+	jobs := make([]Job, len(grid))
+	for i, g := range grid {
+		jobs[i] = Job{Config: g.Config, Workload: g.Spec, WarmupCycles: benchWarmup, WindowCycles: benchWindow}
+	}
+	res, err := MeasureBatch(context.Background(), jobs, parallelism, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return specs, res
+}
+
+// benchFig1 regenerates Fig. 1 at the benchmarks' reduced x-axis.
+func benchFig1(b *testing.B, parallelism int) LatencyReport {
+	b.Helper()
+	lats := []int64{0, 200, 400, 600, 800}
+	specs, res := benchSweep(b, exp.LatencyVariants(lats), parallelism)
+	rep, err := exp.BuildFig1Report(specs, lats, res)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return rep
+}
 
 // BenchmarkFig1LatencyTolerance regenerates Fig. 1 (reduced x-axis)
 // and reports each benchmark's plateau speedup (×1000) and crossover
 // latency in cycles.
 func BenchmarkFig1LatencyTolerance(b *testing.B) {
-	lats := []int64{0, 200, 400, 600, 800}
 	for i := 0; i < b.N; i++ {
-		rep, err := RunLatencyToleranceSuite(DefaultConfig(), Suite(), lats, benchParams())
-		if err != nil {
-			b.Fatal(err)
-		}
+		rep := benchFig1(b, 0)
 		for _, c := range rep.Curves {
 			b.ReportMetric(c.PlateauSpeedup, c.Workload+"_plateau_x")
 			b.ReportMetric(c.CrossoverLatency, c.Workload+"_crossover_cyc")
@@ -50,7 +89,7 @@ func BenchmarkSecIIBaselineLatency(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			r := sys.Measure(benchParams().WarmupCycles, benchParams().WindowCycles)
+			r := sys.Measure(benchWarmup, benchWindow)
 			b.ReportMetric(r.AvgMissLatency, wl.Name()+"_avg_miss_lat")
 			sum += r.AvgMissLatency
 		}
@@ -63,7 +102,8 @@ func BenchmarkSecIIBaselineLatency(b *testing.B) {
 // 39% DRAM scheduler).
 func BenchmarkSecIIIQueueOccupancy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep, err := RunQueueOccupancy(DefaultConfig(), Suite(), benchParams())
+		specs, res := benchSweep(b, nil, 0)
+		rep, err := exp.BuildOccupancyReport(DefaultConfig(), specs, res)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -76,12 +116,14 @@ func BenchmarkSecIIIQueueOccupancy(b *testing.B) {
 // and reports the suite-mean speedup percentage.
 func benchScaling(b *testing.B, set ScalingSet) {
 	b.Helper()
+	sets := []ScalingSet{set}
 	for i := 0; i < b.N; i++ {
-		res, err := RunDesignSpace(DefaultConfig(), Suite(), []ScalingSet{set}, benchParams())
+		specs, res := benchSweep(b, exp.ScalingVariants(sets), 0)
+		ds, err := exp.BuildDesignSpaceResult(specs, sets, res)
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric((res.SpeedupFor(set)-1)*100, "mean_speedup_pct")
+		b.ReportMetric((ds.SpeedupFor(set)-1)*100, "mean_speedup_pct")
 	}
 }
 
@@ -115,7 +157,7 @@ func BenchmarkAblationDRAMScheduler(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			r := sys.Measure(benchParams().WarmupCycles, benchParams().WindowCycles)
+			r := sys.Measure(benchWarmup, benchWindow)
 			b.ReportMetric(r.IPC, sched+"_ipc")
 			b.ReportMetric(r.DRAMRowHitRate*100, sched+"_rowhit_pct")
 		}
@@ -137,7 +179,7 @@ func BenchmarkAblationWarpScheduler(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			r := sys.Measure(benchParams().WarmupCycles, benchParams().WindowCycles)
+			r := sys.Measure(benchWarmup, benchWindow)
 			b.ReportMetric(r.IPC, sched+"_ipc")
 		}
 	}
@@ -159,7 +201,7 @@ func BenchmarkAblationL2AccessQueueDepth(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			r := sys.Measure(benchParams().WarmupCycles, benchParams().WindowCycles)
+			r := sys.Measure(benchWarmup, benchWindow)
 			b.ReportMetric(r.IPC, "ipc_depth_"+itoa(depth))
 		}
 	}
@@ -214,7 +256,7 @@ func BenchmarkAblationBankHash(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			r := sys.Measure(benchParams().WarmupCycles, benchParams().WindowCycles)
+			r := sys.Measure(benchWarmup, benchWindow)
 			b.ReportMetric(r.IPC, hash+"_ipc")
 			b.ReportMetric(r.DRAMRowHitRate*100, hash+"_rowhit_pct")
 		}
@@ -228,15 +270,10 @@ func BenchmarkAblationBankHash(b *testing.B) {
 // (results are bit-identical at every -j — see
 // TestDeterminismAcrossRunner).
 func BenchmarkFig1SuiteParallel(b *testing.B) {
-	lats := []int64{0, 200, 400, 600, 800}
 	for _, j := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("j=%d", j), func(b *testing.B) {
-			p := benchParams()
-			p.Parallelism = j
 			for i := 0; i < b.N; i++ {
-				if _, err := RunLatencyToleranceSuite(DefaultConfig(), Suite(), lats, p); err != nil {
-					b.Fatal(err)
-				}
+				benchFig1(b, j)
 			}
 		})
 	}

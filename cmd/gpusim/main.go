@@ -23,8 +23,10 @@
 //	       [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
 // The sweep subcommand runs one kind of the sweep registry the
-// daemons serve (bottleneck, scenarios, advise, mitigation, run) on
-// the local worker pool, with one flag set for every kind:
+// daemons serve (latsweep, occupancy, designspace, bottleneck,
+// scenarios, advise, mitigation, run) on the local worker pool, with
+// one flag set for every kind. The first three regenerate the paper's
+// Fig. 1, §III and Table I / §IV over the 8-benchmark suite:
 //
 //	gpusim sweep <kind> [-workloads sc,kmeans] [-j N]
 //	       [-scale baseline|l1|l2|dram|l1l2|l2dram|all] [-seed 1]

@@ -13,20 +13,28 @@ import (
 	"repro/internal/config"
 )
 
-// sweepCases covers the four report kinds of `gpusim sweep`. golden
+// sweepCases covers the seven report kinds of `gpusim sweep`. golden
 // names the pinned table under internal/exp/testdata for workloads at
 // the golden methodology (scenarios has none: its -j 1 and -j 4
 // tables are compared with each other instead); csvHeader and csvRows
 // are the CSV's first columns and data-row count for those workloads.
+// The occupancy and designspace goldens cover the kinds' default
+// scope, the 8-benchmark suite.
 var sweepCases = []struct {
 	kind, golden, workloads, csvHeader string
 	csvRows                            int
 }{
+	{"latsweep", "latsweep.golden", "sc,cfd", "latency,sc,cfd", 17},
+	{"occupancy", "occupancy.golden", suite, "bench,l2_access_full,", 8 + 1},
+	{"designspace", "designspace.golden", suite, "bench,base_ipc,L1,L2,DRAM,L1_L2,L2_DRAM", 8 + 1},
 	{"bottleneck", "bottleneck.golden", "sc,leukocyte,kmeans", "workload,ipc,issue_slots,", 3},
 	{"scenarios", "", "kmeans,bfs", "scenario,phases,", 2},
 	{"advise", "advise.golden", "sc,kmeans", "workload,baseline_ipc,bound,rank,intervention,", 2 * 7},
 	{"mitigation", "mitigation.golden", "kmeans,bfs", "workload,baseline_ipc,bound,rank,policy,", 2 * 4},
 }
+
+// suite is the paper kinds' default scope, spelled out.
+const suite = "cfd,dwt2d,leukocyte,nn,nw,sc,lbm,ss"
 
 // TestSweepGolden pins each kind's table at -j 1 and -j 4: the
 // pinned golden where one exists, and byte-identity across worker

@@ -23,7 +23,8 @@
 //
 //	GET  /healthz            liveness + API/code version + fleet size
 //	GET  /v1/workers         per-worker routing state
-//	POST /v1/sweep/{kind}    bottleneck | scenarios | advise | mitigation | run
+//	POST /v1/sweep/{kind}    latsweep | occupancy | designspace | bottleneck |
+//	                         scenarios | advise | mitigation | run
 //
 // POST bodies are the same JobRequest documents gpusimd accepts;
 // "Accept: text/event-stream" streams per-job progress (see

@@ -1,7 +1,9 @@
 // Latencysweep: a miniature Fig. 1. Two benchmarks with very
 // different memory behaviour — sc (hierarchy-bound) and nn
-// (streaming) — are swept over fixed L1 miss latencies, showing how
-// much performance each leaves on the table at its baseline latency.
+// (streaming) — run through the latsweep sweep kind, which measures
+// each on the real hierarchy and then at fixed L1 miss latencies from
+// 0 to 800 cycles, showing how much performance each leaves on the
+// table at its baseline latency.
 package main
 
 import (
@@ -13,22 +15,22 @@ import (
 )
 
 func main() {
-	base := gpgpumem.DefaultConfig()
-	p := gpgpumem.RunParams{WarmupCycles: 4000, WindowCycles: 12000}
-	lats := []int64{0, 100, 200, 300, 400, 500, 600, 700, 800}
-
-	for _, name := range []string{"sc", "nn"} {
-		wl, err := gpgpumem.WorkloadByName(name)
-		if err != nil {
-			log.Fatal(err)
-		}
-		curve, err := gpgpumem.RunLatencyTolerance(base, wl, lats, p)
-		if err != nil {
-			log.Fatal(err)
-		}
+	warmup, window := int64(4000), int64(12000)
+	rep, err := gpgpumem.RunSweep("latsweep", gpgpumem.JobRequest{
+		Workloads: []string{"sc", "nn"},
+		Warmup:    &warmup,
+		Window:    &window,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, curve := range rep.(gpgpumem.LatencyReport).Curves {
 		fmt.Printf("%s  (baseline IPC %.2f, avg miss latency %.0f cycles)\n",
-			name, curve.BaselineIPC, curve.BaselineAvgMissLatency)
+			curve.Workload, curve.BaselineIPC, curve.BaselineAvgMissLatency)
 		for _, pt := range curve.Points {
+			if pt.Latency%100 != 0 {
+				continue
+			}
 			bar := strings.Repeat("#", int(pt.Normalized*12))
 			fmt.Printf("  lat %4d  %5.2fx  %s\n", pt.Latency, pt.Normalized, bar)
 		}

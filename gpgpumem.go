@@ -9,17 +9,20 @@
 //
 // The baseline architecture models an NVIDIA GTX480 (Fermi) with the
 // queue/MSHR/bank/port parameters of the paper's Table I. Three
-// experiment harnesses regenerate the paper's artifacts:
+// registered sweep kinds regenerate the paper's artifacts through
+// RunSweep (and `gpusim sweep <kind>`, gpusimd and gpusimc):
 //
-//   - RunLatencyTolerance — Fig. 1, the latency-tolerance profile,
-//     plus the §II baseline-latency/crossover analysis;
-//   - RunQueueOccupancy — §III, queue full-of-usage occupancy;
-//   - RunDesignSpace — Table I / §IV, the ~4× design-space scaling.
+//   - "latsweep" — Fig. 1, the latency-tolerance profile, plus the
+//     §II baseline-latency/crossover analysis (a LatencyReport);
+//   - "occupancy" — §III, queue full-of-usage occupancy (an
+//     OccupancyReport);
+//   - "designspace" — Table I / §IV, the ~4× design-space scaling (a
+//     DesignSpaceResult).
 //
-// Each harness expresses its sweep as a batch of independent
-// simulations on a deterministic worker pool (RunParams.Parallelism;
-// MeasureBatch exposes the engine directly): reports are bit-identical
-// at any worker count, only faster.
+// Every sweep runs as a batch of independent simulations on a
+// deterministic worker pool (MeasureBatch exposes the engine
+// directly): reports are bit-identical at any worker count, only
+// faster.
 //
 // Quick start:
 //
@@ -134,8 +137,8 @@ func Suite() []Workload { return workload.Suite() }
 func Scenarios() []WorkloadSpec { return workload.Scenarios() }
 
 // ParseWorkloadSpec decodes one JSON-encoded WorkloadSpec and fully
-// validates it (the -workload-file format of cmd/gpusim and
-// cmd/latsweep; see the README's "Defining your own workload").
+// validates it (the -workload-file format of cmd/gpusim; see the
+// README's "Defining your own workload").
 func ParseWorkloadSpec(data []byte) (WorkloadSpec, error) { return workload.ParseSpec(data) }
 
 // ParseWorkloadSpecs decodes a single JSON WorkloadSpec object or a
@@ -207,17 +210,6 @@ func (s *System) Measure(warmup, window int64) Results {
 	return s.gpu.Results()
 }
 
-// RunParams sets warmup and measurement-window lengths for the
-// experiment harnesses, plus the worker count (Parallelism: 0 =
-// GOMAXPROCS, 1 = serial) and an optional Progress callback. Every
-// harness farms its sweep grid out to a bounded worker pool; because
-// each simulated GPU owns all of its state, reports are bit-identical
-// at any parallelism.
-type RunParams = exp.RunParams
-
-// DefaultRunParams returns the harnesses' default methodology.
-func DefaultRunParams() RunParams { return exp.DefaultRunParams() }
-
 // Job is one independent simulation for MeasureBatch: a configuration,
 // a workload, and the warmup/window methodology. Its Engine field
 // (default EngineEvent) selects the time-advancement strategy.
@@ -259,58 +251,26 @@ func RenderBatchReport(scale string, warmup, window int64, wls []Workload, res [
 	return exp.BatchReport(scale, warmup, window, wls, res)
 }
 
-// MeasureSuiteBaselines measures the unmodified base architecture
-// once per workload, as one batch on the worker pool — the shared
-// baseline runs that Fig. 1 normalization, §III occupancy, and §IV
-// speedups all start from.
-func MeasureSuiteBaselines(base Config, suite []Workload, p RunParams) ([]Results, error) {
-	return exp.Baselines(base, suite, p)
-}
-
 // LatencyCurve is one benchmark's Fig. 1 latency-tolerance profile.
 type LatencyCurve = exp.Fig1Curve
 
 // LatencyPoint is one x/y point of a latency-tolerance curve.
 type LatencyPoint = exp.LatencyPoint
 
-// LatencyReport is the complete Fig. 1 sweep over a suite.
+// LatencyReport is the complete Fig. 1 sweep over a suite (the
+// "latsweep" sweep's report).
 type LatencyReport = exp.Fig1Report
 
 // DefaultLatencies returns Fig. 1's x-axis (0..800 step 50).
 func DefaultLatencies() []int64 { return exp.DefaultLatencies() }
 
-// Fig1Commentary is the interpretive note cmd/latsweep appends after
-// the Fig. 1 report (one copy, shared with the golden-output tests).
-const Fig1Commentary = exp.Fig1Commentary
-
-// RunLatencyTolerance regenerates one Fig. 1 curve: it measures the
-// baseline, then sweeps the fixed L1 miss latency.
-func RunLatencyTolerance(base Config, wl Workload, latencies []int64, p RunParams) (LatencyCurve, error) {
-	return exp.RunFig1(base, wl, latencies, p)
-}
-
-// RunLatencyToleranceSuite regenerates all of Fig. 1.
-func RunLatencyToleranceSuite(base Config, suite []Workload, latencies []int64, p RunParams) (LatencyReport, error) {
-	return exp.RunFig1Suite(base, suite, latencies, p)
-}
-
-// OccupancyReport is the §III queue-congestion characterization.
+// OccupancyReport is the §III queue-congestion characterization (the
+// "occupancy" sweep's report).
 type OccupancyReport = exp.OccupancyReport
 
-// RunQueueOccupancy regenerates §III: the fraction of usage lifetime
-// each bounded queue spends full, per benchmark and averaged.
-func RunQueueOccupancy(base Config, suite []Workload, p RunParams) (OccupancyReport, error) {
-	return exp.RunOccupancy(base, suite, p)
-}
-
-// DesignSpaceResult is the §IV exploration outcome.
+// DesignSpaceResult is the Table I / §IV exploration outcome (the
+// "designspace" sweep's report).
 type DesignSpaceResult = exp.DesignSpaceResult
-
-// RunDesignSpace regenerates §IV: per-workload and average speedups
-// for each Table I scaling set.
-func RunDesignSpace(base Config, suite []Workload, sets []ScalingSet, p RunParams) (DesignSpaceResult, error) {
-	return exp.RunDesignSpace(base, suite, sets, p)
-}
 
 // StallCause is one category of the per-cycle issue-slot attribution:
 // each SM cycle is charged to exactly one cause (issue progress, a
@@ -408,8 +368,9 @@ type JobRequest = api.JobRequest
 
 // RunSweep runs one registered sweep kind (SweepKindNames) locally on
 // the path `gpusim sweep <kind>`, gpusimd and gpusimc share, and
-// returns its report: a BottleneckReport, ScenarioReport, AdviseReport
-// or MitigationReport, or for the "run" kind the ordered per-workload
+// returns its report: a LatencyReport, OccupancyReport,
+// DesignSpaceResult, BottleneckReport, ScenarioReport, AdviseReport or
+// MitigationReport, or for the "run" kind the ordered per-workload
 // measurement envelopes. The request resolves against DefaultConfig
 // (or its inline config) with no window cap; Parallelism N runs N
 // workers, 0 all cores. The report is bit-identical at any

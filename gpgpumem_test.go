@@ -97,20 +97,30 @@ func TestScalingAppliesThroughPublicAPI(t *testing.T) {
 	}
 }
 
+// TestRunLatencyToleranceSmall runs the latsweep kind through RunSweep
+// on a shrunken inline config: one curve over Fig. 1's full axis, with
+// latency 0 no slower than 600.
 func TestRunLatencyToleranceSmall(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Core.NumSMs = 3
 	cfg.L2.Partitions = 2
-	wl, _ := WorkloadByName("sc")
-	curve, err := RunLatencyTolerance(cfg, wl, []int64{0, 600}, RunParams{WarmupCycles: 1000, WindowCycles: 3000})
+	raw, err := cfg.ToJSON()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(curve.Points) != 2 {
-		t.Fatalf("points: %+v", curve.Points)
+	warmup, window := int64(1000), int64(3000)
+	rep, err := RunSweep("latsweep", JobRequest{Workloads: []string{"sc"}, Config: raw, Warmup: &warmup, Window: &window})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if curve.Points[0].Normalized < curve.Points[1].Normalized {
-		t.Fatalf("latency 0 should not be slower than 600: %+v", curve.Points)
+	curves := rep.(LatencyReport).Curves
+	lats := DefaultLatencies()
+	if len(curves) != 1 || len(curves[0].Points) != len(lats) {
+		t.Fatalf("curves: %+v", curves)
+	}
+	pts := curves[0].Points
+	if pts[0].Latency != 0 || pts[12].Latency != 600 || pts[0].Normalized < pts[12].Normalized {
+		t.Fatalf("latency 0 should not be slower than 600: %+v", pts)
 	}
 }
 

@@ -33,7 +33,7 @@ func testSpecs(t *testing.T, names ...string) []workload.Spec {
 // entry is fully populated, names resolve, and the unknown-kind error
 // lists exactly the registered names.
 func TestKindRegistry(t *testing.T) {
-	wantNames := []string{"bottleneck", "scenarios", "advise", "mitigation", "run"}
+	wantNames := []string{"latsweep", "occupancy", "designspace", "bottleneck", "scenarios", "advise", "mitigation", "run"}
 	names := KindNames()
 	if len(names) != len(wantNames) {
 		t.Fatalf("KindNames() = %v, want %v", names, wantNames)
@@ -76,11 +76,14 @@ func TestKindGrids(t *testing.T) {
 		specs []string
 		want  int
 	}{
-		"bottleneck": {[]string{"sc", "kmeans"}, 2},
-		"scenarios":  {[]string{"kmeans", "bfs"}, 4}, // scenario + flattened control each
-		"advise":     {[]string{"sc", "kmeans"}, 2 * stride},
-		"mitigation": {[]string{"sc", "kmeans"}, 2 * mitStride},
-		"run":        {[]string{"sc", "kmeans"}, 2},
+		"latsweep":    {[]string{"sc", "kmeans"}, 2 * (1 + len(exp.DefaultLatencies()))},
+		"occupancy":   {[]string{"sc", "kmeans"}, 2},
+		"designspace": {[]string{"sc", "kmeans"}, 2 * (1 + 5)},
+		"bottleneck":  {[]string{"sc", "kmeans"}, 2},
+		"scenarios":   {[]string{"kmeans", "bfs"}, 4}, // scenario + flattened control each
+		"advise":      {[]string{"sc", "kmeans"}, 2 * stride},
+		"mitigation":  {[]string{"sc", "kmeans"}, 2 * mitStride},
+		"run":         {[]string{"sc", "kmeans"}, 2},
 	}
 	for name, tc := range cases {
 		k, err := KindByName(name)
@@ -101,6 +104,42 @@ func TestKindGrids(t *testing.T) {
 		if k.Defaults != nil && len(k.Defaults()) == 0 {
 			t.Errorf("%s: Defaults() returned an empty scope", name)
 		}
+	}
+}
+
+// TestResolveSweepRejectsBadGrids: the grid is expanded and validated
+// while the request is resolved, so a variant that overflows an
+// inline config and a latsweep whose baseline already has a fixed
+// latency are request errors, never compute failures. A resolved
+// sweep carries its grid.
+func TestResolveSweepRejectsBadGrids(t *testing.T) {
+	base := config.GTX480Baseline()
+	huge := base
+	huge.L1.MSHREntries = 1 << 62 // mshr-x4 wraps to 0
+	raw, err := json.Marshal(huge)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lat := int64(200)
+	for name, tc := range map[string]struct {
+		kind string
+		req  JobRequest
+		want string
+	}{
+		"overflowing variant":    {"advise", JobRequest{Workloads: []string{"sc"}, Config: raw}, "variant mshr-x4"},
+		"fixed-latency latsweep": {"latsweep", JobRequest{Workloads: []string{"sc"}, FixedLatency: &lat}, "fixed_latency"},
+	} {
+		_, err := ResolveSweep(tc.kind, base, tc.req, 2, math.MaxInt64)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one mentioning %q", name, err, tc.want)
+		}
+	}
+	sw, err := ResolveSweep("designspace", base, JobRequest{Workloads: []string{"sc"}}, 2, math.MaxInt64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sw.Grid) != 6 || sw.Grid[0].Config != sw.Config {
+		t.Errorf("resolved designspace grid has %d jobs (want 6, baseline first)", len(sw.Grid))
 	}
 }
 

@@ -11,10 +11,10 @@ import (
 )
 
 // Job is one grid entry of a sweep: the exact (config, spec) pair to
-// measure. Most kinds measure every spec on the request's resolved
-// config; the variant kinds (advise, mitigation) perturb the
-// architecture per job, which is why the grid carries configs rather
-// than assuming one.
+// measure. Some kinds measure every spec on the request's resolved
+// config; the variant kinds (latsweep, designspace, advise,
+// mitigation) perturb the architecture per job, which is why the grid
+// carries configs rather than assuming one.
 type Job = exp.GridJob
 
 // GridResult is one grid entry's measurement, however it was obtained
@@ -52,8 +52,10 @@ type Kind struct {
 	// explicit list.
 	Defaults func() []string
 	// Grid expands the resolved (config, specs) into the sweep's
-	// measurement grid. The order is part of the sweep's byte-identity
-	// contract: Report reads results at exactly these indices.
+	// measurement grid, validating every entry. The order is part of
+	// the sweep's byte-identity contract: Report reads results at
+	// exactly these indices. ResolveSweep calls it once per request,
+	// so a Grid error is the request's fault on every surface.
 	Grid func(cfg config.Config, specs []workload.Spec) ([]Job, error)
 	// Report is the pure merge half: it assembles the typed report
 	// from ordered grid results. res[i] belongs to grid[i]; the same
@@ -91,6 +93,43 @@ func specJobs(cfg config.Config, specs []workload.Spec) ([]Job, error) {
 // and nothing can mutate the shared definition.
 func kinds() []Kind {
 	return []Kind{
+		{
+			Name:         "latsweep",
+			ResponseKind: "sweep-latsweep",
+			Description:  "Fig. 1 latency tolerance: IPC vs a fixed L1 miss latency, 0 to 800 cycles (exp.Fig1Report)",
+			Defaults:     suiteNames,
+			Grid: func(cfg config.Config, specs []workload.Spec) ([]Job, error) {
+				if cfg.FixedLatency.Enabled {
+					return nil, fmt.Errorf("latsweep sets the fixed latency itself; its baseline must be the real hierarchy (drop fixed_latency)")
+				}
+				return exp.VariantGrid(cfg, specs, exp.LatencyVariants(exp.DefaultLatencies()))
+			},
+			Report: func(cfg config.Config, specs []workload.Spec, p exp.RunParams, grid []Job, res []GridResult) (any, error) {
+				return exp.BuildFig1Report(specs, exp.DefaultLatencies(), decoded(res))
+			},
+		},
+		{
+			Name:         "occupancy",
+			ResponseKind: "sweep-occupancy",
+			Description:  "§III queue full-of-usage occupancy of the L2 access and DRAM scheduler queues (exp.OccupancyReport)",
+			Defaults:     suiteNames,
+			Grid:         specJobs,
+			Report: func(cfg config.Config, specs []workload.Spec, p exp.RunParams, grid []Job, res []GridResult) (any, error) {
+				return exp.BuildOccupancyReport(cfg, specs, decoded(res))
+			},
+		},
+		{
+			Name:         "designspace",
+			ResponseKind: "sweep-designspace",
+			Description:  "Table I and the §IV design space: speedups with Table I groups scaled ~4x (exp.DesignSpaceResult)",
+			Defaults:     suiteNames,
+			Grid: func(cfg config.Config, specs []workload.Spec) ([]Job, error) {
+				return exp.VariantGrid(cfg, specs, exp.ScalingVariants(designSpaceSets()))
+			},
+			Report: func(cfg config.Config, specs []workload.Spec, p exp.RunParams, grid []Job, res []GridResult) (any, error) {
+				return exp.BuildDesignSpaceResult(specs, designSpaceSets(), decoded(res))
+			},
+		},
 		{
 			Name:         "bottleneck",
 			ResponseKind: "sweep-bottleneck",
@@ -183,16 +222,30 @@ func KindByName(name string) (Kind, error) {
 	return Kind{}, fmt.Errorf("unknown sweep kind %q (want %s)", name, strings.Join(KindNames(), ", "))
 }
 
+// designSpaceSets is the designspace kind's scaling sets in the
+// paper's order: each Table I group alone, then the two combinations
+// §IV reports.
+func designSpaceSets() []config.ScalingSet {
+	return []config.ScalingSet{config.ScaleL1, config.ScaleL2, config.ScaleDRAM, config.ScaleL1L2, config.ScaleL2DRAM}
+}
+
+// suiteNames is the default scope of the paper kinds: the Fig. 1
+// benchmark suite in figure order.
+func suiteNames() []string {
+	suite := workload.Suite()
+	names := make([]string, len(suite))
+	for i, wl := range suite {
+		names[i] = wl.Name()
+	}
+	return names
+}
+
 // suiteAndScenarioNames is the default scope of the bottleneck and
 // advise kinds: the paper's Fig. 1 benchmark suite followed by the
 // built-in multi-phase scenarios, so a sweep covers both steady and
 // phased behaviour.
 func suiteAndScenarioNames() []string {
-	var names []string
-	for _, wl := range workload.Suite() {
-		names = append(names, wl.Name())
-	}
-	return append(names, scenarioNames()...)
+	return append(suiteNames(), scenarioNames()...)
 }
 
 // scenarioNames lists the built-in multi-phase scenarios.

@@ -13,8 +13,8 @@ import (
 )
 
 // Sweep is a resolved sweep request: the registry entry, the workload
-// scope (as names and as specs), and the config and methodology the
-// request describes.
+// scope (as names and as specs), the config and methodology the
+// request describes, and the validated grid they expand to.
 type Sweep struct {
 	Kind Kind
 	// Names is the request's workloads list, or the kind's defaults
@@ -23,14 +23,18 @@ type Sweep struct {
 	Specs  []workload.Spec
 	Config config.Config
 	Params exp.RunParams
+	// Grid is Kind.Grid(Config, Specs): the measurements the sweep
+	// needs, in the order Kind.Report reads them.
+	Grid []Job
 }
 
 // ResolveSweep is the one definition of "which sweep does this request
 // describe", shared by the single-node server, the fabric coordinator
 // and the `gpusim sweep` CLI: the kind lookup, the rejection of the
 // single-job workload/spec fields, the kind's default scope, each
-// name's spec, and the methodology against base and the caller's caps.
-// Every error it returns is the request's fault.
+// name's spec, the methodology against base and the caller's caps, and
+// the kind's grid, whose every entry is validated here. Every error it
+// returns is the request's fault.
 func ResolveSweep(kind string, base config.Config, req JobRequest, maxParallel int, maxWindow int64) (Sweep, error) {
 	k, err := KindByName(kind)
 	if err != nil {
@@ -56,7 +60,11 @@ func ResolveSweep(kind string, base config.Config, req JobRequest, maxParallel i
 	if err != nil {
 		return Sweep{}, err
 	}
-	return Sweep{Kind: k, Names: names, Specs: specs, Config: cfg, Params: p}, nil
+	grid, err := k.Grid(cfg, specs)
+	if err != nil {
+		return Sweep{}, err
+	}
+	return Sweep{Kind: k, Names: names, Specs: specs, Config: cfg, Params: p, Grid: grid}, nil
 }
 
 // Key is the sweep's content address (resultcache.SweepKey): the
@@ -76,19 +84,15 @@ func (s Sweep) Envelope(key string, report json.RawMessage) Envelope {
 	}
 }
 
-// Compute runs the sweep locally: expand the kind's grid, run it as
-// one batch on the worker pool (per-job configs — the variant grids
-// perturb the architecture), content-address and encode each result,
-// and hand the ordered results to the kind's pure Report half. The
-// fabric coordinator runs the same Grid and Report over
-// fleet-collected results, which is what makes a fleet-merged report
-// byte-identical to this one.
+// Compute runs the sweep locally: run its grid as one batch on the
+// worker pool (per-job configs — the variant grids perturb the
+// architecture), content-address and encode each result, and hand the
+// ordered results to the kind's pure Report half. The fabric
+// coordinator runs the same grid and Report over fleet-collected
+// results, which is what makes a fleet-merged report byte-identical to
+// this one.
 func (s Sweep) Compute() (any, error) {
-	grid, err := s.Kind.Grid(s.Config, s.Specs)
-	if err != nil {
-		return nil, err
-	}
-	p := s.Params
+	grid, p := s.Grid, s.Params
 	jobs := make([]runner.Job, len(grid))
 	for i, g := range grid {
 		jobs[i] = runner.Job{

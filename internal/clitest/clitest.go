@@ -11,7 +11,7 @@ import (
 	"testing"
 )
 
-// Build compiles the import path (e.g. "repro/cmd/occupancy") into
+// Build compiles the import path (e.g. "repro/cmd/gpusim") into
 // t.TempDir and returns the binary path. It relies on the test
 // process running inside the module, which is how `go test` invokes
 // it.

@@ -1,6 +1,7 @@
 package config
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -123,6 +124,29 @@ func TestScalingSetString(t *testing.T) {
 	}
 	if !strings.Contains(ScalingSet(42).String(), "42") {
 		t.Errorf("unknown set string: %q", ScalingSet(42).String())
+	}
+}
+
+// TestScalingSetTextRoundTrip: every set marshals to a spelling
+// ParseScalingSet accepts and parses back to itself, JSON uses that
+// spelling, and an unknown set refuses to marshal.
+func TestScalingSetTextRoundTrip(t *testing.T) {
+	for _, s := range append(AllScalingSets, ScaleAll) {
+		text, err := s.MarshalText()
+		if err != nil {
+			t.Fatalf("%v: %v", s, err)
+		}
+		got, err := ParseScalingSet(string(text))
+		if err != nil || got != s {
+			t.Errorf("%v marshals to %q, which parses to %v, %v", s, text, got, err)
+		}
+	}
+	data, err := json.Marshal([]ScalingSet{ScaleL1, ScaleL2DRAM})
+	if err != nil || string(data) != `["l1","l2dram"]` {
+		t.Errorf("json = %s, %v", data, err)
+	}
+	if _, err := ScalingSet(42).MarshalText(); err == nil {
+		t.Error("an unknown set marshaled")
 	}
 }
 

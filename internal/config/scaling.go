@@ -52,27 +52,39 @@ func (s ScalingSet) String() string {
 	}
 }
 
+// scalingSetNames is each set's canonical spelling: what
+// ParseScalingSet accepts and MarshalText writes.
+var scalingSetNames = [...]string{
+	ScaleNone: "baseline", ScaleL1: "l1", ScaleL2: "l2", ScaleDRAM: "dram",
+	ScaleL1L2: "l1l2", ScaleL2DRAM: "l2dram", ScaleAll: "all",
+}
+
 // ParseScalingSet converts a CLI string ("baseline", "l1", "l2",
 // "dram", "l1l2", "l2dram", "all") into a ScalingSet.
 func ParseScalingSet(s string) (ScalingSet, error) {
 	switch s {
-	case "baseline", "none":
+	case "none":
 		return ScaleNone, nil
-	case "l1":
-		return ScaleL1, nil
-	case "l2":
-		return ScaleL2, nil
-	case "dram":
-		return ScaleDRAM, nil
-	case "l1l2", "l1+l2":
+	case "l1+l2":
 		return ScaleL1L2, nil
-	case "l2dram", "l2+dram":
+	case "l2+dram":
 		return ScaleL2DRAM, nil
-	case "all":
-		return ScaleAll, nil
-	default:
-		return ScaleNone, fmt.Errorf("config: unknown scaling set %q", s)
 	}
+	for set, name := range scalingSetNames {
+		if name == s {
+			return ScalingSet(set), nil
+		}
+	}
+	return ScaleNone, fmt.Errorf("config: unknown scaling set %q", s)
+}
+
+// MarshalText encodes the set in its canonical spelling, so served
+// reports name sets the way requests do.
+func (s ScalingSet) MarshalText() ([]byte, error) {
+	if s < 0 || int(s) >= len(scalingSetNames) {
+		return nil, fmt.Errorf("config: unknown scaling set %d", int(s))
+	}
+	return []byte(scalingSetNames[s]), nil
 }
 
 // Apply returns a copy of base with the scaling set's Table I

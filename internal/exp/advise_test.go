@@ -5,8 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/config"
-	"repro/internal/runner"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -21,20 +19,6 @@ func adviseSpecs(t *testing.T, names ...string) []workload.Spec {
 		specs[i] = sp
 	}
 	return specs
-}
-
-// runGrid measures a sweep grid as one batch on the worker pool.
-func runGrid(t *testing.T, grid []GridJob, p RunParams) []sim.Results {
-	t.Helper()
-	jobs := make([]runner.Job, len(grid))
-	for i, g := range grid {
-		jobs[i] = job(g.Config, g.Spec, p)
-	}
-	res, err := run(jobs, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
 }
 
 // TestAdviseGridLayout: the grid is baseline-first with one entry per

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/stats"
-	"repro/internal/workload"
 )
 
 // bottleneckReport measures the golden scope — a memory-bound
@@ -16,15 +15,7 @@ func bottleneckReport(t *testing.T, p RunParams) BottleneckReport {
 	t.Helper()
 	cfg := config.GTX480Baseline()
 	specs := adviseSpecs(t, "sc", "leukocyte", "kmeans")
-	wls := make([]workload.Workload, len(specs))
-	for i, sp := range specs {
-		wls[i] = sp
-	}
-	res, err := Baselines(cfg, wls, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return BuildBottleneckReport(cfg, specs, p, res)
+	return BuildBottleneckReport(cfg, specs, p, variantResults(t, cfg, specs, nil, p))
 }
 
 // TestBottleneckStacksSumToIssueSlots enforces the report-level

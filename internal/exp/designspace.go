@@ -5,7 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/config"
-	"repro/internal/runner"
+	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -14,66 +14,62 @@ import (
 // for each Table I scaling set, plus the suite averages the paper
 // reports (L1 +4%, L2 +59%, DRAM +11%, L1+L2 +69%, L2+DRAM +76%).
 type DesignSpaceResult struct {
-	Sets      []config.ScalingSet
-	Workloads []string
+	Sets      []config.ScalingSet `json:"sets"`
+	Workloads []string            `json:"workloads"`
 	// BaselineIPC[w] is workload w's baseline IPC.
-	BaselineIPC []float64
+	BaselineIPC []float64 `json:"baseline_ipc"`
 	// Speedup[w][s] is IPC(set s) / IPC(baseline) for workload w.
-	Speedup [][]float64
+	Speedup [][]float64 `json:"speedup"`
 	// MeanSpeedup[s] is the arithmetic-mean speedup of set s across
 	// workloads (the paper's "average speedup").
-	MeanSpeedup []float64
+	MeanSpeedup []float64 `json:"mean_speedup"`
 }
 
-// RunDesignSpace evaluates each Table I scaling set over the suite.
-// ScaleNone must not be included in sets (the baseline is implicit).
-// The exploration is one batch on the experiment engine: per
-// workload, a single baseline measurement (shared by every set's
-// speedup) followed by one job per scaling set.
-func RunDesignSpace(base config.Config, suite []workload.Workload, sets []config.ScalingSet, p RunParams) (DesignSpaceResult, error) {
-	// The scaled configurations are the same for every workload;
-	// derive them once instead of len(suite) times.
-	scaled := make([]config.Config, len(sets))
-	for si, set := range sets {
-		scaled[si] = set.Apply(base)
-	}
-	stride := 1 + len(sets)
-	jobs := make([]runner.Job, 0, len(suite)*stride)
-	for _, wl := range suite {
-		jobs = append(jobs, job(base, wl, p))
-		for si := range sets {
-			jobs = append(jobs, job(scaled[si], wl, p))
+// ScalingVariants returns one variant per Table I scaling set, in
+// order, each applying the set to the measured config. With
+// VariantGrid they lay out the §IV grid: per workload, one baseline
+// measurement shared by every set's speedup, then one job per set.
+func ScalingVariants(sets []config.ScalingSet) []Perturbation {
+	vs := make([]Perturbation, len(sets))
+	for i, set := range sets {
+		vs[i] = Perturbation{
+			Name: set.String(),
+			Apply: func(cfg config.Config, sp workload.Spec) (config.Config, workload.Spec) {
+				return set.Apply(cfg), sp
+			},
 		}
 	}
-	measured, err := run(jobs, p)
+	return vs
+}
+
+// BuildDesignSpaceResult assembles §IV from results laid out as
+// VariantGrid produces them for ScalingVariants(sets). It is the
+// designspace sweep's pure merge half.
+func BuildDesignSpaceResult(specs []workload.Spec, sets []config.ScalingSet, res []sim.Results) (DesignSpaceResult, error) {
+	bases, scaled, err := variantRows("designspace", specs, len(sets), res)
 	if err != nil {
 		return DesignSpaceResult{}, err
 	}
-
-	res := DesignSpaceResult{Sets: sets}
-	per := make([][]float64, len(suite))
-	for wi, wl := range suite {
-		baseRes := measured[wi*stride]
-		res.Workloads = append(res.Workloads, wl.Name())
-		res.BaselineIPC = append(res.BaselineIPC, baseRes.IPC)
-		per[wi] = make([]float64, len(sets))
+	out := DesignSpaceResult{Sets: sets, Speedup: make([][]float64, len(specs))}
+	for wi, sp := range specs {
+		out.Workloads = append(out.Workloads, sp.SpecName)
+		out.BaselineIPC = append(out.BaselineIPC, bases[wi].IPC)
+		out.Speedup[wi] = make([]float64, len(sets))
 		for si := range sets {
-			r := measured[wi*stride+1+si]
-			if baseRes.IPC > 0 {
-				per[wi][si] = r.IPC / baseRes.IPC
+			if bases[wi].IPC > 0 {
+				out.Speedup[wi][si] = scaled[wi][si].IPC / bases[wi].IPC
 			}
 		}
 	}
-	res.Speedup = per
-	res.MeanSpeedup = make([]float64, len(sets))
+	out.MeanSpeedup = make([]float64, len(sets))
 	for si := range sets {
-		col := make([]float64, len(suite))
-		for wi := range suite {
-			col[wi] = per[wi][si]
+		col := make([]float64, len(specs))
+		for wi := range specs {
+			col[wi] = out.Speedup[wi][si]
 		}
-		res.MeanSpeedup[si] = stats.Mean(col)
+		out.MeanSpeedup[si] = stats.Mean(col)
 	}
-	return res, nil
+	return out, nil
 }
 
 // SpeedupFor returns the mean speedup of a given set, or 0 if the set
@@ -87,10 +83,23 @@ func (r DesignSpaceResult) SpeedupFor(set config.ScalingSet) float64 {
 	return 0
 }
 
-// String renders the §IV table: one row per workload, one column per
-// scaling set, plus the average row the paper quotes.
+// String renders Table I — the design space itself — and then the §IV
+// table: one row per workload, one column per scaling set, plus the
+// average row the paper quotes.
 func (r DesignSpaceResult) String() string {
 	var b strings.Builder
+	fmt.Fprintf(&b, "Table I — consolidated design space to mitigate congestion\n")
+	fmt.Fprintf(&b, "\n%-10s %-22s %-4s %-20s %-20s\n", "group", "parameter", "type", "baseline", "scaled (~4x)")
+	group := ""
+	for _, row := range config.TableI() {
+		g := row.Group
+		if g == group {
+			g = ""
+		} else {
+			group = g
+		}
+		fmt.Fprintf(&b, "%-10s %-22s %-4s %-20s %-20s\n", g, row.Parameter, row.Type, row.Baseline, row.Scaled)
+	}
 	fmt.Fprintf(&b, "§IV — speedup over baseline when scaling Table I groups ~4×\n\n")
 	fmt.Fprintf(&b, "%-10s %9s", "bench", "base-IPC")
 	for _, s := range r.Sets {

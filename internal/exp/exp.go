@@ -1,18 +1,20 @@
 // Package exp contains the harnesses that regenerate every figure and
 // table of the paper: the Fig. 1 latency-tolerance sweep (with the §II
 // crossover analysis), the §III queue-occupancy characterization, and
-// the Table I / §IV design-space exploration.
+// the Table I / §IV design-space exploration — plus the bottleneck,
+// scenario, advise and mitigation reports built on the same model.
 //
-// Each artifact is a grid of fully independent simulations, so every
-// harness expresses its sweep as one job batch on the internal/runner
-// worker pool. RunParams.Parallelism picks the worker count; because
-// each sim.GPU instance owns all of its state (including the seeded
-// RNG behind the workload address streams), a report is bit-identical
-// at any parallelism.
+// Each artifact is a grid of fully independent simulations split into
+// two halves: a grid (VariantGrid, for the "baseline + variants"
+// sweeps, or one job per workload) and a pure Build half that turns
+// the ordered results into the report. The internal/api sweep
+// registry pairs the halves and runs the grid as one batch on the
+// internal/runner worker pool; because each sim.GPU instance owns all
+// of its state (including the seeded RNG behind the workload address
+// streams), a report is bit-identical at any parallelism.
 package exp
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/config"
@@ -27,18 +29,13 @@ import (
 type RunParams struct {
 	WarmupCycles int64
 	WindowCycles int64
-	// Parallelism is the worker count the harnesses hand to the
-	// experiment engine. 0 means runtime.GOMAXPROCS(0); 1 reproduces
-	// the historical serial path.
+	// Parallelism is the worker count a sweep hands to the experiment
+	// engine. 0 means runtime.GOMAXPROCS(0); 1 runs one job at a time.
 	Parallelism int
-	// Progress, when non-nil, is called after each simulation of a
-	// harness's batch completes, with the finished-job count and the
-	// batch size. Calls are serialized.
-	Progress func(done, total int)
 }
 
-// DefaultRunParams balances fidelity and runtime; the CLIs expose
-// flags to lengthen the runs and -j to change the worker count.
+// DefaultRunParams balances fidelity and runtime; requests and CLI
+// flags lengthen the runs and change the worker count.
 func DefaultRunParams() RunParams {
 	return RunParams{WarmupCycles: 6000, WindowCycles: 20000}
 }
@@ -51,30 +48,6 @@ func job(cfg config.Config, wl workload.Workload, p RunParams) runner.Job {
 	}
 }
 
-// run executes a harness's batch on the experiment engine.
-func run(jobs []runner.Job, p RunParams) ([]sim.Results, error) {
-	res, err := runner.Run(context.Background(), jobs, runner.Options{
-		Parallelism: p.Parallelism,
-		Progress:    p.Progress,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("exp: %w", err)
-	}
-	return res, nil
-}
-
-// Baselines measures the unmodified base architecture once per
-// workload, as one batch. RunOccupancy's measurement *is* this batch,
-// and it is the shared definition of the baseline runs RunFig1Suite
-// and RunDesignSpace fold into their sweeps.
-func Baselines(base config.Config, suite []workload.Workload, p RunParams) ([]sim.Results, error) {
-	jobs := make([]runner.Job, len(suite))
-	for i, wl := range suite {
-		jobs[i] = job(base, wl, p)
-	}
-	return run(jobs, p)
-}
-
 // Measure builds a GPU for (cfg, wl), runs warmup+window, and returns
 // the window's results. It is the single-job form of the engine: the
 // worker pool executes exactly this per job, so a batch at any
@@ -85,13 +58,4 @@ func Measure(cfg config.Config, wl workload.Workload, p RunParams) (sim.Results,
 		return sim.Results{}, fmt.Errorf("exp: %w", err)
 	}
 	return r, nil
-}
-
-// MustMeasure is Measure for callers with pre-validated inputs.
-func MustMeasure(cfg config.Config, wl workload.Workload, p RunParams) sim.Results {
-	r, err := Measure(cfg, wl, p)
-	if err != nil {
-		panic(err)
-	}
-	return r
 }

@@ -47,10 +47,7 @@ func TestMeasureRejectsBadConfig(t *testing.T) {
 
 func TestFig1CurveShape(t *testing.T) {
 	lats := []int64{0, 200, 600, 1200}
-	c, err := RunFig1(smallConfig(), congested(), lats, fastParams())
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := fig1Report(t, smallConfig(), []workload.Spec{congested()}, lats, fastParams()).Curves[0]
 	if len(c.Points) != 4 {
 		t.Fatalf("points = %d", len(c.Points))
 	}
@@ -110,11 +107,7 @@ func TestDefaultLatenciesMatchFigure(t *testing.T) {
 }
 
 func TestOccupancyReport(t *testing.T) {
-	suite := []workload.Workload{congested()}
-	rep, err := RunOccupancy(smallConfig(), suite, fastParams())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := occupancyReport(t, smallConfig(), []workload.Spec{congested()}, fastParams())
 	if len(rep.Rows) != 1 {
 		t.Fatalf("rows = %d", len(rep.Rows))
 	}
@@ -128,15 +121,32 @@ func TestOccupancyReport(t *testing.T) {
 	if !strings.Contains(rep.String(), "hammer") {
 		t.Fatalf("report missing workload name")
 	}
+	if _, err := BuildOccupancyReport(smallConfig(), []workload.Spec{congested()}, nil); err == nil {
+		t.Error("a result slice of the wrong length was accepted")
+	}
+}
+
+// TestOccupancyDetailCapacities: the detail block divides each mean
+// occupancy by the measured config's queue depths, not the baseline's
+// 8 and 16 — under the L2+DRAM scaling set they are 32 and 64.
+func TestOccupancyDetailCapacities(t *testing.T) {
+	cfg := config.ScaleL2DRAM.Apply(smallConfig())
+	rep := occupancyReport(t, cfg, []workload.Spec{congested()}, fastParams())
+	if rep.L2AccessCapacity != 32 || rep.DRAMSchedCapacity != 64 {
+		t.Fatalf("capacities %d / %d, want 32 / 64", rep.L2AccessCapacity, rep.DRAMSchedCapacity)
+	}
+	_, detail, _ := strings.Cut(rep.String(), "per-benchmark detail")
+	if !strings.Contains(detail, " / 32 ") || !strings.HasSuffix(detail, " / 64\n") {
+		t.Errorf("detail block does not show the scaled capacities:\n%s", detail)
+	}
+	if row := rep.Rows[0]; row.L2AccessMeanOcc > 32 || row.DRAMSchedMeanOcc > 64 {
+		t.Errorf("a mean occupancy exceeds its capacity: %+v", row)
+	}
 }
 
 func TestDesignSpaceSpeedups(t *testing.T) {
-	suite := []workload.Workload{congested()}
 	sets := []config.ScalingSet{config.ScaleL2}
-	res, err := RunDesignSpace(smallConfig(), suite, sets, fastParams())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := designSpace(t, smallConfig(), []workload.Spec{congested()}, sets, fastParams())
 	if len(res.Speedup) != 1 || len(res.Speedup[0]) != 1 {
 		t.Fatalf("shape wrong: %+v", res.Speedup)
 	}
@@ -147,21 +157,23 @@ func TestDesignSpaceSpeedups(t *testing.T) {
 	if res.SpeedupFor(config.ScaleDRAM) != 0 {
 		t.Fatalf("unevaluated set should report 0")
 	}
-	if !strings.Contains(res.String(), "hammer") {
-		t.Fatalf("report missing workload")
+	out := res.String()
+	for _, frag := range []string{"Table I", "hammer", "average"} {
+		if !strings.Contains(out, frag) {
+			t.Fatalf("report missing %q:\n%s", frag, out)
+		}
 	}
 }
 
 func TestFig1SuiteAndReportRendering(t *testing.T) {
-	suite := []workload.Workload{congested()}
-	rep, err := RunFig1Suite(smallConfig(), suite, []int64{0, 400}, fastParams())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := fig1Report(t, smallConfig(), []workload.Spec{congested()}, []int64{0, 400}, fastParams())
 	out := rep.String()
-	for _, frag := range []string{"latency", "hammer", "crossover"} {
+	for _, frag := range []string{"latency", "hammer", "crossover", "o=hammer", "paper Fig. 1"} {
 		if !strings.Contains(out, frag) {
 			t.Fatalf("report missing %q:\n%s", frag, out)
 		}
+	}
+	if _, err := BuildFig1Report([]workload.Spec{congested()}, []int64{0, 400}, nil); err == nil {
+		t.Error("a result slice of the wrong length was accepted")
 	}
 }

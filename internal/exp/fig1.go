@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/config"
-	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -13,30 +12,30 @@ import (
 // LatencyPoint is one x/y point of a Fig. 1 curve.
 type LatencyPoint struct {
 	// Latency is the fixed L1 miss latency in core cycles (x-axis).
-	Latency int64
+	Latency int64 `json:"latency"`
 	// IPC is the absolute IPC at that latency.
-	IPC float64
+	IPC float64 `json:"ipc"`
 	// Normalized is IPC over the baseline architecture's IPC (y-axis).
-	Normalized float64
+	Normalized float64 `json:"normalized"`
 }
 
 // Fig1Curve is one benchmark's latency-tolerance profile.
 type Fig1Curve struct {
-	Workload string
+	Workload string `json:"workload"`
 	// BaselineIPC is the real-hierarchy IPC the curve normalizes to.
-	BaselineIPC float64
+	BaselineIPC float64 `json:"baseline_ipc"`
 	// BaselineAvgMissLatency is the measured average L1-miss round
 	// trip of the baseline architecture (§II's "baseline memory
 	// latency").
-	BaselineAvgMissLatency float64
-	Points                 []LatencyPoint
+	BaselineAvgMissLatency float64        `json:"baseline_avg_miss_latency"`
+	Points                 []LatencyPoint `json:"points"`
 	// CrossoverLatency interpolates where the curve crosses 1.0×: the
 	// fixed latency equivalent to the baseline's loaded latency. §II
 	// observes it far exceeds the 120-cycle ideal L2 latency.
-	CrossoverLatency float64
+	CrossoverLatency float64 `json:"crossover_latency"`
 	// PlateauSpeedup is the normalized IPC at the lowest swept
 	// latency (the performance plateau's height).
-	PlateauSpeedup float64
+	PlateauSpeedup float64 `json:"plateau_speedup"`
 }
 
 // DefaultLatencies is Fig. 1's x-axis: 0 to 800 in steps of 50.
@@ -48,30 +47,53 @@ func DefaultLatencies() []int64 {
 	return xs
 }
 
-// RunFig1 sweeps the fixed L1 miss latency for one workload and
-// returns its latency-tolerance curve (one line of Fig. 1).
-func RunFig1(base config.Config, wl workload.Workload, latencies []int64, p RunParams) (Fig1Curve, error) {
-	rep, err := RunFig1Suite(base, []workload.Workload{wl}, latencies, p)
-	if err != nil {
-		return Fig1Curve{}, err
+// LatencyVariants returns Fig. 1's sweep points as variants, one per
+// latency in order: each swaps the hierarchy below the L1 for a
+// fixed-latency, infinite-bandwidth responder. With VariantGrid they
+// lay out the Fig. 1 grid — per workload, the real-hierarchy baseline
+// the curve normalizes to, then one job per latency.
+func LatencyVariants(latencies []int64) []Perturbation {
+	vs := make([]Perturbation, len(latencies))
+	for i, lat := range latencies {
+		vs[i] = Perturbation{
+			Name: fmt.Sprintf("lat-%d", lat),
+			Apply: func(cfg config.Config, sp workload.Spec) (config.Config, workload.Spec) {
+				cfg.FixedLatency = config.FixedLatencyConfig{Enabled: true, Cycles: lat}
+				return cfg, sp
+			},
+		}
 	}
-	return rep.Curves[0], nil
+	return vs
 }
 
-// fig1Curve assembles one workload's curve from its ordered slice of
-// measurements: the baseline first, then one result per latency.
-func fig1Curve(wl workload.Workload, latencies []int64, res []sim.Results) Fig1Curve {
-	baseRes := res[0]
+// BuildFig1Report assembles Fig. 1 from results laid out as
+// VariantGrid produces them for LatencyVariants(latencies): per spec,
+// the baseline, then one result per latency. It is the latsweep
+// sweep's pure merge half.
+func BuildFig1Report(specs []workload.Spec, latencies []int64, res []sim.Results) (Fig1Report, error) {
+	bases, points, err := variantRows("latsweep", specs, len(latencies), res)
+	if err != nil {
+		return Fig1Report{}, err
+	}
+	rep := Fig1Report{Latencies: latencies, Curves: make([]Fig1Curve, len(specs))}
+	for i, sp := range specs {
+		rep.Curves[i] = fig1Curve(sp.SpecName, latencies, bases[i], points[i])
+	}
+	return rep, nil
+}
+
+// fig1Curve assembles one workload's curve from its baseline and its
+// per-latency measurements.
+func fig1Curve(name string, latencies []int64, baseRes sim.Results, res []sim.Results) Fig1Curve {
 	c := Fig1Curve{
-		Workload:               wl.Name(),
+		Workload:               name,
 		BaselineIPC:            baseRes.IPC,
 		BaselineAvgMissLatency: baseRes.AvgMissLatency,
 	}
 	for i, lat := range latencies {
-		r := res[1+i]
-		pt := LatencyPoint{Latency: lat, IPC: r.IPC}
+		pt := LatencyPoint{Latency: lat, IPC: res[i].IPC}
 		if baseRes.IPC > 0 {
-			pt.Normalized = r.IPC / baseRes.IPC
+			pt.Normalized = res[i].IPC / baseRes.IPC
 		}
 		c.Points = append(c.Points, pt)
 	}
@@ -109,42 +131,16 @@ func crossover(pts []LatencyPoint) float64 {
 	return float64(pts[len(pts)-1].Latency)
 }
 
-// Fig1Report runs the full Fig. 1 sweep over a suite.
+// Fig1Report is the full Fig. 1 sweep over a suite.
 type Fig1Report struct {
-	Latencies []int64
-	Curves    []Fig1Curve
+	Latencies []int64     `json:"latencies"`
+	Curves    []Fig1Curve `json:"curves"`
 }
 
-// RunFig1Suite regenerates all of Fig. 1. The whole grid — per
-// workload, one baseline measurement plus one sweep point per latency
-// — is submitted as a single batch to the experiment engine, so every
-// simulation (baselines included, measured exactly once per workload)
-// is available to the worker pool at once.
-func RunFig1Suite(base config.Config, suite []workload.Workload, latencies []int64, p RunParams) (Fig1Report, error) {
-	stride := 1 + len(latencies)
-	jobs := make([]runner.Job, 0, len(suite)*stride)
-	for _, wl := range suite {
-		jobs = append(jobs, job(base, wl, p))
-		for _, lat := range latencies {
-			cfg := base
-			cfg.FixedLatency = config.FixedLatencyConfig{Enabled: true, Cycles: lat}
-			jobs = append(jobs, job(cfg, wl, p))
-		}
-	}
-	res, err := run(jobs, p)
-	if err != nil {
-		return Fig1Report{}, err
-	}
-	rep := Fig1Report{Latencies: latencies}
-	for wi, wl := range suite {
-		rep.Curves = append(rep.Curves, fig1Curve(wl, latencies, res[wi*stride:(wi+1)*stride]))
-	}
-	return rep, nil
-}
-
-// String renders the report as a table: one row per latency, one
-// column per benchmark (the data behind Fig. 1), followed by the §II
-// crossover summary.
+// String renders the report: a table with one row per latency and one
+// column per benchmark (the data behind Fig. 1), the §II crossover
+// summary, an ASCII rendition of the figure, and the paper's
+// reference points.
 func (r Fig1Report) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig. 1 — IPC normalized to baseline vs fixed L1 miss latency\n\n")
@@ -166,5 +162,9 @@ func (r Fig1Report) String() string {
 		fmt.Fprintf(&b, "%-10s %12.3f %12.0f %10.0f\n",
 			c.Workload, c.BaselineIPC, c.BaselineAvgMissLatency, c.CrossoverLatency)
 	}
+	b.WriteString("\n")
+	b.WriteString(r.Plot(20))
+	b.WriteString("\n(paper Fig. 1: plateaus between ~1.2× and ~6×, sc highest;\n" +
+		" §II: crossovers far above the 120-cycle ideal L2 latency)\n")
 	return b.String()
 }

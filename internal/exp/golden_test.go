@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/config"
-	"repro/internal/runner"
 	"repro/internal/workload"
 )
 
@@ -23,19 +22,6 @@ func goldenParams(parallelism int) RunParams {
 	return RunParams{WarmupCycles: 2000, WindowCycles: 5000, Parallelism: parallelism}
 }
 
-func goldenSuite(t *testing.T) []workload.Workload {
-	t.Helper()
-	suite := make([]workload.Workload, 0, 2)
-	for _, name := range []string{"sc", "cfd"} {
-		wl, err := workload.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		suite = append(suite, wl)
-	}
-	return suite
-}
-
 func readGolden(t *testing.T, name string) string {
 	t.Helper()
 	data, err := os.ReadFile(filepath.Join("testdata", name))
@@ -45,64 +31,34 @@ func readGolden(t *testing.T, name string) string {
 	return string(data)
 }
 
-func TestGoldenGpusimReport(t *testing.T) {
-	want := readGolden(t, "gpusim-sc-cfd.golden")
-	suite := goldenSuite(t)
+// testGoldenBatch pins the gpusim report of the named workloads on
+// the baseline at serial and parallel worker counts.
+func testGoldenBatch(t *testing.T, golden string, names ...string) {
+	t.Helper()
+	want := readGolden(t, golden)
+	specs := adviseSpecs(t, names...)
+	wls := make([]workload.Workload, len(specs))
+	for i, sp := range specs {
+		wls[i] = sp
+	}
 	cfg := config.GTX480Baseline()
 	for _, j := range []int{1, 4} {
 		p := goldenParams(j)
-		jobs := make([]runner.Job, len(suite))
-		for i, wl := range suite {
-			jobs[i] = job(cfg, wl, p)
-		}
-		res, err := run(jobs, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := BatchReport("baseline", p.WarmupCycles, p.WindowCycles, suite, res)
+		res := variantResults(t, cfg, specs, nil, p)
+		got := BatchReport("baseline", p.WarmupCycles, p.WindowCycles, wls, res)
 		if got != want {
-			t.Errorf("j=%d: gpusim report drifted from golden:\n got:\n%s\nwant:\n%s", j, got, want)
+			t.Errorf("j=%d: %s drifted from golden:\n got:\n%s\nwant:\n%s", j, golden, got, want)
 		}
 	}
+}
+
+func TestGoldenGpusimReport(t *testing.T) {
+	testGoldenBatch(t, "gpusim-sc-cfd.golden", "sc", "cfd")
 }
 
 // TestGoldenGpusimKmeansReport pins one multi-phase scenario the same
 // way the single-phase suite is pinned: the kmeans report must stay
 // byte-identical at serial and parallel worker counts.
 func TestGoldenGpusimKmeansReport(t *testing.T) {
-	want := readGolden(t, "gpusim-kmeans.golden")
-	wl, err := workload.ByName("kmeans")
-	if err != nil {
-		t.Fatal(err)
-	}
-	suite := []workload.Workload{wl}
-	cfg := config.GTX480Baseline()
-	for _, j := range []int{1, 4} {
-		p := goldenParams(j)
-		res, err := run([]runner.Job{job(cfg, wl, p)}, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := BatchReport("baseline", p.WarmupCycles, p.WindowCycles, suite, res)
-		if got != want {
-			t.Errorf("j=%d: kmeans report drifted from golden:\n got:\n%s\nwant:\n%s", j, got, want)
-		}
-	}
-}
-
-func TestGoldenLatsweepReport(t *testing.T) {
-	want := readGolden(t, "latsweep-sc-cfd.golden")
-	suite := goldenSuite(t)
-	cfg := config.GTX480Baseline()
-	for _, j := range []int{1, 3} {
-		rep, err := RunFig1Suite(cfg, suite, []int64{0, 200, 400}, goldenParams(j))
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The golden file holds the full CLI output: report plus the
-		// commentary the binary appends.
-		if got := rep.String() + Fig1Commentary; got != want {
-			t.Errorf("j=%d: latsweep report drifted from golden:\n got:\n%s\nwant:\n%s", j, got, want)
-		}
-	}
+	testGoldenBatch(t, "gpusim-kmeans.golden", "kmeans")
 }

@@ -1,0 +1,70 @@
+package exp
+
+import (
+	"context"
+	"testing"
+
+	"repro/internal/config"
+	"repro/internal/runner"
+	"repro/internal/sim"
+	"repro/internal/workload"
+)
+
+// The harness helpers compose a sweep the way the internal/api
+// registry does — grid, one batch on the worker pool, build half — so
+// the tests here exercise exactly the halves the sweep kinds pair.
+
+// runGrid measures a sweep grid as one batch on the worker pool.
+func runGrid(t *testing.T, grid []GridJob, p RunParams) []sim.Results {
+	t.Helper()
+	jobs := make([]runner.Job, len(grid))
+	for i, g := range grid {
+		jobs[i] = job(g.Config, g.Spec, p)
+	}
+	res, err := runner.Run(context.Background(), jobs, runner.Options{Parallelism: p.Parallelism})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// variantResults measures the "baseline + variants" grid of specs on
+// cfg; with no variants it is one baseline measurement per spec.
+func variantResults(t *testing.T, cfg config.Config, specs []workload.Spec, variants []Perturbation, p RunParams) []sim.Results {
+	t.Helper()
+	grid, err := VariantGrid(cfg, specs, variants)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return runGrid(t, grid, p)
+}
+
+// fig1Report is the latsweep sweep at the given latency axis.
+func fig1Report(t *testing.T, cfg config.Config, specs []workload.Spec, lats []int64, p RunParams) Fig1Report {
+	t.Helper()
+	rep, err := BuildFig1Report(specs, lats, variantResults(t, cfg, specs, LatencyVariants(lats), p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
+// occupancyReport is the occupancy sweep.
+func occupancyReport(t *testing.T, cfg config.Config, specs []workload.Spec, p RunParams) OccupancyReport {
+	t.Helper()
+	rep, err := BuildOccupancyReport(cfg, specs, variantResults(t, cfg, specs, nil, p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
+// designSpace is the designspace sweep over the given scaling sets.
+func designSpace(t *testing.T, cfg config.Config, specs []workload.Spec, sets []config.ScalingSet, p RunParams) DesignSpaceResult {
+	t.Helper()
+	res, err := BuildDesignSpaceResult(specs, sets, variantResults(t, cfg, specs, ScalingVariants(sets), p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}

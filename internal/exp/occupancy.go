@@ -5,64 +5,72 @@ import (
 	"strings"
 
 	"repro/internal/config"
+	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
 // OccupancyRow is one benchmark's §III queue-congestion measurement.
 type OccupancyRow struct {
-	Workload string
+	Workload string `json:"workload"`
 	// L2AccessFull is the fraction of the L2 access queues' usage
 	// lifetime during which they were full (paper average: 46%).
-	L2AccessFull float64
+	L2AccessFull float64 `json:"l2_access_full"`
 	// DRAMSchedFull is the same for the DRAM scheduler queues (paper
 	// average: 39%).
-	DRAMSchedFull float64
+	DRAMSchedFull float64 `json:"dram_sched_full"`
 	// Supporting occupancy detail.
-	L2AccessMeanOcc  float64
-	DRAMSchedMeanOcc float64
-	AvgMissLatency   float64
+	L2AccessMeanOcc  float64 `json:"l2_access_mean_occ"`
+	DRAMSchedMeanOcc float64 `json:"dram_sched_mean_occ"`
+	AvgMissLatency   float64 `json:"avg_miss_latency"`
 }
 
 // OccupancyReport is the §III measurement over a suite.
 type OccupancyReport struct {
-	Rows []OccupancyRow
+	// L2AccessCapacity and DRAMSchedCapacity are the measured
+	// config's queue depths, the denominators of the detail block's
+	// mean occupancies.
+	L2AccessCapacity  int            `json:"l2_access_capacity"`
+	DRAMSchedCapacity int            `json:"dram_sched_capacity"`
+	Rows              []OccupancyRow `json:"rows"`
 	// MeanL2AccessFull and MeanDRAMSchedFull are the suite averages
 	// the paper reports (46% and 39%).
-	MeanL2AccessFull  float64
-	MeanDRAMSchedFull float64
+	MeanL2AccessFull  float64 `json:"mean_l2_access_full"`
+	MeanDRAMSchedFull float64 `json:"mean_dram_sched_full"`
 }
 
-// RunOccupancy measures §III queue occupancy for every workload on
-// the baseline architecture. The measurements are exactly the
-// Baselines batch, run at p.Parallelism.
-func RunOccupancy(base config.Config, suite []workload.Workload, p RunParams) (OccupancyReport, error) {
-	res, err := Baselines(base, suite, p)
-	if err != nil {
-		return OccupancyReport{}, err
+// BuildOccupancyReport assembles §III from one result per spec,
+// measured on cfg. It is the occupancy sweep's pure merge half.
+func BuildOccupancyReport(cfg config.Config, specs []workload.Spec, res []sim.Results) (OccupancyReport, error) {
+	if len(res) != len(specs) {
+		return OccupancyReport{}, fmt.Errorf("exp: occupancy merge: %d results for %d workloads", len(res), len(specs))
 	}
-	var rep OccupancyReport
-	var l2s, drams []float64
-	for wi, wl := range suite {
-		r := res[wi]
-		row := OccupancyRow{
-			Workload:         wl.Name(),
+	rep := OccupancyReport{
+		L2AccessCapacity:  cfg.L2.AccessQueue,
+		DRAMSchedCapacity: cfg.DRAM.SchedQueue,
+		Rows:              make([]OccupancyRow, len(specs)),
+	}
+	l2s := make([]float64, len(specs))
+	drams := make([]float64, len(specs))
+	for i, sp := range specs {
+		r := res[i]
+		rep.Rows[i] = OccupancyRow{
+			Workload:         sp.SpecName,
 			L2AccessFull:     r.L2AccessQueue.FullOfUsage,
 			DRAMSchedFull:    r.DRAMSchedQueue.FullOfUsage,
 			L2AccessMeanOcc:  r.L2AccessQueue.MeanOccupancy,
 			DRAMSchedMeanOcc: r.DRAMSchedQueue.MeanOccupancy,
 			AvgMissLatency:   r.AvgMissLatency,
 		}
-		rep.Rows = append(rep.Rows, row)
-		l2s = append(l2s, row.L2AccessFull)
-		drams = append(drams, row.DRAMSchedFull)
+		l2s[i], drams[i] = r.L2AccessQueue.FullOfUsage, r.DRAMSchedQueue.FullOfUsage
 	}
 	rep.MeanL2AccessFull = stats.Mean(l2s)
 	rep.MeanDRAMSchedFull = stats.Mean(drams)
 	return rep, nil
 }
 
-// String renders the §III table.
+// String renders the §III table, then each benchmark's mean queue
+// occupancy against the queue's capacity.
 func (r OccupancyReport) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "§III — queue full-of-usage occupancy (baseline architecture)\n\n")
@@ -73,5 +81,11 @@ func (r OccupancyReport) String() string {
 	}
 	fmt.Fprintf(&b, "%-10s %13.0f%% %14.0f%%   (paper: 46%% / 39%%)\n",
 		"average", r.MeanL2AccessFull*100, r.MeanDRAMSchedFull*100)
+	fmt.Fprintf(&b, "\nper-benchmark detail (mean occupancy / capacity)\n")
+	fmt.Fprintf(&b, "%-10s %18s %18s\n", "bench", "L2-access", "DRAM-sched")
+	for _, row := range r.Rows {
+		fmt.Fprintf(&b, "%-10s %13.1f / %d %13.1f / %d\n",
+			row.Workload, row.L2AccessMeanOcc, r.L2AccessCapacity, row.DRAMSchedMeanOcc, r.DRAMSchedCapacity)
+	}
 	return b.String()
 }

@@ -1,7 +1,7 @@
 package exp
 
 import (
-	"sync"
+	"reflect"
 	"testing"
 
 	"repro/internal/config"
@@ -16,17 +16,9 @@ func testConfig() config.Config {
 	return cfg
 }
 
-func testSuite(t *testing.T) []workload.Workload {
+func testSuite(t *testing.T) []workload.Spec {
 	t.Helper()
-	var suite []workload.Workload
-	for _, n := range []string{"sc", "cfd", "nn"} {
-		wl, err := workload.ByName(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		suite = append(suite, wl)
-	}
-	return suite
+	return adviseSpecs(t, "sc", "cfd", "nn")
 }
 
 func testParams(parallelism int) RunParams {
@@ -38,14 +30,8 @@ func testParams(parallelism int) RunParams {
 func TestFig1SuiteParallelismInvariant(t *testing.T) {
 	cfg, suite := testConfig(), testSuite(t)
 	lats := []int64{0, 300, 600}
-	serial, err := RunFig1Suite(cfg, suite, lats, testParams(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := RunFig1Suite(cfg, suite, lats, testParams(8))
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := fig1Report(t, cfg, suite, lats, testParams(1))
+	parallel := fig1Report(t, cfg, suite, lats, testParams(8))
 	if serial.String() != parallel.String() {
 		t.Fatalf("Fig. 1 report differs across parallelism\nserial:\n%s\nparallel:\n%s",
 			serial.String(), parallel.String())
@@ -56,14 +42,8 @@ func TestFig1SuiteParallelismInvariant(t *testing.T) {
 // any worker count.
 func TestOccupancyParallelismInvariant(t *testing.T) {
 	cfg, suite := testConfig(), testSuite(t)
-	serial, err := RunOccupancy(cfg, suite, testParams(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := RunOccupancy(cfg, suite, testParams(4))
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := occupancyReport(t, cfg, suite, testParams(1))
+	parallel := occupancyReport(t, cfg, suite, testParams(4))
 	if serial.String() != parallel.String() {
 		t.Fatalf("§III report differs across parallelism\nserial:\n%s\nparallel:\n%s",
 			serial.String(), parallel.String())
@@ -75,80 +55,39 @@ func TestOccupancyParallelismInvariant(t *testing.T) {
 func TestDesignSpaceParallelismInvariant(t *testing.T) {
 	cfg, suite := testConfig(), testSuite(t)
 	sets := []config.ScalingSet{config.ScaleL2, config.ScaleL2DRAM}
-	serial, err := RunDesignSpace(cfg, suite, sets, testParams(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := RunDesignSpace(cfg, suite, sets, testParams(8))
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := designSpace(t, cfg, suite, sets, testParams(1))
+	parallel := designSpace(t, cfg, suite, sets, testParams(8))
 	if serial.String() != parallel.String() {
 		t.Fatalf("§IV report differs across parallelism\nserial:\n%s\nparallel:\n%s",
 			serial.String(), parallel.String())
 	}
 }
 
-// TestRunFig1MatchesSuiteColumn: the single-workload harness is the
-// suite-of-one special case.
+// TestRunFig1MatchesSuiteColumn: a one-workload Fig. 1 is the
+// workload's column of a multi-workload one — each curve depends on
+// its own measurements only.
 func TestRunFig1MatchesSuiteColumn(t *testing.T) {
-	cfg := testConfig()
-	wl, err := workload.ByName("sc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	lats := []int64{0, 400}
-	curve, err := RunFig1(cfg, wl, lats, testParams(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := RunFig1Suite(cfg, []workload.Workload{wl}, lats, testParams(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if curve.BaselineIPC != rep.Curves[0].BaselineIPC ||
-		curve.CrossoverLatency != rep.Curves[0].CrossoverLatency {
-		t.Fatalf("RunFig1 diverges from RunFig1Suite: %+v vs %+v", curve, rep.Curves[0])
-	}
-}
-
-// TestHarnessProgressCoversBatch: the Progress hook reports the
-// harness's full grid.
-func TestHarnessProgressCoversBatch(t *testing.T) {
 	cfg, suite := testConfig(), testSuite(t)
-	var mu sync.Mutex
-	var lastDone, lastTotal int
-	p := testParams(4)
-	p.Progress = func(done, total int) {
-		mu.Lock()
-		lastDone, lastTotal = done, total
-		mu.Unlock()
-	}
-	lats := []int64{0, 300}
-	if _, err := RunFig1Suite(cfg, suite, lats, p); err != nil {
-		t.Fatal(err)
-	}
-	want := len(suite) * (1 + len(lats))
-	if lastTotal != want || lastDone != want {
-		t.Fatalf("progress ended at %d/%d, want %d/%d", lastDone, lastTotal, want, want)
+	lats := []int64{0, 400}
+	one := fig1Report(t, cfg, suite[:1], lats, testParams(4))
+	all := fig1Report(t, cfg, suite, lats, testParams(1))
+	if !reflect.DeepEqual(one.Curves[0], all.Curves[0]) {
+		t.Fatalf("one-workload curve diverges from its suite column: %+v vs %+v", one.Curves[0], all.Curves[0])
 	}
 }
 
-// TestBaselinesMatchesMeasure: the shared baseline batch agrees with
-// the single-job path.
+// TestBaselinesMatchesMeasure: a batch of baseline measurements agrees
+// with the single-job path.
 func TestBaselinesMatchesMeasure(t *testing.T) {
 	cfg, suite := testConfig(), testSuite(t)
-	batch, err := Baselines(cfg, suite, testParams(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, wl := range suite {
-		single, err := Measure(cfg, wl, testParams(1))
+	batch := variantResults(t, cfg, suite, nil, testParams(4))
+	for i, sp := range suite {
+		single, err := Measure(cfg, sp, testParams(1))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if batch[i] != single {
-			t.Fatalf("baseline for %s differs between batch and Measure", wl.Name())
+			t.Fatalf("baseline for %s differs between batch and Measure", sp.SpecName)
 		}
 	}
 }

@@ -9,13 +9,6 @@ import (
 	"repro/internal/workload"
 )
 
-// Fig1Commentary is the interpretive note cmd/latsweep appends after
-// the Fig. 1 report. It lives here — next to the report renderer —
-// so the CLI and the golden-output tests share one copy of the exact
-// bytes.
-const Fig1Commentary = "\n(paper Fig. 1: plateaus between ~1.2× and ~6×, sc highest;\n" +
-	" §II: crossovers far above the 120-cycle ideal L2 latency)\n"
-
 // BatchReport renders the full measurement report of a batch of
 // simulations, one section per workload — the exact output of
 // cmd/gpusim, shared with the golden-output tests so the CLI and the

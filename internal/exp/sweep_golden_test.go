@@ -41,6 +41,24 @@ func testGoldenSweep(t *testing.T, kind, golden string, workloads ...string) {
 	}
 }
 
+// TestGoldenLatsweepReport pins Fig. 1 over the paper's full 0–800
+// axis, plot and commentary included.
+func TestGoldenLatsweepReport(t *testing.T) {
+	testGoldenSweep(t, "latsweep", "latsweep.golden", "sc", "cfd")
+}
+
+// TestGoldenOccupancyReport pins §III over the default suite, detail
+// block included.
+func TestGoldenOccupancyReport(t *testing.T) {
+	testGoldenSweep(t, "occupancy", "occupancy.golden")
+}
+
+// TestGoldenDesignSpaceReport pins Table I and the §IV speedups over
+// the default suite.
+func TestGoldenDesignSpaceReport(t *testing.T) {
+	testGoldenSweep(t, "designspace", "designspace.golden")
+}
+
 func TestGoldenBottleneckReport(t *testing.T) {
 	testGoldenSweep(t, "bottleneck", "bottleneck.golden", "sc", "leukocyte", "kmeans")
 }

@@ -274,13 +274,9 @@ func (c *Coordinator) resolve(kind string, req api.JobRequest) (api.Sweep, error
 // req supplies the seed, scale and fixed-latency transforms each
 // worker re-applies to its base config.
 func (c *Coordinator) runSweep(ctx context.Context, sw api.Sweep, req api.JobRequest, progress func(JobEvent)) (api.Envelope, error) {
-	cfg, p := sw.Config, sw.Params
 	// The grid is the sweep's unit of distribution: one /v1/run
 	// measurement per entry, in an order the merge step depends on.
-	grid, err := sw.Kind.Grid(cfg, sw.Specs)
-	if err != nil {
-		return api.Envelope{}, badRequest("%v", err)
-	}
+	cfg, p, grid := sw.Config, sw.Params, sw.Grid
 
 	keys := make([]string, len(grid))
 	bodies := make([][]byte, len(grid))

@@ -100,6 +100,74 @@ func TestFleetAdviseMatchesSingleNode(t *testing.T) {
 	}
 }
 
+// TestFleetPaperKindsMatchSingleNode: for the three paper kinds — the
+// fixed-latency and scaled configs of latsweep and designspace ship
+// inline to the workers — a 3-worker fleet's body is byte-identical
+// to a single node's, and its report payload to the local compute's.
+func TestFleetPaperKindsMatchSingleNode(t *testing.T) {
+	_, single := newWorker(t, serve.Options{})
+	_, urls := newFleet(t, 3, serve.Options{})
+	coord := newCoordinator(t, urls, Options{})
+	cts := httptest.NewServer(coord.Handler())
+	defer cts.Close()
+
+	body := `{"workloads":["sc","nn"],"warmup_cycles":200,"window_cycles":500}`
+	for _, kind := range []string{"latsweep", "occupancy", "designspace"} {
+		code, want := post(t, single, "/v1/sweep/"+kind, body, nil)
+		if code != http.StatusOK {
+			t.Fatalf("%s single node: %d %s", kind, code, want)
+		}
+		code, got := post(t, cts.URL, "/v1/sweep/"+kind, body, nil)
+		if code != http.StatusOK {
+			t.Fatalf("%s fleet: %d %s", kind, code, got)
+		}
+		if got != want {
+			t.Errorf("%s: fleet-merged body differs from single node:\n got: %s\nwant: %s", kind, got, want)
+		}
+		var env serve.Envelope
+		if err := json.Unmarshal([]byte(got), &env); err != nil {
+			t.Fatal(err)
+		}
+		if env.Kind != "sweep-"+kind {
+			t.Errorf("%s: envelope kind %q", kind, env.Kind)
+		}
+		if local := localReport(t, kind, body); string(env.Report) != local {
+			t.Errorf("%s: fleet report differs from the local compute:\n got: %s\nwant: %s", kind, env.Report, local)
+		}
+	}
+}
+
+// TestBadGridRejectedAlike: a request whose grid cannot be built — an
+// advise variant that overflows the inline config's MSHR count, or a
+// latsweep over a fixed-latency baseline — is the same 400 with the
+// same message from a worker and from the coordinator.
+func TestBadGridRejectedAlike(t *testing.T) {
+	_, worker := newWorker(t, serve.Options{})
+	coord := newCoordinator(t, []string{worker}, Options{})
+	cts := httptest.NewServer(coord.Handler())
+	defer cts.Close()
+
+	huge := config.GTX480Baseline()
+	huge.L1.MSHREntries = 1 << 62 // mshr-x4 wraps to 0
+	raw, err := json.Marshal(huge)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ path, body, want string }{
+		{"/v1/sweep/advise", `{"workloads":["sc"],"config":` + string(raw) + `}`, "variant mshr-x4"},
+		{"/v1/sweep/latsweep", `{"workloads":["sc"],"fixed_latency":200}`, "fixed_latency"},
+	} {
+		wcode, wbody := post(t, worker, tc.path, tc.body, nil)
+		ccode, cbody := post(t, cts.URL, tc.path, tc.body, nil)
+		if wcode != http.StatusBadRequest || ccode != http.StatusBadRequest {
+			t.Errorf("%s: gpusimd %d, gpusimc %d; want 400 from both", tc.path, wcode, ccode)
+		}
+		if wbody != cbody || !strings.Contains(wbody, tc.want) {
+			t.Errorf("%s: bodies differ or miss %q:\n gpusimd: %s gpusimc: %s", tc.path, tc.want, wbody, cbody)
+		}
+	}
+}
+
 // localReport is the report payload a sweep request computes locally
 // through api.ResolveSweep and Sweep.Compute — the bytes
 // `gpusim sweep <kind> -json` prints for the same request.

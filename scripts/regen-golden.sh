@@ -8,11 +8,11 @@
 #
 #   -j N     worker count (default 1). The reports must be
 #            byte-identical at any N; CI runs the script twice (-j 1
-#            and -j 4) to prove it. When N > 1, latsweep deliberately
-#            runs at N-1 so the parallel pass also exercises a second
-#            job-to-worker mapping of the pool (the old inline CI
-#            recipe used gpusim -j 4 / latsweep -j 3 for the same
-#            reason).
+#            and -j 4) to prove it. When N > 1, the latsweep kind
+#            deliberately runs at N-1 so the parallel pass also
+#            exercises a second job-to-worker mapping of the pool (the
+#            old inline CI recipe used gpusim -j 4 / latsweep -j 3 for
+#            the same reason).
 #   -check   after regenerating, fail if any golden changed — the CI
 #            gate mode. Each diverged file is named with the first
 #            line that differs (line number, pinned vs regenerated
@@ -51,7 +51,9 @@ fi
 
 go run ./cmd/gpusim -workload sc,cfd -warmup 2000 -window 5000 -seed 1 -j "$J" > "$OUT/gpusim-sc-cfd.golden"
 go run ./cmd/gpusim -workload kmeans -warmup 2000 -window 5000 -seed 1 -j "$J" > "$OUT/gpusim-kmeans.golden"
-go run ./cmd/latsweep -workloads sc,cfd -max 400 -step 200 -warmup 2000 -window 5000 -j "$LJ" > "$OUT/latsweep-sc-cfd.golden"
+go run ./cmd/gpusim sweep latsweep -workloads sc,cfd -warmup 2000 -window 5000 -seed 1 -j "$LJ" > "$OUT/latsweep.golden"
+go run ./cmd/gpusim sweep occupancy -warmup 2000 -window 5000 -seed 1 -j "$J" > "$OUT/occupancy.golden"
+go run ./cmd/gpusim sweep designspace -warmup 2000 -window 5000 -seed 1 -j "$J" > "$OUT/designspace.golden"
 go run ./cmd/gpusim sweep bottleneck -workloads sc,leukocyte,kmeans -warmup 2000 -window 5000 -seed 1 -j "$J" > "$OUT/bottleneck.golden"
 go run ./cmd/gpusim sweep advise -workloads sc,kmeans -warmup 2000 -window 5000 -seed 1 -j "$J" > "$OUT/advise.golden"
 go run ./cmd/gpusim sweep mitigation -workloads kmeans,bfs -warmup 2000 -window 5000 -seed 1 -j "$J" > "$OUT/mitigation.golden"
