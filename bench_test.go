@@ -119,7 +119,7 @@ func benchScaling(b *testing.B, set ScalingSet) {
 	sets := []ScalingSet{set}
 	for i := 0; i < b.N; i++ {
 		specs, res := benchSweep(b, exp.ScalingVariants(sets), 0)
-		ds, err := exp.BuildDesignSpaceResult(specs, sets, res)
+		ds, err := exp.BuildDesignSpaceResult(DefaultConfig(), specs, sets, res)
 		if err != nil {
 			b.Fatal(err)
 		}

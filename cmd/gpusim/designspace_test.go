@@ -1,8 +1,7 @@
-// Package designspace_test checks `gpusim sweep designspace`, which
-// replaced the designspace command. The package holds only these
-// tests, so the checks the designspace command carried keep their
-// names.
-package designspace_test
+// The checks of `gpusim sweep designspace`, Table I and §IV, keep the
+// names the designspace command's tests had.
+
+package main_test
 
 import (
 	"strings"

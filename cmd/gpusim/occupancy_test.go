@@ -1,7 +1,7 @@
-// Package occupancy_test checks `gpusim sweep occupancy`, which
-// replaced the occupancy command. The package holds only these tests,
-// so the checks the occupancy command carried keep their names.
-package occupancy_test
+// The checks of `gpusim sweep occupancy`, the §III sweep, keep the
+// names the occupancy command's tests had.
+
+package main_test
 
 import (
 	"strings"
@@ -27,11 +27,15 @@ func TestOccupancySmoke(t *testing.T) {
 	}
 }
 
-// TestOccupancyScaledCapacities: under -scale l2dram the detail block
-// divides by the scaled queue depths, 32 and 64.
+// TestOccupancyScaledCapacities: under -scale l2dram the title names
+// the L2+DRAM architecture and the detail block divides by the scaled
+// queue depths, 32 and 64.
 func TestOccupancyScaledCapacities(t *testing.T) {
 	bin := clitest.Build(t, "repro/cmd/gpusim")
 	out, _ := clitest.Run(t, bin, "sweep", "occupancy", "-workloads", "sc", "-scale", "l2dram", "-warmup", "100", "-window", "300")
+	if title, _, _ := strings.Cut(out, "\n"); !strings.HasSuffix(title, "(L2+DRAM architecture)") {
+		t.Errorf("title %q does not name the measured L2+DRAM architecture", title)
+	}
 	_, detail, _ := strings.Cut(out, "per-benchmark detail")
 	if !strings.Contains(detail, " / 32 ") || !strings.HasSuffix(detail, " / 64\n") {
 		t.Fatalf("detail block does not show the scaled capacities:\n%s", out)

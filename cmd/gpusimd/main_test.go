@@ -151,6 +151,29 @@ func TestGpusimdRejectsWarpLimitAboveMask(t *testing.T) {
 	}
 }
 
+// TestGpusimdRejectsNegativeLatency: a negative l2.hit_latency used to
+// be accepted and simulated (as if 0, under a key of its own). An
+// inline config carrying one is a 400 naming the field and its bound.
+func TestGpusimdRejectsNegativeLatency(t *testing.T) {
+	bin := clitest.Build(t, "repro/cmd/gpusimd")
+	_, url, _ := startDaemon(t, bin, "-cache-dir", t.TempDir())
+
+	cfg := config.GTX480Baseline()
+	cfg.L2.HitLatency = -40
+	body, err := json.Marshal(map[string]any{
+		"workload": "sc", "config": cfg, "warmup_cycles": 200, "window_cycles": 500,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, _, resp := postJSON(t, url+"/v1/run", string(body))
+	var e struct{ Error string }
+	if code != http.StatusBadRequest || json.Unmarshal([]byte(resp), &e) != nil ||
+		e.Error != "config: l2.hit_latency must be >= 0, got -40" {
+		t.Fatalf("got %d %s, want 400 naming l2.hit_latency and its bound", code, resp)
+	}
+}
+
 // TestGpusimdRejectsNarrowDRAMBus: a dram.bus_width_bits too narrow
 // for one byte per beat (2 bits × 2 chips) used to pass validation
 // and divide by zero building the DRAM channels, which dropped the

@@ -81,9 +81,10 @@ type TableIRow = config.TableIRow
 // Table I baseline parameters.
 func DefaultConfig() Config { return config.GTX480Baseline() }
 
-// TableI returns the paper's Table I, rendered from the live config
-// code so it cannot drift from the implementation.
-func TableI() []TableIRow { return config.TableI() }
+// TableI returns the paper's Table I for cfg — each parameter's value
+// in cfg and after its group's ~4× scaling — rendered from the same
+// table ScalingSet.Apply scales, so it cannot drift from the code.
+func TableI(cfg Config) []TableIRow { return config.TableI(cfg) }
 
 // ParseScalingSet converts CLI strings such as "l2" or "l2+dram" into
 // a ScalingSet.

@@ -74,7 +74,7 @@ func TestCustomWorkloadSpec(t *testing.T) {
 }
 
 func TestTableIRendered(t *testing.T) {
-	rows := TableI()
+	rows := TableI(DefaultConfig())
 	if len(rows) != 13 {
 		t.Fatalf("Table I rows = %d", len(rows))
 	}

@@ -128,6 +128,9 @@ func TestResolveSweepRejectsBadGrids(t *testing.T) {
 	}{
 		"overflowing variant":    {"advise", JobRequest{Workloads: []string{"sc"}, Config: raw}, "variant mshr-x4"},
 		"fixed-latency latsweep": {"latsweep", JobRequest{Workloads: []string{"sc"}, FixedLatency: &lat}, "fixed_latency"},
+		// Fig. 1 mode has no L2 or DRAM queues to measure or scale.
+		"fixed-latency occupancy":   {"occupancy", JobRequest{Workloads: []string{"sc"}, FixedLatency: &lat}, "fixed_latency"},
+		"fixed-latency designspace": {"designspace", JobRequest{Workloads: []string{"sc"}, FixedLatency: &lat}, "fixed_latency"},
 	} {
 		_, err := ResolveSweep(tc.kind, base, tc.req, 2, math.MaxInt64)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {

@@ -88,6 +88,15 @@ func specJobs(cfg config.Config, specs []workload.Spec) ([]Job, error) {
 	return grid, nil
 }
 
+// hierarchyOnly rejects a fixed-latency (Fig. 1) base for a kind that
+// measures or scales the hierarchy that mode removes.
+func hierarchyOnly(kind, why string, cfg config.Config) error {
+	if cfg.FixedLatency.Enabled {
+		return fmt.Errorf("%s %s; its baseline must be the real hierarchy (drop fixed_latency)", kind, why)
+	}
+	return nil
+}
+
 // kinds is the registry, in documentation order. It is built by a
 // function (not a package var) so every caller gets fresh closures
 // and nothing can mutate the shared definition.
@@ -99,8 +108,8 @@ func kinds() []Kind {
 			Description:  "Fig. 1 latency tolerance: IPC vs a fixed L1 miss latency, 0 to 800 cycles (exp.Fig1Report)",
 			Defaults:     suiteNames,
 			Grid: func(cfg config.Config, specs []workload.Spec) ([]Job, error) {
-				if cfg.FixedLatency.Enabled {
-					return nil, fmt.Errorf("latsweep sets the fixed latency itself; its baseline must be the real hierarchy (drop fixed_latency)")
+				if err := hierarchyOnly("latsweep", "sets the fixed latency itself", cfg); err != nil {
+					return nil, err
 				}
 				return exp.VariantGrid(cfg, specs, exp.LatencyVariants(exp.DefaultLatencies()))
 			},
@@ -113,7 +122,12 @@ func kinds() []Kind {
 			ResponseKind: "sweep-occupancy",
 			Description:  "§III queue full-of-usage occupancy of the L2 access and DRAM scheduler queues (exp.OccupancyReport)",
 			Defaults:     suiteNames,
-			Grid:         specJobs,
+			Grid: func(cfg config.Config, specs []workload.Spec) ([]Job, error) {
+				if err := hierarchyOnly("occupancy", "measures the L2 and DRAM queues", cfg); err != nil {
+					return nil, err
+				}
+				return specJobs(cfg, specs)
+			},
 			Report: func(cfg config.Config, specs []workload.Spec, p exp.RunParams, grid []Job, res []GridResult) (any, error) {
 				return exp.BuildOccupancyReport(cfg, specs, decoded(res))
 			},
@@ -124,10 +138,13 @@ func kinds() []Kind {
 			Description:  "Table I and the §IV design space: speedups with Table I groups scaled ~4x (exp.DesignSpaceResult)",
 			Defaults:     suiteNames,
 			Grid: func(cfg config.Config, specs []workload.Spec) ([]Job, error) {
+				if err := hierarchyOnly("designspace", "scales the L2 and DRAM", cfg); err != nil {
+					return nil, err
+				}
 				return exp.VariantGrid(cfg, specs, exp.ScalingVariants(designSpaceSets()))
 			},
 			Report: func(cfg config.Config, specs []workload.Spec, p exp.RunParams, grid []Job, res []GridResult) (any, error) {
-				return exp.BuildDesignSpaceResult(specs, designSpaceSets(), decoded(res))
+				return exp.BuildDesignSpaceResult(cfg, specs, designSpaceSets(), decoded(res))
 			},
 		},
 		{

@@ -9,6 +9,10 @@ package config
 import (
 	"encoding/json"
 	"fmt"
+	"reflect"
+	"slices"
+	"strings"
+	"unsafe"
 
 	"repro/internal/policy"
 )
@@ -92,7 +96,7 @@ type L1Config struct {
 	LineSize int `json:"line_size"`
 	// HitLatency is the load-to-use latency of an L1 hit, in core
 	// cycles.
-	HitLatency int64 `json:"hit_latency"`
+	HitLatency int64 `json:"hit_latency" min:"0"`
 	// MSHREntries is the number of outstanding distinct line misses
 	// (Table I(c): baseline 32, scaled 128).
 	MSHREntries int `json:"mshr_entries"`
@@ -123,7 +127,7 @@ type IcntConfig struct {
 	// cycles, added to every packet on top of serialization and
 	// queueing. Two traversals plus the L2 pipeline reproduce the
 	// paper's ~120-cycle unloaded L2 round trip.
-	WireLatency int64 `json:"wire_latency"`
+	WireLatency int64 `json:"wire_latency" min:"0"`
 }
 
 // L2Config describes the shared, banked L2, one slice per memory
@@ -138,7 +142,7 @@ type L2Config struct {
 	Ways     int `json:"ways"`
 	LineSize int `json:"line_size"`
 	// HitLatency is the L2 array pipeline depth in L2 cycles.
-	HitLatency int64 `json:"hit_latency"`
+	HitLatency int64 `json:"hit_latency" min:"0"`
 	// BanksPerPartition is Table I(b)'s "L2 banks" (baseline 2,
 	// scaled 8). Banks serve accesses concurrently; each access
 	// occupies its bank for the data-port transfer time.
@@ -306,64 +310,86 @@ func (d DRAMConfig) BurstCycles(lineSize int) int64 {
 	return int64((lineSize + bpc - 1) / bpc)
 }
 
+// Field is one integer parameter of Config: an entry of the schema
+// that Validate, the scaling sets, Table I and the config reference in
+// docs/api.md all read.
+type Field struct {
+	// Path is the field's dotted JSON path, e.g. "l2.hit_latency".
+	Path string
+	// Min is the smallest value Validate accepts and Bound words it as
+	// Validate's errors do: 0 (">= 0") for the latencies, tagged min:"0"
+	// as they may be idealized away, and 1 ("positive") for the rest.
+	Min    int64
+	Bound  string
+	offset uintptr // within Config, so Get and Set are one load or store
+	wide   bool    // an int64 field rather than an int
+}
+
+// fields is the schema: every int and int64 field of Config in struct
+// order, named by its JSON tags. The Fig. 1 mode's
+// fixed_latency.cycles is left out: Validate checks it only when the
+// mode is enabled.
+var fields = schemaFields(reflect.TypeOf(Config{}), "", 0)
+
+func schemaFields(t reflect.Type, prefix string, base uintptr) []Field {
+	var out []Field
+	for i := range t.NumField() {
+		sf := t.Field(i)
+		tag, _, _ := strings.Cut(sf.Tag.Get("json"), ",")
+		path, off := prefix+tag, base+sf.Offset
+		switch kind := sf.Type.Kind(); {
+		case path == "fixed_latency":
+		case kind == reflect.Struct:
+			out = append(out, schemaFields(sf.Type, path+".", off)...)
+		case kind == reflect.Int || kind == reflect.Int64:
+			f := Field{Path: path, Min: 1, Bound: "positive", offset: off, wide: kind == reflect.Int64}
+			if sf.Tag.Get("min") == "0" {
+				f.Min, f.Bound = 0, ">= 0"
+			}
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
+// Fields returns the schema: every bounded integer field, in struct order.
+func Fields() []Field { return slices.Clone(fields) }
+
+// schema returns the fields at the given JSON paths, in struct order.
+func schema(paths ...string) []Field {
+	return slices.DeleteFunc(Fields(), func(f Field) bool { return !slices.Contains(paths, f.Path) })
+}
+
+// Get returns the field's value in c.
+func (f Field) Get(c *Config) int64 {
+	p := unsafe.Add(unsafe.Pointer(c), f.offset)
+	if f.wide {
+		return *(*int64)(p)
+	}
+	return int64(*(*int)(p))
+}
+
+// Set stores v in the field of c.
+func (f Field) Set(c *Config, v int64) {
+	p := unsafe.Add(unsafe.Pointer(c), f.offset)
+	if f.wide {
+		*(*int64)(p) = v
+	} else {
+		*(*int)(p) = int(v)
+	}
+}
+
 // MaxWarpsPerSM is the largest core.max_warps_per_sm Validate
 // accepts: the SM's warp scheduler keeps its ready and memory masks in
 // one 64-bit word each.
 const MaxWarpsPerSM = 64
 
-// Validate checks structural invariants and returns a descriptive error
-// for the first violation found.
+// Validate checks each schema field's bound (Fields) in struct order,
+// then the cross-field rules, and describes the first violation.
 func (c Config) Validate() error {
-	pos := func(name string, v int) error {
-		if v <= 0 {
-			return fmt.Errorf("config: %s must be positive, got %d", name, v)
-		}
-		return nil
-	}
-	checks := []struct {
-		name string
-		v    int
-	}{
-		{"core.num_sms", c.Core.NumSMs},
-		{"core.warp_size", c.Core.WarpSize},
-		{"core.max_warps_per_sm", c.Core.MaxWarpsPerSM},
-		{"core.issue_width", c.Core.IssueWidth},
-		{"core.mem_pipeline_width", c.Core.MemPipelineWidth},
-		{"core.response_queue", c.Core.ResponseQueue},
-		{"l1.sets", c.L1.Sets},
-		{"l1.ways", c.L1.Ways},
-		{"l1.line_size", c.L1.LineSize},
-		{"l1.mshr_entries", c.L1.MSHREntries},
-		{"l1.mshr_max_merge", c.L1.MSHRMaxMerge},
-		{"l1.miss_queue", c.L1.MissQueue},
-		{"icnt.flit_size_bytes", c.Icnt.FlitSizeBytes},
-		{"icnt.lanes_per_port", c.Icnt.LanesPerPort},
-		{"icnt.input_buffer", c.Icnt.InputBuffer},
-		{"l2.partitions", c.L2.Partitions},
-		{"l2.sets", c.L2.Sets},
-		{"l2.ways", c.L2.Ways},
-		{"l2.line_size", c.L2.LineSize},
-		{"l2.banks_per_partition", c.L2.BanksPerPartition},
-		{"l2.data_port_bytes", c.L2.DataPortBytes},
-		{"l2.access_queue", c.L2.AccessQueue},
-		{"l2.miss_queue", c.L2.MissQueue},
-		{"l2.response_queue", c.L2.ResponseQueue},
-		{"l2.dram_return_queue", c.L2.DRAMReturnQueue},
-		{"l2.mshr_entries", c.L2.MSHREntries},
-		{"l2.mshr_max_merge", c.L2.MSHRMaxMerge},
-		{"dram.sched_queue", c.DRAM.SchedQueue},
-		{"dram.banks_per_chip", c.DRAM.BanksPerChip},
-		{"dram.chips_per_channel", c.DRAM.ChipsPerChannel},
-		{"dram.bus_width_bits", c.DRAM.BusWidthBits},
-		{"dram.row_bytes", c.DRAM.RowBytes},
-		{"clock.core_mhz", c.Clock.CoreMHz},
-		{"clock.icnt_mhz", c.Clock.IcntMHz},
-		{"clock.l2_mhz", c.Clock.L2MHz},
-		{"clock.dram_mhz", c.Clock.DRAMMHz},
-	}
-	for _, ch := range checks {
-		if err := pos(ch.name, ch.v); err != nil {
-			return err
+	for _, f := range fields {
+		if v := f.Get(&c); v < f.Min {
+			return fmt.Errorf("config: %s must be %s, got %d", f.Path, f.Bound, v)
 		}
 	}
 	if c.Core.MaxWarpsPerSM > MaxWarpsPerSM {
@@ -409,19 +435,10 @@ func (c Config) Validate() error {
 	if c.FixedLatency.Enabled && c.FixedLatency.Cycles < 0 {
 		return fmt.Errorf("config: fixed latency cycles must be >= 0, got %d", c.FixedLatency.Cycles)
 	}
-	t := c.DRAM.Timing
 	switch c.DRAM.BankHash {
 	case "none", "xor":
 	default:
 		return fmt.Errorf("config: unknown bank hash %q (want none or xor)", c.DRAM.BankHash)
-	}
-	for _, tv := range []struct {
-		name string
-		v    int64
-	}{{"cl", t.CL}, {"trcd", t.TRCD}, {"trp", t.TRP}, {"tras", t.TRAS}, {"tccd", t.TCCD}, {"twr", t.TWR}, {"trrd", t.TRRD}, {"tfaw", t.TFAW}, {"trefi", t.TREFI}, {"trfc", t.TRFC}} {
-		if tv.v <= 0 {
-			return fmt.Errorf("config: dram.timing.%s must be positive, got %d", tv.name, tv.v)
-		}
 	}
 	return nil
 }

@@ -167,6 +167,9 @@ func TestValidationCatchesBadValues(t *testing.T) {
 		{"zero timing", func(c *Config) { c.DRAM.Timing.CL = 0 }},
 		{"negative fixed latency", func(c *Config) { c.FixedLatency.Enabled = true; c.FixedLatency.Cycles = -5 }},
 		{"zero clock", func(c *Config) { c.Clock.DRAMMHz = 0 }},
+		{"negative l1 hit latency", func(c *Config) { c.L1.HitLatency = -1 }},
+		{"negative wire latency", func(c *Config) { c.Icnt.WireLatency = -40 }},
+		{"negative l2 hit latency", func(c *Config) { c.L2.HitLatency = -1_000_000 }},
 	}
 	for _, m := range mutations {
 		c := GTX480Baseline()
@@ -174,6 +177,36 @@ func TestValidationCatchesBadValues(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Errorf("%s: expected validation error", m.name)
 		}
+	}
+}
+
+// TestValidateErrorStrings pins the error of a config with one
+// violation: daemons return these strings verbatim in their 400s.
+func TestValidateErrorStrings(t *testing.T) {
+	for want, mut := range map[string]func(*Config){
+		"config: core.num_sms must be positive, got 0":           func(c *Config) { c.Core.NumSMs = 0 },
+		"config: l1.mshr_entries must be positive, got -1":       func(c *Config) { c.L1.MSHREntries = -1 },
+		"config: dram.timing.cl must be positive, got 0":         func(c *Config) { c.DRAM.Timing.CL = 0 },
+		"config: clock.dram_mhz must be positive, got 0":         func(c *Config) { c.Clock.DRAMMHz = 0 },
+		"config: l2.hit_latency must be >= 0, got -1":            func(c *Config) { c.L2.HitLatency = -1 },
+		"config: icnt.wire_latency must be >= 0, got -40":        func(c *Config) { c.Icnt.WireLatency = -40 },
+		"config: L1 line size 64 != L2 line size 128":            func(c *Config) { c.L1.LineSize = 64 },
+		"config: line size and set counts must be powers of two": func(c *Config) { c.L1.Sets = 3 },
+		"config: fixed latency cycles must be >= 0, got -5": func(c *Config) {
+			c.FixedLatency = FixedLatencyConfig{Enabled: true, Cycles: -5}
+		},
+	} {
+		c := GTX480Baseline()
+		mut(&c)
+		if err := c.Validate(); err == nil || err.Error() != want {
+			t.Errorf("got %v, want %q", err, want)
+		}
+	}
+	// A latency of 0 is an idealized but valid architecture.
+	c := GTX480Baseline()
+	c.L1.HitLatency, c.Icnt.WireLatency, c.L2.HitLatency = 0, 0, 0
+	if err := c.Validate(); err != nil {
+		t.Errorf("zero latencies rejected: %v", err)
 	}
 }
 
@@ -221,7 +254,7 @@ func TestDRAMDerived(t *testing.T) {
 }
 
 func TestTableIHasThirteenRows(t *testing.T) {
-	rows := TableI()
+	rows := TableI(GTX480Baseline())
 	if len(rows) != 13 {
 		t.Fatalf("Table I rows = %d, want 13", len(rows))
 	}

@@ -1,6 +1,9 @@
 package config
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // ScalingSet names one of the paper's §IV design-space configurations:
 // Table I parameter groups scaled to ~4× their baseline values, alone
@@ -30,48 +33,39 @@ const (
 // AllScalingSets lists the §IV configurations in presentation order.
 var AllScalingSets = []ScalingSet{ScaleNone, ScaleL1, ScaleL2, ScaleDRAM, ScaleL1L2, ScaleL2DRAM}
 
-// String implements fmt.Stringer.
-func (s ScalingSet) String() string {
-	switch s {
-	case ScaleNone:
-		return "baseline"
-	case ScaleL1:
-		return "L1"
-	case ScaleL2:
-		return "L2"
-	case ScaleDRAM:
-		return "DRAM"
-	case ScaleL1L2:
-		return "L1+L2"
-	case ScaleL2DRAM:
-		return "L2+DRAM"
-	case ScaleAll:
-		return "L1+L2+DRAM"
-	default:
-		return fmt.Sprintf("ScalingSet(%d)", int(s))
-	}
+// scalingSets gives each set its spellings (the canonical one first,
+// which MarshalText writes; ParseScalingSet accepts all of them), its
+// String label, and the Table I groups its Apply scales.
+var scalingSets = [...]struct {
+	names  []string
+	label  string
+	groups []string
+}{
+	ScaleNone:   {[]string{"baseline", "none"}, "baseline", nil},
+	ScaleL1:     {[]string{"l1"}, "L1", []string{"L1 Cache"}},
+	ScaleL2:     {[]string{"l2"}, "L2", []string{"L2 Cache"}},
+	ScaleDRAM:   {[]string{"dram"}, "DRAM", []string{"DRAM"}},
+	ScaleL1L2:   {[]string{"l1l2", "l1+l2"}, "L1+L2", []string{"L1 Cache", "L2 Cache"}},
+	ScaleL2DRAM: {[]string{"l2dram", "l2+dram"}, "L2+DRAM", []string{"L2 Cache", "DRAM"}},
+	ScaleAll:    {[]string{"all"}, "L1+L2+DRAM", []string{"L1 Cache", "L2 Cache", "DRAM"}},
 }
 
-// scalingSetNames is each set's canonical spelling: what
-// ParseScalingSet accepts and MarshalText writes.
-var scalingSetNames = [...]string{
-	ScaleNone: "baseline", ScaleL1: "l1", ScaleL2: "l2", ScaleDRAM: "dram",
-	ScaleL1L2: "l1l2", ScaleL2DRAM: "l2dram", ScaleAll: "all",
+func (s ScalingSet) known() bool { return s >= 0 && int(s) < len(scalingSets) }
+
+// String implements fmt.Stringer.
+func (s ScalingSet) String() string {
+	if !s.known() {
+		return fmt.Sprintf("ScalingSet(%d)", int(s))
+	}
+	return scalingSets[s].label
 }
 
 // ParseScalingSet converts a CLI string ("baseline", "l1", "l2",
-// "dram", "l1l2", "l2dram", "all") into a ScalingSet.
+// "dram", "l1l2", "l2dram", "all", or the aliases "none", "l1+l2",
+// "l2+dram") into a ScalingSet.
 func ParseScalingSet(s string) (ScalingSet, error) {
-	switch s {
-	case "none":
-		return ScaleNone, nil
-	case "l1+l2":
-		return ScaleL1L2, nil
-	case "l2+dram":
-		return ScaleL2DRAM, nil
-	}
-	for set, name := range scalingSetNames {
-		if name == s {
+	for set, def := range scalingSets {
+		if slices.Contains(def.names, s) {
 			return ScalingSet(set), nil
 		}
 	}
@@ -81,53 +75,68 @@ func ParseScalingSet(s string) (ScalingSet, error) {
 // MarshalText encodes the set in its canonical spelling, so served
 // reports name sets the way requests do.
 func (s ScalingSet) MarshalText() ([]byte, error) {
-	if s < 0 || int(s) >= len(scalingSetNames) {
+	if !s.known() {
 		return nil, fmt.Errorf("config: unknown scaling set %d", int(s))
 	}
-	return []byte(scalingSetNames[s]), nil
+	return []byte(scalingSets[s].names[0]), nil
 }
 
-// Apply returns a copy of base with the scaling set's Table I
-// transforms applied. The baseline is not modified.
+// Apply returns a copy of base with the Table I parameters of the
+// set's groups multiplied by their factors. The base is not modified,
+// and an unknown set applies nothing.
 func (s ScalingSet) Apply(base Config) Config {
-	c := base
-	if s == ScaleL1 || s == ScaleL1L2 || s == ScaleAll {
-		applyL1Scaling(&c)
+	for _, p := range tableI {
+		if s.known() && slices.Contains(scalingSets[s].groups, p.group) {
+			for _, f := range p.fields {
+				f.Set(&base, f.Get(&base)*p.factor)
+			}
+		}
 	}
-	if s == ScaleL2 || s == ScaleL1L2 || s == ScaleL2DRAM || s == ScaleAll {
-		applyL2Scaling(&c)
-	}
-	if s == ScaleDRAM || s == ScaleL2DRAM || s == ScaleAll {
-		applyDRAMScaling(&c)
-	}
-	return c
+	return base
 }
 
-// applyL1Scaling applies Table I(c) to c in place.
-func applyL1Scaling(c *Config) {
-	c.L1.MissQueue *= 4          // 8 → 32 entries
-	c.L1.MSHREntries *= 4        // 32 → 128 entries
-	c.Core.MemPipelineWidth *= 4 // 10 → 40
+// Architecture names cfg relative to the GTX480 baseline, seed aside:
+// "baseline", the label of the scaling set whose Apply on the
+// baseline gives cfg (such as "L2+DRAM"), or "custom".
+func Architecture(cfg Config) string {
+	base := GTX480Baseline()
+	cfg.Seed = base.Seed
+	for s, def := range scalingSets {
+		if ScalingSet(s).Apply(base) == cfg {
+			return def.label
+		}
+	}
+	return "custom"
 }
 
-// applyL2Scaling applies Table I(b) to c in place.
-func applyL2Scaling(c *Config) {
-	c.L2.MissQueue *= 4         // 8 → 32 entries
-	c.L2.ResponseQueue *= 4     // 8 → 32 entries
-	c.L2.DRAMReturnQueue *= 4   // sized with the response queue
-	c.L2.MSHREntries *= 4       // 32 → 128 entries
-	c.L2.AccessQueue *= 4       // 8 → 32 entries
-	c.L2.DataPortBytes *= 4     // 32 → 128 bytes
-	c.Icnt.FlitSizeBytes *= 4   // 4 → 16 bytes (crossbar)
-	c.L2.BanksPerPartition *= 4 // 2 → 8 banks/partition
+// tableIParam is one row of the paper's Table I: a design parameter,
+// the config fields that realize it (Table I shows the first), and
+// the factor its group's scaling multiplies them by.
+type tableIParam struct {
+	group, param, typ string
+	format            string // renders one value, e.g. "%d entries"
+	factor            int64
+	fields            []Field
 }
 
-// applyDRAMScaling applies Table I(a) to c in place.
-func applyDRAMScaling(c *Config) {
-	c.DRAM.SchedQueue *= 4   // 16 → 64 entries
-	c.DRAM.BanksPerChip *= 4 // 16 → 64 banks/chip
-	c.DRAM.BusWidthBits *= 2 // 32 → 64 bits/chip (Table I scales to 2×;
-	// the paper notes scaling stops where it saturates)
+// tableI is the paper's Table I, in its row order. The response-queue
+// row also sizes the DRAM fill-return queue.
+var tableI = []tableIParam{
+	{"DRAM", "Scheduler queue", "=", "%d entries", 4, schema("dram.sched_queue")},
+	{"DRAM", "DRAM Banks", "=", "%d banks/chip", 4, schema("dram.banks_per_chip")},
+	// Table I scales the bus to 2×; the paper notes scaling stops
+	// where it saturates.
+	{"DRAM", "Bus width", "+", "%d-bits/chip", 2, schema("dram.bus_width_bits")},
+	{"L2 Cache", "L2 miss queue", "=", "%d entries", 4, schema("l2.miss_queue")},
+	{"L2 Cache", "L2 response queue", "=", "%d entries", 4, schema("l2.response_queue", "l2.dram_return_queue")},
+	{"L2 Cache", "MSHR", "=", "%d entries", 4, schema("l2.mshr_entries")},
+	{"L2 Cache", "L2 access queue", "=", "%d entries", 4, schema("l2.access_queue")},
+	{"L2 Cache", "L2 data port", "+", "%d bytes", 4, schema("l2.data_port_bytes")},
+	{"L2 Cache", "Flit size (crossbar)", "+", "%d bytes", 4, schema("icnt.flit_size_bytes")},
+	{"L2 Cache", "L2 banks", "+", "%d banks/partition", 4, schema("l2.banks_per_partition")},
+	{"L1 Cache", "L1 miss queue", "=", "%d entries", 4, schema("l1.miss_queue")},
+	{"L1 Cache", "MSHR (L1D)", "=", "%d entries", 4, schema("l1.mshr_entries")},
+	{"L1 Cache", "Memory pipeline width", "=", "%d", 4, schema("core.mem_pipeline_width")},
 }
 
 // TableIRow describes one Table I design parameter for report output.
@@ -135,30 +144,18 @@ type TableIRow struct {
 	Group     string // "DRAM", "L2 Cache", "L1 Cache"
 	Parameter string
 	Type      string // "+" increases peak throughput, "=" enables reaching it
-	Baseline  string
-	Scaled    string
+	Baseline  string // the value in the config the table was built from
+	Scaled    string // that value after its group's scaling
 }
 
-// TableI returns the paper's Table I, computed from the actual baseline
-// and scaled configs so the report can never drift from the code.
-func TableI() []TableIRow {
-	base := GTX480Baseline()
-	l1 := ScaleL1.Apply(base)
-	l2 := ScaleL2.Apply(base)
-	dr := ScaleDRAM.Apply(base)
-	return []TableIRow{
-		{"DRAM", "Scheduler queue", "=", fmt.Sprintf("%d entries", base.DRAM.SchedQueue), fmt.Sprintf("%d entries", dr.DRAM.SchedQueue)},
-		{"DRAM", "DRAM Banks", "=", fmt.Sprintf("%d banks/chip", base.DRAM.BanksPerChip), fmt.Sprintf("%d banks/chip", dr.DRAM.BanksPerChip)},
-		{"DRAM", "Bus width", "+", fmt.Sprintf("%d-bits/chip", base.DRAM.BusWidthBits), fmt.Sprintf("%d-bits/chip", dr.DRAM.BusWidthBits)},
-		{"L2 Cache", "L2 miss queue", "=", fmt.Sprintf("%d entries", base.L2.MissQueue), fmt.Sprintf("%d entries", l2.L2.MissQueue)},
-		{"L2 Cache", "L2 response queue", "=", fmt.Sprintf("%d entries", base.L2.ResponseQueue), fmt.Sprintf("%d entries", l2.L2.ResponseQueue)},
-		{"L2 Cache", "MSHR", "=", fmt.Sprintf("%d entries", base.L2.MSHREntries), fmt.Sprintf("%d entries", l2.L2.MSHREntries)},
-		{"L2 Cache", "L2 access queue", "=", fmt.Sprintf("%d entries", base.L2.AccessQueue), fmt.Sprintf("%d entries", l2.L2.AccessQueue)},
-		{"L2 Cache", "L2 data port", "+", fmt.Sprintf("%d bytes", base.L2.DataPortBytes), fmt.Sprintf("%d bytes", l2.L2.DataPortBytes)},
-		{"L2 Cache", "Flit size (crossbar)", "+", fmt.Sprintf("%d bytes", base.Icnt.FlitSizeBytes), fmt.Sprintf("%d bytes", l2.Icnt.FlitSizeBytes)},
-		{"L2 Cache", "L2 banks", "+", fmt.Sprintf("%d banks/partition", base.L2.BanksPerPartition), fmt.Sprintf("%d banks/partition", l2.L2.BanksPerPartition)},
-		{"L1 Cache", "L1 miss queue", "=", fmt.Sprintf("%d entries", base.L1.MissQueue), fmt.Sprintf("%d entries", l1.L1.MissQueue)},
-		{"L1 Cache", "MSHR (L1D)", "=", fmt.Sprintf("%d entries", base.L1.MSHREntries), fmt.Sprintf("%d entries", l1.L1.MSHREntries)},
-		{"L1 Cache", "Memory pipeline width", "=", fmt.Sprintf("%d", base.Core.MemPipelineWidth), fmt.Sprintf("%d", l1.Core.MemPipelineWidth)},
+// TableI returns the paper's Table I for cfg: each parameter's value
+// in cfg and after its group's ~4× scaling, read from the same table
+// ScalingSet.Apply scales, so the report cannot drift from the code.
+func TableI(cfg Config) []TableIRow {
+	rows := make([]TableIRow, len(tableI))
+	for i, p := range tableI {
+		v := p.fields[0].Get(&cfg)
+		rows[i] = TableIRow{p.group, p.param, p.typ, fmt.Sprintf(p.format, v), fmt.Sprintf(p.format, v*p.factor)}
 	}
+	return rows
 }

@@ -23,6 +23,10 @@ type DesignSpaceResult struct {
 	// MeanSpeedup[s] is the arithmetic-mean speedup of set s across
 	// workloads (the paper's "average speedup").
 	MeanSpeedup []float64 `json:"mean_speedup"`
+
+	// tableI is Table I of the measured base config. It is not served,
+	// so a result decoded from JSON renders without it.
+	tableI []config.TableIRow
 }
 
 // ScalingVariants returns one variant per Table I scaling set, in
@@ -43,14 +47,14 @@ func ScalingVariants(sets []config.ScalingSet) []Perturbation {
 }
 
 // BuildDesignSpaceResult assembles §IV from results laid out as
-// VariantGrid produces them for ScalingVariants(sets). It is the
-// designspace sweep's pure merge half.
-func BuildDesignSpaceResult(specs []workload.Spec, sets []config.ScalingSet, res []sim.Results) (DesignSpaceResult, error) {
+// VariantGrid produces them for ScalingVariants(sets) on the base
+// config cfg. It is the designspace sweep's pure merge half.
+func BuildDesignSpaceResult(cfg config.Config, specs []workload.Spec, sets []config.ScalingSet, res []sim.Results) (DesignSpaceResult, error) {
 	bases, scaled, err := variantRows("designspace", specs, len(sets), res)
 	if err != nil {
 		return DesignSpaceResult{}, err
 	}
-	out := DesignSpaceResult{Sets: sets, Speedup: make([][]float64, len(specs))}
+	out := DesignSpaceResult{Sets: sets, Speedup: make([][]float64, len(specs)), tableI: config.TableI(cfg)}
 	for wi, sp := range specs {
 		out.Workloads = append(out.Workloads, sp.SpecName)
 		out.BaselineIPC = append(out.BaselineIPC, bases[wi].IPC)
@@ -83,15 +87,18 @@ func (r DesignSpaceResult) SpeedupFor(set config.ScalingSet) float64 {
 	return 0
 }
 
-// String renders Table I — the design space itself — and then the §IV
-// table: one row per workload, one column per scaling set, plus the
-// average row the paper quotes.
+// String renders Table I — the design space itself, from the measured
+// base config, when the result was built rather than decoded — and
+// then the §IV table: one row per workload, one column per scaling
+// set, plus the average row the paper quotes.
 func (r DesignSpaceResult) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Table I — consolidated design space to mitigate congestion\n")
-	fmt.Fprintf(&b, "\n%-10s %-22s %-4s %-20s %-20s\n", "group", "parameter", "type", "baseline", "scaled (~4x)")
+	if r.tableI != nil {
+		fmt.Fprintf(&b, "Table I — consolidated design space to mitigate congestion\n")
+		fmt.Fprintf(&b, "\n%-10s %-22s %-4s %-20s %-20s\n", "group", "parameter", "type", "baseline", "scaled (~4x)")
+	}
 	group := ""
-	for _, row := range config.TableI() {
+	for _, row := range r.tableI {
 		g := row.Group
 		if g == group {
 			g = ""

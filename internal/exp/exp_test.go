@@ -1,10 +1,13 @@
 package exp
 
 import (
+	"encoding/json"
+	"regexp"
 	"strings"
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -141,6 +144,73 @@ func TestOccupancyDetailCapacities(t *testing.T) {
 	}
 	if row := rep.Rows[0]; row.L2AccessMeanOcc > 32 || row.DRAMSchedMeanOcc > 64 {
 		t.Errorf("a mean occupancy exceeds its capacity: %+v", row)
+	}
+}
+
+// TestReportsShowMeasuredArchitecture: §III is titled with the
+// architecture it measured, and §IV's Table I is the measured base's,
+// so an L2-scaled base shows its L2 access queue as 32 -> 128 entries.
+func TestReportsShowMeasuredArchitecture(t *testing.T) {
+	base := config.GTX480Baseline()
+	custom := base
+	custom.L2.HitLatency = 0
+	specs := []workload.Spec{congested()}
+	for want, cfg := range map[string]config.Config{
+		"(baseline architecture)": base,
+		"(L2+DRAM architecture)":  config.ScaleL2DRAM.Apply(base),
+		"(custom architecture)":   custom,
+	} {
+		rep, err := BuildOccupancyReport(cfg, specs, make([]sim.Results, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if title, _, _ := strings.Cut(rep.String(), "\n"); !strings.HasSuffix(title, want) {
+			t.Errorf("title %q, want it to end %q", title, want)
+		}
+	}
+	sets := []config.ScalingSet{config.ScaleL2}
+	ds, err := BuildDesignSpaceResult(config.ScaleL2.Apply(base), specs, sets, make([]sim.Results, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !regexp.MustCompile(`L2 access queue += +32 entries +128 entries`).MatchString(ds.String()) {
+		t.Errorf("Table I does not show the L2-scaled base:\n%s", ds.String())
+	}
+}
+
+// TestDecodedReportsRender: the architecture and Table I are not
+// served, so a report decoded from a served response, or built as a
+// literal, renders a neutral title and leaves Table I out rather than
+// printing them blank.
+func TestDecodedReportsRender(t *testing.T) {
+	base := config.ScaleL2.Apply(config.GTX480Baseline())
+	specs := []workload.Spec{congested()}
+	occ, err := BuildOccupancyReport(base, specs, make([]sim.Results, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(occ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back OccupancyReport
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
+	}
+	if title, _, _ := strings.Cut(back.String(), "\n"); title != "§III — queue full-of-usage occupancy" {
+		t.Errorf("decoded §III title %q", title)
+	}
+	ds, err := BuildDesignSpaceResult(base, specs, []config.ScalingSet{config.ScaleL2}, make([]sim.Results, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(ds.String(), "Table I") {
+		t.Errorf("built §IV renders:\n%s", ds.String())
+	}
+	lit := DesignSpaceResult{Sets: ds.Sets, Workloads: ds.Workloads, BaselineIPC: ds.BaselineIPC,
+		Speedup: ds.Speedup, MeanSpeedup: ds.MeanSpeedup}
+	if got := lit.String(); !strings.HasPrefix(got, "§IV") || strings.Contains(got, "design space") {
+		t.Errorf("§IV literal renders:\n%s", got)
 	}
 }
 

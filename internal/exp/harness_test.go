@@ -62,7 +62,7 @@ func occupancyReport(t *testing.T, cfg config.Config, specs []workload.Spec, p R
 // designSpace is the designspace sweep over the given scaling sets.
 func designSpace(t *testing.T, cfg config.Config, specs []workload.Spec, sets []config.ScalingSet, p RunParams) DesignSpaceResult {
 	t.Helper()
-	res, err := BuildDesignSpaceResult(specs, sets, variantResults(t, cfg, specs, ScalingVariants(sets), p))
+	res, err := BuildDesignSpaceResult(cfg, specs, sets, variantResults(t, cfg, specs, ScalingVariants(sets), p))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,6 +37,10 @@ type OccupancyReport struct {
 	// the paper reports (46% and 39%).
 	MeanL2AccessFull  float64 `json:"mean_l2_access_full"`
 	MeanDRAMSchedFull float64 `json:"mean_dram_sched_full"`
+
+	// arch is config.Architecture of the measured config. It is not
+	// served, so a report decoded from JSON has a title without it.
+	arch string
 }
 
 // BuildOccupancyReport assembles §III from one result per spec,
@@ -49,6 +53,7 @@ func BuildOccupancyReport(cfg config.Config, specs []workload.Spec, res []sim.Re
 		L2AccessCapacity:  cfg.L2.AccessQueue,
 		DRAMSchedCapacity: cfg.DRAM.SchedQueue,
 		Rows:              make([]OccupancyRow, len(specs)),
+		arch:              config.Architecture(cfg),
 	}
 	l2s := make([]float64, len(specs))
 	drams := make([]float64, len(specs))
@@ -69,11 +74,16 @@ func BuildOccupancyReport(cfg config.Config, specs []workload.Spec, res []sim.Re
 	return rep, nil
 }
 
-// String renders the §III table, then each benchmark's mean queue
-// occupancy against the queue's capacity.
+// String renders the §III table, titled with the measured
+// architecture when the report was built rather than decoded, then each benchmark's mean queue occupancy against the
+// queue's capacity.
 func (r OccupancyReport) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "§III — queue full-of-usage occupancy (baseline architecture)\n\n")
+	fmt.Fprintf(&b, "§III — queue full-of-usage occupancy")
+	if r.arch != "" {
+		fmt.Fprintf(&b, " (%s architecture)", r.arch)
+	}
+	fmt.Fprintf(&b, "\n\n")
 	fmt.Fprintf(&b, "%-10s %14s %15s %12s\n", "bench", "L2-access-full", "DRAM-sched-full", "avg-miss-lat")
 	for _, row := range r.Rows {
 		fmt.Fprintf(&b, "%-10s %13.0f%% %14.0f%% %12.0f\n",

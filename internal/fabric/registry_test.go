@@ -156,6 +156,8 @@ func TestBadGridRejectedAlike(t *testing.T) {
 	for _, tc := range []struct{ path, body, want string }{
 		{"/v1/sweep/advise", `{"workloads":["sc"],"config":` + string(raw) + `}`, "variant mshr-x4"},
 		{"/v1/sweep/latsweep", `{"workloads":["sc"],"fixed_latency":200}`, "fixed_latency"},
+		{"/v1/sweep/occupancy", `{"workloads":["sc"],"fixed_latency":200}`, "fixed_latency"},
+		{"/v1/sweep/designspace", `{"workloads":["sc"],"fixed_latency":200}`, "fixed_latency"},
 	} {
 		wcode, wbody := post(t, worker, tc.path, tc.body, nil)
 		ccode, cbody := post(t, cts.URL, tc.path, tc.body, nil)

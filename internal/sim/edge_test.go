@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -10,31 +9,15 @@ import (
 	"repro/internal/workload"
 )
 
-// intFields returns a settable view of every int and int64 field of v
-// (a struct, walked recursively) that is positive in v, named by its
-// path of Go field names.
-func intFields(v reflect.Value, path string, out map[string]reflect.Value) {
-	for i := 0; i < v.NumField(); i++ {
-		f, name := v.Field(i), path+v.Type().Field(i).Name
-		switch f.Kind() {
-		case reflect.Struct:
-			intFields(f, name+".", out)
-		case reflect.Int, reflect.Int64:
-			if f.Int() > 0 {
-				out[name] = f
-			}
-		}
-	}
-}
-
 // TestValidatedEdgeConfigsRun: every config Validate accepts must
-// build a simulator that makes progress. Each positive integer field
-// of the baseline is set to 1, 2 and 3 in turn, and every such config
-// Validate accepts runs cfd for 1000 cycles on the full hierarchy and
-// in Fig. 1 mode and issues instructions. New may refuse a config
-// only for allowing fewer warps than cfd runs. A DRAM bus narrower
-// than one byte per beat used to pass Validate and divide by zero in
-// New.
+// build a simulator that makes progress. Each schema field of the
+// baseline is set to its bound and the two values above it in turn
+// (so latencies are tried at 0), and every such config Validate
+// accepts runs cfd for 1000 cycles on the full hierarchy and in Fig. 1
+// mode, where the fixed latency itself is tried at 0 to 2 too, and
+// issues instructions. New may refuse a config only for allowing
+// fewer warps than cfd runs. A DRAM bus narrower than one byte per
+// beat used to pass Validate and divide by zero in New.
 func TestValidatedEdgeConfigsRun(t *testing.T) {
 	wl, err := workload.ByName("cfd")
 	if err != nil {
@@ -43,20 +26,21 @@ func TestValidatedEdgeConfigsRun(t *testing.T) {
 	for _, fixed := range []bool{false, true} {
 		cfg := config.GTX480Baseline()
 		if fixed {
-			cfg.FixedLatency = config.FixedLatencyConfig{Enabled: true, Cycles: 100}
+			for v := int64(0); v <= 2; v++ {
+				cfg.FixedLatency = config.FixedLatencyConfig{Enabled: true, Cycles: v}
+				runEdge(t, fmt.Sprintf("fixed_latency.cycles=%d", v), cfg, wl)
+			}
+			cfg.FixedLatency.Cycles = 100
 		}
-		fields := map[string]reflect.Value{}
-		intFields(reflect.ValueOf(&cfg).Elem(), "", fields)
-		for name, f := range fields {
-			old := f.Int()
-			for v := int64(1); v <= 3; v++ {
-				f.SetInt(v)
-				label := fmt.Sprintf("fixed=%v %s=%d", fixed, name, v)
+		for _, f := range config.Fields() {
+			old := f.Get(&cfg)
+			for v := f.Min; v <= f.Min+2; v++ {
+				f.Set(&cfg, v)
 				if cfg.Validate() == nil {
-					runEdge(t, label, cfg, wl)
+					runEdge(t, fmt.Sprintf("fixed=%v %s=%d", fixed, f.Path, v), cfg, wl)
 				}
 			}
-			f.SetInt(old)
+			f.Set(&cfg, old)
 		}
 	}
 }

@@ -7,7 +7,7 @@
 //
 // With no arguments it checks the repository's documented public
 // surface: gpgpumem.go and
-// internal/{api,serve,resultcache,runner,fabric,exp,policy}.
+// internal/{api,serve,resultcache,runner,fabric,exp,policy,config}.
 // Each argument is a .go file or a package directory; _test.go files
 // are always skipped.
 //
@@ -31,8 +31,8 @@ import (
 )
 
 // defaultTargets is the public surface the repository promises to
-// keep documented (see docs/ARCHITECTURE.md): the library facade and
-// the service-layer packages.
+// keep documented (see docs/ARCHITECTURE.md): the library facade, the
+// service-layer packages, and the config schema the facade re-exports.
 var defaultTargets = []string{
 	"gpgpumem.go",
 	"internal/api",
@@ -42,6 +42,7 @@ var defaultTargets = []string{
 	"internal/fabric",
 	"internal/exp",
 	"internal/policy",
+	"internal/config",
 }
 
 func main() {
