@@ -13,32 +13,30 @@ import (
 	"repro/internal/config"
 )
 
-// sweepCases covers the seven report kinds of `gpusim sweep`. golden
-// names the pinned table under internal/exp/testdata for workloads at
-// the golden methodology (scenarios has none: its -j 1 and -j 4
-// tables are compared with each other instead); csvHeader and csvRows
-// are the CSV's first columns and data-row count for those workloads.
-// The occupancy and designspace goldens cover the kinds' default
-// scope, the 8-benchmark suite.
+// sweepCases covers the seven report kinds of `gpusim sweep`, each
+// pinned by internal/exp/testdata/<kind>.golden for workloads at the
+// golden methodology; csvHeader and csvRows are the CSV's first
+// columns and data-row count for those workloads. The occupancy,
+// designspace and scenarios goldens cover the kinds' default scope:
+// the 8-benchmark suite, and the four built-in scenarios.
 var sweepCases = []struct {
-	kind, golden, workloads, csvHeader string
-	csvRows                            int
+	kind, workloads, csvHeader string
+	csvRows                    int
 }{
-	{"latsweep", "latsweep.golden", "sc,cfd", "latency,sc,cfd", 17},
-	{"occupancy", "occupancy.golden", suite, "bench,l2_access_full,", 8 + 1},
-	{"designspace", "designspace.golden", suite, "bench,base_ipc,L1,L2,DRAM,L1_L2,L2_DRAM", 8 + 1},
-	{"bottleneck", "bottleneck.golden", "sc,leukocyte,kmeans", "workload,ipc,issue_slots,", 3},
-	{"scenarios", "", "kmeans,bfs", "scenario,phases,", 2},
-	{"advise", "advise.golden", "sc,kmeans", "workload,baseline_ipc,bound,rank,intervention,", 2 * 7},
-	{"mitigation", "mitigation.golden", "kmeans,bfs", "workload,baseline_ipc,bound,rank,policy,", 2 * 4},
+	{"latsweep", "sc,cfd", "latency,sc,cfd", 17},
+	{"occupancy", suite, "bench,l2_access_full,", 8 + 1},
+	{"designspace", suite, "bench,base_ipc,L1,L2,DRAM,L1_L2,L2_DRAM", 8 + 1},
+	{"bottleneck", "sc,leukocyte,kmeans", "workload,ipc,issue_slots,", 3},
+	{"scenarios", "kmeans,bfs,histo,dct8x8", "scenario,phases,", 4},
+	{"advise", "sc,kmeans", "workload,baseline_ipc,bound,rank,intervention,", 2 * 7},
+	{"mitigation", "kmeans,bfs", "workload,baseline_ipc,bound,rank,policy,", 2 * 4},
 }
 
 // suite is the paper kinds' default scope, spelled out.
 const suite = "cfd,dwt2d,leukocyte,nn,nw,sc,lbm,ss"
 
-// TestSweepGolden pins each kind's table at -j 1 and -j 4: the
-// pinned golden where one exists, and byte-identity across worker
-// counts for every kind.
+// TestSweepGolden pins each kind's table at -j 1 and -j 4: the two
+// must be byte-identical and match the pinned golden.
 func TestSweepGolden(t *testing.T) {
 	bin := clitest.Build(t, "repro/cmd/gpusim")
 	for _, tc := range sweepCases {
@@ -50,15 +48,13 @@ func TestSweepGolden(t *testing.T) {
 			if serial != parallel {
 				t.Fatalf("-j 1 and -j 4 tables differ:\n--- j1\n%s\n--- j4\n%s", serial, parallel)
 			}
-			if tc.golden == "" {
-				return
-			}
-			want, err := os.ReadFile(filepath.Join("..", "..", "internal", "exp", "testdata", tc.golden))
+			golden := tc.kind + ".golden"
+			want, err := os.ReadFile(filepath.Join("..", "..", "internal", "exp", "testdata", golden))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if serial != string(want) {
-				t.Errorf("table drifted from %s:\n got:\n%s\nwant:\n%s", tc.golden, serial, want)
+				t.Errorf("table drifted from %s:\n got:\n%s\nwant:\n%s", golden, serial, want)
 			}
 		})
 	}

@@ -1,7 +1,6 @@
 package exp_test
 
 import (
-	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -11,16 +10,22 @@ import (
 	"repro/internal/config"
 )
 
-// The sweep goldens pin the tables `gpusim sweep <kind>` prints
-// (scripts/regen-golden.sh regenerates them with the real binary). The
+// The sweep goldens pin the tables and CSVs `gpusim sweep <kind>`
+// prints (scripts/regen-golden.sh regenerates them with the real binary). The
 // reports here come from the registry's request resolver and local
 // compute in internal/api — the one path the CLI, gpusimd and gpusimc
 // share — at serial and parallel worker counts. This is an external
 // test package because internal/api imports internal/exp.
 
-func testGoldenSweep(t *testing.T, kind, golden string, workloads ...string) {
+// testGoldenSweep pins both renderings of one computed report: its
+// table against <kind>.golden and its CSV against <kind>.csv.golden.
+func testGoldenSweep(t *testing.T, kind string, workloads ...string) {
 	t.Helper()
-	want, err := os.ReadFile(filepath.Join("testdata", golden))
+	wantTable, err := os.ReadFile(filepath.Join("testdata", kind+".golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantCSV, err := os.ReadFile(filepath.Join("testdata", kind+".csv.golden"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,8 +40,15 @@ func testGoldenSweep(t *testing.T, kind, golden string, workloads ...string) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := rep.(fmt.Stringer).String(); got != string(want) {
-			t.Errorf("j=%d: %s report drifted from golden:\n got:\n%s\nwant:\n%s", j, kind, got, want)
+		table := rep.(interface {
+			String() string
+			CSV() string
+		})
+		if got := table.String(); got != string(wantTable) {
+			t.Errorf("j=%d: %s report drifted from golden:\n got:\n%s\nwant:\n%s", j, kind, got, wantTable)
+		}
+		if got := table.CSV(); got != string(wantCSV) {
+			t.Errorf("j=%d: %s CSV drifted from golden:\n got:\n%s\nwant:\n%s", j, kind, got, wantCSV)
 		}
 	}
 }
@@ -44,29 +56,35 @@ func testGoldenSweep(t *testing.T, kind, golden string, workloads ...string) {
 // TestGoldenLatsweepReport pins Fig. 1 over the paper's full 0–800
 // axis, plot and commentary included.
 func TestGoldenLatsweepReport(t *testing.T) {
-	testGoldenSweep(t, "latsweep", "latsweep.golden", "sc", "cfd")
+	testGoldenSweep(t, "latsweep", "sc", "cfd")
 }
 
 // TestGoldenOccupancyReport pins §III over the default suite, detail
 // block included.
 func TestGoldenOccupancyReport(t *testing.T) {
-	testGoldenSweep(t, "occupancy", "occupancy.golden")
+	testGoldenSweep(t, "occupancy")
 }
 
 // TestGoldenDesignSpaceReport pins Table I and the §IV speedups over
 // the default suite.
 func TestGoldenDesignSpaceReport(t *testing.T) {
-	testGoldenSweep(t, "designspace", "designspace.golden")
+	testGoldenSweep(t, "designspace")
 }
 
 func TestGoldenBottleneckReport(t *testing.T) {
-	testGoldenSweep(t, "bottleneck", "bottleneck.golden", "sc", "leukocyte", "kmeans")
+	testGoldenSweep(t, "bottleneck", "sc", "leukocyte", "kmeans")
+}
+
+// TestGoldenScenariosReport pins the phase-mix comparison over the
+// kind's default set, every built-in scenario.
+func TestGoldenScenariosReport(t *testing.T) {
+	testGoldenSweep(t, "scenarios")
 }
 
 func TestGoldenAdviseReport(t *testing.T) {
-	testGoldenSweep(t, "advise", "advise.golden", "sc", "kmeans")
+	testGoldenSweep(t, "advise", "sc", "kmeans")
 }
 
 func TestGoldenMitigationReport(t *testing.T) {
-	testGoldenSweep(t, "mitigation", "mitigation.golden", "kmeans", "bfs")
+	testGoldenSweep(t, "mitigation", "kmeans", "bfs")
 }

@@ -49,14 +49,31 @@ if [ "$J" -gt 1 ]; then
   LJ=$((J - 1))
 fi
 
-go run ./cmd/gpusim -workload sc,cfd -warmup 2000 -window 5000 -seed 1 -j "$J" > "$OUT/gpusim-sc-cfd.golden"
-go run ./cmd/gpusim -workload kmeans -warmup 2000 -window 5000 -seed 1 -j "$J" > "$OUT/gpusim-kmeans.golden"
-go run ./cmd/gpusim sweep latsweep -workloads sc,cfd -warmup 2000 -window 5000 -seed 1 -j "$LJ" > "$OUT/latsweep.golden"
-go run ./cmd/gpusim sweep occupancy -warmup 2000 -window 5000 -seed 1 -j "$J" > "$OUT/occupancy.golden"
-go run ./cmd/gpusim sweep designspace -warmup 2000 -window 5000 -seed 1 -j "$J" > "$OUT/designspace.golden"
-go run ./cmd/gpusim sweep bottleneck -workloads sc,leukocyte,kmeans -warmup 2000 -window 5000 -seed 1 -j "$J" > "$OUT/bottleneck.golden"
-go run ./cmd/gpusim sweep advise -workloads sc,kmeans -warmup 2000 -window 5000 -seed 1 -j "$J" > "$OUT/advise.golden"
-go run ./cmd/gpusim sweep mitigation -workloads kmeans,bfs -warmup 2000 -window 5000 -seed 1 -j "$J" > "$OUT/mitigation.golden"
+BIN_DIR=$(mktemp -d)
+trap 'rm -rf "$BIN_DIR"' EXIT
+GPUSIM="$BIN_DIR/gpusim"
+go build -o "$GPUSIM" ./cmd/gpusim
+
+# sweep KIND J [FLAGS...] pins one sweep kind twice: its table as
+# KIND.golden and its CSV as KIND.csv.golden. Kinds called without
+# -workloads pin their default set.
+sweep() {
+  kind="$1"
+  j="$2"
+  shift 2
+  "$GPUSIM" sweep "$kind" "$@" -warmup 2000 -window 5000 -seed 1 -j "$j" > "$OUT/$kind.golden"
+  "$GPUSIM" sweep "$kind" "$@" -warmup 2000 -window 5000 -seed 1 -j "$j" -csv > "$OUT/$kind.csv.golden"
+}
+
+"$GPUSIM" -workload sc,cfd -warmup 2000 -window 5000 -seed 1 -j "$J" > "$OUT/gpusim-sc-cfd.golden"
+"$GPUSIM" -workload kmeans -warmup 2000 -window 5000 -seed 1 -j "$J" > "$OUT/gpusim-kmeans.golden"
+sweep latsweep "$LJ" -workloads sc,cfd
+sweep occupancy "$J"
+sweep designspace "$J"
+sweep bottleneck "$J" -workloads sc,leukocyte,kmeans
+sweep scenarios "$J"
+sweep advise "$J" -workloads sc,kmeans
+sweep mitigation "$J" -workloads kmeans,bfs
 
 # The fabric golden pins a fleet-merged sweep body (coordinator over
 # three in-process workers). Its test owns the regeneration because
