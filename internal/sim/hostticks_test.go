@@ -53,23 +53,37 @@ func newHierarchy(t *testing.T, name string) *GPU {
 }
 
 // TestHostTicksRepeat: the per-domain host-work counters are a
-// deterministic function of the run, so they repeat exactly, and every
-// domain both ticks and skips on the congested hierarchy.
+// deterministic function of the run, so they repeat exactly. On the
+// congested hierarchy only the SMs skip ticks, by sleeping; the
+// memory-side domains run a full tick every cycle of their clocks.
+// The full-tick counts of a cfd window are pinned as upper bounds:
+// a change that steps any domain more often fails here, and one that
+// lets a domain sleep may lower its bound.
 func TestHostTicksRepeat(t *testing.T) {
+	const fill, window = 5000, 20000
+	maxFull := [numDomains]int64{domSM: 154409, domL2: 120000, domDRAM: 158400, domIcnt: 40000}
 	var runs [2][numDomains][2]int64
 	for i := range runs {
 		g := newHierarchy(t, "cfd")
-		g.Run(4000)
+		g.Run(fill)
 		g.ResetStats() // host counters are not statistics
-		g.Run(4000)
-		runs[i] = g.domainTicks()
+		before := g.domainTicks()
+		g.Run(window)
+		after := g.domainTicks()
+		for dom := range after {
+			runs[i][dom] = [2]int64{after[dom][0] - before[dom][0], after[dom][1] - before[dom][1]}
+		}
 	}
 	if runs[0] != runs[1] {
 		t.Fatalf("host ticks differ between identical runs: %v vs %v", runs[0], runs[1])
 	}
 	for dom, c := range runs[0] {
+		t.Logf("domain %d: %d full ticks over %d cycles", dom, c[0], c[1])
 		if c[0] <= 0 || c[0] > c[1] {
 			t.Errorf("domain %d: %d full ticks over %d cycles", dom, c[0], c[1])
+		}
+		if c[0] > maxFull[dom] {
+			t.Errorf("domain %d: %d full ticks, above the pinned %d", dom, c[0], maxFull[dom])
 		}
 	}
 }
