@@ -37,10 +37,11 @@
 // kind's report is a list of measurement envelopes and prints only as
 // JSON. An empty -workloads means the kind's standard set.
 //
-// -engine selects the time-advancement strategy: "event" (default)
-// batch-skips provably frozen spans via next-event scheduling; "cycle"
-// ticks every component every cycle — the slow reference loop kept as
-// a diagnostic oracle. The printed report is guaranteed byte-identical
+// -engine selects the time-advancement strategy: under "event"
+// (default) SMs sleep, ticking in O(1) until something can wake them,
+// and in Fig. 1 mode each SM runs its own next-event loop; "cycle"
+// runs a full tick of every component every cycle — the slow reference
+// loop kept as a diagnostic oracle. The printed report is guaranteed byte-identical
 // under either engine (the equivalence property tests and the golden
 // files pin this), which is also why -engine composes safely with
 // -cache-dir: an entry computed by one engine is a valid hit for the
@@ -86,7 +87,7 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "simulation seed")
 		tracePth = flag.String("trace", "", "replay a tracegen-recorded trace instead of a built-in workload")
 		stalls   = flag.Bool("stalls", false, "append each workload's stall stack (per-cycle issue-slot attribution)")
-		engine   = flag.String("engine", "event", "time-advancement engine: event (next-event scheduler, the default) or cycle (per-cycle reference loop). The report is guaranteed byte-identical either way — cycle exists as the slow oracle for diagnosing the event engine, never as a way to get different numbers")
+		engine   = flag.String("engine", "event", "time-advancement engine: event (sleeping SMs, the default) or cycle (per-cycle reference loop). The report is guaranteed byte-identical either way — cycle exists as the slow oracle for diagnosing the event engine, never as a way to get different numbers")
 		cacheDir = flag.String("cache-dir", "", "reuse a gpusimd result cache: cached jobs skip simulation, fresh jobs are stored for next time")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile (after the run) to this file")

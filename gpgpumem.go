@@ -222,8 +222,9 @@ type Job = runner.Job
 type Engine = sim.Engine
 
 const (
-	// EngineEvent is the default next-event scheduler: provably frozen
-	// spans are batch-skipped instead of ticked cycle by cycle.
+	// EngineEvent is the default: SMs sleep, ticking in O(1) until
+	// something can wake them, and in Fig. 1 mode each SM runs its own
+	// next-event loop.
 	EngineEvent = sim.EngineEvent
 	// EngineCycle is the per-cycle reference loop, kept as the slow,
 	// obviously correct oracle (gpusim -engine=cycle).

@@ -392,7 +392,7 @@ func (s *SM) SetSleep(on bool) {
 
 // HostTicks returns the SM's host-work counters: the full Ticks it
 // executed and the cycles it advanced through, sleeping ticks and
-// skipped spans included. They measure the simulator, not the
+// Fig. 1's skipped spans included. They measure the simulator, not the
 // simulated machine, so they stay out of Stats and Results.
 func (s *SM) HostTicks() (full, cycles int64) { return s.fullTicks, s.ticks }
 
@@ -404,8 +404,8 @@ func (s *SM) HostTicks() (full, cycles int64) { return s.fullTicks, s.ticks }
 // sleeping SM reports its wake cycle: the earliest in-flight L1 hit's
 // completion or the response-queue head's ReadyAt, or math.MaxInt64
 // when only a DeliverResponse can wake it. Ticks strictly before the
-// returned cycle are exactly SkipIdle ticks, which is what lets the
-// event engine batch them.
+// returned cycle are exactly SkipIdle ticks, which is what lets a
+// Fig. 1 per-SM loop (sim's runPorts) batch them.
 func (s *SM) SleepUntil() int64 {
 	if !s.asleep || s.waitSend {
 		return 0
@@ -419,9 +419,9 @@ func (s *SM) SleepUntil() int64 {
 // while a drain is active, stall attribution and the tick count. The
 // caller must ensure the SM is asleep for the whole span (it is
 // ticked before SleepUntil and receives no response). The stall cause
-// is evaluated once: inside a span the event engine skips, queue
-// fullness below is frozen, so the backend's memory-stall cause is
-// constant.
+// is evaluated once: a span longer than one tick is skipped only in
+// Fig. 1 mode, whose fixed-latency backend has a constant
+// memory-stall cause.
 func (s *SM) SkipIdle(n int64) {
 	s.stats.Cycles += n
 	s.stats.StallNoWarp += n

@@ -92,7 +92,7 @@ type Channel struct {
 	// maxCol is the longest issue-to-data latency (a row conflict).
 	maxCol int64
 	stats  Stats
-	// ticks counts cycles, skipped ones too, for the queue (queue.New);
+	// ticks counts cycles for the queue (queue.New);
 	// fullTicks counts the Ticks that ran (HostTicks).
 	ticks     int64
 	fullTicks int64
@@ -157,35 +157,11 @@ func (c *Channel) Pending() int {
 	return n
 }
 
-// NextEvent returns the channel's next interesting DRAM cycle: the
-// first cycle at which a Tick could do anything beyond counting
-// itself. With requests queued or a stuck return the
-// channel needs every cycle (0). Otherwise the next event is the
-// earlier of the oldest in-flight access's completion (inflight is
-// completeAt-ordered) and the refresh timer, which marches on even
-// with no traffic. Ticks strictly before the returned cycle are
-// exactly SkipTicks ticks.
-func (c *Channel) NextEvent() int64 {
-	if !c.schedQ.Empty() || c.stuck != nil {
-		return 0
-	}
-	ev := c.nextRefresh
-	if fin, ok := c.inflight.Peek(); ok && fin.completeAt < ev {
-		ev = fin.completeAt
-	}
-	return ev
-}
-
-// SkipTicks batch-applies n event-free ticks: the exact stat deltas
-// of n Ticks strictly before NextEvent (the tick count, nothing else —
-// refresh cannot fire and no completion is due in the span).
-func (c *Channel) SkipTicks(n int64) { c.ticks += n }
-
 // HostTicks returns the channel's host-work counters: the full Ticks
-// it executed and the DRAM cycles it advanced through, skipped spans
-// included. Like core.SM.HostTicks they measure the simulator, not the
-// simulated machine, so they stay out of Stats and Results, and
-// ResetStats leaves them alone.
+// it executed and the DRAM cycles it advanced through. Like
+// core.SM.HostTicks they measure the simulator, not the simulated
+// machine, so they stay out of Stats and Results, and ResetStats
+// leaves them alone.
 func (c *Channel) HostTicks() (full, cycles int64) { return c.fullTicks, c.ticks }
 
 // Tick advances the channel by one DRAM cycle.

@@ -14,7 +14,6 @@ package icnt
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 
 	"repro/internal/mem"
@@ -87,7 +86,7 @@ type Crossbar struct {
 	// full counts the input queues at capacity right now.
 	full  int
 	stats Stats
-	// ticks counts cycles, skipped ones too, for the queues (queue.New);
+	// ticks counts cycles for the queues (queue.New);
 	// fullTicks counts the Ticks that ran (HostTicks).
 	ticks     int64
 	fullTicks int64
@@ -152,28 +151,11 @@ func (c *Crossbar) Push(src int, pkt *mem.Packet) bool {
 	return true
 }
 
-// NextEvent returns the crossbar's next interesting interconnect
-// cycle: 0 (every cycle matters) while any packet is buffered or
-// mid-transfer, math.MaxInt64 when empty — an empty crossbar stays
-// empty until someone Pushes, and a tick meanwhile only counts
-// itself. Ticks strictly before the returned cycle are exactly
-// SkipTicks ticks.
-func (c *Crossbar) NextEvent() int64 {
-	if c.busy > 0 {
-		return 0
-	}
-	return math.MaxInt64
-}
-
-// SkipTicks batch-applies n event-free ticks: the exact stat deltas
-// of n empty Ticks (n ticks of empty input queues).
-func (c *Crossbar) SkipTicks(n int64) { c.ticks += n }
-
 // HostTicks returns the crossbar's host-work counters: the full Ticks
-// it executed and the interconnect cycles it advanced through, skipped
-// spans included. Like core.SM.HostTicks they measure the simulator,
-// not the simulated machine, so they stay out of Stats and Results,
-// and ResetStats leaves them alone.
+// it executed and the interconnect cycles it advanced through. Like
+// core.SM.HostTicks they measure the simulator, not the simulated
+// machine, so they stay out of Stats and Results, and ResetStats
+// leaves them alone.
 func (c *Crossbar) HostTicks() (full, cycles int64) { return c.fullTicks, c.ticks }
 
 // InputFree returns the free slots at input port src.

@@ -8,7 +8,6 @@ package l2
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/cache"
 	"repro/internal/config"
@@ -89,7 +88,7 @@ type Partition struct {
 	pool       *mem.Pool // request/packet recycling (nil: plain allocation)
 	stats      Stats
 	svcLatency stats.Sampler // access-queue-entry → response latency
-	// ticks counts cycles, skipped ones too, for the queues (queue.New);
+	// ticks counts cycles for the queues (queue.New);
 	// fullTicks counts the Ticks that ran (HostTicks).
 	ticks     int64
 	fullTicks int64
@@ -201,10 +200,10 @@ func (p *Partition) ReturnUsage() *stats.QueueUsage { return p.retQ.Usage() }
 func (p *Partition) ServiceLatency() *stats.Sampler { return &p.svcLatency }
 
 // HostTicks returns the partition's host-work counters: the full Ticks
-// it executed and the L2 cycles it advanced through, skipped spans
-// included. Like core.SM.HostTicks they measure the simulator, not the
-// simulated machine, so they stay out of Stats and Results, and
-// ResetStats leaves them alone.
+// it executed and the L2 cycles it advanced through. Like
+// core.SM.HostTicks they measure the simulator, not the simulated
+// machine, so they stay out of Stats and Results, and ResetStats
+// leaves them alone.
 func (p *Partition) HostTicks() (full, cycles int64) { return p.fullTicks, p.ticks }
 
 // Pending returns in-flight work, for drain checks in tests.
@@ -213,34 +212,6 @@ func (p *Partition) Pending() int {
 		p.pendingResp.Len() + p.hitPipe.Len() + p.fillPipe.Len() +
 		p.mshr.Used() + p.chn.Pending()
 }
-
-// NextEvent returns the partition's next interesting L2 cycle: the
-// first cycle at which a Tick could do anything beyond counting
-// itself. With any queue or the response staging buffer
-// non-empty the partition needs every cycle (0). Otherwise only the
-// pipelined hit/fill latches hold work, frozen until the earlier of
-// their head completion times (both pipes are doneAt-ordered);
-// math.MaxInt64 when fully quiescent. Ticks strictly before the
-// returned cycle are exactly SkipTicks ticks.
-func (p *Partition) NextEvent() int64 {
-	if !p.accessQ.Empty() || !p.missQ.Empty() || !p.respQ.Empty() ||
-		!p.retQ.Empty() || !p.pendingResp.Empty() {
-		return 0
-	}
-	ev := int64(math.MaxInt64)
-	if op, ok := p.hitPipe.Peek(); ok {
-		ev = op.doneAt
-	}
-	if op, ok := p.fillPipe.Peek(); ok && op.doneAt < ev {
-		ev = op.doneAt
-	}
-	return ev
-}
-
-// SkipTicks batch-applies n event-free ticks: the exact stat deltas
-// of n Ticks strictly before NextEvent (n ticks of unchanged queue
-// occupancy, nothing else — no pipe head completes in the span).
-func (p *Partition) SkipTicks(n int64) { p.ticks += n }
 
 // bankFor maps a line address to a bank.
 func (p *Partition) bankFor(lineAddr uint64) int {

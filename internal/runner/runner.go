@@ -38,7 +38,8 @@ type Job struct {
 	WarmupCycles int64
 	WindowCycles int64
 	// Engine selects the time-advancement strategy (the zero value is
-	// sim.EngineEvent, the next-event scheduler). Results are
+	// sim.EngineEvent, under which SMs sleep and Fig. 1's SMs each run
+	// a next-event loop). Results are
 	// byte-identical under either engine — sim.EngineCycle exists as
 	// the slow reference oracle (gpusim -engine=cycle), and the sim
 	// equivalence property tests hold the two to reflect.DeepEqual.

@@ -1,10 +1,9 @@
 // Package sched holds the exact rational clock-domain arithmetic
-// (Domain) behind the simulator's next-event engine. The sim package
-// uses it to convert each derived domain's next interesting tick into
-// a core-cycle bound and to advance the domains across a skipped span
-// while keeping every statistic byte-identical to stepping each cycle
-// — the arithmetic here is the part of that guarantee that must be
-// exact, not approximately right.
+// (Domain) that derives the interconnect, L2 and DRAM clocks from the
+// core clock. The sim package advances each derived domain once per
+// core step and ticks the domain's components as often as it says;
+// every per-domain tick count feeds queue-occupancy samples and
+// back-pressure denominators, so the arithmetic must be exact.
 package sched
 
 // Domain tracks one derived clock domain advanced in rational
@@ -16,8 +15,7 @@ package sched
 // so the cumulative tick count after n core steps is always
 // floor(n·mhz/coreMHz), no matter how the n steps are partitioned
 // into Advance calls. That identity is what the back-pressure
-// denominator tests pin, and it is why a batch-skipped span produces
-// the same per-domain sample counts as stepping through it.
+// denominator tests pin.
 type Domain struct {
 	mhz, coreMHz int64
 	acc          int64 // phase accumulator, 0 <= acc < coreMHz
@@ -44,27 +42,3 @@ func (d *Domain) Advance(k int64) int64 {
 // Cycle returns the index of the next domain tick (equivalently, the
 // number of ticks executed so far).
 func (d *Domain) Cycle() int64 { return d.cycle }
-
-// maxBudget caps the tick budget in StepsUntil so the arithmetic
-// cannot overflow for far-future (or MaxInt64 sentinel) events; the
-// resulting step count is still astronomically larger than any span
-// the caller would skip.
-const maxBudget = int64(1) << 32
-
-// StepsUntil returns the largest number of core steps k such that
-// advancing by k does not execute the domain tick at domain cycle ev:
-// the event stays strictly in the future. It returns 0 when the tick
-// at ev is due on the very next core step (or already past), i.e. the
-// caller must step rather than skip.
-func (d *Domain) StepsUntil(ev int64) int64 {
-	budget := ev - d.cycle // ticks that may elapse without reaching ev
-	if budget < 0 {
-		return 0 // the event tick is already due
-	}
-	if budget > maxBudget {
-		budget = maxBudget
-	}
-	// ticks(k) = floor((acc + k·mhz)/coreMHz) must stay <= budget:
-	// acc + k·mhz <= (budget+1)·coreMHz - 1.
-	return ((budget+1)*d.coreMHz - 1 - d.acc) / d.mhz
-}

@@ -53,32 +53,3 @@ func TestDomainAdvanceMatchesPerCycleLoop(t *testing.T) {
 		}
 	}
 }
-
-// TestDomainStepsUntil: StepsUntil(ev) is the exact largest skip that
-// keeps the tick at domain cycle ev in the future — advancing by it
-// stays short of ev, advancing by one more reaches it.
-func TestDomainStepsUntil(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for _, tc := range []struct{ mhz, core int }{{924, 700}, {700, 700}, {350, 700}, {3, 700}} {
-		d := NewDomain(tc.mhz, tc.core)
-		for i := 0; i < 2000; i++ {
-			d.Advance(int64(rng.Intn(5)))
-			ev := d.Cycle() + int64(rng.Intn(50))
-			k := d.StepsUntil(ev)
-			probe := *&d // copy
-			probe.Advance(k)
-			if probe.Cycle() > ev {
-				t.Fatalf("%d/%d MHz: StepsUntil(%d)=%d overshoots to cycle %d", tc.mhz, tc.core, ev, k, probe.Cycle())
-			}
-			probe.Advance(1)
-			if probe.Cycle() <= ev {
-				t.Fatalf("%d/%d MHz: StepsUntil(%d)=%d not maximal (k+1 reaches only cycle %d)",
-					tc.mhz, tc.core, ev, k, probe.Cycle())
-			}
-		}
-		// Past events are due now.
-		if got := d.StepsUntil(d.Cycle() - 1); got != 0 {
-			t.Fatalf("past event: StepsUntil = %d, want 0", got)
-		}
-	}
-}

@@ -6,9 +6,8 @@
 //
 // # Hot-path invariants
 //
-// The engine allocates nothing in steady state and never spends time
-// on provably frozen components, and building a system costs what its
-// state costs:
+// The engine allocates nothing in steady state, a sleeping SM's tick
+// costs O(1), and building a system costs what its state costs:
 //
 //   - Construction allocates per component, not per warp or per
 //     object. The workload validates once per SM and builds that SM's
@@ -33,25 +32,13 @@
 //     its miss queue non-empty) room in its request-crossbar input
 //     wakes it. Idle, hit-wait and stalls behind a full MSHR file, a
 //     full miss queue or crossbar back pressure are all this one
-//     state. The hierarchy path still ticks every SM each stepped
-//     cycle, but a sleeping SM's tick is cheap.
-//   - Run's default engine (EngineEvent) is a next-event scheduler.
-//     Each component reports its next interesting cycle — the first
-//     cycle of its own clock domain at which a Tick could do anything
-//     beyond counting itself. Concretely: a sleeping SM reports its
-//     wake cycle, math.MaxInt64 when only a response delivery can
-//     wake it, and 0 when it waits on the crossbar
-//     (core.SM.SleepUntil); a DRAM channel with an empty scheduler
-//     queue reports the earlier of its oldest in-flight access's
-//     completion and its refresh timer (dram.Channel.NextEvent); an
-//     L2 partition with empty queues reports its earliest hit/fill
-//     pipeline completion (l2.Partition.NextEvent); a crossbar
-//     reports math.MaxInt64 once empty (icnt.Crossbar.NextEvent). While
-//     any queue holds work the component reports 0 — "tick me every
-//     cycle" — because queue interactions are not frozen. When every
-//     SM is asleep, Run converts each domain's next event into a
-//     core-cycle bound with exact rational clock arithmetic
-//     (sched.Domain.StepsUntil) and jumps to the minimum (idleSpan).
+//     state. The hierarchy path ticks every SM each cycle, but a
+//     sleeping SM's tick is cheap.
+//   - On the hierarchy Run steps every cycle under either engine:
+//     every crossbar, L2 partition and DRAM channel ticks on each
+//     cycle of its clock domain (sched.Domain). The memory queues stay
+//     congested, so a span in which every SM sleeps and nothing below
+//     them is due almost never occurs, and Run does not look for one.
 //   - In Fig. 1 mode the SMs share nothing that affects timing: each
 //     SM's misses return only to it, after a constant delay, from its
 //     own port (fixedPort), which owns the SM's pool and request-ID
@@ -66,17 +53,15 @@
 //     change at the old length when its length changes or is read
 //     (queue.Queue) — exactly the per-cycle samples, at a cost that
 //     follows the traffic, not the clock.
-//   - A skipped span accounts the exact statistics stepping it would
-//     have produced: core.SM.SkipIdle batch-charges cycle counts,
-//     the no-warp, blocked-L1-head and LDST-full stalls and stall
-//     attribution, and every component's
-//     tick count advances by the span (SkipIdle, SkipTicks), with
-//     per-domain tick counts from the same phase accumulators the
-//     per-cycle loop uses, so frozen queues are charged the span at
-//     their unchanged lengths. Reports are therefore byte-identical
-//     under EngineEvent and EngineCycle — the per-cycle reference
-//     loop, kept compiled and tested as the oracle (SetEngine); the
-//     equivalence property tests and the golden files pin this.
+//   - A sleeping tick, and a span a Fig. 1 per-SM loop skips, account
+//     the exact statistics full ticks would have produced:
+//     core.SM.SkipIdle batch-charges cycle counts, the no-warp,
+//     blocked-L1-head and LDST-full stalls, stall attribution and the
+//     tick count, so frozen queues are charged at their unchanged
+//     lengths. Reports are therefore byte-identical under EngineEvent
+//     and EngineCycle — the per-cycle reference loop, kept compiled
+//     and tested as the oracle (SetEngine); the equivalence property
+//     tests and the golden files pin this.
 //
 // Determinism is unaffected: a GPU instance owns all of its state, and
 // in Fig. 1 mode the per-SM loops share no mutable state, so reports
@@ -122,9 +107,9 @@
 //     fixed-latency mode, which has no hierarchy to congest).
 //
 // The refinement is computed lazily, at most once per core cycle
-// (memStallCause), and the quiescence fast paths batch-charge skipped
-// spans (core.SM.SkipIdle), so attribution respects both the
-// allocation budget and the idle-skipping invariants above. The sum of
+// (memStallCause), and sleeping ticks and Fig. 1's skipped spans
+// batch-charge it (core.SM.SkipIdle), so attribution respects both the
+// allocation budget and the sleeping invariants above. The sum of
 // a breakdown's categories is exactly the SM's cycle count; merged
 // GPU-wide it is cycles × SMs, an invariant the sim tests enforce for
 // every built-in workload.
@@ -132,7 +117,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -153,13 +137,11 @@ import (
 type Engine int
 
 const (
-	// EngineEvent (the default) is the next-event scheduler: Run
-	// batch-skips spans in which every component is provably frozen,
-	// jumping straight to the minimum next interesting cycle across
-	// SMs, crossbars, L2 partitions and DRAM channels — in Fig. 1
-	// mode per SM, between the SM and its fixed-latency port —
-	// charging the skipped cycles through the exact batch statistics
-	// paths.
+	// EngineEvent (the default) lets SMs sleep. On the hierarchy Run
+	// steps every cycle and a sleeping SM's tick replays its last
+	// tick's counter deltas in O(1) (core.SM); in Fig. 1 mode each SM
+	// runs its own next-event loop against its fixed-latency port,
+	// charging every sleeping span in one batch (runPorts).
 	EngineEvent Engine = iota
 	// EngineCycle is the per-cycle reference loop: every component
 	// runs a full tick on every cycle of its clock domain — SMs do
@@ -553,110 +535,21 @@ func (g *GPU) Step() {
 	g.coreCycle++
 }
 
-// Run advances the system by n core cycles. Under EngineEvent it
-// batch-skips every span in which the whole system is provably frozen
-// (idleSpan), charging skipped cycles through the exact batch
-// statistics paths (skipSpan) — in Fig. 1 mode per SM, each SM on its
-// own event loop (runPorts); under EngineCycle it steps each cycle.
-// The engines are statistically indistinguishable by construction —
-// only wall-clock time differs.
+// Run advances the system by n core cycles. On the hierarchy it steps
+// each cycle under either engine; in Fig. 1 mode EngineEvent runs each
+// SM on its own event loop (runPorts). The engines are statistically
+// indistinguishable by construction — only wall-clock time differs.
 func (g *GPU) Run(n int64) {
 	end := g.coreCycle + n
-	if g.engine == EngineCycle {
-		for g.coreCycle < end {
-			g.Step()
-		}
-		return
-	}
-	if g.ports != nil {
+	if g.ports != nil && g.engine == EngineEvent {
 		if n > 0 {
 			g.runPorts(end)
 		}
 		return
 	}
 	for g.coreCycle < end {
-		if k := g.idleSpan(end); k > 0 {
-			g.skipSpan(k)
-		} else {
-			g.Step()
-		}
+		g.Step()
 	}
-}
-
-// idleSpan returns how many core cycles, starting at the current one,
-// the whole system is provably frozen for: every SM asleep, none of
-// them waiting on the crossbar, and no downstream component's next
-// interesting cycle inside the span. The result is capped so the span
-// ends at end; zero means the next cycle must be stepped. During such
-// a span no component's observable state changes except via the batch
-// paths — in particular no response can be delivered (delivery
-// requires a busy crossbar or a due L2/DRAM completion, both of which
-// bound the span) — so queue fullness, and with it the memory-stall
-// refinement, is constant across it.
-func (g *GPU) idleSpan(end int64) int64 {
-	wake := end
-	for _, sm := range g.sms {
-		su := sm.SleepUntil()
-		if su <= g.coreCycle {
-			return 0 // active SM: step
-		}
-		if su < wake {
-			wake = su
-		}
-	}
-	ev := int64(math.MaxInt64)
-	for _, p := range g.parts {
-		if e := p.Channel().NextEvent(); e < ev {
-			ev = e
-		}
-	}
-	if w := g.coreCycle + g.dramDom.StepsUntil(ev); w < wake {
-		wake = w
-	}
-	ev = math.MaxInt64
-	for _, p := range g.parts {
-		if e := p.NextEvent(); e < ev {
-			ev = e
-		}
-	}
-	if w := g.coreCycle + g.l2Dom.StepsUntil(ev); w < wake {
-		wake = w
-	}
-	ev = g.respX.NextEvent()
-	if e := g.reqX.NextEvent(); e < ev {
-		ev = e
-	}
-	if w := g.coreCycle + g.icntDom.StepsUntil(ev); w < wake {
-		wake = w
-	}
-	return wake - g.coreCycle
-}
-
-// skipSpan advances the system k core cycles in one batch. Every SM
-// charges the span through SkipIdle (the memory-stall refinement is
-// memoized once — queue fullness is frozen, so it equals what each
-// stepped cycle would have computed); each derived domain advances
-// its phase accumulator exactly as k per-cycle steps would and adds
-// the ticks that elapse to its components' tick counts.
-func (g *GPU) skipSpan(k int64) {
-	for _, sm := range g.sms {
-		sm.SkipIdle(k)
-	}
-	if n := g.dramDom.Advance(k); n > 0 {
-		for _, p := range g.parts {
-			p.Channel().SkipTicks(n)
-		}
-	}
-	if n := g.l2Dom.Advance(k); n > 0 {
-		for _, p := range g.parts {
-			p.SkipTicks(n)
-		}
-	}
-	if n := g.icntDom.Advance(k); n > 0 {
-		g.respX.SkipTicks(n)
-		g.reqX.SkipTicks(n)
-	}
-	g.coreCycle += k
 }
 
 // SetEngine selects Run's engine (EngineEvent by default). The choice

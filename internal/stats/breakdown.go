@@ -82,7 +82,8 @@ type StallBreakdown struct {
 func (b *StallBreakdown) Add(c StallCause) { b.cycles[c]++ }
 
 // AddN charges n consecutive cycles to cause in one call — the batch
-// form Add takes on the quiescence fast paths (core.SM.SkipIdle).
+// form Add takes when a sleeping SM's ticks are charged
+// (core.SM.SkipIdle).
 func (b *StallBreakdown) AddN(c StallCause, n int64) {
 	if n > 0 {
 		b.cycles[c] += n
