@@ -81,6 +81,17 @@ func (s ScalingSet) MarshalText() ([]byte, error) {
 	return []byte(scalingSets[s].names[0]), nil
 }
 
+// UnmarshalText decodes any spelling ParseScalingSet accepts, so a
+// served report decodes back into its sets.
+func (s *ScalingSet) UnmarshalText(text []byte) error {
+	set, err := ParseScalingSet(string(text))
+	if err != nil {
+		return err
+	}
+	*s = set
+	return nil
+}
+
 // Apply returns a copy of base with the Table I parameters of the
 // set's groups multiplied by their factors. The base is not modified,
 // and an unknown set applies nothing.

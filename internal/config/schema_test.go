@@ -67,6 +67,27 @@ func TestScalingSetUnknown(t *testing.T) {
 	}
 }
 
+// TestScalingSetText: every spelling ParseScalingSet accepts decodes
+// to its set, the set re-encodes to its canonical spelling, and an
+// unknown spelling is an error.
+func TestScalingSetText(t *testing.T) {
+	for set, def := range scalingSets {
+		for _, name := range def.names {
+			var got ScalingSet
+			if err := got.UnmarshalText([]byte(name)); err != nil || got != ScalingSet(set) {
+				t.Errorf("UnmarshalText(%q) = %v, %v; want %v", name, got, err, ScalingSet(set))
+			}
+			if text, _ := got.MarshalText(); string(text) != def.names[0] {
+				t.Errorf("%q re-encodes as %q, want %q", name, text, def.names[0])
+			}
+		}
+	}
+	var s ScalingSet
+	if err := s.UnmarshalText([]byte("l3")); err == nil {
+		t.Errorf("unknown spelling decoded to %v", s)
+	}
+}
+
 // TestArchitecture: a config is named by the scaling set that gives
 // it from the baseline, seed aside, and is "custom" otherwise.
 func TestArchitecture(t *testing.T) {

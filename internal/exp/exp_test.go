@@ -179,9 +179,10 @@ func TestReportsShowMeasuredArchitecture(t *testing.T) {
 }
 
 // TestDecodedReportsRender: the architecture and Table I are not
-// served, so a report decoded from a served response, or built as a
-// literal, renders a neutral title and leaves Table I out rather than
-// printing them blank.
+// served, so a report decoded from a served response renders a
+// neutral title and leaves Table I out rather than printing them
+// blank. The decoded §IV result re-marshals to the served bytes, and
+// an unknown scaling-set spelling fails to decode.
 func TestDecodedReportsRender(t *testing.T) {
 	base := config.ScaleL2.Apply(config.GTX480Baseline())
 	specs := []workload.Spec{congested()}
@@ -207,10 +208,26 @@ func TestDecodedReportsRender(t *testing.T) {
 	if !strings.HasPrefix(ds.String(), "Table I") {
 		t.Errorf("built §IV renders:\n%s", ds.String())
 	}
-	lit := DesignSpaceResult{Sets: ds.Sets, Workloads: ds.Workloads, BaselineIPC: ds.BaselineIPC,
-		Speedup: ds.Speedup, MeanSpeedup: ds.MeanSpeedup}
-	if got := lit.String(); !strings.HasPrefix(got, "§IV") || strings.Contains(got, "design space") {
-		t.Errorf("§IV literal renders:\n%s", got)
+	data, err = json.Marshal(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decoded DesignSpaceResult
+	if err := json.Unmarshal(data, &decoded); err != nil {
+		t.Fatal(err)
+	}
+	if again, err := json.Marshal(decoded); err != nil || string(again) != string(data) {
+		t.Errorf("re-marshaled §IV result %s (%v), served %s", again, err, data)
+	}
+	if got := decoded.String(); !strings.HasPrefix(got, "§IV") || strings.Contains(got, "design space") {
+		t.Errorf("decoded §IV renders:\n%s", got)
+	}
+	bad := strings.Replace(string(data), `"sets":["l2"]`, `"sets":["l3"]`, 1)
+	if bad == string(data) {
+		t.Fatalf("served §IV body has no l2 set: %s", data)
+	}
+	if err := json.Unmarshal([]byte(bad), &decoded); err == nil || !strings.Contains(err.Error(), `"l3"`) {
+		t.Errorf("unknown scaling set decoded, err %v", err)
 	}
 }
 
