@@ -6,8 +6,10 @@ package clitest
 
 import (
 	"bytes"
+	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -15,12 +17,28 @@ import (
 // t.TempDir and returns the binary path. It relies on the test
 // process running inside the module, which is how `go test` invokes
 // it.
+//
+// The built binary's sources are not part of the test binary, so
+// `go test` would otherwise replay a cached pass after they change.
+// Build therefore stats every Go file of the package's non-standard
+// dependencies: `go test` re-checks the files a test process stats,
+// and an edit to any of them re-runs the test.
 func Build(t *testing.T, importPath string) string {
 	t.Helper()
 	bin := filepath.Join(t.TempDir(), filepath.Base(importPath))
 	out, err := exec.Command("go", "build", "-o", bin, importPath).CombinedOutput()
 	if err != nil {
 		t.Fatalf("go build %s: %v\n%s", importPath, err, out)
+	}
+	const sources = `{{if not .Standard}}{{range .GoFiles}}{{$.Dir}}/{{.}}{{"\n"}}{{end}}{{end}}`
+	out, err = exec.Command("go", "list", "-deps", "-f", sources, importPath).Output()
+	if err != nil {
+		t.Fatalf("go list %s: %v", importPath, err)
+	}
+	for _, f := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		if _, err := os.Stat(f); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return bin
 }
