@@ -40,10 +40,10 @@
 // -engine selects the time-advancement strategy: under "event"
 // (default) SMs sleep, ticking in O(1) until something can wake them,
 // and in Fig. 1 mode each SM runs its own next-event loop; "cycle"
-// runs a full tick of every component every cycle — the slow reference
-// loop kept as a diagnostic oracle. The printed report is guaranteed byte-identical
-// under either engine (the equivalence property tests and the golden
-// files pin this), which is also why -engine composes safely with
+// runs a full tick of every component every cycle — the slow
+// reference loop kept as a diagnostic oracle. The printed report is
+// guaranteed byte-identical under either engine (the equivalence
+// property tests and the golden files pin this), which is also why -engine composes safely with
 // -cache-dir: an entry computed by one engine is a valid hit for the
 // other.
 //

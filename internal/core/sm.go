@@ -392,8 +392,8 @@ func (s *SM) SetSleep(on bool) {
 
 // HostTicks returns the SM's host-work counters: the full Ticks it
 // executed and the cycles it advanced through, sleeping ticks and
-// Fig. 1's skipped spans included. They measure the simulator, not the
-// simulated machine, so they stay out of Stats and Results.
+// Fig. 1's skipped spans included. They measure the simulator, not
+// the simulated machine, so they stay out of Stats and Results.
 func (s *SM) HostTicks() (full, cycles int64) { return s.fullTicks, s.ticks }
 
 // SleepUntil reports the SM's next interesting cycle — the first

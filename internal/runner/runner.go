@@ -39,10 +39,10 @@ type Job struct {
 	WindowCycles int64
 	// Engine selects the time-advancement strategy (the zero value is
 	// sim.EngineEvent, under which SMs sleep and Fig. 1's SMs each run
-	// a next-event loop). Results are
-	// byte-identical under either engine — sim.EngineCycle exists as
-	// the slow reference oracle (gpusim -engine=cycle), and the sim
-	// equivalence property tests hold the two to reflect.DeepEqual.
+	// a next-event loop). Results are byte-identical under either
+	// engine — sim.EngineCycle exists as the slow reference oracle
+	// (gpusim -engine=cycle), and the sim equivalence property tests
+	// hold the two to reflect.DeepEqual.
 	Engine sim.Engine
 }
 
