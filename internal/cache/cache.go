@@ -74,17 +74,6 @@ func (l *line) setStamp(now int64) {
 	l.meta = l.meta&(stateMask|dirtyBit) | uint64(now)<<stampShift
 }
 
-// VictimPolicy biases Reserve's victim selection (the L2
-// insertion/priority seam, see internal/policy): a Valid line whose
-// reuse count the policy protects is skipped while an unprotected
-// candidate exists. When every candidate is protected, selection falls
-// back to the unbiased replacement choice.
-type VictimPolicy interface {
-	// Protect reports whether a line that has served hits cache hits
-	// since its fill should be kept over an unprotected candidate.
-	Protect(hits int64) bool
-}
-
 // Config parameterizes a cache instance.
 type Config struct {
 	Sets        int
@@ -98,9 +87,12 @@ type Config struct {
 	WriteBack bool
 	// Seed drives the "random" replacement policy.
 	Seed uint64
-	// Victim, when non-nil, protects hot lines from eviction. Nil is
-	// the baseline: pure replacement-policy selection.
-	Victim VictimPolicy
+	// PinHits, when positive, biases Reserve's victim selection (the
+	// L2 insertion/priority seam, see internal/policy): a Valid line
+	// that has served at least PinHits hits since its fill is skipped
+	// while an unprotected candidate exists. 0 is the baseline: pure
+	// replacement-policy selection.
+	PinHits int64
 }
 
 // Stats counts cache events.
@@ -147,7 +139,7 @@ type Cache struct {
 	stats     Stats
 	lineShift uint
 	// hits counts reuse per way (set-major), reset when the way is
-	// re-reserved. Allocated only with a VictimPolicy so the baseline
+	// re-reserved. Allocated only with PinHits > 0 so the baseline
 	// footprint is untouched; nil means no counting.
 	hits []int64
 }
@@ -177,7 +169,7 @@ func New(cfg Config) Cache {
 		lineShift: uint(bits.TrailingZeros(uint(cfg.LineSize))),
 	}
 	c.pcg.Seed(cfg.Seed, 0xcac4e)
-	if cfg.Victim != nil {
+	if cfg.PinHits > 0 {
 		c.hits = make([]int64, cfg.Sets*cfg.Ways)
 	}
 	return c
@@ -305,12 +297,12 @@ func (c *Cache) Reserve(addr uint64, now int64) (v Victim, evicted, ok bool) {
 	return Victim{Addr: old.tag << c.setShift, Dirty: old.dirty()}, true, true
 }
 
-// pickVictim chooses the Valid way to evict. With a VictimPolicy
-// configured, protected lines are skipped while an unprotected
+// pickVictim chooses the Valid way to evict. With PinHits set,
+// protected lines are skipped while an unprotected
 // candidate exists; if every Valid way is protected the choice falls
 // back to the unbiased one (the working set outgrew the pin budget).
 func (c *Cache) pickVictim(setIdx int, set []line) int {
-	if c.cfg.Victim != nil {
+	if c.hits != nil {
 		if idx := c.victimAmong(setIdx, set, true); idx != -1 {
 			return idx
 		}
@@ -319,11 +311,11 @@ func (c *Cache) pickVictim(setIdx int, set []line) int {
 }
 
 // victimAmong runs the replacement policy over the set's Valid ways;
-// with filtered true, ways whose reuse count the victim policy
-// protects are excluded from consideration.
+// with filtered true, ways whose reuse count reaches PinHits are
+// excluded from consideration.
 func (c *Cache) victimAmong(setIdx int, set []line, filtered bool) int {
 	protected := func(i int) bool {
-		return filtered && c.cfg.Victim.Protect(c.hits[setIdx*c.cfg.Ways+i])
+		return filtered && c.hits[setIdx*c.cfg.Ways+i] >= c.cfg.PinHits
 	}
 	victimIdx := -1
 	switch c.cfg.Replacement {

@@ -54,6 +54,33 @@ func TestLRUEvictsLeastRecentlyUsed(t *testing.T) {
 	}
 }
 
+// With PinHits set, a line that served that many hits since its fill
+// survives an eviction the replacement policy would give it, until
+// every candidate is protected.
+func TestPinHitsProtectsHotLines(t *testing.T) {
+	cfg := testConfig()
+	cfg.PinHits = 2
+	c := New(cfg)
+	a, b, d, e := uint64(0), uint64(512), uint64(1024), uint64(1536)
+	for _, addr := range []uint64{a, b} {
+		c.Lookup(addr, false, 0)
+		c.Reserve(addr, 0)
+		c.Fill(addr, 0, false)
+	}
+	c.Lookup(a, false, 1)
+	c.Lookup(a, false, 2) // a: 2 hits, pinned, but still LRU below b
+	c.Lookup(b, false, 3) // b: 1 hit
+	if v, _, _ := c.Reserve(d, 4); v.Addr != b {
+		t.Fatalf("victim = %#x, want unpinned %#x over pinned LRU %#x", v.Addr, b, a)
+	}
+	c.Fill(d, 4, false)
+	c.Lookup(d, false, 5)
+	c.Lookup(d, false, 6) // both ways pinned: fall back to LRU
+	if v, _, _ := c.Reserve(e, 7); v.Addr != a {
+		t.Fatalf("victim = %#x, want LRU %#x when every way is pinned", v.Addr, a)
+	}
+}
+
 func TestFIFOEvictsOldestFill(t *testing.T) {
 	cfg := testConfig()
 	cfg.Replacement = "fifo"

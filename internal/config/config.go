@@ -417,7 +417,7 @@ func (c Config) Validate() error {
 	default:
 		return fmt.Errorf("config: unknown warp scheduler %q (want gto or lrr)", c.Core.Scheduler)
 	}
-	if err := c.Policy.validate(); err != nil {
+	if _, err := c.Policies(); err != nil {
 		return err
 	}
 	switch c.DRAM.Scheduler {
@@ -443,27 +443,29 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// validate strictly checks the policy names against the registries,
-// mirroring the api registry's unknown-kind error: unknown names are
-// rejected listing the registered ones. Empty fields (the baselines)
-// are always valid.
-func (p PolicyConfig) validate() error {
-	if p.Issue != "" {
-		if _, err := policy.NewIssuePolicy(p.Issue); err != nil {
-			return fmt.Errorf("config: policy.issue: %w", err)
-		}
+// Policies resolves the Policy names into the values the simulator
+// runs: the issue policy (an empty Issue defers to Core.Scheduler), a
+// fresh L1 bypass table (nil for the baseline), and the L2 pin
+// threshold (0 for the baseline). It is the one place the names are
+// resolved; an unknown name is rejected listing the registered ones,
+// mirroring the api registry's unknown-kind error.
+func (c Config) Policies() (policy.Set, error) {
+	issue := c.Policy.Issue
+	if issue == "" {
+		issue = c.Core.Scheduler
 	}
-	if p.L1Fill != "" {
-		if _, err := policy.NewFillPolicy(p.L1Fill); err != nil {
-			return fmt.Errorf("config: policy.l1_fill: %w", err)
-		}
+	var s policy.Set
+	var err error
+	if s.Issue, err = policy.NewIssuePolicy(issue); err != nil {
+		return s, fmt.Errorf("config: policy.issue: %w", err)
 	}
-	if p.L2Insert != "" {
-		if _, err := policy.NewL2Policy(p.L2Insert); err != nil {
-			return fmt.Errorf("config: policy.l2_insert: %w", err)
-		}
+	if s.Bypass, err = policy.NewBypass(c.Policy.L1Fill); err != nil {
+		return s, fmt.Errorf("config: policy.l1_fill: %w", err)
 	}
-	return nil
+	if s.PinHits, err = policy.NewPinHits(c.Policy.L2Insert); err != nil {
+		return s, fmt.Errorf("config: policy.l2_insert: %w", err)
+	}
+	return s, nil
 }
 
 func isPow2(v int) bool { return v > 0 && v&(v-1) == 0 }

@@ -183,16 +183,16 @@ type SM struct {
 	ready  uint64
 	memCur uint64
 
-	// issuePol and fillPol are the SM's resolved policy seams (see
-	// internal/policy): issuePol replaces the old hard-coded pickWarp,
-	// fillPol decides per primary miss whether the line allocates in
-	// the L1. mayBypass caches fillPol.MayBypass() so the baseline miss
-	// path skips the bypass bookkeeping entirely; mshrCap feeds the
-	// throttler's back-pressure ratio without a per-pick config read.
-	issuePol  policy.IssuePolicy
-	fillPol   policy.FillPolicy
-	mayBypass bool
-	mshrCap   int
+	// issuePol and bypass are the SM's policy values, resolved once
+	// by config.Config.Policies (see internal/policy): issuePol
+	// replaces the old hard-coded pickWarp; bypass, this SM's own
+	// reuse table, decides per primary miss whether the line
+	// allocates in the L1, and nil (the baseline) keeps the miss path
+	// free of the bypass bookkeeping. mshrCap feeds the throttler's
+	// back-pressure ratio without a per-pick config read.
+	issuePol policy.IssuePolicy
+	bypass   *policy.Bypass
+	mshrCap  int
 
 	l1      cache.Cache
 	mshr    cache.MSHR
@@ -273,23 +273,10 @@ func NewSM(id int, cfg config.Config, streams []InstrStream, backend Backend, ne
 	if len(streams) > config.MaxWarpsPerSM {
 		panic(fmt.Sprintf("core: ready-mask scheduler supports at most %d warps per SM, got %d", config.MaxWarpsPerSM, len(streams)))
 	}
-	// The issue seam defaults to the classic scheduler knob; a
-	// non-empty Policy.Issue (e.g. "throttle") overrides it. Unknown
-	// names panic here exactly like the old scheduler switch did —
-	// config.Validate rejects them long before a simulation is built.
-	issueName := cfg.Policy.Issue
-	if issueName == "" {
-		issueName = cfg.Core.Scheduler
-	}
-	issuePol, err := policy.NewIssuePolicy(issueName)
-	if err != nil {
-		panic(fmt.Sprintf("core: %v", err))
-	}
-	fillName := cfg.Policy.L1Fill
-	if fillName == "" {
-		fillName = policy.FillAlways
-	}
-	fillPol, err := policy.NewFillPolicy(fillName)
+	// Unknown policy names panic here exactly like the old scheduler
+	// switch did — config.Validate rejects them long before a
+	// simulation is built.
+	pols, err := cfg.Policies()
 	if err != nil {
 		panic(fmt.Sprintf("core: %v", err))
 	}
@@ -302,9 +289,8 @@ func NewSM(id int, cfg config.Config, streams []InstrStream, backend Backend, ne
 		hitLatency: cfg.L1.HitLatency,
 		issueWidth: cfg.Core.IssueWidth,
 		warps:      warps,
-		issuePol:   issuePol,
-		fillPol:    fillPol,
-		mayBypass:  fillPol.MayBypass(),
+		issuePol:   pols.Issue,
+		bypass:     pols.Bypass,
 		mshrCap:    cfg.L1.MSHREntries,
 		l1: cache.New(cache.Config{
 			Sets: cfg.L1.Sets, Ways: cfg.L1.Ways, LineSize: cfg.L1.LineSize,
@@ -570,32 +556,14 @@ func (s *SM) accessL1(cycle int64) {
 		// (only its tracker lives on, in the hit pipe).
 		s.pool.PutRequest(t.req)
 	case cache.HitReserved:
-		if !s.mshr.CanMerge(line) {
-			s.blockHead(&s.stats.StallMSHR)
-			return
-		}
-		s.l1.Lookup(line, false, cycle)
-		if res := s.mshr.Allocate(line, t.req, cycle); res != cache.AllocMerged {
-			panic(fmt.Sprintf("core: expected L1 MSHR merge, got %v", res))
-		}
-		t.req.IssueCycle = cycle
-		s.popHead()
+		s.mergeHead(t.req, line, cycle)
 	case cache.Miss:
-		if s.mayBypass && s.mshr.Lookup(line) != nil {
+		if s.bypass != nil && s.mshr.Lookup(line) != nil {
 			// A bypassed line holds no Reserved tag, so a secondary
 			// miss on it probes Miss while the MSHR already tracks the
 			// line (unreachable with fill-always). Merge like the
 			// HitReserved arm instead of allocating a second entry.
-			if !s.mshr.CanMerge(line) {
-				s.blockHead(&s.stats.StallMSHR)
-				return
-			}
-			s.l1.Lookup(line, false, cycle)
-			if res := s.mshr.Allocate(line, t.req, cycle); res != cache.AllocMerged {
-				panic(fmt.Sprintf("core: expected L1 MSHR merge, got %v", res))
-			}
-			t.req.IssueCycle = cycle
-			s.popHead()
+			s.mergeHead(t.req, line, cycle)
 			return
 		}
 		if s.mshr.Full() {
@@ -607,11 +575,10 @@ func (s *SM) accessL1(cycle int64) {
 			return
 		}
 		// A head that blocks below on a reservation failure has had
-		// ShouldFill answer true, and the policies answer true again
-		// without writing state (bypass-low-reuse: the line's tag is
-		// already in its table), so skipping the retried call while the
+		// ShouldFill answer true, and the table answers true again
+		// without writing state (the line's tag is already in it), so skipping the retried call while the
 		// head stays blocked, or repeating it, changes nothing.
-		fill := !s.mayBypass || s.fillPol.ShouldFill(line)
+		fill := s.bypass == nil || s.bypass.ShouldFill(line)
 		if fill && !s.l1.CanReserve(line) {
 			s.blockHead(&s.stats.StallResFail)
 			return
@@ -635,6 +602,22 @@ func (s *SM) accessL1(cycle int64) {
 		s.missQ.Push(t.req)
 		s.popHead()
 	}
+}
+
+// mergeHead merges the L1 head's load req, a secondary access to the
+// in-flight line, into the line's MSHR entry, or blocks the head while
+// the entry cannot take another merge.
+func (s *SM) mergeHead(req *mem.Request, line uint64, cycle int64) {
+	if !s.mshr.CanMerge(line) {
+		s.blockHead(&s.stats.StallMSHR)
+		return
+	}
+	s.l1.Lookup(line, false, cycle)
+	if res := s.mshr.Allocate(line, req, cycle); res != cache.AllocMerged {
+		panic(fmt.Sprintf("core: expected L1 MSHR merge, got %v", res))
+	}
+	req.IssueCycle = cycle
+	s.popHead()
 }
 
 // blockHead charges a blocked L1 head to counter c and, unless

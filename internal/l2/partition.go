@@ -13,7 +13,6 @@ import (
 	"repro/internal/config"
 	"repro/internal/dram"
 	"repro/internal/mem"
-	"repro/internal/policy"
 	"repro/internal/queue"
 	"repro/internal/stats"
 )
@@ -87,7 +86,6 @@ type Partition struct {
 	nextID     *uint64   // simulation-wide request id counter (writebacks)
 	pool       *mem.Pool // request/packet recycling (nil: plain allocation)
 	stats      Stats
-	svcLatency stats.Sampler // access-queue-entry → response latency
 	// ticks counts cycles for the queues (queue.New);
 	// fullTicks counts the Ticks that ran (HostTicks).
 	ticks     int64
@@ -98,21 +96,12 @@ type Partition struct {
 // for writeback requests the partition originates.
 func New(id int, cfg config.Config, resp Injector, nextID *uint64) *Partition {
 	ls := cfg.L2.LineSize
-	// Resolve the L2 insertion/priority seam (see internal/policy).
-	// A policy that never protects is not wired into the tag array at
-	// all, keeping the baseline partitions byte-identical to the
-	// pre-seam code.
-	l2Name := cfg.Policy.L2Insert
-	if l2Name == "" {
-		l2Name = policy.L2Plain
-	}
-	l2Pol, err := policy.NewL2Policy(l2Name)
+	// The L2 insertion/priority seam (see internal/policy) is the
+	// tag array's pin threshold; the baseline's 0 leaves the array
+	// byte-identical to the pre-seam code.
+	pols, err := cfg.Policies()
 	if err != nil {
 		panic(fmt.Sprintf("l2: %v", err))
-	}
-	var victim cache.VictimPolicy
-	if l2Pol.Protects() {
-		victim = l2Pol
 	}
 	p := &Partition{
 		id:  id,
@@ -120,8 +109,8 @@ func New(id int, cfg config.Config, resp Injector, nextID *uint64) *Partition {
 		l2: cache.New(cache.Config{
 			Sets: cfg.L2.Sets, Ways: cfg.L2.Ways, LineSize: ls,
 			Replacement: cfg.L2.Replacement, WriteBack: true,
-			Seed:   cfg.Seed + uint64(id)*7919,
-			Victim: victim,
+			Seed:    cfg.Seed + uint64(id)*7919,
+			PinHits: pols.PinHits,
 		}),
 		mshr:          cache.NewMSHR(cfg.L2.MSHREntries, cfg.L2.MSHRMaxMerge),
 		bankBusyUntil: make([]int64, cfg.L2.BanksPerPartition),
@@ -129,7 +118,6 @@ func New(id int, cfg config.Config, resp Injector, nextID *uint64) *Partition {
 		portCycles:    int64((ls + cfg.L2.DataPortBytes - 1) / cfg.L2.DataPortBytes),
 		lineShift:     uint(trailingZeros(ls)),
 		nextID:        nextID,
-		svcLatency:    stats.NewSampler(4096, 64),
 	}
 	p.accessQ = queue.New[*mem.Packet]("l2.access", cfg.L2.AccessQueue, &p.ticks)
 	p.missQ = queue.New[*mem.Request]("l2.miss", cfg.L2.MissQueue, &p.ticks)
@@ -195,10 +183,6 @@ func (p *Partition) RespUsage() *stats.QueueUsage { return p.respQ.Usage() }
 // ReturnUsage exposes the DRAM return queue tracker.
 func (p *Partition) ReturnUsage() *stats.QueueUsage { return p.retQ.Usage() }
 
-// ServiceLatency samples cycles from access-queue arrival to response
-// injection for L2-serviced requests.
-func (p *Partition) ServiceLatency() *stats.Sampler { return &p.svcLatency }
-
 // HostTicks returns the partition's host-work counters: the full Ticks
 // it executed and the L2 cycles it advanced through. Like
 // core.SM.HostTicks they measure the simulator, not the simulated
@@ -248,7 +232,6 @@ func (p *Partition) completeHits(cycle int64) {
 			p.stats.StallRespQ++
 			return
 		}
-		p.svcLatency.Add(float64(cycle - op.pkt.ReadyAt)) // ReadyAt reused as arrival mark
 		p.hitPipe.Pop()
 	}
 }
@@ -378,9 +361,6 @@ func (p *Partition) processAccesses(cycle int64) {
 			*rp = mem.Packet{
 				Req: req, IsResponse: true, Src: p.id, Dst: req.CoreID,
 				SizeBytes: mem.ResponsePacketBytes(req),
-				// ReadyAt doubles as the arrival mark for service
-				// latency; the injector re-stamps it on delivery.
-				ReadyAt: cycle,
 			}
 			p.bankBusyUntil[bank] = cycle + p.portCycles
 			p.hitPipe.Push(pipeOp{doneAt: cycle + p.cfg.L2.HitLatency + p.portCycles, pkt: rp})
@@ -479,8 +459,8 @@ func (p *Partition) injectResponses() {
 	p.respQ.Pop()
 }
 
-// ResetStats zeroes every partition counter, queue tracker and the
-// service-latency sampler for a new measurement window. Architectural
+// ResetStats zeroes every partition counter and queue tracker for a
+// new measurement window. Architectural
 // state (tags, MSHRs, queue contents) is untouched.
 func (p *Partition) ResetStats() {
 	p.stats = Stats{}
@@ -490,6 +470,5 @@ func (p *Partition) ResetStats() {
 	p.missQ.ResetUsage()
 	p.respQ.ResetUsage()
 	p.retQ.ResetUsage()
-	p.svcLatency.Reset()
 	p.chn.ResetStats()
 }

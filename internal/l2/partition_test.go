@@ -221,19 +221,6 @@ func TestWireLatencyRespected(t *testing.T) {
 	}
 }
 
-func TestServiceLatencySampled(t *testing.T) {
-	inj := &fakeInjector{}
-	var id uint64
-	p := New(0, partCfg(), inj, &id)
-	p.Accept(loadPkt(1, 0x1000, 0))
-	tickBoth(p, 0, 400)
-	p.Accept(loadPkt(2, 0x1000, 0))
-	tickBoth(p, 400, 500)
-	if p.ServiceLatency().Count() == 0 {
-		t.Fatalf("hit service latency not sampled")
-	}
-}
-
 func TestResetStats(t *testing.T) {
 	inj := &fakeInjector{}
 	var id uint64

@@ -1,9 +1,10 @@
-// Package policy defines the three pluggable mitigation seams of the
-// simulated memory hierarchy — warp issue, L1 fill/bypass, and L2
-// victim protection — each with a registry of named implementations.
-// The issue seam is a small value type whose Pick the compiler
-// inlines into the per-instruction issue loop; the fill and L2 seams,
-// stateful and off that path, are interfaces.
+// Package policy defines the three mitigation seams of the simulated
+// memory hierarchy — warp issue, L1 fill/bypass, and L2 victim
+// protection — each with a small registry of names. Every seam is a
+// plain value, resolved once per component by config.Config.Policies
+// into a Set: an IssuePolicy whose Pick the compiler inlines into the
+// per-instruction issue loop, a per-SM *Bypass table (nil always
+// fills), and an L2 pin threshold (0 is plain replacement).
 //
 // The paper (Dublish et al., IISWC 2016) characterizes *where* GPGPU
 // cycles go; its related work names the mechanisms that claw them
@@ -16,21 +17,22 @@
 //
 //   - IssuePolicy replaces the hard-coded pickWarp in internal/core:
 //     which ready warp issues, and whether to issue at all this slot.
-//   - FillPolicy replaces the implicit fill-always of the L1 in
+//   - Bypass replaces the implicit fill-always of the L1 in
 //     internal/core: does a missing line allocate in the cache, or is
 //     the fill routed around it.
-//   - L2Policy biases victim selection in the internal/l2 partitions:
-//     lines with proven reuse can be protected from eviction.
+//   - The pin threshold biases victim selection in the internal/l2
+//     partitions (cache.Config.PinHits): lines with proven reuse can
+//     be protected from eviction.
 //
-// Implementations must be deterministic pure functions of their inputs
-// plus their own private state: simulation results must stay
-// byte-identical at any parallelism and across the event and cycle
-// engines. The baseline names ("gto"/"lrr", "always", "plain")
-// reproduce the pre-seam behavior exactly.
+// Every policy is a deterministic pure function of its inputs plus
+// its own private state: simulation results must stay byte-identical
+// at any parallelism and across the event and cycle engines. The
+// baseline names ("gto"/"lrr", "always", "plain") reproduce the
+// pre-seam behavior exactly.
 //
 // policy is a leaf package (no simulator imports), so internal/config
-// can validate names at decode time while internal/core, internal/cache
-// and internal/l2 consume the seams without an import cycle.
+// can resolve names at decode time while internal/core, internal/cache
+// and internal/l2 consume the values without an import cycle.
 package policy
 
 import (
@@ -83,13 +85,11 @@ type IssueCtx struct {
 // slot (throttling); the core charges the empty slot through the
 // normal stall-attribution path.
 //
-// Unlike the fill and L2 seams it is a value, not an interface: the
-// registered schedulers differ only in two switches, and Pick runs
+// The registered schedulers differ only in two switches, and Pick runs
 // once per issued instruction, so a static call the compiler inlines
-// beats a dynamic dispatch. The zero value is not a policy; build one
-// with NewIssuePolicy.
+// beats a dynamic dispatch. The zero value is gto; build one with
+// NewIssuePolicy.
 type IssuePolicy struct {
-	name string
 	// rotate picks loose round-robin (lrr) instead of
 	// greedy-then-oldest (gto).
 	rotate bool
@@ -102,9 +102,6 @@ type IssuePolicy struct {
 	// hierarchy and let the queues drain.
 	throttle bool
 }
-
-// Name returns the registered policy name.
-func (p IssuePolicy) Name() string { return p.name }
 
 // Pick chooses a warp from the non-zero candidate mask, or -1.
 func (p IssuePolicy) Pick(cand uint64, ctx IssueCtx) int {
@@ -128,46 +125,26 @@ func (p IssuePolicy) Pick(cand uint64, ctx IssueCtx) int {
 	return bits.TrailingZeros64(cand)
 }
 
-// FillPolicy decides, at L1 miss time, whether the missing line
-// allocates in the cache (reserve a way now, fill it when the response
-// returns) or the fill is routed around the L1 straight to the warp.
-type FillPolicy interface {
-	// Name returns the registered policy name.
-	Name() string
-	// MayBypass reports whether ShouldFill can ever return false. The
-	// core uses it to keep the baseline miss path free of the extra
-	// bypass bookkeeping.
-	MayBypass() bool
-	// ShouldFill is consulted once per primary L1 miss with the line
-	// address; false routes the fill around the cache. Implementations
-	// may keep private reuse state keyed by line address.
-	ShouldFill(line uint64) bool
-}
-
-type fillAlways struct{}
-
-func (fillAlways) Name() string                { return FillAlways }
-func (fillAlways) MayBypass() bool             { return false }
-func (fillAlways) ShouldFill(line uint64) bool { return true }
-
 // bypassTableBits sizes the per-SM recent-miss tag table (2^bits
 // direct-mapped entries, 8 bytes each).
 const bypassTableBits = 8
 
-// bypassLowReuse predicts streaming (single-touch) lines and routes
-// their fills around the L1, per the bypass schemes in the Mutlu et
-// al. survey: the first miss on a line bypasses; a line that misses
-// again while its tag is still in the small recent-miss table has
-// demonstrated reuse and is allocated normally. State is per-SM and
-// deterministic, so results stay byte-identical across engines.
-type bypassLowReuse struct {
+// Bypass is the bypass-low-reuse L1 fill policy. It predicts streaming
+// (single-touch) lines and routes their fills around the L1, per the
+// bypass schemes in the Mutlu et al. survey: the first miss on a line
+// bypasses; a line that misses again while its tag is still in the
+// small recent-miss table has demonstrated reuse and is allocated
+// normally. Each SM owns its own table, and the state is
+// deterministic, so results stay byte-identical across engines. A nil
+// *Bypass is the baseline "always": the core then fills every miss
+// and never consults the table.
+type Bypass struct {
 	tags [1 << bypassTableBits]uint64
 }
 
-func (*bypassLowReuse) Name() string    { return FillBypassLowReuse }
-func (*bypassLowReuse) MayBypass() bool { return true }
-
-func (b *bypassLowReuse) ShouldFill(line uint64) bool {
+// ShouldFill is consulted once per primary L1 miss with the line
+// address; false routes the fill around the cache.
+func (b *Bypass) ShouldFill(line uint64) bool {
 	// Line addresses are line-aligned, so bit 0 is free to mark an
 	// occupied slot (line 0 is a valid address).
 	idx := (line * 0x9E3779B97F4A7C15) >> (64 - bypassTableBits)
@@ -179,42 +156,27 @@ func (b *bypassLowReuse) ShouldFill(line uint64) bool {
 	return false // first touch: predict streaming, bypass
 }
 
-// L2Policy biases the L2 partitions' victim selection: a Valid line
-// whose reuse count the policy protects is skipped while an
-// unprotected candidate exists (the replacement policy breaks ties as
-// usual, and falls back to the unbiased choice when every candidate is
-// protected).
-type L2Policy interface {
-	// Name returns the registered policy name.
-	Name() string
-	// Protects reports whether Protect can ever return true; the
-	// partitions skip the victim-filter plumbing entirely when it
-	// cannot, keeping the baseline byte-identical.
-	Protects() bool
-	// Protect reports whether a valid line that has served hits cache
-	// hits since its fill should be kept over an unprotected candidate.
-	Protect(hits int64) bool
+// PinHotHits is the pin-hot L2 insertion policy's threshold: a line
+// that has served at least this many hits since its fill is part of
+// the workload's hot set and is protected from eviction while colder
+// candidates exist — a minimal insertion/priority scheme in the spirit
+// of the protection policies in the Mutlu et al. survey. The baseline
+// "plain" is a threshold of 0: pure replacement.
+const PinHotHits = 2
+
+// Set is a config's resolved policies, one plain value per seam,
+// built by config.Config.Policies.
+type Set struct {
+	// Issue picks the warp that issues each slot.
+	Issue IssuePolicy
+	// Bypass is the L1 fill policy: nil fills every miss. Each
+	// resolution returns a fresh table, so every SM owns its own.
+	Bypass *Bypass
+	// PinHits is the L2 insertion policy, the reuse count at which a
+	// line is protected from eviction (cache.Config.PinHits); 0 is
+	// plain replacement.
+	PinHits int64
 }
-
-type l2Plain struct{}
-
-func (l2Plain) Name() string            { return L2Plain }
-func (l2Plain) Protects() bool          { return false }
-func (l2Plain) Protect(hits int64) bool { return false }
-
-// pinHotThreshold is the reuse count at which pin-hot protects a line.
-const pinHotThreshold = 2
-
-// l2PinHot pins hot-set lines: a line that has served at least
-// pinHotThreshold hits since its fill is considered part of the
-// workload's hot set and protected from eviction while colder
-// candidates exist — a minimal insertion/priority scheme in the
-// spirit of the protection policies in the Mutlu et al. survey.
-type l2PinHot struct{}
-
-func (l2PinHot) Name() string            { return L2PinHot }
-func (l2PinHot) Protects() bool          { return true }
-func (l2PinHot) Protect(hits int64) bool { return hits >= pinHotThreshold }
 
 // IssueNames lists the registered issue policies in registry order —
 // the valid config Policy.Issue values, embedded in validation errors.
@@ -231,39 +193,40 @@ func L2Names() []string { return []string{L2Plain, L2PinHot} }
 func NewIssuePolicy(name string) (IssuePolicy, error) {
 	switch name {
 	case IssueGTO:
-		return IssuePolicy{name: name}, nil
+		return IssuePolicy{}, nil
 	case IssueLRR:
-		return IssuePolicy{name: name, rotate: true}, nil
+		return IssuePolicy{rotate: true}, nil
 	case IssueThrottle:
-		return IssuePolicy{name: name, throttle: true}, nil
+		return IssuePolicy{throttle: true}, nil
 	}
 	return IssuePolicy{}, fmt.Errorf("policy: unknown issue policy %q (want %s)",
 		name, strings.Join(IssueNames(), ", "))
 }
 
-// NewFillPolicy resolves an L1 fill-policy name; the error lists the
-// registered names. Stateful policies get fresh state per call, so
-// each SM owns its own reuse table.
-func NewFillPolicy(name string) (FillPolicy, error) {
+// NewBypass resolves an L1 fill-policy name: nil for "" or "always",
+// a fresh table for "bypass-low-reuse". The error lists the
+// registered names.
+func NewBypass(name string) (*Bypass, error) {
 	switch name {
-	case FillAlways:
-		return fillAlways{}, nil
+	case "", FillAlways:
+		return nil, nil
 	case FillBypassLowReuse:
-		return new(bypassLowReuse), nil
+		return new(Bypass), nil
 	}
 	return nil, fmt.Errorf("policy: unknown L1 fill policy %q (want %s)",
 		name, strings.Join(FillNames(), ", "))
 }
 
-// NewL2Policy resolves an L2 insertion-policy name; the error lists
-// the registered names.
-func NewL2Policy(name string) (L2Policy, error) {
+// NewPinHits resolves an L2 insertion-policy name to its pin
+// threshold: 0 for "" or "plain", PinHotHits for "pin-hot". The error
+// lists the registered names.
+func NewPinHits(name string) (int64, error) {
 	switch name {
-	case L2Plain:
-		return l2Plain{}, nil
+	case "", L2Plain:
+		return 0, nil
 	case L2PinHot:
-		return l2PinHot{}, nil
+		return PinHotHits, nil
 	}
-	return nil, fmt.Errorf("policy: unknown L2 insertion policy %q (want %s)",
+	return 0, fmt.Errorf("policy: unknown L2 insertion policy %q (want %s)",
 		name, strings.Join(L2Names(), ", "))
 }

@@ -27,21 +27,18 @@ func TestRegistries(t *testing.T) {
 		}
 	}
 	for _, name := range IssueNames() {
-		p, err := NewIssuePolicy(name)
-		if err != nil || p.Name() != name {
-			t.Errorf("NewIssuePolicy(%q) = %v, %v", name, p, err)
+		if _, err := NewIssuePolicy(name); err != nil {
+			t.Errorf("NewIssuePolicy(%q): %v", name, err)
 		}
 	}
-	for _, name := range FillNames() {
-		p, err := NewFillPolicy(name)
-		if err != nil || p.Name() != name {
-			t.Errorf("NewFillPolicy(%q) = %v, %v", name, p, err)
+	for name, want := range map[string]bool{"": false, FillAlways: false, FillBypassLowReuse: true} {
+		if b, err := NewBypass(name); err != nil || (b != nil) != want {
+			t.Errorf("NewBypass(%q) = %v, %v", name, b, err)
 		}
 	}
-	for _, name := range L2Names() {
-		p, err := NewL2Policy(name)
-		if err != nil || p.Name() != name {
-			t.Errorf("NewL2Policy(%q) = %v, %v", name, p, err)
+	for name, want := range map[string]int64{"": 0, L2Plain: 0, L2PinHot: PinHotHits} {
+		if n, err := NewPinHits(name); err != nil || n != want {
+			t.Errorf("NewPinHits(%q) = %d, %v; want %d", name, n, err, want)
 		}
 	}
 }
@@ -59,8 +56,8 @@ func TestUnknownNamesListRegistered(t *testing.T) {
 			}
 		}
 	}
-	if _, err := NewFillPolicy("nope"); err == nil {
-		t.Fatal("NewFillPolicy accepted an unknown name")
+	if _, err := NewBypass("nope"); err == nil {
+		t.Fatal("NewBypass accepted an unknown name")
 	} else {
 		for _, name := range FillNames() {
 			if !strings.Contains(err.Error(), name) {
@@ -68,8 +65,8 @@ func TestUnknownNamesListRegistered(t *testing.T) {
 			}
 		}
 	}
-	if _, err := NewL2Policy("nope"); err == nil {
-		t.Fatal("NewL2Policy accepted an unknown name")
+	if _, err := NewPinHits("nope"); err == nil {
+		t.Fatal("NewPinHits accepted an unknown name")
 	} else {
 		for _, name := range L2Names() {
 			if !strings.Contains(err.Error(), name) {
@@ -139,10 +136,7 @@ func TestThrottleMasksMemoryWarpsUnderPressure(t *testing.T) {
 }
 
 func TestBypassLowReuseFirstTouchBypasses(t *testing.T) {
-	p, _ := NewFillPolicy(FillBypassLowReuse)
-	if !p.MayBypass() {
-		t.Fatal("bypass-low-reuse must report MayBypass")
-	}
+	p := new(Bypass)
 	if p.ShouldFill(0x40) {
 		t.Error("first touch of a line should bypass")
 	}
@@ -156,30 +150,10 @@ func TestBypassLowReuseFirstTouchBypasses(t *testing.T) {
 	if !p.ShouldFill(0) {
 		t.Error("second touch of line 0 should fill")
 	}
-	// A fresh instance starts cold: per-SM state is not shared.
-	q, _ := NewFillPolicy(FillBypassLowReuse)
+	// Each resolution returns a fresh table: per-SM state is not
+	// shared.
+	q, _ := NewBypass(FillBypassLowReuse)
 	if q.ShouldFill(0x40) {
 		t.Error("fresh policy instance should not remember another's lines")
-	}
-	// The baseline never bypasses and must say so.
-	a, _ := NewFillPolicy(FillAlways)
-	if a.MayBypass() || !a.ShouldFill(0x40) {
-		t.Error("always policy must fill unconditionally and report !MayBypass")
-	}
-}
-
-func TestPinHotThreshold(t *testing.T) {
-	p, _ := NewL2Policy(L2PinHot)
-	if !p.Protects() {
-		t.Fatal("pin-hot must report Protects")
-	}
-	for hits, want := range map[int64]bool{0: false, 1: false, 2: true, 100: true} {
-		if got := p.Protect(hits); got != want {
-			t.Errorf("pin-hot Protect(%d) = %v, want %v", hits, got, want)
-		}
-	}
-	plain, _ := NewL2Policy(L2Plain)
-	if plain.Protects() || plain.Protect(1000) {
-		t.Error("plain policy must never protect")
 	}
 }

@@ -1,5 +1,5 @@
 // Package stats provides the measurement substrate for the simulator:
-// scalar counters, latency samplers with histograms, and queue-usage
+// latency samplers with histograms, stall breakdowns, and queue-usage
 // trackers that implement the paper's "full for X% of usage lifetime"
 // metric (§III).
 package stats
@@ -7,66 +7,33 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
-// Counter is a monotonically increasing event count. The zero value is
-// ready to use.
-type Counter struct {
-	n int64
-}
-
-// Inc adds one to the counter.
-func (c *Counter) Inc() { c.n++ }
-
-// Add adds delta to the counter.
-func (c *Counter) Add(delta int64) { c.n += delta }
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.n }
-
-// Ratio returns c/other, or 0 if other is zero. It is a convenience
-// for hit-rate style derived metrics.
-func (c *Counter) Ratio(other *Counter) float64 {
-	if other.n == 0 {
-		return 0
-	}
-	return float64(c.n) / float64(other.n)
-}
-
 // Sampler accumulates a stream of values (typically latencies) and
-// reports mean, min, max and a coarse histogram. The zero value is
+// reports their mean and histogram percentiles. The zero value is
 // ready to use, without a histogram. The histogram lives inside the
 // Sampler, so owners that hold one by value pay a single allocation,
 // its bins; a Sampler must not be copied once in use.
 type Sampler struct {
 	count int64
 	sum   float64
-	min   float64
-	max   float64
-	hist  Histogram // attached when hist.bins is non-nil
+	hist  histogram // attached when hist.bins is non-nil
 }
 
 // NewSampler returns a Sampler with an attached histogram covering
-// [0, limit) in the given number of bins; values >= limit land in an
-// overflow bin.
+// [0, limit) in the given number of bins; values >= limit count as
+// the limit in its percentiles.
 func NewSampler(limit float64, bins int) Sampler {
 	return Sampler{hist: makeHistogram(limit, bins)}
 }
 
 // Add records one observation.
 func (s *Sampler) Add(v float64) {
-	if s.count == 0 || v < s.min {
-		s.min = v
-	}
-	if s.count == 0 || v > s.max {
-		s.max = v
-	}
 	s.count++
 	s.sum += v
 	if s.hist.bins != nil {
-		s.hist.Add(v)
+		s.hist.add(v)
 	}
 }
 
@@ -81,57 +48,37 @@ func (s *Sampler) Mean() float64 {
 	return s.sum / float64(s.count)
 }
 
-// Min returns the smallest observation, or 0 with no observations.
-func (s *Sampler) Min() float64 { return s.min }
-
-// Max returns the largest observation, or 0 with no observations.
-func (s *Sampler) Max() float64 { return s.max }
-
 // Percentile returns the p-th percentile (0 < p <= 100) estimated from
 // the histogram, or NaN if the sampler has no histogram or no data.
 func (s *Sampler) Percentile(p float64) float64 {
 	if s.hist.bins == nil || s.count == 0 {
 		return math.NaN()
 	}
-	return s.hist.Percentile(p)
+	return s.hist.percentile(p)
 }
 
-// Histogram returns the attached histogram (may be nil).
-func (s *Sampler) Histogram() *Histogram {
-	if s.hist.bins == nil {
-		return nil
-	}
-	return &s.hist
-}
-
-// Histogram is a fixed-range linear histogram with an overflow bin.
-type Histogram struct {
+// histogram is a fixed-range linear histogram; observations at or
+// above its limit count toward the total but land in no bin.
+type histogram struct {
 	limit float64
 	width float64
 	bins  []int64
-	over  int64
 	total int64
 }
 
-// NewHistogram builds a histogram over [0, limit) with bins equal-width
-// buckets. limit must be positive and bins at least 1.
-func NewHistogram(limit float64, bins int) *Histogram {
-	h := makeHistogram(limit, bins)
-	return &h
-}
-
-func makeHistogram(limit float64, bins int) Histogram {
+// makeHistogram builds a histogram over [0, limit) with bins
+// equal-width buckets. limit must be positive and bins at least 1.
+func makeHistogram(limit float64, bins int) histogram {
 	if limit <= 0 || bins < 1 {
 		panic(fmt.Sprintf("stats: invalid histogram limit=%v bins=%d", limit, bins))
 	}
-	return Histogram{limit: limit, width: limit / float64(bins), bins: make([]int64, bins)}
+	return histogram{limit: limit, width: limit / float64(bins), bins: make([]int64, bins)}
 }
 
-// Add records one observation.
-func (h *Histogram) Add(v float64) {
+// add records one observation.
+func (h *histogram) add(v float64) {
 	h.total++
 	if v >= h.limit {
-		h.over++
 		return
 	}
 	if v < 0 {
@@ -144,13 +91,10 @@ func (h *Histogram) Add(v float64) {
 	h.bins[idx]++
 }
 
-// Total returns the number of observations.
-func (h *Histogram) Total() int64 { return h.total }
-
-// Percentile returns the p-th percentile (0 < p <= 100) using the
+// percentile returns the p-th percentile (0 < p <= 100) using the
 // upper edge of the bucket containing the rank; overflow observations
 // report the histogram limit.
-func (h *Histogram) Percentile(p float64) float64 {
+func (h *histogram) percentile(p float64) float64 {
 	if h.total == 0 {
 		return math.NaN()
 	}
@@ -167,15 +111,6 @@ func (h *Histogram) Percentile(p float64) float64 {
 	}
 	return h.limit
 }
-
-// Bucket returns the count in bin i.
-func (h *Histogram) Bucket(i int) int64 { return h.bins[i] }
-
-// NumBuckets returns the number of non-overflow bins.
-func (h *Histogram) NumBuckets() int { return len(h.bins) }
-
-// Overflow returns the number of observations at or above the limit.
-func (h *Histogram) Overflow() int64 { return h.over }
 
 // QueueUsage tracks a bounded queue's occupancy over time, one sample
 // per clock cycle of the owning component's domain, charged in runs of
@@ -279,24 +214,6 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// GeoMean returns the geometric mean of xs; it returns 0 when xs is
-// empty or contains a non-positive value. Speedup aggregation in the
-// paper-style reports uses arithmetic mean (the paper reports "average
-// speedup"), but geomean is provided for robustness comparisons.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		sum += math.Log(x)
-	}
-	return math.Exp(sum / float64(len(xs)))
-}
-
 // Mean returns the arithmetic mean of xs, or 0 when empty.
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -309,20 +226,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// Median returns the median of xs, or 0 when empty.
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	n := len(cp)
-	if n%2 == 1 {
-		return cp[n/2]
-	}
-	return (cp[n/2-1] + cp[n/2]) / 2
-}
-
 // Reset zeroes the tracker for a new measurement window.
 func (q *QueueUsage) Reset() {
 	q.sampled, q.nonEmpty, q.full, q.occSum = 0, 0, 0, 0
@@ -331,5 +234,5 @@ func (q *QueueUsage) Reset() {
 // Reset zeroes the sampler (and its histogram) for a new window.
 func (s *Sampler) Reset() {
 	clear(s.hist.bins)
-	*s = Sampler{hist: Histogram{limit: s.hist.limit, width: s.hist.width, bins: s.hist.bins}}
+	*s = Sampler{hist: histogram{limit: s.hist.limit, width: s.hist.width, bins: s.hist.bins}}
 }
