@@ -95,7 +95,7 @@ func BuildScenarioReport(scenarios []workload.Spec, res []sim.Results) ScenarioR
 func (r ScenarioReport) String() string {
 	var b strings.Builder
 	b.WriteString("scenario sweep — multi-phase kernels vs duration-weighted fixed-mix controls\n\n")
-	fmt.Fprintf(&b, "%-10s %6s %9s %9s %7s %11s %13s\n",
+	fmt.Fprintf(&b, "%-10s %6s %9s %9s %7s %10s %12s\n",
 		"scenario", "phases", "IPC", "fixed", "ratio", "L2-full", "DRAM-full")
 	for _, row := range r.Rows {
 		fmt.Fprintf(&b, "%-10s %6d %9.3f %9.3f %6.2fx %4.0f%%/%3.0f%% %6.0f%%/%3.0f%%\n",
