@@ -42,8 +42,8 @@ type JobRequest struct {
 	// Config, when present, is a complete inline architecture (the
 	// config.ToJSON document) that replaces the server's base config
 	// for this job; Scale, Seed and FixedLatency then apply on top of
-	// it. The fabric coordinator uses it to ship per-job perturbed
-	// configs to workers whose own base differs.
+	// it. The fabric coordinator ships every job's fully resolved
+	// config in it, so a worker's own base never enters a fleet sweep.
 	Config json.RawMessage `json:"config,omitempty"`
 
 	// Seed overrides the base config's RNG seed; Scale applies a

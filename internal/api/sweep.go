@@ -64,7 +64,22 @@ func ResolveSweep(kind string, base config.Config, req JobRequest, maxParallel i
 	if err != nil {
 		return Sweep{}, err
 	}
+	for _, g := range grid {
+		if err := CheckWarps(g.Config, g.Spec); err != nil {
+			return Sweep{}, err
+		}
+	}
 	return Sweep{Kind: k, Names: names, Specs: specs, Config: cfg, Params: p, Grid: grid}, nil
+}
+
+// CheckWarps rejects a spec that needs more resident warps per SM
+// than cfg's core.max_warps_per_sm allows — the request's fault, on
+// /v1/run and on every sweep grid entry alike.
+func CheckWarps(cfg config.Config, spec workload.Spec) error {
+	if spec.Warps > cfg.Core.MaxWarpsPerSM {
+		return fmt.Errorf("workload %s wants %d warps/SM, config allows %d", spec.SpecName, spec.Warps, cfg.Core.MaxWarpsPerSM)
+	}
+	return nil
 }
 
 // Key is the sweep's content address (resultcache.SweepKey): the

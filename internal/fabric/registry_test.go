@@ -138,7 +138,8 @@ func TestFleetPaperKindsMatchSingleNode(t *testing.T) {
 }
 
 // TestBadGridRejectedAlike: a request whose grid cannot be built — an
-// advise variant that overflows the inline config's MSHR count, or a
+// advise variant that overflows the inline config's MSHR count, a
+// workload needing more warps than the inline config allows, or a
 // latsweep over a fixed-latency baseline — is the same 400 with the
 // same message from a worker and from the coordinator.
 func TestBadGridRejectedAlike(t *testing.T) {
@@ -153,8 +154,18 @@ func TestBadGridRejectedAlike(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	narrow := config.GTX480Baseline()
+	narrow.Core.MaxWarpsPerSM = 4 // cfd runs more warps than that
+	rawNarrow, err := json.Marshal(narrow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tooManyWarps := `{"workloads":["cfd"],"config":` + string(rawNarrow) + `}`
 	for _, tc := range []struct{ path, body, want string }{
 		{"/v1/sweep/advise", `{"workloads":["sc"],"config":` + string(raw) + `}`, "variant mshr-x4"},
+		{"/v1/sweep/bottleneck", tooManyWarps, "warps/SM, config allows 4"},
+		{"/v1/sweep/advise", tooManyWarps, "warps/SM, config allows 4"},
+		{"/v1/sweep/run", tooManyWarps, "warps/SM, config allows 4"},
 		{"/v1/sweep/latsweep", `{"workloads":["sc"],"fixed_latency":200}`, "fixed_latency"},
 		{"/v1/sweep/occupancy", `{"workloads":["sc"],"fixed_latency":200}`, "fixed_latency"},
 		{"/v1/sweep/designspace", `{"workloads":["sc"],"fixed_latency":200}`, "fixed_latency"},

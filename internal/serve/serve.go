@@ -370,9 +370,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		api.Error(w, http.StatusBadRequest, err)
 		return
 	}
-	if spec.Warps > cfg.Core.MaxWarpsPerSM {
-		api.Error(w, http.StatusBadRequest,
-			fmt.Errorf("workload %s wants %d warps/SM, config allows %d", spec.SpecName, spec.Warps, cfg.Core.MaxWarpsPerSM))
+	if err := api.CheckWarps(cfg, spec); err != nil {
+		api.Error(w, http.StatusBadRequest, err)
 		return
 	}
 	key, err := resultcache.JobKey(cfg, spec, p.WarmupCycles, p.WindowCycles)
