@@ -16,8 +16,9 @@
 //
 // Flags -config, -max-attempts, -backoff, -cooldown, -max-window and
 // -job-timeout tune the coordinator (see docs/operations.md). The
-// base -config must match the workers': the coordinator verifies each
-// response's content address and fails loudly on drift.
+// base -config (or a request's inline config) is the architecture a
+// fleet sweep measures: every job carries its resolved config to the
+// workers, whose own -config does not apply.
 //
 // In serve mode the endpoints are:
 //
@@ -60,7 +61,7 @@ func main() {
 		seed     = flag.Uint64("seed", 0, "override the base config's RNG seed (0 = keep)")
 		scale    = flag.String("scale", "", "apply a Table I scaling set by name")
 		jobs     = flag.Int("j", 0, "jobs in flight across the fleet (0 = four per worker)")
-		cfgPath  = flag.String("config", "", "base architecture JSON, must match the workers' (default: GTX480 baseline)")
+		cfgPath  = flag.String("config", "", "base architecture JSON that fleet sweeps measure; jobs carry it to the workers (default: GTX480 baseline)")
 		attempts = flag.Int("max-attempts", 0, "workers tried per job before the sweep fails (0 = 3)")
 		backoff  = flag.Duration("backoff", 0, "delay before a job's second attempt, doubling per retry (0 = 100ms)")
 		cooldown = flag.Duration("cooldown", 0, "how long a failed worker is deprioritized (0 = 3s)")

@@ -34,11 +34,13 @@
 // sweeps revisit the worker whose cache already holds each result; a
 // failed attempt retries on the next-ranked worker with exponential
 // backoff, bounded by a per-job attempt cap, and a failing worker is
-// cooled down so later jobs stop queueing behind it. The coordinator
-// cross-checks every response's content-address against its own
-// expectation, so a fleet whose workers were deployed with a
-// different base configuration fails loudly instead of merging
-// numbers from two different machines into one report.
+// cooled down so later jobs stop queueing behind it. Every job ships
+// its resolved config inline, so a worker's own base config never
+// enters a fleet sweep. The coordinator cross-checks every response's
+// content-address against its own expectation, so a worker that
+// addresses results differently (a result-cache code-version skew)
+// fails loudly instead of merging numbers from two different
+// simulators into one report.
 package fabric
 
 import (
@@ -65,10 +67,10 @@ type Options struct {
 	// Workers are the gpusimd base URLs the fleet consists of
 	// (required, at least one).
 	Workers []string
-	// Config is the base architecture requests start from. It must
-	// match the workers' base config — the coordinator verifies this
-	// per job by comparing content-addresses. The zero value is the
-	// paper's GTX480 baseline.
+	// Config is the base architecture requests start from; a
+	// request's inline config replaces it. Jobs carry their resolved
+	// config to the workers, whose own base configs do not apply.
+	// Nil is the paper's GTX480 baseline.
 	Config *config.Config
 	// Client issues the worker HTTP requests (nil = a client with
 	// JobTimeout). Supply one in tests to fake transport failures.
@@ -257,7 +259,7 @@ func (c *Coordinator) RunSweep(ctx context.Context, kind string, req api.JobRequ
 	if err != nil {
 		return api.Envelope{}, err
 	}
-	return c.runSweep(ctx, sw, req, progress)
+	return c.runSweep(ctx, sw, progress)
 }
 
 // resolve checks a sweep request against the registry and this
@@ -271,9 +273,11 @@ func (c *Coordinator) resolve(kind string, req api.JobRequest) (api.Sweep, error
 }
 
 // runSweep shards a resolved sweep across the fleet and merges it.
-// req supplies the seed, scale and fixed-latency transforms each
-// worker re-applies to its base config.
-func (c *Coordinator) runSweep(ctx context.Context, sw api.Sweep, req api.JobRequest, progress func(JobEvent)) (api.Envelope, error) {
+// Every job ships its fully resolved config inline, so the sweep
+// measures the architecture the coordinator resolved — its base or
+// the request's inline config — whatever base each worker was
+// deployed with.
+func (c *Coordinator) runSweep(ctx context.Context, sw api.Sweep, progress func(JobEvent)) (api.Envelope, error) {
 	// The grid is the sweep's unit of distribution: one /v1/run
 	// measurement per entry, in an order the merge step depends on.
 	cfg, p, grid := sw.Config, sw.Params, sw.Grid
@@ -289,30 +293,18 @@ func (c *Coordinator) runSweep(ctx context.Context, sw api.Sweep, req api.JobReq
 		if err != nil {
 			return api.Envelope{}, badRequest("%s: %v", g.Spec.SpecName, err)
 		}
-		jr := api.JobRequest{
-			Spec:         canon,
-			Seed:         req.Seed,
-			Scale:        req.Scale,
-			FixedLatency: req.FixedLatency,
-			Warmup:       &p.WarmupCycles,
-			Window:       &p.WindowCycles,
+		// The seed, scale and fixed-latency transforms are already
+		// baked into the resolved config. The worker's key check
+		// still guards code-version drift.
+		cj, err := json.Marshal(g.Config)
+		if err != nil {
+			return api.Envelope{}, fmt.Errorf("fabric: marshal config for %s: %w", g.Spec.SpecName, err)
 		}
-		if g.Config != cfg {
-			// A perturbed grid entry (the variant kinds) does not share
-			// the fleet's base architecture: ship the fully resolved
-			// config inline and drop the transforms, which are already
-			// baked into it. The worker's key check still guards
-			// code-version drift.
-			cj, err := json.Marshal(g.Config)
-			if err != nil {
-				return api.Envelope{}, fmt.Errorf("fabric: marshal config for %s: %w", g.Spec.SpecName, err)
-			}
-			jr = api.JobRequest{
-				Spec:   canon,
-				Config: cj,
-				Warmup: &p.WarmupCycles,
-				Window: &p.WindowCycles,
-			}
+		jr := api.JobRequest{
+			Spec:   canon,
+			Config: cj,
+			Warmup: &p.WarmupCycles,
+			Window: &p.WindowCycles,
 		}
 		body, err := json.Marshal(jr)
 		if err != nil {
@@ -406,7 +398,7 @@ func (c *Coordinator) executeJob(ctx context.Context, name, key string, body []b
 		if err == nil {
 			if env.Key != key {
 				return jobResult{}, fmt.Errorf(
-					"fabric: job %s: worker %s addressed the result as %s, coordinator expected %s — the worker's base config differs from the coordinator's; deploy the fleet with one shared -config",
+					"fabric: job %s: worker %s addressed the result as %s, coordinator expected %s — the worker computes keys differently (check that its /healthz codeversion matches the coordinator's)",
 					name, w, env.Key, key)
 			}
 			c.noteSuccess(w)

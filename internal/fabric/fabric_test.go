@@ -422,21 +422,65 @@ func TestCacheLocalityRepeatSweep(t *testing.T) {
 	}
 }
 
-// TestConfigDriftDetected: a worker deployed with a different base
-// config addresses its results differently; the coordinator must
-// refuse to merge rather than mix architectures in one report.
+// TestConfigDriftDetected: every fleet job carries its resolved
+// config, so a worker deployed with a different base config (Seed 99)
+// serves a fleet sweep byte-identical to a single node on the
+// coordinator's base. A worker that addresses results differently —
+// here one answering with a foreign key, as a result-cache
+// code-version skew would — is still refused rather than merged.
 func TestConfigDriftDetected(t *testing.T) {
 	drifted := config.GTX480Baseline()
 	drifted.Seed = 99
 	_, url := newWorker(t, serve.Options{Config: &drifted})
+	_, single := newWorker(t, serve.Options{})
 	coord := newCoordinator(t, []string{url}, Options{MaxAttempts: 1})
+	cts := httptest.NewServer(coord.Handler())
+	defer cts.Close()
 
+	body := `{"workloads":["sc"],"warmup_cycles":200,"window_cycles":500}`
+	_, want := post(t, single, "/v1/sweep/run", body, nil)
+	if code, got := post(t, cts.URL, "/v1/sweep/run", body, nil); code != http.StatusOK || got != want {
+		t.Fatalf("fleet of a Seed-99 worker: %d\n got: %s\nwant: %s", code, got, want)
+	}
+
+	foreign := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte(`{"key":"run-foreign","kind":"measure"}`))
+	}))
+	defer foreign.Close()
+	skewed := newCoordinator(t, []string{foreign.URL}, Options{MaxAttempts: 1})
 	warmup, window := int64(200), int64(500)
-	_, err := coord.RunSweep(context.Background(), "run", serve.JobRequest{
+	_, err := skewed.RunSweep(context.Background(), "run", serve.JobRequest{
 		Workloads: []string{"sc"}, Warmup: &warmup, Window: &window,
 	}, nil)
-	if err == nil || !strings.Contains(err.Error(), "base config differs") {
-		t.Fatalf("drifted worker not detected: %v", err)
+	if err == nil || !strings.Contains(err.Error(), "addressed the result as run-foreign") {
+		t.Fatalf("key mismatch not detected: %v", err)
+	}
+}
+
+// TestInlineConfigFleetSweep: a fleet sweep whose request carries an
+// inline config measures that config, not the workers' base, and
+// answers the same body as a single node for every sweep that runs
+// the request's config directly.
+func TestInlineConfigFleetSweep(t *testing.T) {
+	_, single := newWorker(t, serve.Options{})
+	_, urls := newFleet(t, 2, serve.Options{})
+	coord := newCoordinator(t, urls, Options{})
+	cts := httptest.NewServer(coord.Handler())
+	defer cts.Close()
+
+	cfg := config.GTX480Baseline()
+	cfg.L2.Sets *= 2
+	raw, err := json.Marshal(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := `{"workloads":["sc"],"warmup_cycles":200,"window_cycles":500,"config":` + string(raw) + `}`
+	for _, kind := range []string{"bottleneck", "run", "advise"} {
+		wcode, want := post(t, single, "/v1/sweep/"+kind, body, nil)
+		ccode, got := post(t, cts.URL, "/v1/sweep/"+kind, body, nil)
+		if wcode != http.StatusOK || ccode != http.StatusOK || got != want {
+			t.Errorf("%s: gpusimd %d, gpusimc %d:\n got: %s\nwant: %s", kind, wcode, ccode, got, want)
+		}
 	}
 }
 

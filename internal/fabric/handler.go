@@ -33,8 +33,7 @@ func (c *Coordinator) Handler() http.Handler {
 
 // handleHealth reports coordinator liveness, the API and result-cache
 // code versions (so operators can detect mixed-version fleets before
-// a mid-sweep "base config differs" failure), and the configured
-// fleet size.
+// a mid-sweep key-mismatch failure), and the configured fleet size.
 func (c *Coordinator) handleHealth(w http.ResponseWriter, r *http.Request) {
 	api.WriteJSON(w, http.StatusOK, map[string]any{
 		"status":      "ok",
@@ -67,10 +66,10 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	flusher, canFlush := w.(http.Flusher)
 	if canFlush && strings.Contains(r.Header.Get("Accept"), "text/event-stream") {
-		c.streamSweep(w, r, flusher, sw, req)
+		c.streamSweep(w, r, flusher, sw)
 		return
 	}
-	env, err := c.runSweep(r.Context(), sw, req, nil)
+	env, err := c.runSweep(r.Context(), sw, nil)
 	if err != nil {
 		api.Error(w, errStatus(err), err)
 		return
@@ -81,14 +80,14 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 // streamSweep is the SSE form of handleSweep. The 200 header commits
 // before the sweep's outcome is known — SSE's usual bargain — so a
 // late failure arrives as an "error" event rather than a status code.
-func (c *Coordinator) streamSweep(w http.ResponseWriter, r *http.Request, flusher http.Flusher, sw api.Sweep, req api.JobRequest) {
+func (c *Coordinator) streamSweep(w http.ResponseWriter, r *http.Request, flusher http.Flusher, sw api.Sweep) {
 	h := w.Header()
 	h.Set("Content-Type", "text/event-stream")
 	h.Set("Cache-Control", "no-cache")
 	h.Set("X-Accel-Buffering", "no")
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush()
-	env, err := c.runSweep(r.Context(), sw, req, func(ev JobEvent) {
+	env, err := c.runSweep(r.Context(), sw, func(ev JobEvent) {
 		writeEvent(w, "job", ev)
 		flusher.Flush()
 	})
