@@ -1,10 +1,9 @@
-// Package latsweep_test checks the two commands that replaced the
-// latsweep command: `gpusim sweep latsweep` for the built-in suite
-// (pinned by the latsweep golden in cmd/gpusim's sweep tests) and
-// `gpusim -workload-file ... -fixed-latency N` for one Fig. 1 point of
-// a user-defined spec. The package holds only these tests, so the
-// checks the latsweep command carried keep their names.
-package latsweep_test
+// The check of `gpusim -workload-file ... -fixed-latency N`, one
+// Fig. 1 point of a user-defined spec, keeps the name the latsweep
+// command's test had; `gpusim sweep latsweep` over the built-in suite
+// is pinned by the latsweep golden in sweep_test.go.
+
+package main_test
 
 import (
 	"os"

@@ -1,8 +1,7 @@
-// Package scenariosweep_test checks `gpusim sweep scenarios`, which
-// replaced the scenariosweep command. The package holds only these
-// tests, so the checks the scenariosweep command carried keep their
-// names.
-package scenariosweep_test
+// The checks of `gpusim sweep scenarios` keep the names the
+// scenariosweep command's tests had.
+
+package main_test
 
 import (
 	"strings"

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/policy"
 	"repro/internal/workload"
 )
 
@@ -14,11 +15,28 @@ import (
 // skipped one: sm_awake_frac, l2_stepped_frac, dram_stepped_frac and
 // icnt_stepped_frac (both crossbars).
 func BenchmarkHierarchyStep(b *testing.B) {
+	benchHierarchyStep(b, config.GTX480Baseline())
+}
+
+// BenchmarkHierarchyStepPolicies is BenchmarkHierarchyStep under the
+// combined mitigation: the throttling issue policy, each SM's L1
+// bypass table and the L2 tag arrays' pin threshold, all on.
+func BenchmarkHierarchyStepPolicies(b *testing.B) {
+	cfg := config.GTX480Baseline()
+	cfg.Policy = config.PolicyConfig{
+		Issue: policy.IssueThrottle, L1Fill: policy.FillBypassLowReuse, L2Insert: policy.L2PinHot,
+	}
+	benchHierarchyStep(b, cfg)
+}
+
+// benchHierarchyStep runs cfd on cfg's full hierarchy and reports the
+// metrics BenchmarkHierarchyStep documents.
+func benchHierarchyStep(b *testing.B, cfg config.Config) {
 	wl, err := workload.ByName("cfd")
 	if err != nil {
 		b.Fatal(err)
 	}
-	g, err := New(config.GTX480Baseline(), wl)
+	g, err := New(cfg, wl)
 	if err != nil {
 		b.Fatal(err)
 	}
