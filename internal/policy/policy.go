@@ -156,13 +156,13 @@ func (b *Bypass) ShouldFill(line uint64) bool {
 	return false // first touch: predict streaming, bypass
 }
 
-// PinHotHits is the pin-hot L2 insertion policy's threshold: a line
+// pinHotHits is the pin-hot L2 insertion policy's threshold: a line
 // that has served at least this many hits since its fill is part of
 // the workload's hot set and is protected from eviction while colder
 // candidates exist — a minimal insertion/priority scheme in the spirit
 // of the protection policies in the Mutlu et al. survey. The baseline
 // "plain" is a threshold of 0: pure replacement.
-const PinHotHits = 2
+const pinHotHits = 2
 
 // Set is a config's resolved policies, one plain value per seam,
 // built by config.Config.Policies.
@@ -218,14 +218,14 @@ func NewBypass(name string) (*Bypass, error) {
 }
 
 // NewPinHits resolves an L2 insertion-policy name to its pin
-// threshold: 0 for "" or "plain", PinHotHits for "pin-hot". The error
+// threshold: 0 for "" or "plain", pinHotHits for "pin-hot". The error
 // lists the registered names.
 func NewPinHits(name string) (int64, error) {
 	switch name {
 	case "", L2Plain:
 		return 0, nil
 	case L2PinHot:
-		return PinHotHits, nil
+		return pinHotHits, nil
 	}
 	return 0, fmt.Errorf("policy: unknown L2 insertion policy %q (want %s)",
 		name, strings.Join(L2Names(), ", "))

@@ -36,11 +36,6 @@ func TestRegistries(t *testing.T) {
 			t.Errorf("NewBypass(%q) = %v, %v", name, b, err)
 		}
 	}
-	for name, want := range map[string]int64{"": 0, L2Plain: 0, L2PinHot: PinHotHits} {
-		if n, err := NewPinHits(name); err != nil || n != want {
-			t.Errorf("NewPinHits(%q) = %d, %v; want %d", name, n, err, want)
-		}
-	}
 }
 
 // Unknown names must be rejected with an error that lists every
@@ -155,5 +150,16 @@ func TestBypassLowReuseFirstTouchBypasses(t *testing.T) {
 	q, _ := NewBypass(FillBypassLowReuse)
 	if q.ShouldFill(0x40) {
 		t.Error("fresh policy instance should not remember another's lines")
+	}
+}
+
+// pin-hot protects lines that served at least two hits; the baseline
+// (plain, or an empty name) is a threshold of 0, which the L2 tag
+// array reads as "protect nothing".
+func TestPinHotThreshold(t *testing.T) {
+	for name, want := range map[string]int64{"": 0, L2Plain: 0, L2PinHot: 2} {
+		if n, err := NewPinHits(name); err != nil || n != want {
+			t.Errorf("NewPinHits(%q) = %d, %v; want %d", name, n, err, want)
+		}
 	}
 }
