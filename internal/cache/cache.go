@@ -298,9 +298,9 @@ func (c *Cache) Reserve(addr uint64, now int64) (v Victim, evicted, ok bool) {
 }
 
 // pickVictim chooses the Valid way to evict. With PinHits set,
-// protected lines are skipped while an unprotected
-// candidate exists; if every Valid way is protected the choice falls
-// back to the unbiased one (the working set outgrew the pin budget).
+// protected lines are skipped while an unprotected candidate exists;
+// if every Valid way is protected the choice falls back to the
+// unbiased one (the working set outgrew the pin budget).
 func (c *Cache) pickVictim(setIdx int, set []line) int {
 	if c.hits != nil {
 		if idx := c.victimAmong(setIdx, set, true); idx != -1 {
