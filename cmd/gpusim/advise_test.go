@@ -1,7 +1,7 @@
-// Package advise_test checks `gpusim sweep advise`, which replaced the
-// advise command. The package holds only these tests, so the checks
-// the advise command carried keep their names.
-package advise_test
+// The checks of `gpusim sweep advise` keep the names the advise
+// command's tests had.
+
+package main_test
 
 import (
 	"encoding/json"

@@ -1,7 +1,7 @@
-// Package bottleneck_test checks `gpusim sweep bottleneck`, which
-// replaced the bottleneck command. The package holds only these
-// tests, so the checks the bottleneck command carried keep their names.
-package bottleneck_test
+// The checks of `gpusim sweep bottleneck` keep the names the
+// bottleneck command's tests had.
+
+package main_test
 
 import (
 	"strings"

@@ -4,18 +4,15 @@
 // concurrently on the experiment engine's worker pool (-j), and the
 // reports print in the order given.
 //
-// Workloads come from three sources: built-in benchmarks and
-// scenarios (-workload), user-defined JSON specs (-workload-file, one
-// spec object or an array; see the README's "Defining your own
-// workload"), or a recorded trace (-trace). The trace source is
-// exclusive: a trace pins its own instruction streams, so combining
-// it with -workload or -workload-file is an error rather than a
-// silent ignore.
+// Workloads come from two sources: built-in benchmarks and scenarios
+// (-workload) and user-defined JSON specs (-workload-file, one spec
+// object or an array; see the README's "Defining your own
+// workload").
 //
 // Usage:
 //
 //	gpusim [-workload sc | -workload sc,lbm,cfd] [-j N] [-stalls]
-//	       [-workload-file specs.json] [-trace foo.trace]
+//	       [-workload-file specs.json]
 //	       [-scale baseline|l1|l2|dram|l1l2|l2dram|all]
 //	       [-warmup 6000] [-window 20000] [-fixed-latency -1]
 //	       [-config file.json] [-dump-config] [-seed 1]
@@ -59,7 +56,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strings"
@@ -85,7 +81,6 @@ func main() {
 		cfgPath  = flag.String("config", "", "load configuration from a JSON file instead of the baseline")
 		dumpCfg  = flag.Bool("dump-config", false, "print the effective configuration as JSON and exit")
 		seed     = flag.Uint64("seed", 1, "simulation seed")
-		tracePth = flag.String("trace", "", "replay a tracegen-recorded trace instead of a built-in workload")
 		stalls   = flag.Bool("stalls", false, "append each workload's stall stack (per-cycle issue-slot attribution)")
 		engine   = flag.String("engine", "event", "time-advancement engine: event (sleeping SMs, the default) or cycle (per-cycle reference loop). The report is guaranteed byte-identical either way — cycle exists as the slow oracle for diagnosing the event engine, never as a way to get different numbers")
 		cacheDir = flag.String("cache-dir", "", "reuse a gpusimd result cache: cached jobs skip simulation, fresh jobs are stored for next time")
@@ -128,71 +123,34 @@ func main() {
 	explicit := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 
-	var wls []gpgpumem.Workload
-	switch {
-	case *tracePth != "":
-		// A trace replays its own recorded streams; mixing it with
-		// generated workloads was silently ignoring them.
-		if explicit["workload"] || explicit["workload-file"] {
-			fatal(fmt.Errorf("-trace replays recorded streams and cannot be combined with -workload or -workload-file"))
-		}
-		f, err := os.Open(*tracePth)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		// Reports label the job by the file's basename, not the path.
-		tr, err := gpgpumem.ParseTrace(filepath.Base(*tracePth), f)
-		if err != nil {
-			fatal(err)
-		}
-		verified, err := tr.CheckLineSize(cfg.LineSize())
-		if err != nil {
-			fatal(err)
-		}
-		if !verified {
-			fmt.Fprintf(os.Stderr, "gpusim: note: %s has no header; recorded line size unverified against the config's %d\n",
-				filepath.Base(*tracePth), cfg.LineSize())
-		}
-		wls = append(wls, tr)
-	default:
-		// Built-ins run when asked for explicitly, or as the default
-		// when no spec file is given either.
-		if explicit["workload"] || *wlFile == "" {
-			for _, name := range strings.Split(*wlName, ",") {
-				wl, err := gpgpumem.WorkloadByName(strings.TrimSpace(name))
-				if err != nil {
-					fatal(err)
-				}
-				wls = append(wls, wl)
-			}
-		}
-		if *wlFile != "" {
-			data, err := os.ReadFile(*wlFile)
+	var specs []gpgpumem.WorkloadSpec
+	// Built-ins run when asked for explicitly, or as the default when
+	// no spec file is given either.
+	if explicit["workload"] || *wlFile == "" {
+		for _, name := range strings.Split(*wlName, ",") {
+			sp, err := gpgpumem.WorkloadSpecByName(strings.TrimSpace(name))
 			if err != nil {
 				fatal(err)
 			}
-			specs, err := gpgpumem.ParseWorkloadSpecs(data)
-			if err != nil {
-				fatal(err)
-			}
-			for _, s := range specs {
-				wls = append(wls, s)
-			}
+			specs = append(specs, sp)
 		}
+	}
+	if *wlFile != "" {
+		data, err := os.ReadFile(*wlFile)
+		if err != nil {
+			fatal(err)
+		}
+		parsed, err := gpgpumem.ParseWorkloadSpecs(data)
+		if err != nil {
+			fatal(err)
+		}
+		specs = append(specs, parsed...)
 	}
 	eng, err := gpgpumem.ParseEngine(*engine)
 	if err != nil {
 		fatal(err)
 	}
-	batch := make([]gpgpumem.Job, len(wls))
-	for i, wl := range wls {
-		batch[i] = gpgpumem.Job{
-			Config: cfg, Workload: wl,
-			WarmupCycles: *warmup, WindowCycles: *window,
-			Engine: eng,
-		}
-	}
+	job := gpgpumem.Job{Config: cfg, WarmupCycles: *warmup, WindowCycles: *window, Engine: eng}
 	// Profiling brackets exactly the simulations, and both profiles
 	// are finalized before any exit path — no fatal() runs while a
 	// profile is open, so an error can't leave a truncated file.
@@ -205,7 +163,7 @@ func main() {
 			fatal(err)
 		}
 	}
-	results, err := measure(batch, *jobs, *cacheDir)
+	results, err := measure(job, specs, *jobs, *cacheDir)
 	if *cpuProf != "" {
 		pprof.StopCPUProfile()
 	}
@@ -214,6 +172,10 @@ func main() {
 	}
 	if err != nil {
 		fatal(err)
+	}
+	wls := make([]gpgpumem.Workload, len(specs))
+	for i, sp := range specs {
+		wls[i] = sp
 	}
 	fmt.Print(gpgpumem.RenderBatchReport(set.String(), *warmup, *window, wls, results))
 	if *stalls {
@@ -225,13 +187,18 @@ func loadConfig(data []byte) (gpgpumem.Config, error) {
 	return gpgpumem.ConfigFromJSON(data)
 }
 
-// measure runs the batch, optionally through a content-addressed
-// result cache shared with gpusimd. Results are pure functions of
-// (config, spec, seed, warmup, window), so a cache hit decodes to the
-// exact snapshot a fresh simulation would produce and the rendered
-// report is byte-identical either way; only spec-backed jobs are
-// cacheable (a -trace replay has no canonical description to hash).
-func measure(batch []gpgpumem.Job, jobs int, cacheDir string) ([]gpgpumem.Results, error) {
+// measure runs one job per spec, each a copy of job with the spec as
+// its workload, optionally through a content-addressed result cache
+// shared with gpusimd. Results are pure functions of (config, spec,
+// seed, warmup, window), so a cache hit decodes to the exact snapshot
+// a fresh simulation would produce and the rendered report is
+// byte-identical either way.
+func measure(job gpgpumem.Job, specs []gpgpumem.WorkloadSpec, jobs int, cacheDir string) ([]gpgpumem.Results, error) {
+	batch := make([]gpgpumem.Job, len(specs))
+	for i, sp := range specs {
+		batch[i] = job
+		batch[i].Workload = sp
+	}
 	if cacheDir == "" {
 		return gpgpumem.MeasureBatch(context.Background(), batch, jobs, nil)
 	}
@@ -242,13 +209,8 @@ func measure(batch []gpgpumem.Job, jobs int, cacheDir string) ([]gpgpumem.Result
 	results := make([]gpgpumem.Results, len(batch))
 	keys := make([]string, len(batch))
 	var misses []int
-	for i, job := range batch {
-		spec, ok := job.Workload.(gpgpumem.WorkloadSpec)
-		if !ok {
-			misses = append(misses, i)
-			continue
-		}
-		key, err := gpgpumem.SimResultKey(job.Config, spec, job.WarmupCycles, job.WindowCycles)
+	for i, sp := range specs {
+		key, err := gpgpumem.SimResultKey(job.Config, sp, job.WarmupCycles, job.WindowCycles)
 		if err != nil {
 			return nil, err
 		}
@@ -261,7 +223,7 @@ func measure(batch []gpgpumem.Job, jobs int, cacheDir string) ([]gpgpumem.Result
 		res, err := gpgpumem.DecodeResults(data)
 		if err != nil {
 			// A corrupt or stale entry is recomputed, not trusted.
-			fmt.Fprintf(os.Stderr, "gpusim: ignoring bad cache entry for %s: %v\n", job.Workload.Name(), err)
+			fmt.Fprintf(os.Stderr, "gpusim: ignoring bad cache entry for %s: %v\n", sp.Name(), err)
 			misses = append(misses, i)
 			continue
 		}
@@ -280,9 +242,6 @@ func measure(batch []gpgpumem.Job, jobs int, cacheDir string) ([]gpgpumem.Result
 	}
 	for bi, i := range misses {
 		results[i] = computed[bi]
-		if keys[i] == "" {
-			continue // uncacheable job (trace replay)
-		}
 		enc, err := gpgpumem.EncodeResults(computed[bi])
 		if err != nil {
 			return nil, err

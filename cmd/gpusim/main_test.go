@@ -141,62 +141,3 @@ func TestGpusimCacheDir(t *testing.T) {
 		t.Fatalf("corruption not reported: %s", stderr)
 	}
 }
-
-// TestGpusimTraceFlagConflicts: -trace with an explicit -workload or
-// -workload-file must error instead of silently ignoring them.
-func TestGpusimTraceFlagConflicts(t *testing.T) {
-	bin := clitest.Build(t, "repro/cmd/gpusim")
-	stderr := clitest.RunExpectError(t, bin, "-trace", "foo.trace", "-workload", "sc")
-	if !strings.Contains(stderr, "cannot be combined") {
-		t.Fatalf("unexpected -trace -workload error: %s", stderr)
-	}
-	stderr = clitest.RunExpectError(t, bin, "-trace", "foo.trace", "-workload-file", "specs.json")
-	if !strings.Contains(stderr, "cannot be combined") {
-		t.Fatalf("unexpected -trace -workload-file error: %s", stderr)
-	}
-}
-
-// TestGpusimTraceReplay drives the recorded-trace path through the
-// real binaries: tracegen writes a headered trace, gpusim replays it
-// labelled by basename, a headerless copy replays with the unverified
-// note, and a mismatched config line size is a hard error.
-func TestGpusimTraceReplay(t *testing.T) {
-	gpusim := clitest.Build(t, "repro/cmd/gpusim")
-	tracegen := clitest.Build(t, "repro/cmd/tracegen")
-	dir := t.TempDir()
-	tracePath := filepath.Join(dir, "sc.trace")
-	clitest.Run(t, tracegen, "-workload", "sc", "-sms", "1", "-instrs", "400", "-o", tracePath)
-
-	out, stderr := clitest.Run(t, gpusim, "-trace", tracePath, "-warmup", "100", "-window", "200")
-	if !strings.Contains(out, "workload sc.trace on") {
-		t.Fatalf("trace job not labelled by basename:\n%s", out)
-	}
-	if strings.Contains(stderr, "unverified") {
-		t.Fatalf("headered trace reported as unverified: %s", stderr)
-	}
-
-	data, err := os.ReadFile(tracePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, rest, _ := strings.Cut(string(data), "\n")
-	legacy := filepath.Join(dir, "legacy.trace")
-	if err := os.WriteFile(legacy, []byte(rest), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, stderr = clitest.Run(t, gpusim, "-trace", legacy, "-warmup", "100", "-window", "200")
-	if !strings.Contains(stderr, "unverified") {
-		t.Fatalf("headerless trace missing the unverified note: %s", stderr)
-	}
-
-	cfgJSON, _ := clitest.Run(t, gpusim, "-dump-config")
-	cfg64 := strings.ReplaceAll(cfgJSON, `"line_size": 128`, `"line_size": 64`)
-	cfgPath := filepath.Join(dir, "cfg64.json")
-	if err := os.WriteFile(cfgPath, []byte(cfg64), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	stderr = clitest.RunExpectError(t, gpusim, "-trace", tracePath, "-config", cfgPath)
-	if !strings.Contains(stderr, "recorded at line size 128") {
-		t.Fatalf("line-size mismatch not rejected: %s", stderr)
-	}
-}

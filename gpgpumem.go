@@ -34,7 +34,6 @@ package gpgpumem
 
 import (
 	"context"
-	"io"
 	"math"
 	"runtime"
 
@@ -48,7 +47,6 @@ import (
 	"repro/internal/serve"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -145,32 +143,6 @@ func ParseWorkloadSpec(data []byte) (WorkloadSpec, error) { return workload.Pars
 // ParseWorkloadSpecs decodes a single JSON WorkloadSpec object or a
 // JSON array of them, validating every spec.
 func ParseWorkloadSpecs(data []byte) ([]WorkloadSpec, error) { return workload.ParseSpecs(data) }
-
-// Trace is a parsed instruction trace; it implements Workload by
-// replaying the recorded streams (padding with ALU instructions once
-// exhausted) and carries the recording-parameter header.
-type Trace = trace.Trace
-
-// TraceHeader is the metadata line Record writes: the format version
-// and the parameters (line size, warps/SM) the recorded addresses
-// depend on.
-type TraceHeader = trace.Header
-
-// RecordTrace writes n instructions of every warp stream of wl for
-// the given number of SMs in the text trace format (cmd/tracegen's
-// output), preceded by a versioned header pinning lineSize. lineSize
-// should match the config the trace will run under.
-func RecordTrace(wl Workload, sms, n int, seed, lineSize uint64, w io.Writer) error {
-	return trace.Record(wl, sms, n, seed, lineSize, w)
-}
-
-// ParseTrace reads a recorded trace. Call Trace.CheckLineSize with the
-// replay config's line size before simulating: headered traces are
-// verified, legacy headerless traces replay with an unverified line
-// size.
-func ParseTrace(name string, r io.Reader) (*Trace, error) {
-	return trace.Parse(name, r)
-}
 
 // Results is the measurement snapshot of one simulation window.
 type Results = sim.Results

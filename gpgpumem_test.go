@@ -1,7 +1,6 @@
 package gpgpumem
 
 import (
-	"bytes"
 	"context"
 	"strings"
 	"testing"
@@ -121,43 +120,6 @@ func TestRunLatencyToleranceSmall(t *testing.T) {
 	pts := curves[0].Points
 	if pts[0].Latency != 0 || pts[12].Latency != 600 || pts[0].Normalized < pts[12].Normalized {
 		t.Fatalf("latency 0 should not be slower than 600: %+v", pts)
-	}
-}
-
-func TestTraceReplayEquivalence(t *testing.T) {
-	// A recorded trace replayed through the simulator must reproduce
-	// the generator run bit-identically for any window shorter than
-	// the recorded stream.
-	cfg := DefaultConfig()
-	cfg.Core.NumSMs = 3
-	cfg.L2.Partitions = 2
-	wl, err := WorkloadByName("nw")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	const window = 2500
-	// No warp can issue more instructions than elapsed cycles, so
-	// recording window+warmup instructions per warp is sufficient.
-	if err := RecordTrace(wl, cfg.Core.NumSMs, 4000, cfg.Seed, uint64(cfg.L1.LineSize), &buf); err != nil {
-		t.Fatal(err)
-	}
-	replayed, err := ParseTrace("nw-replay", &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	run := func(w Workload) Results {
-		sys, err := NewSystem(cfg, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sys.Measure(1000, window)
-	}
-	orig := run(wl)
-	rep := run(replayed)
-	if orig != rep {
-		t.Fatalf("trace replay diverged from generator:\n orig %+v\n rep  %+v", orig, rep)
 	}
 }
 

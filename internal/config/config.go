@@ -444,11 +444,12 @@ func (c Config) Validate() error {
 }
 
 // Policies resolves the Policy names into the values the simulator
-// runs: the issue policy (an empty Issue defers to Core.Scheduler), a
-// fresh L1 bypass table (nil for the baseline), and the L2 pin
-// threshold (0 for the baseline). It is the one place the names are
-// resolved; an unknown name is rejected listing the registered ones,
-// mirroring the api registry's unknown-kind error.
+// runs: the issue policy (an empty Issue defers to Core.Scheduler),
+// whether the L1 bypasses low-reuse fills (false for the baseline),
+// and the L2 pin threshold (0 for the baseline). It allocates nothing:
+// Validate calls it on every served request. It is the one place the
+// names are resolved; an unknown name is rejected listing the
+// registered ones, mirroring the api registry's unknown-kind error.
 func (c Config) Policies() (policy.Set, error) {
 	issue := c.Policy.Issue
 	if issue == "" {
@@ -459,7 +460,7 @@ func (c Config) Policies() (policy.Set, error) {
 	if s.Issue, err = policy.NewIssuePolicy(issue); err != nil {
 		return s, fmt.Errorf("config: policy.issue: %w", err)
 	}
-	if s.Bypass, err = policy.NewBypass(c.Policy.L1Fill); err != nil {
+	if s.Bypass, err = policy.ParseFill(c.Policy.L1Fill); err != nil {
 		return s, fmt.Errorf("config: policy.l1_fill: %w", err)
 	}
 	if s.PinHits, err = policy.NewPinHits(c.Policy.L2Insert); err != nil {
@@ -469,11 +470,6 @@ func (c Config) Policies() (policy.Set, error) {
 }
 
 func isPow2(v int) bool { return v > 0 && v&(v-1) == 0 }
-
-// LineSize is the hierarchy's cache-line size in bytes (Validate
-// enforces L1 and L2 agree). Workload streams, the address coalescer
-// and trace headers all key off this one value.
-func (c Config) LineSize() uint64 { return uint64(c.L1.LineSize) }
 
 // ToJSON renders the config as indented JSON. (Deliberately not named
 // MarshalText: implementing encoding.TextMarshaler would change how

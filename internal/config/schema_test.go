@@ -124,6 +124,17 @@ func TestSchemaAllocationFree(t *testing.T) {
 	}
 }
 
+// TestValidateMitigationAllocationFree: resolving the policy names
+// checks them without building the per-SM bypass table, so Validate
+// stays allocation-free under every mitigation.
+func TestValidateMitigationAllocationFree(t *testing.T) {
+	c := GTX480Baseline()
+	c.Policy = PolicyConfig{Issue: "throttle", L1Fill: "bypass-low-reuse", L2Insert: "pin-hot"}
+	if n := testing.AllocsPerRun(100, func() { _ = c.Validate() }); n != 0 {
+		t.Errorf("Validate allocates %.0f times", n)
+	}
+}
+
 func BenchmarkValidate(b *testing.B) {
 	c := GTX480Baseline()
 	for b.Loop() {

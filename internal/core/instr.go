@@ -1,7 +1,7 @@
 // Package core models the SIMT cores (streaming multiprocessors): warp
-// scheduling, scoreboard-style load blocking, the memory coalescer,
-// the LDST unit with its bounded memory pipeline, and the private L1
-// data cache with MSHRs and miss queue.
+// scheduling, scoreboard-style load blocking, the LDST unit with its
+// bounded memory pipeline, and the private L1 data cache with MSHRs
+// and miss queue.
 package core
 
 import "fmt"
@@ -34,19 +34,10 @@ type Instr struct {
 	Kind InstrKind
 	// Store marks a memory instruction as a global store.
 	Store bool
-	// Lanes holds the per-thread byte addresses of a memory
-	// instruction (one entry per active lane); the coalescer reduces
-	// them to line transactions.
-	Lanes []uint64
-	// Lines, when non-nil, holds the distinct line-aligned addresses
-	// that Coalesce(Lanes, lineSize) would produce, in first-appearance
-	// order — the stream has already coalesced the access. Consumers
-	// use it directly and skip the per-lane reduction; a stream that
-	// provides Lines may omit Lanes entirely (the workload generators
-	// do: their lanes are pure expansions of the line list, so
-	// materializing 32 lane addresses per memory instruction only to
-	// re-reduce them was the single hottest loop in the issue path).
-	// Like Lanes, the backing array is only valid until the next
+	// Lines holds the distinct line-aligned addresses a memory
+	// instruction touches, in first-appearance order: the warp's
+	// access after coalescing (the workload generators coalesce as
+	// they generate). The backing array is only valid until the next
 	// NextInto call.
 	Lines []uint64
 	// DepDist is, for loads, the number of subsequent instructions
@@ -70,56 +61,22 @@ type Instr struct {
 //
 // NextInto writes the next instruction into *in rather than returning
 // it: the fetch path runs once per issued instruction and the in-place
-// form spares a 40-byte struct copy through the interface boundary.
+// form spares a 48-byte struct copy through the interface boundary.
 // For non-Mem kinds only Kind is meaningful — an implementation may
 // leave the other fields stale from a previous call, and consumers
 // must not read them.
 //
-// A stream may reuse the Lanes backing array: the slice written by one
+// A stream may reuse the Lines backing array: the slice written by one
 // NextInto call is only valid until the next call. Consumers (the SM)
-// coalesce Lanes into their own storage before fetching again.
+// copy Lines into their own storage before fetching again.
 type InstrStream interface {
 	NextInto(in *Instr)
 }
 
 // NextOf is the convenience value form of InstrStream.NextInto, for
-// callers outside the per-cycle hot path (trace recording, tests).
+// callers outside the per-cycle hot path (tests).
 func NextOf(s InstrStream) Instr {
 	var in Instr
 	s.NextInto(&in)
 	return in
-}
-
-// Coalesce reduces per-lane addresses to the distinct cache lines they
-// touch, in first-appearance order — the memory coalescing unit. A
-// fully coalesced warp access yields one transaction; a scattered one
-// yields up to len(lanes).
-func Coalesce(lanes []uint64, lineSize uint64) []uint64 {
-	if len(lanes) == 0 {
-		return nil
-	}
-	return CoalesceInto(make([]uint64, 0, 4), lanes, lineSize)
-}
-
-// CoalesceInto is Coalesce appending into dst (overwritten from
-// length 0), letting the per-cycle path reuse one scratch buffer
-// instead of allocating per memory instruction.
-func CoalesceInto(dst []uint64, lanes []uint64, lineSize uint64) []uint64 {
-	dst = dst[:0]
-	mask := ^(lineSize - 1)
-	for _, a := range lanes {
-		line := a & mask
-		dup := false
-		// Linear scan: transaction counts are small (<= 32).
-		for _, seen := range dst {
-			if seen == line {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			dst = append(dst, line)
-		}
-	}
-	return dst
 }

@@ -1,78 +1,6 @@
 package core
 
-import (
-	"testing"
-	"testing/quick"
-)
-
-func TestCoalesceFullyCoalesced(t *testing.T) {
-	lanes := make([]uint64, 32)
-	for i := range lanes {
-		lanes[i] = 0x1000 + uint64(i)*4 // 32 lanes × 4B inside one 128B line
-	}
-	got := Coalesce(lanes, 128)
-	if len(got) != 1 || got[0] != 0x1000 {
-		t.Fatalf("Coalesce = %#v, want [0x1000]", got)
-	}
-}
-
-func TestCoalesceFullyScattered(t *testing.T) {
-	lanes := make([]uint64, 32)
-	for i := range lanes {
-		lanes[i] = uint64(i) * 256 // every lane a distinct line
-	}
-	got := Coalesce(lanes, 128)
-	if len(got) != 32 {
-		t.Fatalf("scattered access coalesced to %d transactions, want 32", len(got))
-	}
-}
-
-func TestCoalescePreservesFirstAppearanceOrder(t *testing.T) {
-	lanes := []uint64{0x300, 0x100, 0x310, 0x200}
-	got := Coalesce(lanes, 128)
-	want := []uint64{0x300, 0x100, 0x200}
-	if len(got) != len(want) {
-		t.Fatalf("got %v want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("order: got %v want %v", got, want)
-		}
-	}
-}
-
-func TestCoalesceEmpty(t *testing.T) {
-	if got := Coalesce(nil, 128); got != nil {
-		t.Fatalf("nil lanes should coalesce to nil, got %v", got)
-	}
-}
-
-func TestCoalesceProperty(t *testing.T) {
-	// Results are line-aligned, unique, and cover every lane.
-	prop := func(raw []uint32) bool {
-		lanes := make([]uint64, len(raw))
-		for i, r := range raw {
-			lanes[i] = uint64(r)
-		}
-		out := Coalesce(lanes, 128)
-		seen := map[uint64]bool{}
-		for _, l := range out {
-			if l%128 != 0 || seen[l] {
-				return false
-			}
-			seen[l] = true
-		}
-		for _, a := range lanes {
-			if !seen[a&^127] {
-				return false
-			}
-		}
-		return len(out) <= len(lanes)
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Fatal(err)
-	}
-}
+import "testing"
 
 func TestInstrKindString(t *testing.T) {
 	if ALU.String() != "alu" || Mem.String() != "mem" {

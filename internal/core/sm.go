@@ -212,8 +212,9 @@ type SM struct {
 
 	pool     *mem.Pool                 // request/packet recycling (nil: plain allocation)
 	trackers mem.FreeList[loadTracker] // loadTracker recycling, chunked
-	// coalesceBuf is scratch for the coalescer (one drain at a time),
-	// in coalesceArr: a warp access coalesces to at most 32 lines.
+	// coalesceBuf holds the draining access's lines (one drain at a
+	// time), in coalesceArr: a warp access coalesces to at most 32
+	// lines.
 	coalesceBuf []uint64
 	coalesceArr [32]uint64
 
@@ -290,7 +291,6 @@ func NewSM(id int, cfg config.Config, streams []InstrStream, backend Backend, ne
 		issueWidth: cfg.Core.IssueWidth,
 		warps:      warps,
 		issuePol:   pols.Issue,
-		bypass:     pols.Bypass,
 		mshrCap:    cfg.L1.MSHREntries,
 		l1: cache.New(cache.Config{
 			Sets: cfg.L1.Sets, Ways: cfg.L1.Ways, LineSize: cfg.L1.LineSize,
@@ -307,6 +307,9 @@ func NewSM(id int, cfg config.Config, streams []InstrStream, backend Backend, ne
 	sm.missQ = queue.New[*mem.Request]("sm.miss", cfg.L1.MissQueue, &sm.ticks)
 	sm.respQ = queue.New[*mem.Packet]("sm.resp", cfg.Core.ResponseQueue, &sm.ticks)
 	sm.coalesceBuf = sm.coalesceArr[:0]
+	if pols.Bypass {
+		sm.bypass = new(policy.Bypass)
+	}
 	// Prime the readiness masks. This fetches each warp's first
 	// instruction; streams are private per warp, so consuming them at
 	// construction instead of first issue changes nothing observable.
@@ -800,14 +803,9 @@ func (s *SM) issueOn(w *warp, cycle int64) {
 		return
 	}
 	s.stats.MemInstrs++
-	if in.Lines != nil {
-		// The stream pre-coalesced the access; the copy (into the
-		// SM-owned buffer, since the stream invalidates in.Lines on
-		// the warp's next fetch) replaces the per-lane reduction.
-		s.coalesceBuf = append(s.coalesceBuf[:0], in.Lines...)
-	} else {
-		s.coalesceBuf = CoalesceInto(s.coalesceBuf, in.Lanes, s.lineSize)
-	}
+	// The stream invalidates in.Lines on the warp's next fetch, so the
+	// drain works from an SM-owned copy.
+	s.coalesceBuf = append(s.coalesceBuf[:0], in.Lines...)
 	lines := s.coalesceBuf
 	if len(lines) == 0 {
 		return

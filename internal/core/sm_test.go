@@ -72,12 +72,10 @@ func run(sm *SM, from, to int64) int64 {
 	return to
 }
 
+// loadInstr is a fully coalesced load of the line at addr (which
+// must be line-aligned).
 func loadInstr(addr uint64, dep int) Instr {
-	lanes := make([]uint64, 32)
-	for i := range lanes {
-		lanes[i] = addr + uint64(i)*4
-	}
-	return Instr{Kind: Mem, Lanes: lanes, DepDist: dep}
+	return Instr{Kind: Mem, Lines: []uint64{addr}, DepDist: dep}
 }
 
 func storeInstr(addr uint64) Instr {
@@ -228,11 +226,9 @@ func TestMemPipelineWidthBoundsInFlight(t *testing.T) {
 	// 2-entry pipeline must fill while the L1 head is stalled.
 	script := make([]Instr, 0, 10)
 	for i := 0; i < 10; i++ {
-		lanes := make([]uint64, 32)
-		for l := range lanes {
-			lanes[l] = uint64(0x100000*i + (l%4)*0x1000 + l*4)
-		}
-		script = append(script, Instr{Kind: Mem, Lanes: lanes, DepDist: 8})
+		base := uint64(0x100000 * i)
+		lines := []uint64{base, base + 0x1000, base + 0x2000, base + 0x3000}
+		script = append(script, Instr{Kind: Mem, Lines: lines, DepDist: 8})
 	}
 	sm, be, _ := newTestSM(t, cfg, 1, script)
 	be.refuse = true

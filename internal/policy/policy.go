@@ -3,8 +3,9 @@
 // protection — each with a small registry of names. Every seam is a
 // plain value, resolved once per component by config.Config.Policies
 // into a Set: an IssuePolicy whose Pick the compiler inlines into the
-// per-instruction issue loop, a per-SM *Bypass table (nil always
-// fills), and an L2 pin threshold (0 is plain replacement).
+// per-instruction issue loop, whether the L1 bypasses low-reuse fills
+// (each SM then builds its own *Bypass table), and an L2 pin threshold
+// (0 is plain replacement).
 //
 // The paper (Dublish et al., IISWC 2016) characterizes *where* GPGPU
 // cycles go; its related work names the mechanisms that claw them
@@ -169,9 +170,10 @@ const pinHotHits = 2
 type Set struct {
 	// Issue picks the warp that issues each slot.
 	Issue IssuePolicy
-	// Bypass is the L1 fill policy: nil fills every miss. Each
-	// resolution returns a fresh table, so every SM owns its own.
-	Bypass *Bypass
+	// Bypass selects the bypass-low-reuse L1 fill policy; false fills
+	// every miss. Its table is per-SM state, which core.NewSM
+	// allocates.
+	Bypass bool
 	// PinHits is the L2 insertion policy, the reuse count at which a
 	// line is protected from eviction (cache.Config.PinHits); 0 is
 	// plain replacement.
@@ -203,17 +205,17 @@ func NewIssuePolicy(name string) (IssuePolicy, error) {
 		name, strings.Join(IssueNames(), ", "))
 }
 
-// NewBypass resolves an L1 fill-policy name: nil for "" or "always",
-// a fresh table for "bypass-low-reuse". The error lists the
+// ParseFill resolves an L1 fill-policy name: false for "" or
+// "always", true for "bypass-low-reuse". The error lists the
 // registered names.
-func NewBypass(name string) (*Bypass, error) {
+func ParseFill(name string) (bypass bool, err error) {
 	switch name {
 	case "", FillAlways:
-		return nil, nil
+		return false, nil
 	case FillBypassLowReuse:
-		return new(Bypass), nil
+		return true, nil
 	}
-	return nil, fmt.Errorf("policy: unknown L1 fill policy %q (want %s)",
+	return false, fmt.Errorf("policy: unknown L1 fill policy %q (want %s)",
 		name, strings.Join(FillNames(), ", "))
 }
 

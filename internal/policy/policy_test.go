@@ -32,8 +32,8 @@ func TestRegistries(t *testing.T) {
 		}
 	}
 	for name, want := range map[string]bool{"": false, FillAlways: false, FillBypassLowReuse: true} {
-		if b, err := NewBypass(name); err != nil || (b != nil) != want {
-			t.Errorf("NewBypass(%q) = %v, %v", name, b, err)
+		if b, err := ParseFill(name); err != nil || b != want {
+			t.Errorf("ParseFill(%q) = %v, %v", name, b, err)
 		}
 	}
 }
@@ -51,8 +51,8 @@ func TestUnknownNamesListRegistered(t *testing.T) {
 			}
 		}
 	}
-	if _, err := NewBypass("nope"); err == nil {
-		t.Fatal("NewBypass accepted an unknown name")
+	if _, err := ParseFill("nope"); err == nil {
+		t.Fatal("ParseFill accepted an unknown name")
 	} else {
 		for _, name := range FillNames() {
 			if !strings.Contains(err.Error(), name) {
@@ -145,9 +145,8 @@ func TestBypassLowReuseFirstTouchBypasses(t *testing.T) {
 	if !p.ShouldFill(0) {
 		t.Error("second touch of line 0 should fill")
 	}
-	// Each resolution returns a fresh table: per-SM state is not
-	// shared.
-	q, _ := NewBypass(FillBypassLowReuse)
+	// A fresh table does not share another's per-SM state.
+	q := new(Bypass)
 	if q.ShouldFill(0x40) {
 		t.Error("fresh policy instance should not remember another's lines")
 	}

@@ -339,15 +339,11 @@ func streamHash(t *testing.T, name string, sm, warp int, n int) uint64 {
 		h.Write(buf[:2])
 		binary.LittleEndian.PutUint64(buf[:], uint64(in.DepDist))
 		h.Write(buf[:])
-		// Generated streams emit pre-coalesced Lines; hashing them
-		// against the pinned values (computed when streams emitted
-		// 32-lane views that were coalesced here) proves the Lines
-		// list is byte-for-byte the reduction the lanes produced.
-		lines := in.Lines
-		if lines == nil {
-			lines = core.Coalesce(in.Lanes, 128)
-		}
-		for _, l := range lines {
+		// The pinned values were computed when streams emitted 32-lane
+		// views that were coalesced here; hashing Lines against them
+		// proves the list is byte-for-byte the reduction the lanes
+		// produced.
+		for _, l := range in.Lines {
 			binary.LittleEndian.PutUint64(buf[:], l)
 			h.Write(buf[:])
 		}

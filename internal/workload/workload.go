@@ -611,22 +611,17 @@ func (g *stream) NextInto(in *core.Instr) {
 	} else {
 		lines = dedupLines(g.nextLines(p, &g.cursors[g.cur]))
 	}
-	// The instruction semantically reads lines[i%n] on lane i at byte
-	// offset i*4%lineSize, but that expansion is pure bookkeeping: the
-	// SM immediately coalesces the 32 lane addresses back to exactly
-	// this line list (every region base is line-aligned, so no lane
-	// crosses a line boundary). Emitting the pre-coalesced list skips
-	// both loops; the lane view is recoverable with ExpandLanes (the
-	// pinned stream-hash tests cover the equivalence).
+	// The instruction semantically reads lines[i%n] on lane i; every
+	// region base is line-aligned, so no lane crosses a line boundary
+	// and the distinct line list is the whole coalesced access.
 	*in = core.Instr{Kind: core.Mem, Store: store, Lines: lines, DepDist: p.depDist}
 }
 
-// dedupLines drops repeated line addresses in place, keeping first-
-// appearance order — exactly the reduction core.Coalesce applies to
-// the expanded lanes. Patterns can repeat a line within one access
-// (a working set smaller than lines-per-access wraps), and Instr.Lines
-// promises distinct entries. The scan is quadratic in lines-per-access
-// (≤ 32, usually ≤ 8).
+// dedupLines is the memory coalescer: it drops repeated line
+// addresses in place, keeping first-appearance order. Patterns can
+// repeat a line within one access (a working set smaller than
+// lines-per-access wraps), and Instr.Lines promises distinct entries.
+// The scan is quadratic in lines-per-access (≤ 32, usually ≤ 8).
 func dedupLines(lines []uint64) []uint64 {
 	u := 1
 	for i := 1; i < len(lines); i++ {
@@ -643,31 +638,6 @@ func dedupLines(lines []uint64) []uint64 {
 		}
 	}
 	return lines[:u]
-}
-
-// ExpandLanes reconstructs the per-lane byte addresses a generated
-// memory instruction stands for: lane i reads lines[i%n] at byte
-// offset i*4%lineSize. The generators emit only the coalesced
-// Instr.Lines; tests that pin or record the lane-level view expand it
-// with this single definition. Note the expansion distributes lanes
-// over the *distinct* line list — for the built-in patterns an access
-// repeating a line is a degenerate wrap, and the coalesced transaction
-// set (which is all the SM ever consumed) is identical either way.
-func ExpandLanes(dst []uint64, lines []uint64, lanesPerWarp int, lineSize uint64) []uint64 {
-	dst = dst[:0]
-	n := uint64(len(lines))
-	li, off := uint64(0), uint64(0)
-	for i := 0; i < lanesPerWarp; i++ {
-		dst = append(dst, lines[li]+off)
-		if li++; li == n {
-			li = 0
-		}
-		off += 4
-		for off >= lineSize {
-			off -= lineSize
-		}
-	}
-	return dst
 }
 
 // nextComputeGap jitters the compute run length by ±1.

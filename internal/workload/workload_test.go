@@ -265,37 +265,33 @@ func TestSpecValidation(t *testing.T) {
 	}
 }
 
+// TestLanesStayWithinLines checks the Instr.Lines contract on every
+// built-in benchmark and scenario: each memory instruction's entries
+// are line-aligned and distinct, and there are at most lines-per-access
+// of them (the largest of the spec's phases).
 func TestLanesStayWithinLines(t *testing.T) {
-	var lanes []uint64
 	for _, name := range Names() {
-		wl, _ := ByName(name)
-		s := warpStream(wl, 1, 2, 7, 128)
+		spec, _ := SpecByName(name)
+		lpa := spec.LinesPerAccess
+		for _, p := range spec.Phases {
+			lpa = max(lpa, p.LinesPerAccess)
+		}
+		s := warpStream(spec, 1, 2, 7, 128)
 		for i := 0; i < 2000; {
 			in := core.NextOf(s)
-			if r := in.Run; r > 1 {
-				i += r
-			} else {
-				i++
-			}
+			i += max(in.Run, 1)
 			if in.Kind != core.Mem {
 				continue
 			}
-			// Generated streams emit the coalesced line list; the
-			// 32-lane view it stands for must expand to addresses
-			// inside those lines and reduce back to exactly the list.
-			lanes = ExpandLanes(lanes, in.Lines, 32, 128)
-			if len(lanes) != 32 {
-				t.Fatalf("%s: %d lanes, want 32", name, len(lanes))
+			if len(in.Lines) == 0 || len(in.Lines) > lpa {
+				t.Fatalf("%s: %d lines, want 1..%d", name, len(in.Lines), lpa)
 			}
-			back := core.Coalesce(lanes, 128)
-			if len(back) != len(in.Lines) {
-				t.Fatalf("%s: %d lanes coalesce to %d lines, stream claims %d",
-					name, len(lanes), len(back), len(in.Lines))
-			}
-			for j := range back {
-				if back[j] != in.Lines[j] {
-					t.Fatalf("%s: coalesced line %d is %#x, stream claims %#x",
-						name, j, back[j], in.Lines[j])
+			for j, l := range in.Lines {
+				if l%128 != 0 {
+					t.Fatalf("%s: line %#x not 128B-aligned", name, l)
+				}
+				if slices.Contains(in.Lines[:j], l) {
+					t.Fatalf("%s: line %#x repeated in %#x", name, l, in.Lines)
 				}
 			}
 		}

@@ -5,11 +5,9 @@
 //
 //	go run ./scripts/doclint [packages...]
 //
-// With no arguments it checks the repository's documented public
-// surface: gpgpumem.go and
-// internal/{api,serve,resultcache,runner,fabric,exp,policy,config}.
-// Each argument is a .go file or a package directory; _test.go files
-// are always skipped.
+// With no arguments it checks gpgpumem.go and every package under
+// internal/. Each argument is a .go file or a package directory;
+// _test.go files are always skipped.
 //
 // The check is the classic golint/staticcheck missing-doc rule,
 // go-vet-adjacent and dependency-free: every exported package-level
@@ -26,29 +24,39 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 )
 
-// defaultTargets is the public surface the repository promises to
-// keep documented (see docs/ARCHITECTURE.md): the library facade, the
-// service-layer packages, and the config schema the facade re-exports.
-var defaultTargets = []string{
-	"gpgpumem.go",
-	"internal/api",
-	"internal/serve",
-	"internal/resultcache",
-	"internal/runner",
-	"internal/fabric",
-	"internal/exp",
-	"internal/policy",
-	"internal/config",
+// defaultTargets is the library facade plus every package directory
+// under internal/ (a directory holding at least one non-test .go
+// file).
+func defaultTargets() ([]string, error) {
+	targets := []string{"gpgpumem.go"}
+	err := filepath.WalkDir("internal", func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		name := d.Name()
+		if strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") {
+			if dir := filepath.Dir(path); !slices.Contains(targets, dir) {
+				targets = append(targets, dir)
+			}
+		}
+		return nil
+	})
+	return targets, err
 }
 
 func main() {
 	targets := os.Args[1:]
 	if len(targets) == 0 {
-		targets = defaultTargets
+		var err error
+		if targets, err = defaultTargets(); err != nil {
+			fmt.Fprintf(os.Stderr, "doclint: %v\n", err)
+			os.Exit(2)
+		}
 	}
 	var problems []string
 	for _, t := range targets {
