@@ -34,7 +34,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net"
@@ -164,7 +163,7 @@ func runOnce(coord *fabric.Coordinator, kind, names string, warmup, window int64
 	if err != nil {
 		fatal(err)
 	}
-	data, err := json.Marshal(env)
+	data, err := api.MarshalEnvelope(env)
 	if err != nil {
 		fatal(err)
 	}

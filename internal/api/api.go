@@ -67,8 +67,37 @@ type JobRequest struct {
 // fail loudly, not be silently dropped. Shared by the workers and the
 // fabric coordinator so both layers accept exactly the same bodies.
 func DecodeJobRequest(r *http.Request) (JobRequest, error) {
+	return decodeJobRequest(http.MaxBytesReader(nil, r.Body, maxRequestBytes))
+}
+
+// ReadJobBody reads a job request's body whole, under
+// DecodeJobRequest's size cap, for a caller that looks the body up
+// before parsing it with DecodeJobBody. A body that cannot be read
+// whole fails with the error DecodeJobRequest gives it.
+func ReadJobBody(r *http.Request) ([]byte, error) {
+	body, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, maxRequestBytes))
+	if err == nil {
+		return body, nil
+	}
+	// Replay the bytes read, then the read error, so the parser fails
+	// where it fails reading the body directly.
+	if _, derr := decodeJobRequest(io.MultiReader(bytes.NewReader(body), errReader{err})); derr != nil {
+		return nil, derr
+	}
+	return nil, fmt.Errorf("parse request: %w", err)
+}
+
+// DecodeJobBody is DecodeJobRequest over a body read by ReadJobBody.
+func DecodeJobBody(body []byte) (JobRequest, error) {
+	return decodeJobRequest(bytes.NewReader(body))
+}
+
+// maxRequestBytes caps a job request body.
+const maxRequestBytes = 1 << 20
+
+func decodeJobRequest(r io.Reader) (JobRequest, error) {
 	var req JobRequest
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 1<<20))
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		return JobRequest{}, fmt.Errorf("parse request: %w", err)
@@ -78,6 +107,11 @@ func DecodeJobRequest(r *http.Request) (JobRequest, error) {
 	}
 	return req, nil
 }
+
+// errReader fails every read with err.
+type errReader struct{ err error }
+
+func (e errReader) Read([]byte) (int, error) { return 0, e.err }
 
 // ResolveMethodology resolves a request's config transforms and run
 // parameters against a base config and the serving layer's caps. It
@@ -169,9 +203,46 @@ type Envelope struct {
 	WarmupCycles int64 `json:"warmup_cycles"`
 	WindowCycles int64 `json:"window_cycles"`
 	// Results holds exp.EncodeResults bytes (kind "measure"); Report a
-	// marshaled sweep report (sweep kinds).
+	// marshaled sweep report (sweep kinds). Both are canonical JSON
+	// (see MarshalEnvelope).
 	Results json.RawMessage `json:"results,omitempty"`
 	Report  json.RawMessage `json:"report,omitempty"`
+}
+
+// MarshalEnvelope returns the bytes json.Marshal(env) returns without
+// re-encoding the payload: it marshals env with Results and Report
+// empty and splices the payload bytes in as they are. That is exact
+// when each payload is canonical, meaning exactly the bytes
+// json.Marshal(json.RawMessage(p)) emits (compact, with <, >, &,
+// U+2028 and U+2029 escaped). exp.EncodeResults and json.Marshal of a
+// report produce canonical bytes, and an entry loaded from disk or
+// fetched from a peer is normalized by resultcache.Canonical before it
+// enters a cache.
+func MarshalEnvelope(env Envelope) ([]byte, error) {
+	results, report := env.Results, env.Report
+	env.Results, env.Report = nil, nil
+	head, err := json.Marshal(env)
+	if err != nil {
+		return nil, err
+	}
+	const resultsField, reportField = `,"results":`, `,"report":`
+	data := make([]byte, 0, len(head)+len(resultsField)+len(results)+len(reportField)+len(report))
+	// head always ends in a field (key, kind and the cycle counts are
+	// never omitted), so each payload follows a comma.
+	data = append(data, head[:len(head)-1]...)
+	if len(results) > 0 {
+		data = append(append(data, resultsField...), results...)
+	}
+	if len(report) > 0 {
+		data = append(append(data, reportField...), report...)
+	}
+	return append(data, '}'), nil
+}
+
+// WriteEnvelope writes env as a 200 response with WriteJSON's framing.
+func WriteEnvelope(w http.ResponseWriter, env Envelope) {
+	data, err := MarshalEnvelope(env)
+	writeBody(w, http.StatusOK, data, err)
 }
 
 // Version is the API generation every daemon reports from /healthz;
@@ -196,6 +267,12 @@ func Error(w http.ResponseWriter, code int, err error) {
 // coordinator sweep response byte-identical to a single node's.
 func WriteJSON(w http.ResponseWriter, code int, v any) {
 	data, err := json.Marshal(v)
+	writeBody(w, code, data, err)
+}
+
+// writeBody writes a marshaled body and its newline, or a 500 when
+// marshaling failed.
+func writeBody(w http.ResponseWriter, code int, data []byte, err error) {
 	if err != nil {
 		w.WriteHeader(http.StatusInternalServerError)
 		fmt.Fprintf(w, `{"error":%q}`, err.Error())

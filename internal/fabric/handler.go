@@ -74,7 +74,7 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 		api.Error(w, errStatus(err), err)
 		return
 	}
-	api.WriteJSON(w, http.StatusOK, env)
+	api.WriteEnvelope(w, env)
 }
 
 // streamSweep is the SSE form of handleSweep. The 200 header commits
@@ -96,13 +96,20 @@ func (c *Coordinator) streamSweep(w http.ResponseWriter, r *http.Request, flushe
 		flusher.Flush()
 		return
 	}
-	writeEvent(w, "done", env)
+	data, err := api.MarshalEnvelope(env)
+	writeEventData(w, "done", data, err)
 	flusher.Flush()
 }
 
 // writeEvent emits one SSE event with a JSON data payload.
 func writeEvent(w http.ResponseWriter, event string, v any) {
 	data, err := json.Marshal(v)
+	writeEventData(w, event, data, err)
+}
+
+// writeEventData emits one SSE event with marshaled data, or with the
+// marshal error as a JSON string.
+func writeEventData(w http.ResponseWriter, event string, data []byte, err error) {
 	if err != nil {
 		data = []byte(fmt.Sprintf("%q", err.Error()))
 	}

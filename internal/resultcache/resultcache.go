@@ -4,9 +4,12 @@
 // warmup, window) — the simulator owns all of its state and every
 // pseudo-random choice flows from the seeded RNGs inside it — so the
 // serialized result of a job can be cached under a hash of the job
-// description and served forever. The cache stores the exact encoded
-// bytes the producer handed it, which is what makes the determinism
-// contract checkable: a cache hit is byte-identical to a fresh run.
+// description and served forever. The cache stores canonical JSON
+// bytes (Canonical): a producer's encoder emits them, and an entry
+// loaded from disk is normalized once by the Validate hook before it
+// enters memory. A served payload can therefore be spliced into a
+// response as it is stored, and a cache hit is byte-identical to a
+// fresh run.
 //
 // Three layers compose:
 //
@@ -62,13 +65,14 @@ type Options struct {
 	// serves memory misses from it. The directory is created if needed.
 	Dir string
 	// Validate, when non-nil, checks entries loaded from Dir before
-	// they are promoted into memory and served. A failing entry is
-	// deleted and treated as a miss, so a truncated or tampered file
-	// is recomputed instead of being trusted (or poisoning the key
-	// until restart). In-memory entries are not re-validated: they
-	// were either computed by this process or already validated on
-	// load.
-	Validate func(key string, val []byte) error
+	// they are promoted into memory and served, and returns the bytes
+	// to admit: val itself, or its normalized form (Canonical). A
+	// failing entry is deleted and treated as a miss, so a truncated
+	// or tampered file is recomputed instead of being trusted (or
+	// poisoning the key until restart). In-memory entries are not
+	// re-validated: they were either computed by this process or
+	// already validated on load.
+	Validate func(key string, val []byte) ([]byte, error)
 }
 
 // DefaultMaxBytes is the memory budget when Options.MaxBytes is 0 —
@@ -94,7 +98,7 @@ type Stats struct {
 type Cache struct {
 	maxBytes int64
 	dir      string
-	validate func(key string, val []byte) error
+	validate func(key string, val []byte) ([]byte, error)
 
 	mu       sync.Mutex
 	ll       *list.List // front = most recently used
@@ -154,7 +158,8 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 	if c.dir != "" {
 		if val, err := os.ReadFile(c.path(key)); err == nil {
 			if c.validate != nil {
-				if verr := c.validate(key, val); verr != nil {
+				admit, verr := c.validate(key, val)
+				if verr != nil {
 					// A bad entry must neither be served nor shadow a
 					// recompute: delete it and miss.
 					os.Remove(c.path(key))
@@ -164,6 +169,7 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 					c.mu.Unlock()
 					return nil, false
 				}
+				val = admit
 			}
 			c.mu.Lock()
 			c.stats.DiskHits++
@@ -295,6 +301,21 @@ func (c *Cache) persist(key string, val []byte) {
 	if err := os.Rename(name, c.path(key)); err != nil {
 		os.Remove(name)
 	}
+}
+
+// Canonical returns val in canonical form: exactly the bytes
+// json.Marshal(json.RawMessage(val)) emits, which are compact, with <,
+// >, &, U+2028 and U+2029 escaped. It fails when val is not one JSON
+// value.
+func Canonical(val []byte) ([]byte, error) {
+	if len(val) == 0 {
+		return nil, fmt.Errorf("resultcache: empty entry")
+	}
+	canon, err := json.Marshal(json.RawMessage(val))
+	if err != nil {
+		return nil, fmt.Errorf("resultcache: entry is not JSON: %w", err)
+	}
+	return canon, nil
 }
 
 // Key prefixes name the payload kind stored under a key, so a

@@ -184,11 +184,11 @@ func TestDiskValidation(t *testing.T) {
 	seed.Put("good", []byte("valid"))
 	seed.Put("bad", []byte("garbage"))
 
-	c, err := New(Options{Dir: dir, Validate: func(key string, val []byte) error {
+	c, err := New(Options{Dir: dir, Validate: func(key string, val []byte) ([]byte, error) {
 		if string(val) == "garbage" {
-			return errors.New("corrupt")
+			return nil, errors.New("corrupt")
 		}
-		return nil
+		return val, nil
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -333,5 +333,27 @@ func TestGetOrComputePanic(t *testing.T) {
 	val, hit, err := c.GetOrCompute("k", func() ([]byte, error) { return []byte("ok"), nil })
 	if err != nil || hit || string(val) != "ok" {
 		t.Fatalf("retry after panic broken: val=%q hit=%v err=%v", val, hit, err)
+	}
+}
+
+// TestCanonical: Canonical emits json.Marshal's form of any JSON value
+// (compact, HTML characters and U+2028/U+2029 escaped), keeps canonical
+// bytes as they are, and rejects empty or non-JSON entries.
+func TestCanonical(t *testing.T) {
+	for in, want := range map[string]string{
+		`{"a":1}`:                         `{"a":1}`,
+		"{ \"a\" :\n\t[1, 2.50, \"x\"] }": `{"a":[1,2.50,"x"]}`,
+		"\"<b>&\u2028\u2029\"":            `"\u003cb\u003e\u0026\u2028\u2029"`,
+		` null `:                          `null`,
+	} {
+		got, err := Canonical([]byte(in))
+		if err != nil || string(got) != want {
+			t.Errorf("Canonical(%q) = %q, %v; want %q", in, got, err, want)
+		}
+	}
+	for _, bad := range []string{``, `{"a":`, `{} {}`, `nope`} {
+		if got, err := Canonical([]byte(bad)); err == nil {
+			t.Errorf("Canonical(%q) = %q, want an error", bad, got)
+		}
 	}
 }

@@ -10,8 +10,11 @@
 //     (config, spec, seed, warmup, window), so every completed job is
 //     stored in an internal/resultcache under a canonical hash of its
 //     description. A cache hit is byte-identical to a fresh run — the
-//     stored bytes ARE the response payload — and concurrent identical
-//     submissions collapse onto one simulation (singleflight).
+//     stored bytes ARE the response payload, spliced into the envelope
+//     as they are — and concurrent identical submissions collapse onto
+//     one simulation (singleflight). A repeated /v1/run body is
+//     resolved once: a fixed table of body digests maps it straight to
+//     its key.
 //   - Bounded admission: at most MaxConcurrent jobs simulate at once,
 //     at most QueueDepth more wait; beyond that the service sheds load
 //     with 503 instead of queueing unboundedly. Per-request
@@ -51,6 +54,8 @@ package serve
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -125,6 +130,7 @@ type Server struct {
 	queueDepth  int
 	peers       []string
 	peerClient  *http.Client
+	runs        runTable
 
 	mu          sync.Mutex
 	waiting     int
@@ -311,82 +317,158 @@ func (s *Server) Simulations() int64 {
 	return s.simulations
 }
 
-// validateEntry vets result-cache entries loaded from disk before
-// they are served: run entries must decode as a valid Results
-// snapshot, sweep reports must at least be intact JSON. A truncated
-// or tampered file is recomputed, never trusted.
-func validateEntry(key string, val []byte) error {
+// validateEntry vets result-cache entries loaded from disk or fetched
+// from a peer before they are served, and returns them in canonical
+// form (resultcache.Canonical), so an envelope can splice them in as
+// they are: run entries must decode as a valid Results snapshot, sweep
+// reports must at least be intact JSON. A truncated or tampered entry
+// is recomputed, never trusted.
+func validateEntry(key string, val []byte) ([]byte, error) {
 	if strings.HasPrefix(key, resultcache.RunKeyPrefix) {
-		_, err := exp.DecodeResults(val)
-		return err
+		if _, err := exp.DecodeResults(val); err != nil {
+			return nil, err
+		}
 	}
-	if !json.Valid(val) {
-		return fmt.Errorf("serve: cache entry %s is not valid JSON", key)
+	canon, err := resultcache.Canonical(val)
+	if err != nil {
+		return nil, fmt.Errorf("serve: cache entry %s is not valid JSON", key)
 	}
-	return nil
+	return canon, nil
 }
 
-// handleRun measures one workload, serving cached bytes when the job
-// has run before.
-func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	req, err := api.DecodeJobRequest(r)
+// runTableSlots sizes the /v1/run resolution table.
+const runTableSlots = 1024
+
+// runSlot is one resolution-table entry: the SHA-256 of a /v1/run body
+// and what the body resolved to. It holds no body, config or spec, so
+// the table weighs the same whatever the bodies weigh.
+type runSlot struct {
+	digest         [sha256.Size]byte
+	key, workload  string
+	warmup, window int64
+}
+
+// runTable remembers how recent /v1/run bodies resolved, so a repeated
+// body skips decoding, methodology resolution and key derivation. It
+// is direct-mapped: a body's slot is picked by its digest, and a new
+// body evicts whatever held its slot. The 80 KB of slots are allocated
+// by the first put, so building a Server stays as cheap as it was.
+type runTable struct {
+	mu    sync.Mutex
+	slots []runSlot // nil, or runTableSlots long
+}
+
+func (t *runTable) get(digest [sha256.Size]byte) (runSlot, bool) {
+	var sl runSlot
+	t.mu.Lock()
+	if t.slots != nil {
+		sl = t.slots[slotIndex(digest)]
+	}
+	t.mu.Unlock()
+	return sl, sl.key != "" && sl.digest == digest
+}
+
+func (t *runTable) put(sl runSlot) {
+	t.mu.Lock()
+	if t.slots == nil {
+		t.slots = make([]runSlot, runTableSlots)
+	}
+	t.slots[slotIndex(sl.digest)] = sl
+	t.mu.Unlock()
+}
+
+func slotIndex(digest [sha256.Size]byte) uint64 {
+	return binary.LittleEndian.Uint64(digest[:]) % runTableSlots
+}
+
+// resolvedRun is what a /v1/run body describes: one simulation and its
+// content address.
+type resolvedRun struct {
+	key  string
+	cfg  config.Config
+	spec workload.Spec
+	p    exp.RunParams
+}
+
+// resolveRun parses and resolves a /v1/run body. Every error it
+// returns is the request's fault.
+func (s *Server) resolveRun(body []byte) (resolvedRun, error) {
+	req, err := api.DecodeJobBody(body)
 	if err != nil {
-		api.Error(w, http.StatusBadRequest, err)
-		return
+		return resolvedRun{}, err
 	}
 	if len(req.Workloads) > 0 {
 		// The list form belongs to the sweep endpoints; dropping it
 		// silently would run something other than what was asked for.
-		api.Error(w, http.StatusBadRequest,
-			fmt.Errorf("/v1/run takes one workload (or spec); a workloads list goes to /v1/sweep/{%s}",
-				strings.Join(api.KindNames(), "|")))
-		return
+		return resolvedRun{}, fmt.Errorf("/v1/run takes one workload (or spec); a workloads list goes to /v1/sweep/{%s}",
+			strings.Join(api.KindNames(), "|"))
 	}
 	var spec workload.Spec
 	switch {
 	case req.Workload != "" && len(req.Spec) > 0:
-		api.Error(w, http.StatusBadRequest, fmt.Errorf("workload and spec are mutually exclusive"))
-		return
+		return resolvedRun{}, fmt.Errorf("workload and spec are mutually exclusive")
 	case req.Workload != "":
-		sp, err := workload.SpecByName(req.Workload)
-		if err != nil {
-			api.Error(w, http.StatusBadRequest, err)
-			return
-		}
-		spec = sp
+		spec, err = workload.SpecByName(req.Workload)
 	case len(req.Spec) > 0:
-		sp, err := workload.ParseSpec(req.Spec)
-		if err != nil {
-			api.Error(w, http.StatusBadRequest, err)
-			return
-		}
-		spec = sp
+		spec, err = workload.ParseSpec(req.Spec)
 	default:
-		api.Error(w, http.StatusBadRequest, fmt.Errorf("request needs a workload name or an inline spec"))
-		return
+		err = fmt.Errorf("request needs a workload name or an inline spec")
+	}
+	if err != nil {
+		return resolvedRun{}, err
 	}
 	cfg, p, err := api.ResolveMethodology(s.base, req, s.maxParallel, s.maxWindow)
 	if err != nil {
-		api.Error(w, http.StatusBadRequest, err)
-		return
+		return resolvedRun{}, err
 	}
 	if err := api.CheckWarps(cfg, spec); err != nil {
-		api.Error(w, http.StatusBadRequest, err)
-		return
+		return resolvedRun{}, err
 	}
 	key, err := resultcache.JobKey(cfg, spec, p.WarmupCycles, p.WindowCycles)
+	if err != nil {
+		return resolvedRun{}, err
+	}
+	return resolvedRun{key: key, cfg: cfg, spec: spec, p: p}, nil
+}
+
+// handleRun measures one workload, serving cached bytes when the job
+// has run before. A body seen recently is looked up in the resolution
+// table and goes straight to the cache; it is parsed again only if the
+// cache misses and the job must run.
+func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
+	body, err := api.ReadJobBody(r)
 	if err != nil {
 		api.Error(w, http.StatusBadRequest, err)
 		return
 	}
+	digest := sha256.Sum256(body)
+	var run resolvedRun
+	slot, known := s.runs.get(digest)
+	if !known {
+		if run, err = s.resolveRun(body); err != nil {
+			api.Error(w, http.StatusBadRequest, err)
+			return
+		}
+		slot = runSlot{digest: digest, key: run.key, workload: run.spec.SpecName,
+			warmup: run.p.WarmupCycles, window: run.p.WindowCycles}
+		s.runs.put(slot)
+	}
 	source := sourceMiss
-	val, hit, err := s.cache.GetOrCompute(key, func() ([]byte, error) {
-		if val, ok := s.peerFetch(r.Context(), key); ok {
+	val, hit, err := s.cache.GetOrCompute(slot.key, func() ([]byte, error) {
+		if val, ok := s.peerFetch(r.Context(), slot.key); ok {
 			source = sourcePeer
 			return val, nil
 		}
+		if run.key == "" {
+			// The table answered; this body resolved before, with the
+			// same base and caps, so it resolves again.
+			var err error
+			if run, err = s.resolveRun(body); err != nil {
+				return nil, err
+			}
+		}
 		return s.runJob(r.Context(), func() ([]byte, error) {
-			res, err := exp.Measure(cfg, spec, p)
+			res, err := exp.Measure(run.cfg, run.spec, run.p)
 			if err != nil {
 				return nil, err
 			}
@@ -401,8 +483,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		source = sourceHit
 	}
 	writeEnvelope(w, source, Envelope{
-		Key: key, Kind: "measure", Workload: spec.SpecName,
-		WarmupCycles: p.WarmupCycles, WindowCycles: p.WindowCycles,
+		Key: slot.key, Kind: "measure", Workload: slot.workload,
+		WarmupCycles: slot.warmup, WindowCycles: slot.window,
 		Results: val,
 	})
 }
@@ -567,7 +649,7 @@ func (s *Server) peerFetch(ctx context.Context, key string) ([]byte, bool) {
 		if err != nil || resp.StatusCode != http.StatusOK {
 			continue
 		}
-		if err := validateEntry(key, val); err != nil {
+		if val, err = validateEntry(key, val); err != nil {
 			continue
 		}
 		s.mu.Lock()
@@ -594,7 +676,7 @@ const (
 
 func writeEnvelope(w http.ResponseWriter, source string, env Envelope) {
 	w.Header().Set("X-Cache", source)
-	api.WriteJSON(w, http.StatusOK, env)
+	api.WriteEnvelope(w, env)
 }
 
 // errStatus maps job errors to HTTP codes: shed-load conditions are
