@@ -1,6 +1,7 @@
 package exp_test
 
 import (
+	"encoding/json"
 	"math"
 	"os"
 	"path/filepath"
@@ -10,25 +11,29 @@ import (
 	"repro/internal/config"
 )
 
-// The sweep goldens pin the tables and CSVs `gpusim sweep <kind>`
-// prints (scripts/regen-golden.sh regenerates them with the real binary). The
-// reports here come from the registry's request resolver and local
-// compute in internal/api — the one path the CLI, gpusimd and gpusimc
-// share — at serial and parallel worker counts. This is an external
-// test package because internal/api imports internal/exp.
+// The sweep goldens pin what `gpusim sweep <kind>` prints
+// (scripts/regen-golden.sh regenerates them with the real binary):
+// the table, the CSV and the JSON report, whose bytes are the payload
+// gpusimd caches and serves. The reports here come from the
+// registry's request resolver and local compute in internal/api — the
+// one path the CLI, gpusimd and gpusimc share — at serial and parallel
+// worker counts. This is an external test package because
+// internal/api imports internal/exp.
 
-// testGoldenSweep pins both renderings of one computed report: its
-// table against <kind>.golden and its CSV against <kind>.csv.golden.
+// testGoldenSweep pins every rendering of one computed report: its
+// JSON against <kind>.json.golden and, for a kind with a table form,
+// its table against <kind>.golden and its CSV against
+// <kind>.csv.golden.
 func testGoldenSweep(t *testing.T, kind string, workloads ...string) {
 	t.Helper()
-	wantTable, err := os.ReadFile(filepath.Join("testdata", kind+".golden"))
-	if err != nil {
-		t.Fatal(err)
+	read := func(name string) string {
+		data, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
 	}
-	wantCSV, err := os.ReadFile(filepath.Join("testdata", kind+".csv.golden"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	wantJSON := read(kind + ".json.golden")
 	warmup, window, seed := int64(2000), int64(5000), uint64(1)
 	for _, j := range []int{1, 4} {
 		req := api.JobRequest{Workloads: workloads, Seed: &seed, Warmup: &warmup, Window: &window, Parallelism: j}
@@ -40,15 +45,25 @@ func testGoldenSweep(t *testing.T, kind string, workloads ...string) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		table := rep.(interface {
+		data, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := string(data) + "\n"; got != wantJSON {
+			t.Errorf("j=%d: %s JSON drifted from golden:\n got: %s\nwant: %s", j, kind, got, wantJSON)
+		}
+		table, ok := rep.(interface {
 			String() string
 			CSV() string
 		})
-		if got := table.String(); got != string(wantTable) {
-			t.Errorf("j=%d: %s report drifted from golden:\n got:\n%s\nwant:\n%s", j, kind, got, wantTable)
+		if !ok {
+			continue
 		}
-		if got := table.CSV(); got != string(wantCSV) {
-			t.Errorf("j=%d: %s CSV drifted from golden:\n got:\n%s\nwant:\n%s", j, kind, got, wantCSV)
+		if got, want := table.String(), read(kind+".golden"); got != want {
+			t.Errorf("j=%d: %s report drifted from golden:\n got:\n%s\nwant:\n%s", j, kind, got, want)
+		}
+		if got, want := table.CSV(), read(kind+".csv.golden"); got != want {
+			t.Errorf("j=%d: %s CSV drifted from golden:\n got:\n%s\nwant:\n%s", j, kind, got, want)
 		}
 	}
 }
@@ -87,4 +102,10 @@ func TestGoldenAdviseReport(t *testing.T) {
 
 func TestGoldenMitigationReport(t *testing.T) {
 	testGoldenSweep(t, "mitigation", "kmeans", "bfs")
+}
+
+// TestGoldenRunReport pins the run batch, which has only a JSON form:
+// the ordered per-workload envelopes, job keys included.
+func TestGoldenRunReport(t *testing.T) {
+	testGoldenSweep(t, "run", "sc", "kmeans")
 }

@@ -54,15 +54,26 @@ trap 'rm -rf "$BIN_DIR"' EXIT
 GPUSIM="$BIN_DIR/gpusim"
 go build -o "$GPUSIM" ./cmd/gpusim
 
-# sweep KIND J [FLAGS...] pins one sweep kind twice: its table as
-# KIND.golden and its CSV as KIND.csv.golden. Kinds called without
-# -workloads pin their default set.
+# sweep KIND J [FLAGS...] pins one sweep kind three times: its table
+# as KIND.golden, its CSV as KIND.csv.golden and its JSON report (the
+# payload gpusimd caches and serves) as KIND.json.golden. Kinds called
+# without -workloads pin their default set.
 sweep() {
   kind="$1"
   j="$2"
   shift 2
   "$GPUSIM" sweep "$kind" "$@" -warmup 2000 -window 5000 -seed 1 -j "$j" > "$OUT/$kind.golden"
   "$GPUSIM" sweep "$kind" "$@" -warmup 2000 -window 5000 -seed 1 -j "$j" -csv > "$OUT/$kind.csv.golden"
+  sweep_json "$kind" "$j" "$@"
+}
+
+# sweep_json KIND J [FLAGS...] pins only the JSON report, for a kind
+# (the run batch) that has no table or CSV form.
+sweep_json() {
+  kind="$1"
+  j="$2"
+  shift 2
+  "$GPUSIM" sweep "$kind" "$@" -warmup 2000 -window 5000 -seed 1 -j "$j" -json > "$OUT/$kind.json.golden"
 }
 
 "$GPUSIM" -workload sc,cfd -warmup 2000 -window 5000 -seed 1 -j "$J" > "$OUT/gpusim-sc-cfd.golden"
@@ -74,6 +85,7 @@ sweep bottleneck "$J" -workloads sc,leukocyte,kmeans
 sweep scenarios "$J"
 sweep advise "$J" -workloads sc,kmeans
 sweep mitigation "$J" -workloads kmeans,bfs
+sweep_json run "$J" -workloads sc,kmeans
 
 # The fabric golden pins a fleet-merged sweep body (coordinator over
 # three in-process workers). Its test owns the regeneration because
