@@ -30,7 +30,8 @@ const benchWarmup, benchWindow = 4000, 10000
 // grid (exp.VariantGrid; no variants is one job per workload) as one
 // MeasureBatch at the bench methodology — the grid and compute a sweep
 // kind runs, at the benchmark's own axis — and returns the specs and
-// ordered results for the kind's build half.
+// ordered results for the kind's build half (split per workload by
+// exp.SplitVariantRows where the grid has variants).
 func benchSweep(b *testing.B, variants []exp.Perturbation, parallelism int) ([]WorkloadSpec, []Results) {
 	b.Helper()
 	suite := Suite()
@@ -58,11 +59,11 @@ func benchFig1(b *testing.B, parallelism int) LatencyReport {
 	b.Helper()
 	lats := []int64{0, 200, 400, 600, 800}
 	specs, res := benchSweep(b, exp.LatencyVariants(lats), parallelism)
-	rep, err := exp.BuildFig1Report(specs, lats, res)
+	rows, err := exp.SplitVariantRows("latsweep", len(specs), len(lats), res)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return rep
+	return exp.BuildFig1Report(specs, lats, rows)
 }
 
 // BenchmarkFig1LatencyTolerance regenerates Fig. 1 (reduced x-axis)
@@ -103,10 +104,7 @@ func BenchmarkSecIIBaselineLatency(b *testing.B) {
 func BenchmarkSecIIIQueueOccupancy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		specs, res := benchSweep(b, nil, 0)
-		rep, err := exp.BuildOccupancyReport(DefaultConfig(), specs, res)
-		if err != nil {
-			b.Fatal(err)
-		}
+		rep := exp.BuildOccupancyReport(DefaultConfig(), specs, res)
 		b.ReportMetric(rep.MeanL2AccessFull*100, "l2_access_full_pct")
 		b.ReportMetric(rep.MeanDRAMSchedFull*100, "dram_sched_full_pct")
 	}
@@ -119,10 +117,11 @@ func benchScaling(b *testing.B, set ScalingSet) {
 	sets := []ScalingSet{set}
 	for i := 0; i < b.N; i++ {
 		specs, res := benchSweep(b, exp.ScalingVariants(sets), 0)
-		ds, err := exp.BuildDesignSpaceResult(DefaultConfig(), specs, sets, res)
+		rows, err := exp.SplitVariantRows("designspace", len(specs), len(sets), res)
 		if err != nil {
 			b.Fatal(err)
 		}
+		ds := exp.BuildDesignSpaceResult(DefaultConfig(), specs, sets, rows)
 		b.ReportMetric((ds.SpeedupFor(set)-1)*100, "mean_speedup_pct")
 	}
 }

@@ -141,3 +141,28 @@ func TestGpusimCacheDir(t *testing.T) {
 		t.Fatalf("corruption not reported: %s", stderr)
 	}
 }
+
+// TestGpusimConfigRejectsUnknownField: a -config file with a
+// misspelled knob exits non-zero naming the field instead of running
+// the baseline value, while the same file without the typo runs.
+func TestGpusimConfigRejectsUnknownField(t *testing.T) {
+	bin := clitest.Build(t, "repro/cmd/gpusim")
+	cfg, _ := clitest.Run(t, bin, "-dump-config")
+	dir := t.TempDir()
+	good := filepath.Join(dir, "good.json")
+	typo := filepath.Join(dir, "typo.json")
+	if err := os.WriteFile(good, []byte(cfg), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(typo, []byte(strings.Replace(cfg, "{", `{"l2_sets_typo": 999,`, 1)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	args := []string{"-workload", "sc", "-warmup", "100", "-window", "200"}
+	if out, _ := clitest.Run(t, bin, append(args, "-config", good)...); !strings.Contains(out, "workload sc") {
+		t.Fatalf("the dumped config did not run:\n%s", out)
+	}
+	stderr := clitest.RunExpectError(t, bin, append(args, "-config", typo)...)
+	if !strings.Contains(stderr, `unknown field "l2_sets_typo"`) {
+		t.Fatalf("typo'd -config error does not name the field: %s", stderr)
+	}
+}

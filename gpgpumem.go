@@ -89,7 +89,8 @@ func TableI(cfg Config) []TableIRow { return config.TableI(cfg) }
 func ParseScalingSet(s string) (ScalingSet, error) { return config.ParseScalingSet(s) }
 
 // ConfigFromJSON parses and validates a configuration produced by
-// Config.ToJSON.
+// Config.ToJSON, rejecting unknown fields and trailing data, so a
+// misspelled knob is an error rather than the baseline value.
 func ConfigFromJSON(data []byte) (Config, error) { return config.FromJSON(data) }
 
 // Workload supplies per-warp instruction streams to the simulator.

@@ -3,15 +3,19 @@
 // the one JSON error envelope, and the sweep-kind registry that gives
 // the single-node server (internal/serve), the fleet coordinator
 // (internal/fabric) and the `gpusim sweep` CLI a single definition of
-// each sweep, plus the one request resolver and local compute they
-// all call.
+// each sweep, plus the one request resolver and the one sweep pipeline
+// they all call.
 //
 // The package exists so that a sweep kind is declared exactly once.
-// Before it, adding a sweep meant a new handler in serve, a new case
-// in the fabric coordinator's switch, and a new CLI — three copies of
-// the same grid/merge logic that had to stay byte-compatible by hand.
-// Now a Kind entry carries the whole definition (defaults, grid
-// expansion, pure merge half) and every surface iterates the registry.
+// Every kind has the paper's one shape, a baseline plus variants: a
+// Kind entry names its defaults, its request check, its variant list
+// (exp.VariantGrid lays out every grid from it) and its pure merge
+// half. Sweep.Run is the pipeline: it derives each entry's job key,
+// fans the grid out on the runner.Map pool through a Measure — local
+// simulation in gpusimd, `gpusim sweep` and gpgpumem.RunSweep, a
+// worker post in the fabric coordinator — checks the result stride
+// once and merges. A fleet-merged report is byte-identical to a local
+// one because both are the same code path.
 package api
 
 import (
@@ -123,7 +127,7 @@ func (e errReader) Read([]byte) (int, error) { return 0, e.err }
 func ResolveMethodology(base config.Config, req JobRequest, maxParallel int, maxWindow int64) (config.Config, exp.RunParams, error) {
 	cfg := base
 	if len(req.Config) > 0 {
-		c, err := decodeConfig(req.Config)
+		c, err := config.FromJSON(req.Config)
 		if err != nil {
 			return config.Config{}, exp.RunParams{}, err
 		}
@@ -162,25 +166,6 @@ func ResolveMethodology(base config.Config, req JobRequest, maxParallel int, max
 		p.Parallelism = maxParallel
 	}
 	return cfg, p, nil
-}
-
-// decodeConfig strictly parses an inline request config: unknown
-// fields are rejected (a misspelled knob must not silently run the
-// baseline) and the result is validated.
-func decodeConfig(raw json.RawMessage) (config.Config, error) {
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	var c config.Config
-	if err := dec.Decode(&c); err != nil {
-		return config.Config{}, fmt.Errorf("parse config: %w", err)
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return config.Config{}, fmt.Errorf("parse config: trailing data after the JSON document")
-	}
-	if err := c.Validate(); err != nil {
-		return config.Config{}, err
-	}
-	return c, nil
 }
 
 // Envelope is the deterministic response body of every job endpoint:

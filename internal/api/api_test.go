@@ -47,8 +47,8 @@ func TestKindRegistry(t *testing.T) {
 		if k.Name == "" || k.ResponseKind == "" || k.Description == "" {
 			t.Errorf("kind %+v has empty metadata", k)
 		}
-		if k.Grid == nil || k.Report == nil {
-			t.Errorf("kind %s is missing a Grid or Report half", k.Name)
+		if k.Report == nil {
+			t.Errorf("kind %s is missing its Report half", k.Name)
 		}
 		got, err := KindByName(k.Name)
 		if err != nil || got.Name != k.Name || got.ResponseKind != k.ResponseKind {
@@ -66,8 +66,9 @@ func TestKindRegistry(t *testing.T) {
 	}
 }
 
-// TestKindGrids: each kind's Grid half produces the documented layout
-// and rejects an empty workload set.
+// TestKindGrids: each kind's grid — exp.VariantGrid over its variant
+// list — has the documented layout, the baseline and then each
+// variant per workload, and rejects an empty workload set.
 func TestKindGrids(t *testing.T) {
 	cfg := config.GTX480Baseline()
 	stride := 1 + len(exp.Perturbations())
@@ -90,7 +91,8 @@ func TestKindGrids(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		grid, err := k.Grid(cfg, testSpecs(t, tc.specs...))
+		specs := testSpecs(t, tc.specs...)
+		grid, err := exp.VariantGrid(cfg, specs, k.Variants)
 		if err != nil {
 			t.Errorf("%s: grid: %v", name, err)
 			continue
@@ -98,7 +100,10 @@ func TestKindGrids(t *testing.T) {
 		if len(grid) != tc.want {
 			t.Errorf("%s: grid has %d jobs, want %d", name, len(grid), tc.want)
 		}
-		if _, err := k.Grid(cfg, nil); err == nil {
+		if stride := len(grid) / len(specs); grid[stride].Spec.SpecName != specs[1].SpecName || grid[stride].Config != cfg {
+			t.Errorf("%s: entry %d is %s, want the baseline of %s", name, stride, grid[stride].Spec.SpecName, specs[1].SpecName)
+		}
+		if _, err := exp.VariantGrid(cfg, nil, k.Variants); err == nil {
 			t.Errorf("%s: empty workload set accepted", name)
 		}
 		if k.Defaults != nil && len(k.Defaults()) == 0 {
@@ -143,6 +148,27 @@ func TestResolveSweepRejectsBadGrids(t *testing.T) {
 	}
 	if len(sw.Grid) != 6 || sw.Grid[0].Config != sw.Config {
 		t.Errorf("resolved designspace grid has %d jobs (want 6, baseline first)", len(sw.Grid))
+	}
+}
+
+// TestMergeRejectsWrongLength: the one stride check turns a result
+// slice of the wrong length into an error for every kind, before its
+// Report half reads it.
+func TestMergeRejectsWrongLength(t *testing.T) {
+	for _, k := range Kinds() {
+		sw, err := ResolveSweep(k.Name, config.GTX480Baseline(), JobRequest{Workloads: []string{"kmeans", "bfs"}}, 2, math.MaxInt64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int{0, len(sw.Grid) - 1, len(sw.Grid) + 1} {
+			rep, err := sw.merge(make([]GridResult, n))
+			if err == nil || !strings.Contains(err.Error(), k.Name+" merge") {
+				t.Errorf("%s: %d results for a %d-entry grid: report %v, err %v", k.Name, n, len(sw.Grid), rep, err)
+			}
+		}
+		if _, err := sw.merge(make([]GridResult, len(sw.Grid))); err != nil {
+			t.Errorf("%s: a full-length result slice: %v", k.Name, err)
+		}
 	}
 }
 

@@ -11,10 +11,8 @@ import (
 )
 
 // Job is one grid entry of a sweep: the exact (config, spec) pair to
-// measure. Some kinds measure every spec on the request's resolved
-// config; the variant kinds (latsweep, designspace, advise,
-// mitigation) perturb the architecture per job, which is why the grid
-// carries configs rather than assuming one.
+// measure. A variant may perturb the architecture, which is why the
+// grid carries configs rather than assuming one.
 type Job = exp.GridJob
 
 // GridResult is one grid entry's measurement, however it was obtained
@@ -31,12 +29,13 @@ type GridResult struct {
 }
 
 // Kind is one registered sweep: everything a serving surface needs to
-// validate a request, expand it into independent measurement jobs,
-// and merge ordered results into the deterministic report — the
-// single definition consumed by internal/serve (POST /v1/sweep/{kind}),
-// the internal/fabric coordinator (sharded + SSE) and the one-shot
-// `gpusim sweep <kind>` CLI. Adding a sweep to every surface at once
-// is adding one entry to the registry.
+// validate a request, lay out its measurement grid, and merge ordered
+// results into the deterministic report — the single definition
+// consumed by internal/serve (POST /v1/sweep/{kind}), the
+// internal/fabric coordinator (sharded + SSE) and the one-shot
+// `gpusim sweep <kind>` CLI. Every kind has one shape, a baseline plus
+// variants: adding a sweep to every surface at once is adding one
+// entry to the registry.
 type Kind struct {
 	// Name is the kind's wire name — the {kind} path segment and the
 	// resultcache.SweepKey kind string.
@@ -51,70 +50,52 @@ type Kind struct {
 	// workloads list gets. A nil Defaults means the kind requires an
 	// explicit list.
 	Defaults func() []string
-	// Grid expands the resolved (config, specs) into the sweep's
-	// measurement grid, validating every entry. The order is part of
-	// the sweep's byte-identity contract: Report reads results at
-	// exactly these indices. ResolveSweep calls it once per request,
-	// so a Grid error is the request's fault on every surface.
-	Grid func(cfg config.Config, specs []workload.Spec) ([]Job, error)
+	// Check, when non-nil, rejects a resolved (config, specs) pair the
+	// kind cannot measure, before its grid is built.
+	Check func(cfg config.Config, specs []workload.Spec) error
+	// Variants is the kind's variant list, named here and nowhere
+	// else. Every grid is exp.VariantGrid(cfg, specs, Variants): per
+	// workload, the baseline, then one job per variant. Nil measures
+	// each workload once.
+	Variants []exp.Perturbation
 	// Report is the pure merge half: it assembles the typed report
-	// from ordered grid results. res[i] belongs to grid[i]; the same
-	// function merges local batches and fleet-collected results, which
-	// is what makes the two byte-identical. The served payload is the
-	// report's json.Marshal bytes.
-	Report func(cfg config.Config, specs []workload.Spec, p exp.RunParams, grid []Job, res []GridResult) (any, error)
+	// from the grid's results, split per workload by the one stride
+	// check (rows) and in grid order (res, for the run batch's keys
+	// and bytes). The same function merges local and fleet-collected
+	// results, which is what makes the two byte-identical. The served
+	// payload is the report's json.Marshal bytes.
+	Report func(s Sweep, rows exp.VariantRows, res []GridResult) any
 }
 
-// decoded projects grid results onto the []sim.Results layout the exp
-// merge halves take.
-func decoded(res []GridResult) []sim.Results {
-	rs := make([]sim.Results, len(res))
-	for i, r := range res {
-		rs[i] = r.Results
+// hierarchyOnly is the request check of a kind that measures or
+// scales the hierarchy a fixed-latency (Fig. 1) base removes.
+func hierarchyOnly(kind, why string) func(config.Config, []workload.Spec) error {
+	return func(cfg config.Config, _ []workload.Spec) error {
+		if cfg.FixedLatency.Enabled {
+			return fmt.Errorf("%s %s; its baseline must be the real hierarchy (drop fixed_latency)", kind, why)
+		}
+		return nil
 	}
-	return rs
-}
-
-// specJobs is the one-job-per-spec grid shared by the kinds that
-// measure each workload once on the request's config.
-func specJobs(cfg config.Config, specs []workload.Spec) ([]Job, error) {
-	if len(specs) == 0 {
-		return nil, fmt.Errorf("sweep needs at least one workload")
-	}
-	grid := make([]Job, len(specs))
-	for i, sp := range specs {
-		grid[i] = Job{Config: cfg, Spec: sp}
-	}
-	return grid, nil
-}
-
-// hierarchyOnly rejects a fixed-latency (Fig. 1) base for a kind that
-// measures or scales the hierarchy that mode removes.
-func hierarchyOnly(kind, why string, cfg config.Config) error {
-	if cfg.FixedLatency.Enabled {
-		return fmt.Errorf("%s %s; its baseline must be the real hierarchy (drop fixed_latency)", kind, why)
-	}
-	return nil
 }
 
 // kinds is the registry, in documentation order. It is built by a
 // function (not a package var) so every caller gets fresh closures
 // and nothing can mutate the shared definition.
 func kinds() []Kind {
+	// The latency axis and the scaling sets are named once and read
+	// twice: as the variants and as the report's columns.
+	lats := exp.DefaultLatencies()
+	sets := []config.ScalingSet{config.ScaleL1, config.ScaleL2, config.ScaleDRAM, config.ScaleL1L2, config.ScaleL2DRAM}
 	return []Kind{
 		{
 			Name:         "latsweep",
 			ResponseKind: "sweep-latsweep",
 			Description:  "Fig. 1 latency tolerance: IPC vs a fixed L1 miss latency, 0 to 800 cycles (exp.Fig1Report)",
 			Defaults:     suiteNames,
-			Grid: func(cfg config.Config, specs []workload.Spec) ([]Job, error) {
-				if err := hierarchyOnly("latsweep", "sets the fixed latency itself", cfg); err != nil {
-					return nil, err
-				}
-				return exp.VariantGrid(cfg, specs, exp.LatencyVariants(exp.DefaultLatencies()))
-			},
-			Report: func(cfg config.Config, specs []workload.Spec, p exp.RunParams, grid []Job, res []GridResult) (any, error) {
-				return exp.BuildFig1Report(specs, exp.DefaultLatencies(), decoded(res))
+			Check:        hierarchyOnly("latsweep", "sets the fixed latency itself"),
+			Variants:     exp.LatencyVariants(lats),
+			Report: func(s Sweep, rows exp.VariantRows, _ []GridResult) any {
+				return exp.BuildFig1Report(s.Specs, lats, rows)
 			},
 		},
 		{
@@ -122,14 +103,9 @@ func kinds() []Kind {
 			ResponseKind: "sweep-occupancy",
 			Description:  "§III queue full-of-usage occupancy of the L2 access and DRAM scheduler queues (exp.OccupancyReport)",
 			Defaults:     suiteNames,
-			Grid: func(cfg config.Config, specs []workload.Spec) ([]Job, error) {
-				if err := hierarchyOnly("occupancy", "measures the L2 and DRAM queues", cfg); err != nil {
-					return nil, err
-				}
-				return specJobs(cfg, specs)
-			},
-			Report: func(cfg config.Config, specs []workload.Spec, p exp.RunParams, grid []Job, res []GridResult) (any, error) {
-				return exp.BuildOccupancyReport(cfg, specs, decoded(res))
+			Check:        hierarchyOnly("occupancy", "measures the L2 and DRAM queues"),
+			Report: func(s Sweep, rows exp.VariantRows, _ []GridResult) any {
+				return exp.BuildOccupancyReport(s.Config, s.Specs, rows.Bases)
 			},
 		},
 		{
@@ -137,14 +113,10 @@ func kinds() []Kind {
 			ResponseKind: "sweep-designspace",
 			Description:  "Table I and the §IV design space: speedups with Table I groups scaled ~4x (exp.DesignSpaceResult)",
 			Defaults:     suiteNames,
-			Grid: func(cfg config.Config, specs []workload.Spec) ([]Job, error) {
-				if err := hierarchyOnly("designspace", "scales the L2 and DRAM", cfg); err != nil {
-					return nil, err
-				}
-				return exp.VariantGrid(cfg, specs, exp.ScalingVariants(designSpaceSets()))
-			},
-			Report: func(cfg config.Config, specs []workload.Spec, p exp.RunParams, grid []Job, res []GridResult) (any, error) {
-				return exp.BuildDesignSpaceResult(cfg, specs, designSpaceSets(), decoded(res))
+			Check:        hierarchyOnly("designspace", "scales the L2 and DRAM"),
+			Variants:     exp.ScalingVariants(sets),
+			Report: func(s Sweep, rows exp.VariantRows, _ []GridResult) any {
+				return exp.BuildDesignSpaceResult(s.Config, s.Specs, sets, rows)
 			},
 		},
 		{
@@ -152,9 +124,8 @@ func kinds() []Kind {
 			ResponseKind: "sweep-bottleneck",
 			Description:  "per-workload stall-cycle attribution (exp.BottleneckReport)",
 			Defaults:     suiteAndScenarioNames,
-			Grid:         specJobs,
-			Report: func(cfg config.Config, specs []workload.Spec, p exp.RunParams, grid []Job, res []GridResult) (any, error) {
-				return exp.BuildBottleneckReport(cfg, specs, p, decoded(res)), nil
+			Report: func(s Sweep, rows exp.VariantRows, _ []GridResult) any {
+				return exp.BuildBottleneckReport(s.Config, s.Specs, s.Params, rows.Bases)
 			},
 		},
 		{
@@ -162,9 +133,12 @@ func kinds() []Kind {
 			ResponseKind: "sweep-scenarios",
 			Description:  "multi-phase scenarios vs their fixed-mix controls (exp.ScenarioReport)",
 			Defaults:     scenarioNames,
-			Grid:         exp.ScenarioGrid,
-			Report: func(cfg config.Config, specs []workload.Spec, p exp.RunParams, grid []Job, res []GridResult) (any, error) {
-				return exp.BuildScenarioReport(specs, decoded(res)), nil
+			Check: func(_ config.Config, specs []workload.Spec) error {
+				return exp.CheckScenarios(specs)
+			},
+			Variants: exp.ScenarioControl(),
+			Report: func(s Sweep, rows exp.VariantRows, _ []GridResult) any {
+				return exp.BuildScenarioReport(s.Specs, rows)
 			},
 		},
 		{
@@ -172,11 +146,9 @@ func kinds() []Kind {
 			ResponseKind: "sweep-advise",
 			Description:  "what-if advisor: interventions ranked by IPC recovered per unit cost (exp.AdviseReport)",
 			Defaults:     suiteAndScenarioNames,
-			Grid: func(cfg config.Config, specs []workload.Spec) ([]Job, error) {
-				return exp.VariantGrid(cfg, specs, exp.Perturbations())
-			},
-			Report: func(cfg config.Config, specs []workload.Spec, p exp.RunParams, grid []Job, res []GridResult) (any, error) {
-				return exp.BuildAdviseReport(specs, exp.Perturbations(), p, decoded(res))
+			Variants:     exp.Perturbations(),
+			Report: func(s Sweep, rows exp.VariantRows, _ []GridResult) any {
+				return exp.BuildAdviseReport(s.Specs, s.Kind.Variants, s.Params, rows)
 			},
 		},
 		{
@@ -184,11 +156,9 @@ func kinds() []Kind {
 			ResponseKind: "sweep-mitigation",
 			Description:  "mitigation policies: scenario × policy grid of the internal/policy seams (exp.MitigationReport)",
 			Defaults:     scenarioNames,
-			Grid: func(cfg config.Config, specs []workload.Spec) ([]Job, error) {
-				return exp.VariantGrid(cfg, specs, exp.Mitigations())
-			},
-			Report: func(cfg config.Config, specs []workload.Spec, p exp.RunParams, grid []Job, res []GridResult) (any, error) {
-				return exp.BuildMitigationReport(specs, p, decoded(res))
+			Variants:     exp.Mitigations(),
+			Report: func(s Sweep, rows exp.VariantRows, _ []GridResult) any {
+				return exp.BuildMitigationReport(s.Specs, s.Kind.Variants, s.Params, rows)
 			},
 		},
 		{
@@ -196,18 +166,17 @@ func kinds() []Kind {
 			ResponseKind: "run-batch",
 			Description:  "plain measurement batch: the ordered per-workload run envelopes",
 			Defaults:     nil, // a run batch needs an explicit workloads list
-			Grid:         specJobs,
-			Report: func(cfg config.Config, specs []workload.Spec, p exp.RunParams, grid []Job, res []GridResult) (any, error) {
-				envs := make([]Envelope, len(grid))
-				for i := range grid {
+			Report: func(s Sweep, _ exp.VariantRows, res []GridResult) any {
+				envs := make([]Envelope, len(res))
+				for i, r := range res {
 					envs[i] = Envelope{
-						Key: res[i].Key, Kind: "measure",
-						Workload:     grid[i].Spec.SpecName,
-						WarmupCycles: p.WarmupCycles, WindowCycles: p.WindowCycles,
-						Results: res[i].Encoded,
+						Key: r.Key, Kind: "measure",
+						Workload:     s.Grid[i].Spec.SpecName,
+						WarmupCycles: s.Params.WarmupCycles, WindowCycles: s.Params.WindowCycles,
+						Results: r.Encoded,
 					}
 				}
-				return envs, nil
+				return envs
 			},
 		},
 	}
@@ -237,13 +206,6 @@ func KindByName(name string) (Kind, error) {
 		}
 	}
 	return Kind{}, fmt.Errorf("unknown sweep kind %q (want %s)", name, strings.Join(KindNames(), ", "))
-}
-
-// designSpaceSets is the designspace kind's scaling sets in the
-// paper's order: each Table I group alone, then the two combinations
-// §IV reports.
-func designSpaceSets() []config.ScalingSet {
-	return []config.ScalingSet{config.ScaleL1, config.ScaleL2, config.ScaleDRAM, config.ScaleL1L2, config.ScaleL2DRAM}
 }
 
 // suiteNames is the default scope of the paper kinds: the Fig. 1

@@ -9,6 +9,7 @@ import (
 	"repro/internal/exp"
 	"repro/internal/resultcache"
 	"repro/internal/runner"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -23,8 +24,8 @@ type Sweep struct {
 	Specs  []workload.Spec
 	Config config.Config
 	Params exp.RunParams
-	// Grid is Kind.Grid(Config, Specs): the measurements the sweep
-	// needs, in the order Kind.Report reads them.
+	// Grid is exp.VariantGrid(Config, Specs, Kind.Variants): per
+	// workload, the baseline and then each variant.
 	Grid []Job
 }
 
@@ -32,9 +33,9 @@ type Sweep struct {
 // describe", shared by the single-node server, the fabric coordinator
 // and the `gpusim sweep` CLI: the kind lookup, the rejection of the
 // single-job workload/spec fields, the kind's default scope, each
-// name's spec, the methodology against base and the caller's caps, and
-// the kind's grid, whose every entry is validated here. Every error it
-// returns is the request's fault.
+// name's spec, the methodology against base and the caller's caps, the
+// kind's request check, and its grid, whose every entry is validated
+// here. Every error it returns is the request's fault.
 func ResolveSweep(kind string, base config.Config, req JobRequest, maxParallel int, maxWindow int64) (Sweep, error) {
 	k, err := KindByName(kind)
 	if err != nil {
@@ -60,7 +61,12 @@ func ResolveSweep(kind string, base config.Config, req JobRequest, maxParallel i
 	if err != nil {
 		return Sweep{}, err
 	}
-	grid, err := k.Grid(cfg, specs)
+	if k.Check != nil {
+		if err := k.Check(cfg, specs); err != nil {
+			return Sweep{}, err
+		}
+	}
+	grid, err := exp.VariantGrid(cfg, specs, k.Variants)
 	if err != nil {
 		return Sweep{}, err
 	}
@@ -99,37 +105,78 @@ func (s Sweep) Envelope(key string, report json.RawMessage) Envelope {
 	}
 }
 
-// Compute runs the sweep locally: run its grid as one batch on the
-// worker pool (per-job configs — the variant grids perturb the
-// architecture), content-address and encode each result, and hand the
-// ordered results to the kind's pure Report half. The fabric
-// coordinator runs the same grid and Report over fleet-collected
-// results, which is what makes a fleet-merged report byte-identical to
-// this one.
-func (s Sweep) Compute() (any, error) {
-	grid, p := s.Grid, s.Params
-	jobs := make([]runner.Job, len(grid))
-	for i, g := range grid {
-		jobs[i] = runner.Job{
-			Config: g.Config, Workload: g.Spec,
-			WarmupCycles: p.WarmupCycles, WindowCycles: p.WindowCycles,
+// Measure obtains grid entry i of a sweep, whose content address
+// (resultcache.JobKey) is key, and returns its exp.EncodeResults
+// bytes. Sweep.Local simulates the entry in process; the fabric
+// coordinator posts it to a worker.
+type Measure func(ctx context.Context, i int, key string) ([]byte, error)
+
+// Run is the one sweep pipeline, whatever measures the entries: derive
+// each grid entry's job key, fan the grid out on the runner.Map pool
+// (results land at their grid index whatever the completion order),
+// decode each entry's bytes, and merge. A fleet-merged report is
+// byte-identical to a local one because both are this function.
+func (s Sweep) Run(ctx context.Context, measure Measure) (any, error) {
+	p := s.Params
+	res, err := runner.Map(ctx, len(s.Grid), runner.Options{Parallelism: p.Parallelism}, func(i int) (GridResult, error) {
+		g := s.Grid[i]
+		key, err := resultcache.JobKey(g.Config, g.Spec, p.WarmupCycles, p.WindowCycles)
+		if err != nil {
+			return GridResult{}, err
 		}
-	}
-	results, err := runner.Run(context.Background(), jobs, runner.Options{Parallelism: p.Parallelism})
+		enc, err := measure(ctx, i, key)
+		if err != nil {
+			return GridResult{}, err
+		}
+		r, err := exp.DecodeResults(enc)
+		if err != nil {
+			return GridResult{}, fmt.Errorf("job %d (%s): %w", i, g.Spec.SpecName, err)
+		}
+		return GridResult{Key: key, Encoded: enc, Results: r}, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	res := make([]GridResult, len(grid))
-	for i, g := range grid {
-		key, err := resultcache.JobKey(g.Config, g.Spec, p.WarmupCycles, p.WindowCycles)
-		if err != nil {
-			return nil, err
-		}
-		enc, err := exp.EncodeResults(results[i])
-		if err != nil {
-			return nil, err
-		}
-		res[i] = GridResult{Key: key, Encoded: enc, Results: results[i]}
+	return s.merge(res)
+}
+
+// merge is the pure merge half: the one stride check splits the
+// ordered results per workload, and the kind's Report assembles them.
+func (s Sweep) merge(res []GridResult) (any, error) {
+	rs := make([]sim.Results, len(res))
+	for i, r := range res {
+		rs[i] = r.Results
 	}
-	return s.Kind.Report(s.Config, s.Specs, p, grid, res)
+	rows, err := exp.SplitVariantRows(s.Kind.Name, len(s.Specs), len(s.Kind.Variants), rs)
+	if err != nil {
+		return nil, err
+	}
+	return s.Kind.Report(s, rows, res), nil
+}
+
+// Local is the in-process Measure: simulate grid entry i on the
+// calling goroutine (exp.Measure) and encode its results.
+func (s Sweep) Local(_ context.Context, i int, _ string) ([]byte, error) {
+	r, err := exp.Measure(s.Grid[i].Config, s.Grid[i].Spec, s.Params)
+	if err != nil {
+		return nil, err
+	}
+	return exp.EncodeResults(r)
+}
+
+// Compute runs the sweep locally and returns its typed report — the
+// path of `gpusim sweep` and gpgpumem.RunSweep.
+func (s Sweep) Compute() (any, error) {
+	return s.Run(context.Background(), s.Local)
+}
+
+// Payload runs the sweep and returns its report's JSON bytes: the
+// payload gpusimd caches and serves, and the report of the fabric
+// coordinator's merged envelope.
+func (s Sweep) Payload(ctx context.Context, measure Measure) ([]byte, error) {
+	rep, err := s.Run(ctx, measure)
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(rep)
 }

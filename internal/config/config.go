@@ -7,8 +7,10 @@
 package config
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"reflect"
 	"slices"
 	"strings"
@@ -478,12 +480,20 @@ func (c Config) ToJSON() ([]byte, error) {
 	return json.MarshalIndent(c, "", "  ")
 }
 
-// FromJSON parses a config from JSON produced by ToJSON and
-// validates it.
+// FromJSON is the one config decoder, for -config files and inline
+// request configs alike: it parses one JSON document in ToJSON's
+// shape, rejecting unknown fields (a misspelled knob must not
+// silently run the baseline value) and trailing data, and validates
+// the result.
 func FromJSON(data []byte) (Config, error) {
 	var c Config
-	if err := json.Unmarshal(data, &c); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&c); err != nil {
 		return Config{}, fmt.Errorf("config: parse: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Config{}, fmt.Errorf("config: parse: trailing data after the JSON document")
 	}
 	if err := c.Validate(); err != nil {
 		return Config{}, err

@@ -1,6 +1,7 @@
 package config
 
 import (
+	"bytes"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -229,6 +230,27 @@ func TestJSONRoundTrip(t *testing.T) {
 func TestFromJSONRejectsInvalid(t *testing.T) {
 	if _, err := FromJSON([]byte("{not json")); err == nil {
 		t.Errorf("expected parse error")
+	}
+	// A misspelled knob must fail loudly, not run the baseline value,
+	// and so must a second document after the first.
+	good, err := GTX480Baseline().ToJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	typo := bytes.Replace(good, []byte("{"), []byte(`{"l2_sets_typo": 999,`), 1)
+	for name, tc := range map[string]struct {
+		data []byte
+		want string
+	}{
+		"unknown field": {typo, `unknown field "l2_sets_typo"`},
+		"trailing data": {append(append([]byte{}, good...), "{}"...), "trailing data"},
+	} {
+		if _, err := FromJSON(tc.data); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one mentioning %q", name, err, tc.want)
+		}
+	}
+	if _, err := FromJSON(append(good, " \n"...)); err != nil {
+		t.Errorf("trailing whitespace rejected: %v", err)
 	}
 	c := GTX480Baseline()
 	c.Core.NumSMs = 0

@@ -2,7 +2,7 @@ package exp
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/sim"
@@ -31,11 +31,7 @@ type AdviseOutcome struct {
 // is bound by, and every intervention ranked by IPC recovered per unit
 // of cost.
 type AdviseRow struct {
-	Workload    string  `json:"workload"`
-	BaselineIPC float64 `json:"baseline_ipc"`
-	// Dominant is the baseline's dominant stall cause label — what the
-	// workload is bound by, per the PR-4 attribution.
-	Dominant      string          `json:"dominant"`
+	RankedBaseline
 	Interventions []AdviseOutcome `json:"interventions"`
 }
 
@@ -48,63 +44,45 @@ type AdviseReport struct {
 	Rows   []AdviseRow `json:"rows"`
 }
 
-// BuildAdviseReport assembles the advisor report from already-measured
-// grid results laid out as VariantGrid produces them for the same
-// variant set: for specs[i], res[i*(1+V)] is the baseline and the
-// following V entries are the variants in order. It is the advise
-// sweep's pure merge half, shared by local runs and the
-// internal/fabric coordinator so a fleet-merged report is
-// byte-identical to a local one.
-func BuildAdviseReport(specs []workload.Spec, variants []Perturbation, p RunParams, res []sim.Results) (AdviseReport, error) {
-	bases, vres, err := variantRows("advise", specs, len(variants), res)
-	if err != nil {
-		return AdviseReport{}, err
-	}
+// BuildAdviseReport assembles the advisor report from rows measured
+// over the given variant set. It is the advise sweep's pure merge
+// half, shared by local runs and the internal/fabric coordinator so a
+// fleet-merged report is byte-identical to a local one.
+func BuildAdviseReport(specs []workload.Spec, variants []Perturbation, p RunParams, rows VariantRows) AdviseReport {
+	heads, ranked := rankVariants(specs, variants, rows, adviseOutcome, adviseFirst)
 	rep := AdviseReport{Warmup: p.WarmupCycles, Window: p.WindowCycles,
 		Rows: make([]AdviseRow, len(specs))}
-	for i, sp := range specs {
-		baseRes := bases[i]
-		dominant := baseRes.Stalls.Dominant()
-		row := AdviseRow{
-			Workload:      sp.SpecName,
-			BaselineIPC:   baseRes.IPC,
-			Dominant:      dominant.String(),
-			Interventions: make([]AdviseOutcome, len(variants)),
-		}
-		for j, pt := range variants {
-			r := vres[i][j]
-			out := AdviseOutcome{
-				Name:        pt.Name,
-				Description: pt.Description,
-				Cost:        pt.Cost,
-				IPC:         r.IPC,
-				DeltaIPC:    r.IPC - baseRes.IPC,
-			}
-			out.Score = out.DeltaIPC / pt.Cost
-			for _, c := range pt.Targets {
-				if c == dominant {
-					out.Targeted = true
-					break
-				}
-			}
-			row.Interventions[j] = out
-		}
-		// The ranking is the report's whole point, and it must be
-		// fully deterministic: score descending, cheaper first on
-		// ties, name as the final total order.
-		sort.SliceStable(row.Interventions, func(a, b int) bool {
-			ia, ib := row.Interventions[a], row.Interventions[b]
-			if ia.Score != ib.Score {
-				return ia.Score > ib.Score
-			}
-			if ia.Cost != ib.Cost {
-				return ia.Cost < ib.Cost
-			}
-			return ia.Name < ib.Name
-		})
-		rep.Rows[i] = row
+	for i := range specs {
+		rep.Rows[i] = AdviseRow{RankedBaseline: heads[i], Interventions: ranked[i]}
 	}
-	return rep, nil
+	return rep
+}
+
+// adviseOutcome is one intervention's result against its workload's
+// baseline, scored by IPC recovered per unit of cost.
+func adviseOutcome(pt Perturbation, base, r sim.Results) AdviseOutcome {
+	out := AdviseOutcome{
+		Name:        pt.Name,
+		Description: pt.Description,
+		Cost:        pt.Cost,
+		IPC:         r.IPC,
+		DeltaIPC:    r.IPC - base.IPC,
+	}
+	out.Score = out.DeltaIPC / pt.Cost
+	out.Targeted = slices.Contains(pt.Targets, base.Stalls.Dominant())
+	return out
+}
+
+// adviseFirst is the advisor's ranking, the report's whole point: score
+// descending, cheaper first on ties, name as the final total order.
+func adviseFirst(a, b AdviseOutcome) bool {
+	if a.Score != b.Score {
+		return a.Score > b.Score
+	}
+	if a.Cost != b.Cost {
+		return a.Cost < b.Cost
+	}
+	return a.Name < b.Name
 }
 
 // String renders the advisor's verdict: one section per workload with

@@ -34,9 +34,7 @@ type BottleneckReport struct {
 
 // BuildBottleneckReport assembles the breakdown report from
 // already-measured results, res[i] belonging to specs[i]. It is the
-// bottleneck sweep's pure merge half, shared by local runs and the
-// internal/fabric coordinator, which collects the measurements from a
-// worker fleet, so the two reports are byte-identical.
+// bottleneck sweep's pure merge half.
 func BuildBottleneckReport(base config.Config, specs []workload.Spec, p RunParams, res []sim.Results) BottleneckReport {
 	rep := BottleneckReport{Warmup: p.WarmupCycles, Window: p.WindowCycles,
 		Rows: make([]BottleneckRow, len(specs))}

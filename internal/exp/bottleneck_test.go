@@ -15,7 +15,7 @@ func bottleneckReport(t *testing.T, p RunParams) BottleneckReport {
 	t.Helper()
 	cfg := config.GTX480Baseline()
 	specs := adviseSpecs(t, "sc", "leukocyte", "kmeans")
-	return BuildBottleneckReport(cfg, specs, p, variantResults(t, cfg, specs, nil, p))
+	return BuildBottleneckReport(cfg, specs, p, variantRows(t, cfg, specs, nil, p).Bases)
 }
 
 // TestBottleneckStacksSumToIssueSlots enforces the report-level

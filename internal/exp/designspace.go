@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/config"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -46,14 +45,11 @@ func ScalingVariants(sets []config.ScalingSet) []Perturbation {
 	return vs
 }
 
-// BuildDesignSpaceResult assembles §IV from results laid out as
-// VariantGrid produces them for ScalingVariants(sets) on the base
-// config cfg. It is the designspace sweep's pure merge half.
-func BuildDesignSpaceResult(cfg config.Config, specs []workload.Spec, sets []config.ScalingSet, res []sim.Results) (DesignSpaceResult, error) {
-	bases, scaled, err := variantRows("designspace", specs, len(sets), res)
-	if err != nil {
-		return DesignSpaceResult{}, err
-	}
+// BuildDesignSpaceResult assembles §IV from rows measured over
+// ScalingVariants(sets) on the base config cfg. It is the designspace
+// sweep's pure merge half.
+func BuildDesignSpaceResult(cfg config.Config, specs []workload.Spec, sets []config.ScalingSet, rows VariantRows) DesignSpaceResult {
+	bases, scaled := rows.Bases, rows.Variants
 	out := DesignSpaceResult{Sets: sets, Speedup: make([][]float64, len(specs)), tableI: config.TableI(cfg)}
 	for wi, sp := range specs {
 		out.Workloads = append(out.Workloads, sp.SpecName)
@@ -73,7 +69,7 @@ func BuildDesignSpaceResult(cfg config.Config, specs []workload.Spec, sets []con
 		}
 		out.MeanSpeedup[si] = stats.Mean(col)
 	}
-	return out, nil
+	return out
 }
 
 // SpeedupFor returns the mean speedup of a given set, or 0 if the set

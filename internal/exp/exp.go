@@ -4,14 +4,17 @@
 // the Table I / §IV design-space exploration — plus the bottleneck,
 // scenario, advise and mitigation reports built on the same model.
 //
-// Each artifact is a grid of fully independent simulations split into
-// two halves: a grid (VariantGrid, for the "baseline + variants"
-// sweeps, or one job per workload) and a pure Build half that turns
-// the ordered results into the report. The internal/api sweep
-// registry pairs the halves and runs the grid as one batch on the
-// internal/runner worker pool; because each sim.GPU instance owns all
-// of its state (including the seeded RNG behind the workload address
-// streams), a report is bit-identical at any parallelism.
+// Each artifact is a baseline measured beside variants of it, as a
+// grid of fully independent simulations split into two halves: the
+// grid (VariantGrid over a variant list: per workload, the baseline
+// and then each variant; no variants is one job per workload) and a
+// pure Build half that turns the results, split per workload by the
+// one stride check (SplitVariantRows), into the report. Advise and
+// mitigation share one ranked-variants builder. The internal/api sweep
+// registry pairs the halves and runs the grid on the internal/runner
+// worker pool; because each sim.GPU instance owns all of its state
+// (including the seeded RNG behind the workload address streams), a
+// report is bit-identical at any parallelism.
 package exp
 
 import (

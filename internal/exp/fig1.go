@@ -66,20 +66,15 @@ func LatencyVariants(latencies []int64) []Perturbation {
 	return vs
 }
 
-// BuildFig1Report assembles Fig. 1 from results laid out as
-// VariantGrid produces them for LatencyVariants(latencies): per spec,
-// the baseline, then one result per latency. It is the latsweep
-// sweep's pure merge half.
-func BuildFig1Report(specs []workload.Spec, latencies []int64, res []sim.Results) (Fig1Report, error) {
-	bases, points, err := variantRows("latsweep", specs, len(latencies), res)
-	if err != nil {
-		return Fig1Report{}, err
-	}
+// BuildFig1Report assembles Fig. 1 from rows measured over
+// LatencyVariants(latencies): per spec, the baseline, then one result
+// per latency. It is the latsweep sweep's pure merge half.
+func BuildFig1Report(specs []workload.Spec, latencies []int64, rows VariantRows) Fig1Report {
 	rep := Fig1Report{Latencies: latencies, Curves: make([]Fig1Curve, len(specs))}
 	for i, sp := range specs {
-		rep.Curves[i] = fig1Curve(sp.SpecName, latencies, bases[i], points[i])
+		rep.Curves[i] = fig1Curve(sp.SpecName, latencies, rows.Bases[i], rows.Variants[i])
 	}
-	return rep, nil
+	return rep
 }
 
 // fig1Curve assembles one workload's curve from its baseline and its

@@ -44,7 +44,7 @@ func testGoldenBatch(t *testing.T, golden string, names ...string) {
 	cfg := config.GTX480Baseline()
 	for _, j := range []int{1, 4} {
 		p := goldenParams(j)
-		res := variantResults(t, cfg, specs, nil, p)
+		res := variantRows(t, cfg, specs, nil, p).Bases
 		got := BatchReport("baseline", p.WarmupCycles, p.WindowCycles, wls, res)
 		if got != want {
 			t.Errorf("j=%d: %s drifted from golden:\n got:\n%s\nwant:\n%s", j, golden, got, want)

@@ -28,43 +28,36 @@ func runGrid(t *testing.T, grid []GridJob, p RunParams) []sim.Results {
 	return res
 }
 
-// variantResults measures the "baseline + variants" grid of specs on
-// cfg; with no variants it is one baseline measurement per spec.
-func variantResults(t *testing.T, cfg config.Config, specs []workload.Spec, variants []Perturbation, p RunParams) []sim.Results {
+// variantRows measures the "baseline + variants" grid of specs on
+// cfg and splits it per workload; with no variants, Bases holds one
+// measurement per spec.
+func variantRows(t *testing.T, cfg config.Config, specs []workload.Spec, variants []Perturbation, p RunParams) VariantRows {
 	t.Helper()
 	grid, err := VariantGrid(cfg, specs, variants)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return runGrid(t, grid, p)
+	rows, err := SplitVariantRows("test", len(specs), len(variants), runGrid(t, grid, p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
 }
 
 // fig1Report is the latsweep sweep at the given latency axis.
 func fig1Report(t *testing.T, cfg config.Config, specs []workload.Spec, lats []int64, p RunParams) Fig1Report {
 	t.Helper()
-	rep, err := BuildFig1Report(specs, lats, variantResults(t, cfg, specs, LatencyVariants(lats), p))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rep
+	return BuildFig1Report(specs, lats, variantRows(t, cfg, specs, LatencyVariants(lats), p))
 }
 
 // occupancyReport is the occupancy sweep.
 func occupancyReport(t *testing.T, cfg config.Config, specs []workload.Spec, p RunParams) OccupancyReport {
 	t.Helper()
-	rep, err := BuildOccupancyReport(cfg, specs, variantResults(t, cfg, specs, nil, p))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rep
+	return BuildOccupancyReport(cfg, specs, variantRows(t, cfg, specs, nil, p).Bases)
 }
 
 // designSpace is the designspace sweep over the given scaling sets.
 func designSpace(t *testing.T, cfg config.Config, specs []workload.Spec, sets []config.ScalingSet, p RunParams) DesignSpaceResult {
 	t.Helper()
-	res, err := BuildDesignSpaceResult(cfg, specs, sets, variantResults(t, cfg, specs, ScalingVariants(sets), p))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
+	return BuildDesignSpaceResult(cfg, specs, sets, variantRows(t, cfg, specs, ScalingVariants(sets), p))
 }

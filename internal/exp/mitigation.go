@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/sim"
@@ -33,10 +32,7 @@ type MitigationOutcome struct {
 // MitigationRow is one workload's verdict: its baseline, what it is
 // bound by, and every policy intervention ranked by IPC recovered.
 type MitigationRow struct {
-	Workload    string  `json:"workload"`
-	BaselineIPC float64 `json:"baseline_ipc"`
-	// Dominant is the baseline's dominant stall cause label.
-	Dominant string              `json:"dominant"`
+	RankedBaseline
 	Policies []MitigationOutcome `json:"policies"`
 }
 
@@ -49,54 +45,43 @@ type MitigationReport struct {
 	Rows   []MitigationRow `json:"rows"`
 }
 
-// BuildMitigationReport assembles the mitigation report from
-// already-measured grid results laid out as VariantGrid produces them
-// over Mitigations(): for specs[i], res[i*(1+M)] is the baseline and
-// the following M entries are the mitigations in order. It is the
-// mitigation sweep's pure merge half, shared by local runs and the
+// BuildMitigationReport assembles the mitigation report from rows
+// measured over the given policy variants. It is the mitigation
+// sweep's pure merge half, shared by local runs and the
 // internal/fabric coordinator so a fleet-merged report is
 // byte-identical to a local one.
-func BuildMitigationReport(specs []workload.Spec, p RunParams, res []sim.Results) (MitigationReport, error) {
-	mits := Mitigations()
-	bases, vres, err := variantRows("mitigation", specs, len(mits), res)
-	if err != nil {
-		return MitigationReport{}, err
-	}
+func BuildMitigationReport(specs []workload.Spec, variants []Perturbation, p RunParams, rows VariantRows) MitigationReport {
+	heads, ranked := rankVariants(specs, variants, rows, mitigationOutcome, mitigationFirst)
 	rep := MitigationReport{Warmup: p.WarmupCycles, Window: p.WindowCycles,
 		Rows: make([]MitigationRow, len(specs))}
-	for i, sp := range specs {
-		baseRes := bases[i]
-		row := MitigationRow{
-			Workload:    sp.SpecName,
-			BaselineIPC: baseRes.IPC,
-			Dominant:    baseRes.Stalls.Dominant().String(),
-			Policies:    make([]MitigationOutcome, len(mits)),
-		}
-		for j, m := range mits {
-			r := vres[i][j]
-			cause, pp := largestShift(baseRes.Stalls, r.Stalls)
-			row.Policies[j] = MitigationOutcome{
-				Name:        m.Name,
-				Description: m.Description,
-				IPC:         r.IPC,
-				DeltaIPC:    r.IPC - baseRes.IPC,
-				Dominant:    r.Stalls.Dominant().String(),
-				ShiftCause:  cause.String(),
-				ShiftPP:     pp,
-			}
-		}
-		// Rank by IPC recovered; ties break on name so the order is a
-		// total one and the report deterministic.
-		sort.SliceStable(row.Policies, func(a, b int) bool {
-			pa, pb := row.Policies[a], row.Policies[b]
-			if pa.DeltaIPC != pb.DeltaIPC {
-				return pa.DeltaIPC > pb.DeltaIPC
-			}
-			return pa.Name < pb.Name
-		})
-		rep.Rows[i] = row
+	for i := range specs {
+		rep.Rows[i] = MitigationRow{RankedBaseline: heads[i], Policies: ranked[i]}
 	}
-	return rep, nil
+	return rep
+}
+
+// mitigationOutcome is one policy's result against its workload's
+// baseline: the IPC recovered and where the stall breakdown moved.
+func mitigationOutcome(m Perturbation, base, r sim.Results) MitigationOutcome {
+	cause, pp := largestShift(base.Stalls, r.Stalls)
+	return MitigationOutcome{
+		Name:        m.Name,
+		Description: m.Description,
+		IPC:         r.IPC,
+		DeltaIPC:    r.IPC - base.IPC,
+		Dominant:    r.Stalls.Dominant().String(),
+		ShiftCause:  cause.String(),
+		ShiftPP:     pp,
+	}
+}
+
+// mitigationFirst ranks by IPC recovered; ties break on name so the
+// order is a total one and the report deterministic.
+func mitigationFirst(a, b MitigationOutcome) bool {
+	if a.DeltaIPC != b.DeltaIPC {
+		return a.DeltaIPC > b.DeltaIPC
+	}
+	return a.Name < b.Name
 }
 
 // largestShift finds the stall cause whose share of the breakdown

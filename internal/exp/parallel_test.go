@@ -80,7 +80,7 @@ func TestRunFig1MatchesSuiteColumn(t *testing.T) {
 // with the single-job path.
 func TestBaselinesMatchesMeasure(t *testing.T) {
 	cfg, suite := testConfig(), testSuite(t)
-	batch := variantResults(t, cfg, suite, nil, testParams(4))
+	batch := variantRows(t, cfg, suite, nil, testParams(4)).Bases
 	for i, sp := range suite {
 		single, err := Measure(cfg, sp, testParams(1))
 		if err != nil {

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/config"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -41,36 +40,38 @@ type ScenarioReport struct {
 	Rows []ScenarioRow
 }
 
-// ScenarioGrid validates the scenarios and expands them into the
-// sweep's measurement grid: scenario, control, scenario, control —
-// each scenario immediately followed by its Flatten() fixed-mix
-// control, in input order. The grid order is part of the sweep's
-// byte-identity contract: BuildScenarioReport reads results pairwise
-// in exactly this layout.
-func ScenarioGrid(base config.Config, scenarios []workload.Spec) ([]GridJob, error) {
-	if len(scenarios) == 0 {
-		return nil, fmt.Errorf("exp: scenario sweep needs at least one scenario")
-	}
-	grid := make([]GridJob, 0, 2*len(scenarios))
-	for _, s := range scenarios {
-		if len(s.Phases) == 0 {
-			return nil, fmt.Errorf("exp: %s is single-phase; the sweep compares phase structure against its flattened control", s.SpecName)
-		}
-		grid = append(grid, GridJob{Config: base, Spec: s}, GridJob{Config: base, Spec: s.Flatten()})
-	}
-	return grid, nil
+// ScenarioControl is the scenarios sweep's variant list: one variant,
+// the scenario's Flatten() fixed-mix control on the same config. With
+// VariantGrid it lays out scenario, control, scenario, control, in
+// input order.
+func ScenarioControl() []Perturbation {
+	return []Perturbation{{
+		Name:        "fixed-mix",
+		Description: "the duration-weighted fixed-mix control (workload.Spec.Flatten)",
+		Apply: func(cfg config.Config, sp workload.Spec) (config.Config, workload.Spec) {
+			return cfg, sp.Flatten()
+		},
+	}}
 }
 
-// BuildScenarioReport assembles the comparison rows from
-// already-measured grid results laid out as ScenarioGrid produces
-// them: res[2i] is scenarios[i], res[2i+1] its flattened control. It
-// is the scenario sweep's pure merge half, shared by local runs and
-// the internal/fabric coordinator so a fleet-merged report is
-// byte-identical to a local one.
-func BuildScenarioReport(scenarios []workload.Spec, res []sim.Results) ScenarioReport {
+// CheckScenarios rejects a single-phase spec: its flattened control is
+// the spec itself, so the sweep would compare it against nothing.
+func CheckScenarios(scenarios []workload.Spec) error {
+	for _, s := range scenarios {
+		if len(s.Phases) == 0 {
+			return fmt.Errorf("exp: %s is single-phase; the sweep compares phase structure against its flattened control", s.SpecName)
+		}
+	}
+	return nil
+}
+
+// BuildScenarioReport assembles the comparison rows from rows measured
+// over ScenarioControl(): each scenario's baseline and its one
+// variant, the control. It is the scenario sweep's pure merge half.
+func BuildScenarioReport(scenarios []workload.Spec, rows VariantRows) ScenarioReport {
 	rep := ScenarioReport{Rows: make([]ScenarioRow, len(scenarios))}
 	for i, s := range scenarios {
-		sr, cr := res[2*i], res[2*i+1]
+		sr, cr := rows.Bases[i], rows.Variants[i][0]
 		control := s.Flatten()
 		row := ScenarioRow{
 			Scenario:         s.SpecName,

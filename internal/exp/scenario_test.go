@@ -23,11 +23,7 @@ func testScenarios(t *testing.T) []workload.Spec {
 // scenarioReport measures the scenario grid and builds its report.
 func scenarioReport(t *testing.T, scenarios []workload.Spec, p RunParams) ScenarioReport {
 	t.Helper()
-	grid, err := ScenarioGrid(testConfig(), scenarios)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return BuildScenarioReport(scenarios, runGrid(t, grid, p))
+	return BuildScenarioReport(scenarios, variantRows(t, testConfig(), scenarios, ScenarioControl(), p))
 }
 
 func TestScenarioSweepComparesControls(t *testing.T) {
@@ -71,15 +67,21 @@ func TestScenarioSweepParallelismInvariant(t *testing.T) {
 	}
 }
 
+// TestScenarioSweepRejectsSinglePhase: the scenarios sweep's request
+// check rejects a single-phase spec, and its grid, like every variant
+// grid, rejects an empty scenario list.
 func TestScenarioSweepRejectsSinglePhase(t *testing.T) {
 	sc, err := workload.SpecByName("sc")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ScenarioGrid(testConfig(), []workload.Spec{sc}); err == nil {
-		t.Fatalf("expected error for single-phase spec")
+	if err := CheckScenarios(append(testScenarios(t), sc)); err == nil || !strings.Contains(err.Error(), "sc is single-phase") {
+		t.Fatalf("single-phase spec: err = %v", err)
 	}
-	if _, err := ScenarioGrid(testConfig(), nil); err == nil {
+	if err := CheckScenarios(testScenarios(t)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := VariantGrid(testConfig(), nil, ScenarioControl()); err == nil {
 		t.Fatalf("expected error for empty scenario list")
 	}
 }

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/config"
 	"repro/internal/policy"
@@ -249,21 +250,62 @@ func VariantGrid(base config.Config, specs []workload.Spec, variants []Perturbat
 	return grid, nil
 }
 
-// variantRows splits results laid out as VariantGrid produces them
-// into one (baseline, variant results) pair per spec, rejecting a
-// slice that does not match the stride. what names the sweep in the
-// error.
-func variantRows(what string, specs []workload.Spec, n int, res []sim.Results) ([]sim.Results, [][]sim.Results, error) {
-	stride := 1 + n
-	if len(res) != len(specs)*stride {
-		return nil, nil, fmt.Errorf("exp: %s merge: %d results for %d workloads (want %d)",
-			what, len(res), len(specs), len(specs)*stride)
+// VariantRows is a "baseline + variants" grid's results split per
+// workload: Bases[i] is workload i's baseline measurement and
+// Variants[i][j] its measurement under variant j. With no variants it
+// is one result per workload, in Bases.
+type VariantRows struct {
+	Bases    []sim.Results
+	Variants [][]sim.Results
+}
+
+// SplitVariantRows is every sweep's one stride check: it splits
+// results laid out as VariantGrid produces them for the given numbers
+// of workloads and variants, rejecting a slice of any other length.
+// what names the sweep in the error.
+func SplitVariantRows(what string, workloads, variants int, res []sim.Results) (VariantRows, error) {
+	stride := 1 + variants
+	if len(res) != workloads*stride {
+		return VariantRows{}, fmt.Errorf("exp: %s merge: %d results for %d workloads (want %d)",
+			what, len(res), workloads, workloads*stride)
 	}
-	bases := make([]sim.Results, len(specs))
-	variants := make([][]sim.Results, len(specs))
-	for i := range specs {
-		bases[i] = res[i*stride]
-		variants[i] = res[i*stride+1 : (i+1)*stride]
+	rows := VariantRows{Bases: make([]sim.Results, workloads), Variants: make([][]sim.Results, workloads)}
+	for i := range workloads {
+		rows.Bases[i] = res[i*stride]
+		rows.Variants[i] = res[i*stride+1 : (i+1)*stride]
 	}
-	return bases, variants, nil
+	return rows, nil
+}
+
+// RankedBaseline heads one workload's row of a ranked-variants report
+// (advise, mitigation): the workload, its baseline IPC and the
+// baseline's dominant stall cause label, what the workload is bound
+// by.
+type RankedBaseline struct {
+	Workload    string  `json:"workload"`
+	BaselineIPC float64 `json:"baseline_ipc"`
+	Dominant    string  `json:"dominant"`
+}
+
+// rankVariants is the one ranked-variants builder behind the advise
+// and mitigation reports: per workload, its row head and every
+// variant's outcome against its baseline, sorted by less. The two
+// reports differ only in the outcome a variant yields and how
+// outcomes order; less must be a total order so the ranking is
+// deterministic.
+func rankVariants[O any](specs []workload.Spec, variants []Perturbation, rows VariantRows,
+	outcome func(v Perturbation, base, r sim.Results) O, less func(a, b O) bool) ([]RankedBaseline, [][]O) {
+	heads := make([]RankedBaseline, len(specs))
+	ranked := make([][]O, len(specs))
+	for i, sp := range specs {
+		base := rows.Bases[i]
+		heads[i] = RankedBaseline{Workload: sp.SpecName, BaselineIPC: base.IPC, Dominant: base.Stalls.Dominant().String()}
+		outs := make([]O, len(variants))
+		for j, v := range variants {
+			outs[j] = outcome(v, base, rows.Variants[i][j])
+		}
+		sort.SliceStable(outs, func(a, b int) bool { return less(outs[a], outs[b]) })
+		ranked[i] = outs
+	}
+	return heads, ranked
 }

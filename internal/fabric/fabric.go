@@ -23,11 +23,10 @@
 //     deterministic — reused here at cluster scale.
 //
 // The sweeps themselves come from the internal/api sweep-kind
-// registry: the coordinator holds no per-kind logic. A kind's Grid
-// half expands the request into (config, spec) jobs — per-job configs
-// are what let the variant kinds perturb the architecture — and its
-// Report half merges the ordered results, the same pure function a
-// single node runs, which is what makes the fleet-merged report
+// registry, and so does the merge: the coordinator holds no per-kind
+// logic and no merge of its own. It hands api.Sweep.Payload — the
+// pipeline a single node runs — a Measure that posts one grid entry
+// to a worker, which is what makes the fleet-merged report
 // byte-identical.
 //
 // Jobs route by rendezvous hashing (resultcache.Rank) so repeated
@@ -59,7 +58,6 @@ import (
 	"repro/internal/config"
 	"repro/internal/exp"
 	"repro/internal/resultcache"
-	"repro/internal/runner"
 )
 
 // Options configures a Coordinator.
@@ -272,93 +270,40 @@ func (c *Coordinator) resolve(kind string, req api.JobRequest) (api.Sweep, error
 	return sw, nil
 }
 
-// runSweep shards a resolved sweep across the fleet and merges it.
-// Every job ships its fully resolved config inline, so the sweep
-// measures the architecture the coordinator resolved — its base or
-// the request's inline config — whatever base each worker was
-// deployed with.
+// runSweep shards a resolved sweep across the fleet: the sweep's own
+// pipeline (api.Sweep.Payload) derives the job keys, fans the grid out
+// and merges, and the coordinator supplies only the Measure that
+// routes each entry to a worker. Every job ships its fully resolved
+// config inline, so the sweep measures the architecture the
+// coordinator resolved — its base or the request's inline config —
+// whatever base each worker was deployed with.
 func (c *Coordinator) runSweep(ctx context.Context, sw api.Sweep, progress func(JobEvent)) (api.Envelope, error) {
-	// The grid is the sweep's unit of distribution: one /v1/run
-	// measurement per entry, in an order the merge step depends on.
-	cfg, p, grid := sw.Config, sw.Params, sw.Grid
-
-	keys := make([]string, len(grid))
-	bodies := make([][]byte, len(grid))
-	for i, g := range grid {
-		key, err := resultcache.JobKey(g.Config, g.Spec, p.WarmupCycles, p.WindowCycles)
-		if err != nil {
-			return api.Envelope{}, badRequest("%s: %v", g.Spec.SpecName, err)
-		}
-		canon, err := g.Spec.CanonicalJSON()
-		if err != nil {
-			return api.Envelope{}, badRequest("%s: %v", g.Spec.SpecName, err)
-		}
-		// The seed, scale and fixed-latency transforms are already
-		// baked into the resolved config. The worker's key check
-		// still guards code-version drift.
-		cj, err := json.Marshal(g.Config)
-		if err != nil {
-			return api.Envelope{}, fmt.Errorf("fabric: marshal config for %s: %w", g.Spec.SpecName, err)
-		}
-		jr := api.JobRequest{
-			Spec:   canon,
-			Config: cj,
-			Warmup: &p.WarmupCycles,
-			Window: &p.WindowCycles,
-		}
-		body, err := json.Marshal(jr)
-		if err != nil {
-			return api.Envelope{}, fmt.Errorf("fabric: marshal job %s: %w", g.Spec.SpecName, err)
-		}
-		keys[i] = key
-		bodies[i] = body
-	}
-
-	// Cluster-level ordered-results discipline: runner.Map returns
-	// outcomes at their grid index no matter which worker finished
-	// when, so the merge below never has to sort or match.
 	var emitMu sync.Mutex
 	done := 0
-	outs, err := runner.Map(ctx, len(grid), runner.Options{Parallelism: p.Parallelism}, func(i int) (jobResult, error) {
-		out, err := c.executeJob(ctx, grid[i].Spec.SpecName, keys[i], bodies[i])
+	data, err := sw.Payload(ctx, func(ctx context.Context, i int, key string) ([]byte, error) {
+		g := sw.Grid[i]
+		body, err := jobBody(g, sw.Params)
 		if err != nil {
-			return jobResult{}, err
+			return nil, err
+		}
+		out, err := c.executeJob(ctx, g.Spec.SpecName, key, body)
+		if err != nil {
+			return nil, err
 		}
 		if progress != nil {
 			emitMu.Lock()
 			done++
 			progress(JobEvent{
-				Index: i, Total: len(grid), Done: done,
-				Workload: grid[i].Spec.SpecName,
+				Index: i, Total: len(sw.Grid), Done: done,
+				Workload: g.Spec.SpecName,
 				Worker:   out.worker, Attempt: out.attempt, Source: out.source,
 			})
 			emitMu.Unlock()
 		}
-		return out, nil
+		return out.env.Results, nil
 	})
 	if err != nil {
 		return api.Envelope{}, err
-	}
-
-	// The merge is the kind's pure Report half over the ordered,
-	// key-verified results — the same function a single node runs over
-	// its locally computed batch.
-	res := make([]api.GridResult, len(outs))
-	for i, out := range outs {
-		r, err := exp.DecodeResults(out.env.Results)
-		if err != nil {
-			return api.Envelope{}, fmt.Errorf("fabric: job %s result from %s: %w",
-				grid[i].Spec.SpecName, out.worker, err)
-		}
-		res[i] = api.GridResult{Key: keys[i], Encoded: out.env.Results, Results: r}
-	}
-	report, err := sw.Kind.Report(cfg, sw.Specs, p, grid, res)
-	if err != nil {
-		return api.Envelope{}, fmt.Errorf("fabric: merge %s report: %w", sw.Kind.Name, err)
-	}
-	data, err := json.Marshal(report)
-	if err != nil {
-		return api.Envelope{}, fmt.Errorf("fabric: marshal %s report: %w", sw.Kind.Name, err)
 	}
 	// The sweep's content address is computed exactly as a single
 	// node computes it, so the merged envelope carries the same key a
@@ -368,6 +313,27 @@ func (c *Coordinator) runSweep(ctx context.Context, sw api.Sweep, progress func(
 		return api.Envelope{}, fmt.Errorf("fabric: sweep key: %w", err)
 	}
 	return sw.Envelope(key, data), nil
+}
+
+// jobBody is the /v1/run request for one grid entry: its canonical
+// spec and its resolved config inline. The seed, scale and
+// fixed-latency transforms are already baked into the config; the
+// worker's key check still guards code-version drift.
+func jobBody(g api.Job, p exp.RunParams) ([]byte, error) {
+	canon, err := g.Spec.CanonicalJSON()
+	if err != nil {
+		return nil, err
+	}
+	cj, err := json.Marshal(g.Config)
+	if err != nil {
+		return nil, fmt.Errorf("fabric: marshal config for %s: %w", g.Spec.SpecName, err)
+	}
+	return json.Marshal(api.JobRequest{
+		Spec:   canon,
+		Config: cj,
+		Warmup: &p.WarmupCycles,
+		Window: &p.WindowCycles,
+	})
 }
 
 // jobResult is one grid entry's outcome: the worker's envelope plus

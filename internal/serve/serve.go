@@ -56,7 +56,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -529,11 +528,7 @@ func (s *Server) sweep(w http.ResponseWriter, r *http.Request, kindName string) 
 			return val, nil
 		}
 		return s.runJob(r.Context(), func() ([]byte, error) {
-			rep, err := sw.Compute()
-			if err != nil {
-				return nil, err
-			}
-			return json.Marshal(rep)
+			return sw.Payload(context.Background(), sw.Local)
 		})
 	})
 	if err != nil {

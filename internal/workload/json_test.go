@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -126,4 +127,48 @@ func TestParseSpecsWhitespaceArray(t *testing.T) {
 	if _, err := ParseSpecs([]byte(in)); err != nil {
 		t.Fatalf("leading whitespace broke array detection: %v", err)
 	}
+}
+
+// FuzzParseSpecs: every spec ParseSpecs accepts validates, and its
+// CanonicalJSON — the form every job key hashes — is a parse fixed
+// point: parsing it yields one spec whose canonical form is the same
+// bytes. The seeds are every built-in benchmark and scenario, alone
+// and as one array.
+func FuzzParseSpecs(f *testing.F) {
+	var all [][]byte
+	for _, n := range Names() {
+		sp, err := SpecByName(n)
+		if err != nil {
+			f.Fatal(err)
+		}
+		canon, err := sp.CanonicalJSON()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(canon)
+		all = append(all, canon)
+	}
+	f.Add(append(append([]byte("["), bytes.Join(all, []byte(","))...), ']'))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		specs, err := ParseSpecs(data)
+		if err != nil {
+			return
+		}
+		for _, sp := range specs {
+			if err := sp.Validate(); err != nil {
+				t.Fatalf("accepted spec %s does not validate: %v", sp.SpecName, err)
+			}
+			canon, err := sp.CanonicalJSON()
+			if err != nil {
+				t.Fatalf("accepted spec %s has no canonical form: %v", sp.SpecName, err)
+			}
+			back, err := ParseSpec(canon)
+			if err != nil {
+				t.Fatalf("canonical form of %s rejected: %v\n%s", sp.SpecName, err, canon)
+			}
+			if again, err := back.CanonicalJSON(); err != nil || !bytes.Equal(again, canon) {
+				t.Fatalf("CanonicalJSON is not a parse fixed point (%v):\n%s\n%s", err, canon, again)
+			}
+		}
+	})
 }
