@@ -10,11 +10,6 @@ import (
 	"repro/internal/workload"
 )
 
-// Job is one grid entry of a sweep: the exact (config, spec) pair to
-// measure. A variant may perturb the architecture, which is why the
-// grid carries configs rather than assuming one.
-type Job = exp.GridJob
-
 // GridResult is one grid entry's measurement, however it was obtained
 // — computed locally, served from a cache, or collected from a fleet
 // worker. Encoded carries the exact exp.EncodeResults bytes (the
@@ -83,7 +78,9 @@ func hierarchyOnly(kind, why string) func(config.Config, []workload.Spec) error 
 // and nothing can mutate the shared definition.
 func kinds() []Kind {
 	// The latency axis and the scaling sets are named once and read
-	// twice: as the variants and as the report's columns.
+	// twice: as the variants and as the report's columns. The sets are
+	// in the paper's order: each Table I group alone, then the two
+	// combinations §IV reports.
 	lats := exp.DefaultLatencies()
 	sets := []config.ScalingSet{config.ScaleL1, config.ScaleL2, config.ScaleDRAM, config.ScaleL1L2, config.ScaleL2DRAM}
 	return []Kind{

@@ -26,7 +26,7 @@ type Sweep struct {
 	Params exp.RunParams
 	// Grid is exp.VariantGrid(Config, Specs, Kind.Variants): per
 	// workload, the baseline and then each variant.
-	Grid []Job
+	Grid []exp.GridJob
 }
 
 // ResolveSweep is the one definition of "which sweep does this request

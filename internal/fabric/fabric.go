@@ -319,7 +319,7 @@ func (c *Coordinator) runSweep(ctx context.Context, sw api.Sweep, progress func(
 // spec and its resolved config inline. The seed, scale and
 // fixed-latency transforms are already baked into the config; the
 // worker's key check still guards code-version drift.
-func jobBody(g api.Job, p exp.RunParams) ([]byte, error) {
+func jobBody(g exp.GridJob, p exp.RunParams) ([]byte, error) {
 	canon, err := g.Spec.CanonicalJSON()
 	if err != nil {
 		return nil, err
