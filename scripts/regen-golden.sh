@@ -19,6 +19,12 @@
 #            text), so a CI failure says which report and which
 #            number moved without anyone reproducing the run locally.
 #
+# The golden ledger (testdata/golden-ledger.json) maps each
+# ResultCacheCodeVersion to the SHA-256 of every golden. Without
+# -check the script adds the entry of a version the ledger lacks; it
+# refuses to rewrite an existing entry, so a golden that moves needs a
+# ResultCacheCodeVersion bump. With -check it only verifies the entry.
+#
 # Run from the repository root.
 set -eu
 
@@ -94,6 +100,21 @@ sweep_json run "$J" -workloads sc,kmeans
 # at every worker count by the package tests.
 UPDATE_GOLDEN=1 go test ./internal/fabric/ -run TestGoldenFabricSweep -count 1 > /dev/null
 
+# ledger checks the regenerated goldens against the current version's
+# ledger entry (TestGoldenLedger); with UPDATE_LEDGER=1 set it first
+# adds a missing entry (arguments are env assignments for the test).
+# A failure names each golden that moved.
+ledger() {
+  if ! out=$(env "$@" go test . -run '^TestGoldenLedger$' -count 1 2>&1); then
+    echo "$out" >&2
+    echo "golden ledger check failed" >&2
+    exit 1
+  fi
+}
+if [ "$CHECK" = 0 ]; then
+  ledger UPDATE_LEDGER=1
+fi
+
 if [ "$CHECK" = 1 ]; then
   # Name every diverged golden and its first differing line, then
   # fail. `git diff --exit-code` alone says only *that* something
@@ -121,4 +142,5 @@ if [ "$CHECK" = 1 ]; then
     echo "(if the change is intentional, commit the regenerated goldens)" >&2
     exit 1
   fi
+  ledger
 fi
