@@ -46,7 +46,6 @@ import (
 	gpgpumem "repro"
 	"repro/internal/api"
 	"repro/internal/fabric"
-	"repro/internal/serve"
 )
 
 func main() {
@@ -137,7 +136,7 @@ func main() {
 // runOnce runs one sweep in CLI mode, streaming per-job progress to
 // stderr and the merged envelope to stdout.
 func runOnce(coord *fabric.Coordinator, kind, names string, warmup, window int64, seed uint64, scale string, jobs int) {
-	req := serve.JobRequest{Scale: scale, Parallelism: jobs}
+	req := api.JobRequest{Scale: scale, Parallelism: jobs}
 	if names != "" {
 		for _, n := range strings.Split(names, ",") {
 			if n = strings.TrimSpace(n); n != "" {

@@ -7,8 +7,8 @@
 // Usage:
 //
 //	gpusimd [-addr :8337] [-cache-dir DIR] [-cache-bytes N]
-//	        [-max-concurrent N] [-queue-depth N] [-j N]
-//	        [-max-window N] [-config file.json] [-drain-timeout 30s]
+//	        [-max-concurrent N] [-queue-depth N] [-max-window N]
+//	        [-config file.json] [-drain-timeout 30s]
 //	        [-peers http://hostA:8337,http://hostB:8337]
 //
 // Endpoints (see docs/api.md for the full reference):
@@ -26,8 +26,8 @@
 // before simulating a missed job, the worker asks the peers ranked
 // for that job's content address whether they already hold the bytes.
 //
-// SIGINT/SIGTERM drain gracefully: new jobs get 503, in-flight
-// simulations finish (up to -drain-timeout), then the process exits 0.
+// SIGINT/SIGTERM drain gracefully: new simulations get 503, in-flight
+// ones finish (up to -drain-timeout), then the process exits 0.
 package main
 
 import (
@@ -52,9 +52,8 @@ func main() {
 		addr     = flag.String("addr", ":8337", "listen address (host:port; port 0 picks a free port)")
 		cacheDir = flag.String("cache-dir", "", "persist the result cache in this directory (shared with gpusim -cache-dir)")
 		cacheMB  = flag.Int64("cache-bytes", 0, "in-memory cache budget in bytes (0 = default)")
-		maxConc  = flag.Int("max-concurrent", 0, "simultaneously running jobs (0 = all cores)")
-		queue    = flag.Int("queue-depth", 16, "jobs allowed to wait for a run slot before shedding 503s")
-		jobs     = flag.Int("j", 0, "per-request parallelism cap for sweeps (0 = all cores)")
+		maxConc  = flag.Int("max-concurrent", 0, "simultaneously running simulations, also a sweep's parallelism cap (0 = all cores)")
+		queue    = flag.Int("queue-depth", 16, "simulations allowed to wait for a run slot before shedding 503s")
 		maxWin   = flag.Int64("max-window", 0, "largest accepted warmup+window cycles per job (0 = default)")
 		cfgPath  = flag.String("config", "", "base architecture JSON (default: GTX480 baseline)")
 		drainTO  = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight jobs")
@@ -67,7 +66,6 @@ func main() {
 		CacheBytes:      *cacheMB,
 		MaxConcurrent:   *maxConc,
 		QueueDepth:      *queue,
-		MaxParallelism:  *jobs,
 		MaxWindowCycles: *maxWin,
 	}
 	if *peers != "" {

@@ -12,10 +12,10 @@
 // (exp.VariantGrid lays out every grid from it) and its pure merge
 // half. Sweep.Run is the pipeline: it derives each entry's job key,
 // fans the grid out on the runner.Map pool through a Measure — local
-// simulation in gpusimd, `gpusim sweep` and gpgpumem.RunSweep, a
-// worker post in the fabric coordinator — checks the result stride
-// once and merges. A fleet-merged report is byte-identical to a local
-// one because both are the same code path.
+// simulation in `gpusim sweep` and gpgpumem.RunSweep, the job cache in
+// gpusimd, a worker post in the fabric coordinator — checks the result
+// stride once and merges. A fleet-merged report is byte-identical to a
+// local one because both are the same code path.
 package api
 
 import (
@@ -59,9 +59,10 @@ type JobRequest struct {
 	// Warmup and Window override the default measurement methodology.
 	Warmup *int64 `json:"warmup_cycles,omitempty"`
 	Window *int64 `json:"window_cycles,omitempty"`
-	// Parallelism asks for sweep workers; it is capped by the server's
-	// MaxParallelism and deliberately not part of the cache key
-	// (results are bit-identical at any worker count).
+	// Parallelism asks for sweep workers; it is capped by gpusimd's
+	// MaxConcurrent or the coordinator's MaxParallelism and deliberately
+	// not part of the cache key (results are bit-identical at any
+	// worker count).
 	Parallelism int `json:"parallelism,omitempty"`
 }
 

@@ -106,16 +106,17 @@ func (s Sweep) Envelope(key string, report json.RawMessage) Envelope {
 }
 
 // Measure obtains grid entry i of a sweep, whose content address
-// (resultcache.JobKey) is key, and returns its exp.EncodeResults
-// bytes. Sweep.Local simulates the entry in process; the fabric
-// coordinator posts it to a worker.
-type Measure func(ctx context.Context, i int, key string) ([]byte, error)
+// (resultcache.JobKey) is key: its exp.EncodeResults bytes and the
+// snapshot they decode to. Sweep.Local simulates the entry in process,
+// gpusimd measures it on its job cache, and the fabric coordinator
+// posts it to a worker; each decodes the bytes it obtained once.
+type Measure func(ctx context.Context, i int, key string) ([]byte, sim.Results, error)
 
 // Run is the one sweep pipeline, whatever measures the entries: derive
 // each grid entry's job key, fan the grid out on the runner.Map pool
-// (results land at their grid index whatever the completion order),
-// decode each entry's bytes, and merge. A fleet-merged report is
-// byte-identical to a local one because both are this function.
+// (results land at their grid index whatever the completion order) and
+// merge. A fleet-merged report is byte-identical to a local one because
+// both are this function over decoded bytes.
 func (s Sweep) Run(ctx context.Context, measure Measure) (any, error) {
 	p := s.Params
 	res, err := runner.Map(ctx, len(s.Grid), runner.Options{Parallelism: p.Parallelism}, func(i int) (GridResult, error) {
@@ -124,13 +125,9 @@ func (s Sweep) Run(ctx context.Context, measure Measure) (any, error) {
 		if err != nil {
 			return GridResult{}, err
 		}
-		enc, err := measure(ctx, i, key)
+		enc, r, err := measure(ctx, i, key)
 		if err != nil {
 			return GridResult{}, err
-		}
-		r, err := exp.DecodeResults(enc)
-		if err != nil {
-			return GridResult{}, fmt.Errorf("job %d (%s): %w", i, g.Spec.SpecName, err)
 		}
 		return GridResult{Key: key, Encoded: enc, Results: r}, nil
 	})
@@ -154,14 +151,26 @@ func (s Sweep) merge(res []GridResult) (any, error) {
 	return s.Kind.Report(s, rows, res), nil
 }
 
-// Local is the in-process Measure: simulate grid entry i on the
-// calling goroutine (exp.Measure) and encode its results.
-func (s Sweep) Local(_ context.Context, i int, _ string) ([]byte, error) {
-	r, err := exp.Measure(s.Grid[i].Config, s.Grid[i].Spec, s.Params)
+// Simulate is the one "measure and encode": it simulates grid job g on
+// the calling goroutine and returns its exp.EncodeResults bytes, which
+// Sweep.Local decodes and gpusimd caches under the job's key.
+func Simulate(g exp.GridJob, p exp.RunParams) ([]byte, error) {
+	r, err := exp.Measure(g.Config, g.Spec, p)
 	if err != nil {
 		return nil, err
 	}
 	return exp.EncodeResults(r)
+}
+
+// Local is the in-process Measure: Simulate grid entry i, then decode
+// its bytes, so a local merge consumes what a fleet merge does.
+func (s Sweep) Local(_ context.Context, i int, _ string) ([]byte, sim.Results, error) {
+	enc, err := Simulate(s.Grid[i], s.Params)
+	if err != nil {
+		return nil, sim.Results{}, err
+	}
+	r, err := exp.DecodeResults(enc)
+	return enc, r, err
 }
 
 // Compute runs the sweep locally and returns its typed report — the
@@ -171,8 +180,7 @@ func (s Sweep) Compute() (any, error) {
 }
 
 // Payload runs the sweep and returns its report's JSON bytes: the
-// payload gpusimd caches and serves, and the report of the fabric
-// coordinator's merged envelope.
+// report of gpusimd's and the fabric coordinator's sweep envelopes.
 func (s Sweep) Payload(ctx context.Context, measure Measure) ([]byte, error) {
 	rep, err := s.Run(ctx, measure)
 	if err != nil {

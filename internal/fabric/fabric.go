@@ -39,7 +39,9 @@
 // content-address against its own expectation, so a worker that
 // addresses results differently (a result-cache code-version skew)
 // fails loudly instead of merging numbers from two different
-// simulators into one report.
+// simulators into one report. It decodes every result at the boundary
+// too: results that fail to decode are a worker fault, counted against
+// that worker and retried on the next-ranked one.
 package fabric
 
 import (
@@ -58,6 +60,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/exp"
 	"repro/internal/resultcache"
+	"repro/internal/sim"
 )
 
 // Options configures a Coordinator.
@@ -280,15 +283,15 @@ func (c *Coordinator) resolve(kind string, req api.JobRequest) (api.Sweep, error
 func (c *Coordinator) runSweep(ctx context.Context, sw api.Sweep, progress func(JobEvent)) (api.Envelope, error) {
 	var emitMu sync.Mutex
 	done := 0
-	data, err := sw.Payload(ctx, func(ctx context.Context, i int, key string) ([]byte, error) {
+	data, err := sw.Payload(ctx, func(ctx context.Context, i int, key string) ([]byte, sim.Results, error) {
 		g := sw.Grid[i]
 		body, err := jobBody(g, sw.Params)
 		if err != nil {
-			return nil, err
+			return nil, sim.Results{}, err
 		}
 		out, err := c.executeJob(ctx, g.Spec.SpecName, key, body)
 		if err != nil {
-			return nil, err
+			return nil, sim.Results{}, err
 		}
 		if progress != nil {
 			emitMu.Lock()
@@ -300,7 +303,7 @@ func (c *Coordinator) runSweep(ctx context.Context, sw api.Sweep, progress func(
 			})
 			emitMu.Unlock()
 		}
-		return out.env.Results, nil
+		return out.env.Results, out.res, nil
 	})
 	if err != nil {
 		return api.Envelope{}, err
@@ -336,10 +339,11 @@ func jobBody(g exp.GridJob, p exp.RunParams) ([]byte, error) {
 	})
 }
 
-// jobResult is one grid entry's outcome: the worker's envelope plus
-// routing metadata for the progress event.
+// jobResult is one grid entry's outcome: the worker's envelope, its
+// decoded results, and routing metadata for the progress event.
 type jobResult struct {
 	env     api.Envelope
+	res     sim.Results
 	worker  string
 	attempt int
 	source  string
@@ -347,8 +351,9 @@ type jobResult struct {
 
 // executeJob runs one measurement on the fleet: route to the
 // rendezvous-ranked worker, verify the returned content address,
-// retry elsewhere on worker loss with exponential backoff, up to the
-// attempt cap.
+// decode the results at the boundary, and retry elsewhere on worker
+// loss or on results that fail to decode (a worker fault, like a 5xx)
+// with exponential backoff, up to the attempt cap.
 func (c *Coordinator) executeJob(ctx context.Context, name, key string, body []byte) (jobResult, error) {
 	var lastErr error
 	last := ""
@@ -367,8 +372,12 @@ func (c *Coordinator) executeJob(ctx context.Context, name, key string, body []b
 					"fabric: job %s: worker %s addressed the result as %s, coordinator expected %s — the worker computes keys differently (check that its /healthz codeversion matches the coordinator's)",
 					name, w, env.Key, key)
 			}
-			c.noteSuccess(w)
-			return jobResult{env: env, worker: w, attempt: attempt, source: source}, nil
+			var res sim.Results
+			if res, err = exp.DecodeResults(env.Results); err == nil {
+				c.noteSuccess(w)
+				return jobResult{env: env, res: res, worker: w, attempt: attempt, source: source}, nil
+			}
+			retryable = true
 		}
 		lastErr = fmt.Errorf("fabric: job %s on %s (attempt %d/%d): %w", name, w, attempt, c.maxAttempts, err)
 		if !retryable {

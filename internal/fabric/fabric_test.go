@@ -9,12 +9,14 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/config"
 	"repro/internal/resultcache"
 	"repro/internal/serve"
@@ -290,7 +292,7 @@ func TestDuplicateCompletionDeduped(t *testing.T) {
 
 	coord := newCoordinator(t, urls, Options{})
 	var events []JobEvent
-	env, err := coord.RunSweep(context.Background(), "run", serve.JobRequest{
+	env, err := coord.RunSweep(context.Background(), "run", api.JobRequest{
 		Workloads: []string{"sc"}, Warmup: &warmup, Window: &window,
 	}, func(ev JobEvent) { events = append(events, ev) })
 	if err != nil {
@@ -320,7 +322,7 @@ func TestDuplicateCompletionDeduped(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("single node run: %d %s", code, want)
 	}
-	var batch []serve.Envelope
+	var batch []api.Envelope
 	if err := json.Unmarshal(env.Report, &batch); err != nil {
 		t.Fatal(err)
 	}
@@ -333,6 +335,94 @@ func TestDuplicateCompletionDeduped(t *testing.T) {
 	}
 }
 
+// negativeCycles rewrites every "Cycles" count of a response body to
+// -1: well-formed JSON that no simulation can produce.
+var negativeCycles = regexp.MustCompile(`"Cycles":[0-9]+`)
+
+// corruptRuns wraps a worker handler: every POST /v1/run answers 200
+// with its results' cycle counts rewritten to -1.
+func corruptRuns(inner http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost || r.URL.Path != "/v1/run" {
+			inner.ServeHTTP(w, r)
+			return
+		}
+		rec := httptest.NewRecorder()
+		inner.ServeHTTP(rec, r)
+		for k, v := range rec.Header() {
+			w.Header()[k] = v
+		}
+		w.WriteHeader(rec.Code)
+		w.Write(negativeCycles.ReplaceAll(rec.Body.Bytes(), []byte(`"Cycles":-1`)))
+	})
+}
+
+// TestCorruptWorkerResultsRetried: a worker whose results fail to
+// decode is a worker fault, like a 5xx. The coordinator counts the
+// failure against it and retries the job on the next-ranked worker, so
+// the sweep still answers the single node's bytes. The corrupting
+// worker is the first job's rendezvous primary, so the fault is met
+// whatever ports the workers got.
+func TestCorruptWorkerResultsRetried(t *testing.T) {
+	body := `{"workloads":["sc","cfd","nn","nw","kmeans","bfs"],"warmup_cycles":200,"window_cycles":500}`
+	sc, err := workload.SpecByName("sc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := resultcache.JobKey(config.GTX480Baseline(), sc, 200, 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	handlers := make([]atomic.Value, 2)
+	urls := make([]string, 2)
+	for i := range handlers {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			handlers[i].Load().(http.Handler).ServeHTTP(w, r)
+		}))
+		t.Cleanup(ts.Close)
+		urls[i] = ts.URL
+	}
+	bad := resultcache.Rank(key, urls)[0]
+	for i := range handlers {
+		s, err := serve.New(serve.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := http.Handler(s.Handler())
+		if urls[i] == bad {
+			h = corruptRuns(h)
+		}
+		handlers[i].Store(h)
+	}
+
+	_, single := newWorker(t, serve.Options{})
+	code, want := post(t, single, "/v1/sweep/run", body, nil)
+	if code != http.StatusOK {
+		t.Fatalf("single node: %d %s", code, want)
+	}
+	coord := newCoordinator(t, urls, Options{})
+	cts := httptest.NewServer(coord.Handler())
+	defer cts.Close()
+	code, got := post(t, cts.URL, "/v1/sweep/run", body, nil)
+	if code != http.StatusOK || got != want {
+		t.Errorf("fleet with a corrupting worker: code=%d identical=%v: %s", code, got == want, got)
+	}
+	for _, ws := range coord.Workers() {
+		if corrupting := ws.URL == bad; corrupting != (ws.Failures > 0) {
+			t.Errorf("worker %s (corrupting=%v): %d failures", ws.URL, corrupting, ws.Failures)
+		}
+	}
+
+	// With no healthy worker left to retry on, the error names the job
+	// and its last fault.
+	only := httptest.NewServer(newCoordinator(t, []string{bad}, Options{}).Handler())
+	defer only.Close()
+	code, got = post(t, only.URL, "/v1/sweep/run", `{"workloads":["sc"],"warmup_cycles":200,"window_cycles":500}`, nil)
+	if code != http.StatusBadGateway || !strings.Contains(got, "job sc on "+bad) || !strings.Contains(got, "negative cycles") {
+		t.Errorf("all-corrupt fleet: code=%d body=%s", code, got)
+	}
+}
+
 // TestRunBatchMatchesSingleRuns: a run-kind batch's report is exactly
 // the ordered list of single-node /v1/run envelopes.
 func TestRunBatchMatchesSingleRuns(t *testing.T) {
@@ -342,7 +432,7 @@ func TestRunBatchMatchesSingleRuns(t *testing.T) {
 
 	warmup, window := int64(200), int64(500)
 	names := []string{"sc", "kmeans"}
-	env, err := coord.RunSweep(context.Background(), "run", serve.JobRequest{
+	env, err := coord.RunSweep(context.Background(), "run", api.JobRequest{
 		Workloads: names, Warmup: &warmup, Window: &window,
 	}, nil)
 	if err != nil {
@@ -351,7 +441,7 @@ func TestRunBatchMatchesSingleRuns(t *testing.T) {
 	if env.Kind != "run-batch" {
 		t.Fatalf("kind = %q", env.Kind)
 	}
-	var batch []serve.Envelope
+	var batch []api.Envelope
 	if err := json.Unmarshal(env.Report, &batch); err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +471,7 @@ func TestCacheLocalityRepeatSweep(t *testing.T) {
 	servers, urls := newFleet(t, 3, serve.Options{})
 	coord := newCoordinator(t, urls, Options{})
 	warmup, window := int64(200), int64(500)
-	req := serve.JobRequest{Workloads: []string{"sc", "cfd", "nn", "kmeans"}, Warmup: &warmup, Window: &window}
+	req := api.JobRequest{Workloads: []string{"sc", "cfd", "nn", "kmeans"}, Warmup: &warmup, Window: &window}
 
 	first := map[int]string{}
 	_, err := coord.RunSweep(context.Background(), "bottleneck", req, func(ev JobEvent) {
@@ -449,7 +539,7 @@ func TestConfigDriftDetected(t *testing.T) {
 	defer foreign.Close()
 	skewed := newCoordinator(t, []string{foreign.URL}, Options{MaxAttempts: 1})
 	warmup, window := int64(200), int64(500)
-	_, err := skewed.RunSweep(context.Background(), "run", serve.JobRequest{
+	_, err := skewed.RunSweep(context.Background(), "run", api.JobRequest{
 		Workloads: []string{"sc"}, Warmup: &warmup, Window: &window,
 	}, nil)
 	if err == nil || !strings.Contains(err.Error(), "addressed the result as run-foreign") {
@@ -538,7 +628,7 @@ func TestHealthAndWorkers(t *testing.T) {
 	}
 
 	warmup, window := int64(200), int64(500)
-	if _, err := coord.RunSweep(context.Background(), "run", serve.JobRequest{
+	if _, err := coord.RunSweep(context.Background(), "run", api.JobRequest{
 		Workloads: []string{"sc"}, Warmup: &warmup, Window: &window,
 	}, nil); err != nil {
 		t.Fatal(err)

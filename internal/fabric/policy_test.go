@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/api"
 	"repro/internal/config"
 	"repro/internal/policy"
 	"repro/internal/resultcache"
@@ -104,7 +105,7 @@ func TestFleetMitigationMatchesSingleNode(t *testing.T) {
 		t.Errorf("fleet-merged mitigation differs from single node:\n got: %s\nwant: %s", got, want)
 	}
 
-	var env serve.Envelope
+	var env api.Envelope
 	if err := json.Unmarshal([]byte(got), &env); err != nil {
 		t.Fatal(err)
 	}

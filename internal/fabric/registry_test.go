@@ -88,7 +88,7 @@ func TestFleetAdviseMatchesSingleNode(t *testing.T) {
 		t.Errorf("fleet-merged advise differs from single node:\n got: %s\nwant: %s", got, want)
 	}
 
-	var env serve.Envelope
+	var env api.Envelope
 	if err := json.Unmarshal([]byte(got), &env); err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestFleetPaperKindsMatchSingleNode(t *testing.T) {
 		if got != want {
 			t.Errorf("%s: fleet-merged body differs from single node:\n got: %s\nwant: %s", kind, got, want)
 		}
-		var env serve.Envelope
+		var env api.Envelope
 		if err := json.Unmarshal([]byte(got), &env); err != nil {
 			t.Fatal(err)
 		}

@@ -318,14 +318,15 @@ func Canonical(val []byte) ([]byte, error) {
 	return canon, nil
 }
 
-// Key prefixes name the payload kind stored under a key, so a
-// Validate hook (and a human listing the cache directory) can tell an
-// encoded sim.Results from a sweep report without decoding blind.
+// Key prefixes name what a key addresses, so a Validate hook (and a
+// human listing the cache directory) can tell one job's encoded
+// sim.Results from a whole sweep without decoding blind.
 const (
 	// RunKeyPrefix marks entries holding exp.EncodeResults bytes.
 	RunKeyPrefix = "run-"
-	// SweepKeyPrefix marks entries holding a marshaled sweep report
-	// (the sweep kind follows the prefix).
+	// SweepKeyPrefix marks a sweep's content address (the sweep kind
+	// follows the prefix). gpusimd answers it as a sweep envelope's key
+	// but stores only the sweep's job entries.
 	SweepKeyPrefix = "sweep-"
 )
 

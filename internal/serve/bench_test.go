@@ -10,9 +10,9 @@ import (
 
 // serveOnce sends one request straight to the handler, without a
 // network hop, and fails b unless it answers 200 from source.
-func serveOnce(b *testing.B, h http.Handler, body, source string) {
+func serveOnce(b *testing.B, h http.Handler, path, body, source string) {
 	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/run", strings.NewReader(body)))
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
 	if rec.Code != http.StatusOK || rec.Header().Get("X-Cache") != source {
 		b.Fatalf("code=%d cache=%s, want 200 %s: %s", rec.Code, rec.Header().Get("X-Cache"), source, rec.Body)
 	}
@@ -28,10 +28,10 @@ func BenchmarkServeHit(b *testing.B) {
 	}
 	h := s.Handler()
 	const body = `{"workload":"sc","warmup_cycles":200,"window_cycles":600}`
-	serveOnce(b, h, body, sourceMiss)
+	serveOnce(b, h, "/v1/run", body, sourceMiss)
 	b.ReportAllocs()
 	for b.Loop() {
-		serveOnce(b, h, body, sourceHit)
+		serveOnce(b, h, "/v1/run", body, sourceHit)
 	}
 }
 
@@ -48,6 +48,24 @@ func BenchmarkServeColdRun(b *testing.B) {
 	seed := 0
 	for b.Loop() {
 		seed++
-		serveOnce(b, h, fmt.Sprintf(`{"workload":"sc","seed":%d,"warmup_cycles":50,"window_cycles":150}`, seed), sourceMiss)
+		serveOnce(b, h, "/v1/run", fmt.Sprintf(`{"workload":"sc","seed":%d,"warmup_cycles":50,"window_cycles":150}`, seed), sourceMiss)
+	}
+}
+
+// BenchmarkServeSweepHit measures the service hop of a warm sweep: a
+// default-scope /v1/sweep/advise (96 jobs) at a tiny window, every job
+// already held in memory, through Server.Handler — the report rebuilt
+// from job hits and merged.
+func BenchmarkServeSweepHit(b *testing.B) {
+	s, err := New(Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := s.Handler()
+	const body = `{"warmup_cycles":50,"window_cycles":150}`
+	serveOnce(b, h, "/v1/sweep/advise", body, sourceMiss)
+	b.ReportAllocs()
+	for b.Loop() {
+		serveOnce(b, h, "/v1/sweep/advise", body, sourceHit)
 	}
 }

@@ -62,12 +62,16 @@ func padded(t *testing.T, canon []byte) []byte {
 }
 
 // TestPaddedDiskEntryServedCanonical: a valid but whitespace-padded
-// entry on disk, for a run and for a sweep, is served byte-identical to
-// a fresh compute, and /v1/cache returns it in canonical form.
+// job entry on disk, for a run and for a sweep's first job, is served
+// byte-identical to a fresh compute, and /v1/cache returns it in
+// canonical form. The sweep's jobs are all disk hits.
 func TestPaddedDiskEntryServedCanonical(t *testing.T) {
-	for _, tc := range []struct{ path, body string }{
-		{"/v1/run", `{"workload":"nn","warmup_cycles":100,"window_cycles":300}`},
-		{"/v1/sweep/run", `{"workloads":["nn","sc"],"warmup_cycles":100,"window_cycles":300}`},
+	for _, tc := range []struct {
+		path, body string
+		jobs       int64
+	}{
+		{"/v1/run", `{"workload":"nn","warmup_cycles":100,"window_cycles":300}`, 1},
+		{"/v1/sweep/run", `{"workloads":["nn","sc"],"warmup_cycles":100,"window_cycles":300}`, 2},
 	} {
 		dir := t.TempDir()
 		_, ts := newTestServer(t, Options{CacheDir: dir})
@@ -75,7 +79,20 @@ func TestPaddedDiskEntryServedCanonical(t *testing.T) {
 		if code != http.StatusOK {
 			t.Fatalf("%s: fresh compute: %d %s", tc.path, code, fresh)
 		}
-		key, _ := envelopePayload(t, fresh)
+		// The padded entry is the run's own, or the batch's first job's.
+		var env struct {
+			Key    string `json:"key"`
+			Report []struct {
+				Key string `json:"key"`
+			} `json:"report"`
+		}
+		if err := json.Unmarshal([]byte(fresh), &env); err != nil {
+			t.Fatal(err)
+		}
+		key := env.Key
+		if len(env.Report) > 0 {
+			key = env.Report[0].Key
+		}
 		file := filepath.Join(dir, key+".json")
 		canon, err := os.ReadFile(file)
 		if err != nil {
@@ -96,7 +113,7 @@ func TestPaddedDiskEntryServedCanonical(t *testing.T) {
 		if raw := cacheGet(t, ts2, key); !bytes.Equal(raw, canon) {
 			t.Fatalf("%s: /v1/cache serves non-canonical bytes: %s", tc.path, raw)
 		}
-		if st := s2.Cache().Stats(); st.DiskHits != 1 || st.BadEntries != 0 || s2.Simulations() != 0 {
+		if st := s2.Cache().Stats(); st.DiskHits != tc.jobs || st.BadEntries != 0 || s2.Simulations() != 0 {
 			t.Fatalf("%s: padded entry not a plain disk hit: %+v, %d simulations", tc.path, st, s2.Simulations())
 		}
 	}

@@ -66,7 +66,7 @@ func TestAdviseEndpoint(t *testing.T) {
 	if code != http.StatusOK || cacheHdr != "miss" {
 		t.Fatalf("advise: code=%d cache=%s body=%s", code, cacheHdr, fresh)
 	}
-	var env Envelope
+	var env api.Envelope
 	if err := json.Unmarshal([]byte(fresh), &env); err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestRunInlineConfig(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("inline-config run: %d %s", code, perturbed)
 	}
-	var a, b Envelope
+	var a, b api.Envelope
 	if err := json.Unmarshal([]byte(plain), &a); err != nil {
 		t.Fatal(err)
 	}

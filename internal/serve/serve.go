@@ -15,13 +15,18 @@
 //     one simulation (singleflight). A repeated /v1/run body is
 //     resolved once: a fixed table of body digests maps it straight to
 //     its key.
-//   - Bounded admission: at most MaxConcurrent jobs simulate at once,
-//     at most QueueDepth more wait; beyond that the service sheds load
-//     with 503 instead of queueing unboundedly. Per-request
-//     parallelism is capped at MaxParallelism workers.
-//   - Graceful drain: Drain stops admitting new jobs (503 + Retry-
-//     After) and waits for in-flight simulations to finish, so a
+//   - Bounded admission: at most MaxConcurrent simulations run at
+//     once, at most QueueDepth more wait; beyond that the service
+//     sheds load with 503 instead of queueing unboundedly. A sweep's
+//     parallelism is capped at MaxConcurrent.
+//   - Graceful drain: Drain stops admitting new simulations (503 +
+//     Retry-After) and waits for in-flight ones to finish, so a
 //     restart never truncates a measurement.
+//
+// One node is a fleet of one: a sweep's grid entries are jobs like
+// /v1/run's, each admitted, cached and peer-fetched on its own key;
+// nothing is stored under a sweep key. A sweep shed midway fails with
+// 503, and its retry resumes from the jobs already cached.
 //
 // Endpoints:
 //
@@ -38,8 +43,9 @@
 // there (bottleneck, scenarios, advise, run, ...) is served here, by
 // the fabric coordinator, and by `gpusim sweep` without further wiring.
 //
-// Responses carry an X-Cache: hit|miss|peer header; the JSON body of
-// a hit is byte-identical to the body the original miss returned.
+// Responses carry an X-Cache: hit|miss|peer header (a sweep's says
+// where its jobs came from); the JSON body of a hit is byte-identical
+// to the body the original miss returned.
 //
 // A fourth property turns servers into a fleet: because cache keys
 // are location-independent (SHA-256 of the job description), a result
@@ -70,6 +76,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/exp"
 	"repro/internal/resultcache"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -84,13 +91,12 @@ type Options struct {
 	// CacheBytes is the in-memory cache budget (0 = resultcache
 	// default).
 	CacheBytes int64
-	// MaxConcurrent bounds simultaneously running jobs (0 = GOMAXPROCS).
+	// MaxConcurrent bounds simultaneously running simulations, and
+	// caps a sweep's parallelism (0 = GOMAXPROCS).
 	MaxConcurrent int
-	// QueueDepth bounds jobs waiting for a run slot (0 = 16;
+	// QueueDepth bounds simulations waiting for a run slot (0 = 16;
 	// negative = no waiting, shed immediately).
 	QueueDepth int
-	// MaxParallelism caps the per-request worker count (0 = GOMAXPROCS).
-	MaxParallelism int
 	// MaxWindowCycles rejects requests measuring longer windows
 	// (warmup + window), protecting the service from unbounded jobs
 	// (0 = 10,000,000).
@@ -107,29 +113,18 @@ type Options struct {
 	PeerTimeout time.Duration
 }
 
-// JobRequest is the request document shared by every job endpoint; it
-// is defined in internal/api (the shared HTTP surface) and aliased
-// here for callers of the serving layer.
-type JobRequest = api.JobRequest
-
-// Envelope is the deterministic response body of every job endpoint,
-// defined in internal/api and aliased here for callers of the serving
-// layer.
-type Envelope = api.Envelope
-
 // Server is the experiment service. Build with New, mount Handler,
 // stop with Drain.
 type Server struct {
-	base        config.Config
-	cache       *resultcache.Cache
-	mux         *http.ServeMux
-	sem         chan struct{}
-	maxParallel int
-	maxWindow   int64
-	queueDepth  int
-	peers       []string
-	peerClient  *http.Client
-	runs        runTable
+	base       config.Config
+	cache      *resultcache.Cache
+	mux        *http.ServeMux
+	sem        chan struct{}
+	maxWindow  int64
+	queueDepth int
+	peers      []string
+	peerClient *http.Client
+	runs       runTable
 
 	mu          sync.Mutex
 	waiting     int
@@ -172,9 +167,6 @@ func New(o Options) (*Server, error) {
 	if o.QueueDepth < 0 {
 		o.QueueDepth = 0
 	}
-	if o.MaxParallelism <= 0 {
-		o.MaxParallelism = runtime.GOMAXPROCS(0)
-	}
 	if o.MaxWindowCycles <= 0 {
 		o.MaxWindowCycles = 10_000_000
 	}
@@ -188,15 +180,14 @@ func New(o Options) (*Server, error) {
 		}
 	}
 	s := &Server{
-		base:        base,
-		cache:       cache,
-		mux:         http.NewServeMux(),
-		sem:         make(chan struct{}, o.MaxConcurrent),
-		maxParallel: o.MaxParallelism,
-		maxWindow:   o.MaxWindowCycles,
-		queueDepth:  o.QueueDepth,
-		peers:       append([]string(nil), o.Peers...),
-		peerClient:  &http.Client{Timeout: o.PeerTimeout},
+		base:       base,
+		cache:      cache,
+		mux:        http.NewServeMux(),
+		sem:        make(chan struct{}, o.MaxConcurrent),
+		maxWindow:  o.MaxWindowCycles,
+		queueDepth: o.QueueDepth,
+		peers:      append([]string(nil), o.Peers...),
+		peerClient: &http.Client{Timeout: o.PeerTimeout},
 	}
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux.HandleFunc("GET /v1/workloads", s.handleWorkloads)
@@ -247,7 +238,7 @@ func (s *Server) begin() bool {
 
 // acquire takes a run slot, waiting in the bounded queue. The caller
 // must already hold an inflight registration (begin).
-func (s *Server) acquire(ctx context.Context) error {
+func (s *Server) acquire() error {
 	select {
 	case s.sem <- struct{}{}:
 		return nil // a slot was free, no queueing
@@ -260,38 +251,55 @@ func (s *Server) acquire(ctx context.Context) error {
 	}
 	s.waiting++
 	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		s.waiting--
-		s.mu.Unlock()
-	}()
-	select {
-	case s.sem <- struct{}{}:
-		return nil
-	case <-ctx.Done():
-		return fmt.Errorf("serve: canceled while queued: %w", ctx.Err())
-	}
+	s.sem <- struct{}{}
+	s.mu.Lock()
+	s.waiting--
+	s.mu.Unlock()
+	return nil
 }
 
 func (s *Server) release() { <-s.sem }
+
+// measure is the one job measure, for /v1/run and every sweep entry:
+// the bytes cached under key, else a peer's copy, else a simulation of
+// the job resolve describes (run only then) under admission control.
+// source says where the bytes came from.
+func (s *Server) measure(ctx context.Context, key string, resolve func() (exp.GridJob, exp.RunParams, error)) (val []byte, source string, err error) {
+	source = sourceMiss
+	val, hit, err := s.cache.GetOrCompute(key, func() ([]byte, error) {
+		if val, ok := s.peerFetch(ctx, key); ok {
+			source = sourcePeer
+			return val, nil
+		}
+		g, p, err := resolve()
+		if err != nil {
+			return nil, err
+		}
+		return s.runJob(func() ([]byte, error) { return api.Simulate(g, p) })
+	})
+	if hit {
+		source = sourceHit
+	}
+	return val, source, err
+}
 
 // runJob is the one definition of "execute a simulation job on this
 // server": admission control around compute, returning the bytes to
 // cache.
 //
-// The context is detached from the initiating request: the job may be
-// a singleflight leader with other callers piggybacked on it, so the
+// A job is detached from the initiating request: it may be a
+// singleflight leader with other callers piggybacked on it, so the
 // first client disconnecting must not fail everyone else (or discard
 // a simulation whose result every later request would reuse). Load is
 // still bounded — the queue depth caps waiters and every simulation
 // window is finite. A compute that panics fails its job (a 500
 // envelope naming the panic), not the connection.
-func (s *Server) runJob(ctx context.Context, compute func() ([]byte, error)) (val []byte, err error) {
+func (s *Server) runJob(compute func() ([]byte, error)) (val []byte, err error) {
 	if !s.begin() {
 		return nil, errDraining
 	}
 	defer s.inflight.Done()
-	if err := s.acquire(context.WithoutCancel(ctx)); err != nil {
+	if err := s.acquire(); err != nil {
 		return nil, err
 	}
 	defer s.release()
@@ -319,14 +327,12 @@ func (s *Server) Simulations() int64 {
 // validateEntry vets result-cache entries loaded from disk or fetched
 // from a peer before they are served, and returns them in canonical
 // form (resultcache.Canonical), so an envelope can splice them in as
-// they are: run entries must decode as a valid Results snapshot, sweep
-// reports must at least be intact JSON. A truncated or tampered entry
-// is recomputed, never trusted.
+// they are: every entry is one job's results and must decode as a
+// valid snapshot. A truncated or tampered entry is recomputed, never
+// trusted.
 func validateEntry(key string, val []byte) ([]byte, error) {
-	if strings.HasPrefix(key, resultcache.RunKeyPrefix) {
-		if _, err := exp.DecodeResults(val); err != nil {
-			return nil, err
-		}
+	if _, err := exp.DecodeResults(val); err != nil {
+		return nil, err
 	}
 	canon, err := resultcache.Canonical(val)
 	if err != nil {
@@ -383,10 +389,9 @@ func slotIndex(digest [sha256.Size]byte) uint64 {
 // resolvedRun is what a /v1/run body describes: one simulation and its
 // content address.
 type resolvedRun struct {
-	key  string
-	cfg  config.Config
-	spec workload.Spec
-	p    exp.RunParams
+	key string
+	job exp.GridJob
+	p   exp.RunParams
 }
 
 // resolveRun parses and resolves a /v1/run body. Every error it
@@ -416,7 +421,7 @@ func (s *Server) resolveRun(body []byte) (resolvedRun, error) {
 	if err != nil {
 		return resolvedRun{}, err
 	}
-	cfg, p, err := api.ResolveMethodology(s.base, req, s.maxParallel, s.maxWindow)
+	cfg, p, err := api.ResolveMethodology(s.base, req, cap(s.sem), s.maxWindow)
 	if err != nil {
 		return resolvedRun{}, err
 	}
@@ -427,7 +432,7 @@ func (s *Server) resolveRun(body []byte) (resolvedRun, error) {
 	if err != nil {
 		return resolvedRun{}, err
 	}
-	return resolvedRun{key: key, cfg: cfg, spec: spec, p: p}, nil
+	return resolvedRun{key: key, job: exp.GridJob{Config: cfg, Spec: spec}, p: p}, nil
 }
 
 // handleRun measures one workload, serving cached bytes when the job
@@ -448,40 +453,24 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 			api.Error(w, http.StatusBadRequest, err)
 			return
 		}
-		slot = runSlot{digest: digest, key: run.key, workload: run.spec.SpecName,
+		slot = runSlot{digest: digest, key: run.key, workload: run.job.Spec.SpecName,
 			warmup: run.p.WarmupCycles, window: run.p.WindowCycles}
 		s.runs.put(slot)
 	}
-	source := sourceMiss
-	val, hit, err := s.cache.GetOrCompute(slot.key, func() ([]byte, error) {
-		if val, ok := s.peerFetch(r.Context(), slot.key); ok {
-			source = sourcePeer
-			return val, nil
-		}
+	val, source, err := s.measure(r.Context(), slot.key, func() (exp.GridJob, exp.RunParams, error) {
+		var err error
 		if run.key == "" {
 			// The table answered; this body resolved before, with the
 			// same base and caps, so it resolves again.
-			var err error
-			if run, err = s.resolveRun(body); err != nil {
-				return nil, err
-			}
+			run, err = s.resolveRun(body)
 		}
-		return s.runJob(r.Context(), func() ([]byte, error) {
-			res, err := exp.Measure(run.cfg, run.spec, run.p)
-			if err != nil {
-				return nil, err
-			}
-			return exp.EncodeResults(res)
-		})
+		return run.job, run.p, err
 	})
 	if err != nil {
 		api.Error(w, errStatus(err), err)
 		return
 	}
-	if hit {
-		source = sourceHit
-	}
-	writeEnvelope(w, source, Envelope{
+	writeEnvelope(w, source, api.Envelope{
 		Key: slot.key, Kind: "measure", Workload: slot.workload,
 		WarmupCycles: slot.warmup, WindowCycles: slot.window,
 		Results: val,
@@ -503,15 +492,16 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 }
 
 // sweep is the one sweep skeleton: resolve the request against the
-// registry, content-address the sweep, compute it under admission
-// control, and serve the stored report bytes.
+// registry, run its grid on the job measure, detached from the client
+// as a job is, and serve the merged report. X-Cache is hit if every job
+// was, peer if none was simulated here and one came from a peer.
 func (s *Server) sweep(w http.ResponseWriter, r *http.Request, kindName string) {
 	req, err := api.DecodeJobRequest(r)
 	if err != nil {
 		api.Error(w, http.StatusBadRequest, err)
 		return
 	}
-	sw, err := api.ResolveSweep(kindName, s.base, req, s.maxParallel, s.maxWindow)
+	sw, err := api.ResolveSweep(kindName, s.base, req, cap(s.sem), s.maxWindow)
 	if err != nil {
 		api.Error(w, http.StatusBadRequest, err)
 		return
@@ -521,24 +511,26 @@ func (s *Server) sweep(w http.ResponseWriter, r *http.Request, kindName string) 
 		api.Error(w, http.StatusBadRequest, err)
 		return
 	}
-	source := sourceMiss
-	val, hit, err := s.cache.GetOrCompute(key, func() ([]byte, error) {
-		if val, ok := s.peerFetch(r.Context(), key); ok {
-			source = sourcePeer
-			return val, nil
+	var mu sync.Mutex
+	source := sourceHit
+	report, err := sw.Payload(context.Background(), func(ctx context.Context, i int, jobKey string) ([]byte, sim.Results, error) {
+		val, src, err := s.measure(ctx, jobKey, func() (exp.GridJob, exp.RunParams, error) { return sw.Grid[i], sw.Params, nil })
+		if err != nil {
+			return nil, sim.Results{}, err
 		}
-		return s.runJob(r.Context(), func() ([]byte, error) {
-			return sw.Payload(context.Background(), sw.Local)
-		})
+		mu.Lock()
+		if src == sourceMiss || (src == sourcePeer && source == sourceHit) {
+			source = src
+		}
+		mu.Unlock()
+		res, err := exp.DecodeResults(val)
+		return val, res, err
 	})
 	if err != nil {
 		api.Error(w, errStatus(err), err)
 		return
 	}
-	if hit {
-		source = sourceHit
-	}
-	writeEnvelope(w, source, sw.Envelope(key, val))
+	writeEnvelope(w, source, sw.Envelope(key, report))
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -669,7 +661,7 @@ const (
 	sourcePeer = "peer"
 )
 
-func writeEnvelope(w http.ResponseWriter, source string, env Envelope) {
+func writeEnvelope(w http.ResponseWriter, source string, env api.Envelope) {
 	w.Header().Set("X-Cache", source)
 	api.WriteEnvelope(w, env)
 }
@@ -678,9 +670,6 @@ func writeEnvelope(w http.ResponseWriter, source string, env Envelope) {
 // 503 (retryable), everything else is a 500.
 func errStatus(err error) int {
 	if errors.Is(err, errDraining) || errors.Is(err, errQueueFull) {
-		return http.StatusServiceUnavailable
-	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return http.StatusServiceUnavailable
 	}
 	return http.StatusInternalServerError

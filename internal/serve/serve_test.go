@@ -325,7 +325,7 @@ func TestRunJobPanicIsAnError(t *testing.T) {
 		go func() {
 			defer close(done)
 			val, _, err = s.cache.GetOrCompute("crash", func() ([]byte, error) {
-				return s.runJob(context.Background(), compute)
+				return s.runJob(compute)
 			})
 		}()
 		select {
