@@ -30,32 +30,18 @@
 // (testdata/bench-baseline.txt) is refreshed deliberately, with the
 // machine noted in the commit.
 //
-// -json DIR additionally writes the run as BENCH_<git-short-sha>.json
-// into DIR: one record per benchmark with ns/op, B/op, allocs/op and
-// the percentage deltas against the baseline. CI uploads the file as
-// a build artifact, so the sequence of artifacts across commits is a
-// machine-readable performance trajectory of the repository — the
-// commit id is in the filename and in the document, ready to be
-// concatenated and plotted without re-running anything. The file is
-// written even when the comparison fails (a regression is exactly the
-// data point worth keeping) and even without a usable baseline (the
-// deltas are simply absent).
-//
 // Usage:
 //
 //	benchdiff [-threshold 25] [-fail-allocs] [-fail-time regexp]
-//	          [-time-tolerance 10] [-json DIR] baseline.txt new.txt
+//	          [-time-tolerance 10] baseline.txt new.txt
 package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"math"
 	"os"
-	"os/exec"
-	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
@@ -67,10 +53,9 @@ func main() {
 	allocTol := flag.Float64("alloc-tolerance", 1, "allocs/op and B/op slack percentage absorbing scheduler jitter in parallel benchmarks")
 	failTime := flag.String("fail-time", "", "regexp of benchmark names whose ns/op regression beyond -time-tolerance exits 1 instead of warning")
 	timeTol := flag.Float64("time-tolerance", 10, "ns/op slack percentage for benchmarks matched by -fail-time")
-	jsonDir := flag.String("json", "", "write this run as BENCH_<git-short-sha>.json (metrics plus baseline deltas) into the given directory")
 	flag.Parse()
 	if flag.NArg() != 2 {
-		fmt.Fprintln(os.Stderr, "usage: benchdiff [-threshold pct] [-fail-allocs] [-alloc-tolerance pct] [-fail-time regexp] [-time-tolerance pct] [-json dir] baseline.txt new.txt")
+		fmt.Fprintln(os.Stderr, "usage: benchdiff [-threshold pct] [-fail-allocs] [-alloc-tolerance pct] [-fail-time regexp] [-time-tolerance pct] baseline.txt new.txt")
 		os.Exit(2)
 	}
 	var timeGate *regexp.Regexp
@@ -86,18 +71,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchdiff:", err)
 		os.Exit(2)
 	}
-	traj := newTrajectory(cur)
 	base, err := parseBench(flag.Arg(0))
 	if err != nil {
-		// A missing or unreadable baseline is not an error: the job
-		// still publishes the fresh numbers (and their JSON snapshot,
-		// just without deltas).
+		// A missing or unreadable baseline is not an error: there is
+		// nothing to compare against yet.
 		fmt.Printf("benchdiff: no usable baseline (%v); skipping comparison\n", err)
-		writeTrajectory(*jsonDir, traj)
 		return
 	}
-	traj.Baseline = flag.Arg(0)
-	traj.fillDeltas(base)
 
 	failed := false
 	fmt.Printf("%-52s %14s %14s %9s %16s %13s\n",
@@ -163,115 +143,10 @@ func main() {
 			}
 		}
 	}
-	// The snapshot is written on failure too: a regression is exactly
-	// the data point the trajectory exists to record.
-	writeTrajectory(*jsonDir, traj)
 	if failed {
 		fmt.Println("benchdiff: a gated metric regressed; if intentional, refresh", flag.Arg(0))
 		os.Exit(1)
 	}
-}
-
-// trajectory is the -json document: one run of the benchmark suite,
-// stamped with the commit it measured, plus deltas against the
-// baseline it was compared to. Concatenating these files across
-// commits is the repository's performance history.
-type trajectory struct {
-	Commit     string          `json:"commit"`
-	Baseline   string          `json:"baseline,omitempty"`
-	Benchmarks []trajectoryRow `json:"benchmarks"`
-}
-
-type trajectoryRow struct {
-	Name        string   `json:"name"`
-	NsPerOp     float64  `json:"ns_per_op"`
-	BytesPerOp  *float64 `json:"bytes_per_op,omitempty"`
-	AllocsPerOp *float64 `json:"allocs_per_op,omitempty"`
-	// Baseline metrics and deltas are present only when the baseline
-	// has the benchmark; deltas with a zero-baseline denominator stay
-	// absent rather than encoding a non-finite number.
-	BaselineNsPerOp *float64 `json:"baseline_ns_per_op,omitempty"`
-	DeltaNsPct      *float64 `json:"delta_ns_pct,omitempty"`
-	DeltaBytesPct   *float64 `json:"delta_bytes_pct,omitempty"`
-	DeltaAllocsPct  *float64 `json:"delta_allocs_pct,omitempty"`
-}
-
-func newTrajectory(cur *benchSet) *trajectory {
-	tr := &trajectory{Commit: commitID()}
-	for _, name := range cur.order {
-		row := cur.rows[name]
-		out := trajectoryRow{Name: name, NsPerOp: row.nsop}
-		if row.hasMem {
-			out.BytesPerOp = ptr(row.bytes)
-			out.AllocsPerOp = ptr(row.allocs)
-		}
-		tr.Benchmarks = append(tr.Benchmarks, out)
-	}
-	return tr
-}
-
-// fillDeltas adds the baseline columns to every row the baseline also
-// measured.
-func (tr *trajectory) fillDeltas(base *benchSet) {
-	for i := range tr.Benchmarks {
-		row := &tr.Benchmarks[i]
-		old, ok := base.rows[row.Name]
-		if !ok {
-			continue
-		}
-		row.BaselineNsPerOp = ptr(old.nsop)
-		row.DeltaNsPct = finitePct(old.nsop, row.NsPerOp)
-		if old.hasMem && row.BytesPerOp != nil {
-			row.DeltaBytesPct = finitePct(old.bytes, *row.BytesPerOp)
-			row.DeltaAllocsPct = finitePct(old.allocs, *row.AllocsPerOp)
-		}
-	}
-}
-
-// finitePct is pctDelta restricted to JSON-encodable values: a zero
-// baseline yields no percentage (nil), never ±Inf or NaN.
-func finitePct(old, now float64) *float64 {
-	d, _ := pctDelta(old, now)
-	if math.IsInf(d, 0) || math.IsNaN(d) {
-		return nil
-	}
-	return ptr(d)
-}
-
-func ptr(v float64) *float64 { return &v }
-
-// commitID stamps the snapshot: GITHUB_SHA when CI provides it,
-// otherwise the working tree's HEAD, otherwise "local" — the file is
-// still useful on a machine without git metadata.
-func commitID() string {
-	if sha := os.Getenv("GITHUB_SHA"); len(sha) >= 7 {
-		return sha[:7]
-	}
-	out, err := exec.Command("git", "rev-parse", "--short=7", "HEAD").Output()
-	if sha := strings.TrimSpace(string(out)); err == nil && sha != "" {
-		return sha
-	}
-	return "local"
-}
-
-// writeTrajectory persists the snapshot as BENCH_<commit>.json in dir
-// (no-op when -json is unset). A write failure is a hard error: CI
-// uploading an absent artifact would silently drop the data point.
-func writeTrajectory(dir string, tr *trajectory) {
-	if dir == "" {
-		return
-	}
-	data, err := json.MarshalIndent(tr, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchdiff: -json:", err)
-		os.Exit(2)
-	}
-	path := filepath.Join(dir, "BENCH_"+tr.Commit+".json")
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "benchdiff: -json:", err)
-		os.Exit(2)
-	}
-	fmt.Printf("benchdiff: wrote %s\n", path)
 }
 
 // pctDelta returns the old→now percentage change and its rendering.

@@ -1,7 +1,6 @@
 package main_test
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -172,89 +171,6 @@ BenchmarkFree   	1	1000 ns/op	  2048 B/op	  12 allocs/op
 	stderr = clitest.RunExpectError(t, bin, "-fail-time", "(", base, ok)
 	if !strings.Contains(stderr, "fail-time") {
 		t.Fatalf("bad -fail-time regexp not reported: %s", stderr)
-	}
-}
-
-// TestBenchdiffJSON: -json writes BENCH_<commit>.json with the run's
-// metrics and baseline deltas — also without a baseline (no deltas)
-// and on a failing comparison (the regression is the data point).
-func TestBenchdiffJSON(t *testing.T) {
-	t.Setenv("GITHUB_SHA", "fedcba9876543210") // pin the filename
-	bin := clitest.Build(t, "repro/cmd/benchdiff")
-	dir := t.TempDir()
-	base := write(t, dir, "base.txt", baselineTxt)
-	cur := write(t, dir, "new.txt", `goos: linux
-BenchmarkA   	1	150 ns/op	  1024 B/op	  12 allocs/op
-BenchmarkGone	1	500 ns/op	  1024 B/op	   5 allocs/op
-BenchmarkNoMem	1	300 ns/op
-`)
-	jdir := filepath.Join(dir, "out")
-	if err := os.Mkdir(jdir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	clitest.Run(t, bin, "-json", jdir, base, cur)
-	data, err := os.ReadFile(filepath.Join(jdir, "BENCH_fedcba9.json"))
-	if err != nil {
-		t.Fatalf("trajectory file not written: %v", err)
-	}
-	var doc struct {
-		Commit     string `json:"commit"`
-		Baseline   string `json:"baseline"`
-		Benchmarks []struct {
-			Name            string   `json:"name"`
-			NsPerOp         float64  `json:"ns_per_op"`
-			BytesPerOp      *float64 `json:"bytes_per_op"`
-			AllocsPerOp     *float64 `json:"allocs_per_op"`
-			BaselineNsPerOp *float64 `json:"baseline_ns_per_op"`
-			DeltaNsPct      *float64 `json:"delta_ns_pct"`
-			DeltaBytesPct   *float64 `json:"delta_bytes_pct"`
-		} `json:"benchmarks"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatalf("trajectory is not valid JSON: %v\n%s", err, data)
-	}
-	if doc.Commit != "fedcba9" || doc.Baseline != base {
-		t.Fatalf("commit/baseline stamp wrong: %+v", doc)
-	}
-	byName := map[string]int{}
-	for i, b := range doc.Benchmarks {
-		byName[b.Name] = i
-	}
-	a := doc.Benchmarks[byName["BenchmarkA"]]
-	// Baseline: 100 ns/op, 2048 B/op, 12 allocs/op → +50% ns, -50% B.
-	if a.NsPerOp != 150 || a.DeltaNsPct == nil || *a.DeltaNsPct != 50 ||
-		a.DeltaBytesPct == nil || *a.DeltaBytesPct != -50 ||
-		a.BaselineNsPerOp == nil || *a.BaselineNsPerOp != 100 {
-		t.Fatalf("BenchmarkA deltas wrong: %+v", a)
-	}
-	nm := doc.Benchmarks[byName["BenchmarkNoMem"]]
-	if nm.BytesPerOp != nil || nm.AllocsPerOp != nil || nm.DeltaBytesPct != nil {
-		t.Fatalf("BenchmarkNoMem invented -benchmem metrics: %+v", nm)
-	}
-
-	// No usable baseline: the snapshot still lands, without deltas.
-	clitest.Run(t, bin, "-json", jdir, filepath.Join(dir, "absent.txt"), cur)
-	data, err = os.ReadFile(filepath.Join(jdir, "BENCH_fedcba9.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(string(data), "delta_ns_pct") || strings.Contains(string(data), `"baseline"`) {
-		t.Fatalf("baseline-less snapshot has deltas:\n%s", data)
-	}
-
-	// A failing gate still writes the file.
-	leak := write(t, dir, "leak.txt", `goos: linux
-BenchmarkA   	1	150 ns/op	  4096 B/op	  99 allocs/op
-BenchmarkGone	1	500 ns/op	  1024 B/op	   5 allocs/op
-BenchmarkNoMem	1	300 ns/op
-`)
-	clitest.RunExpectError(t, bin, "-fail-allocs", "-json", jdir, base, leak)
-	data, err = os.ReadFile(filepath.Join(jdir, "BENCH_fedcba9.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), `"allocs_per_op": 99`) {
-		t.Fatalf("failing run's snapshot missing the regressed metrics:\n%s", data)
 	}
 }
 

@@ -14,10 +14,17 @@
 //	gpusim [-workload sc | -workload sc,lbm,cfd] [-j N] [-stalls]
 //	       [-workload-file specs.json]
 //	       [-scale baseline|l1|l2|dram|l1l2|l2dram|all]
-//	       [-warmup 6000] [-window 20000] [-fixed-latency -1]
-//	       [-config file.json] [-dump-config] [-seed 1]
+//	       [-warmup N] [-window N] [-fixed-latency -1]
+//	       [-config file.json] [-dump-config] [-seed N]
 //	       [-engine event|cycle] [-cache-dir DIR]
 //	       [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
+//
+// The batch is the daemons' "run" sweep kind: the request resolves as
+// gpusimd resolves it, with the -config file as its inline base
+// config, and runs on the same sweep pipeline. -scale, -seed, -warmup
+// and -window are the methodology flags every CLI shares; one left
+// unset keeps the base config's scale and seed and the default
+// methodology, whose cycle counts -help shows.
 //
 // The sweep subcommand runs one kind of the sweep registry the
 // daemons serve (latsweep, occupancy, designspace, bottleneck,
@@ -26,8 +33,8 @@
 // Fig. 1, §III and Table I / §IV over the 8-benchmark suite:
 //
 //	gpusim sweep <kind> [-workloads sc,kmeans] [-j N]
-//	       [-scale baseline|l1|l2|dram|l1l2|l2dram|all] [-seed 1]
-//	       [-warmup 6000] [-window 20000] [-csv] [-json]
+//	       [-scale baseline|l1|l2|dram|l1l2|l2dram|all] [-seed N]
+//	       [-warmup N] [-window N] [-csv] [-json]
 //
 // It prints the report's table, its CSV, or (-json) the exact report
 // payload gpusimd and gpusimc serve for the same request; the run
@@ -55,12 +62,15 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"strings"
 
 	gpgpumem "repro"
+	"repro/internal/api"
+	"repro/internal/resultcache"
 )
 
 func main() {
@@ -74,42 +84,36 @@ func main() {
 		wlName   = flag.String("workload", "sc", "comma-separated built-in workloads (benchmarks cfd dwt2d leukocyte nn nw sc lbm ss; scenarios kmeans bfs histo dct8x8)")
 		wlFile   = flag.String("workload-file", "", "also run the user-defined JSON workload spec(s) in this file")
 		jobs     = flag.Int("j", 0, "parallel simulations when several workloads are given (0 = all cores)")
-		scale    = flag.String("scale", "baseline", "Table I scaling set: baseline|l1|l2|dram|l1l2|l2dram|all")
-		warmup   = flag.Int64("warmup", 6000, "warm-up cycles before measurement")
-		window   = flag.Int64("window", 20000, "measurement window in core cycles")
 		fixedLat = flag.Int64("fixed-latency", -1, "if >= 0, replace the hierarchy below L1 with this fixed miss latency (Fig. 1 mode)")
 		cfgPath  = flag.String("config", "", "load configuration from a JSON file instead of the baseline")
 		dumpCfg  = flag.Bool("dump-config", false, "print the effective configuration as JSON and exit")
-		seed     = flag.Uint64("seed", 1, "simulation seed")
 		stalls   = flag.Bool("stalls", false, "append each workload's stall stack (per-cycle issue-slot attribution)")
 		engine   = flag.String("engine", "event", "time-advancement engine: event (sleeping SMs, the default) or cycle (per-cycle reference loop). The report is guaranteed byte-identical either way — cycle exists as the slow oracle for diagnosing the event engine, never as a way to get different numbers")
 		cacheDir = flag.String("cache-dir", "", "reuse a gpusimd result cache: cached jobs skip simulation, fresh jobs are stored for next time")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile (after the run) to this file")
 	)
+	methodology := api.MethodologyFlags(flag.CommandLine)
 	flag.Parse()
 
-	cfg := gpgpumem.DefaultConfig()
+	// The request is the one gpusimd would resolve: -config is its
+	// inline base, and the methodology flags left unset keep the
+	// defaults.
+	req := api.JobRequest{FixedLatency: fixedLat, Parallelism: *jobs}
+	methodology(&req)
 	if *cfgPath != "" {
 		data, err := os.ReadFile(*cfgPath)
 		if err != nil {
 			fatal(err)
 		}
-		cfg, err = loadConfig(data)
+		req.Config = data
+	}
+	maxParallel := max(*jobs, runtime.GOMAXPROCS(0))
+	if *dumpCfg {
+		cfg, _, err := api.ResolveMethodology(gpgpumem.DefaultConfig(), req, maxParallel, math.MaxInt64)
 		if err != nil {
 			fatal(err)
 		}
-	}
-	set, err := gpgpumem.ParseScalingSet(*scale)
-	if err != nil {
-		fatal(err)
-	}
-	cfg = set.Apply(cfg)
-	cfg.Seed = *seed
-	if *fixedLat >= 0 {
-		cfg.FixedLatency = gpgpumem.FixedLatencyConfig{Enabled: true, Cycles: *fixedLat}
-	}
-	if *dumpCfg {
 		out, err := cfg.ToJSON()
 		if err != nil {
 			fatal(err)
@@ -150,7 +154,24 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	job := gpgpumem.Job{Config: cfg, WarmupCycles: *warmup, WindowCycles: *window, Engine: eng}
+	run, err := api.KindByName("run")
+	if err != nil {
+		fatal(err)
+	}
+	sw, err := run.Resolve(specs, gpgpumem.DefaultConfig(), req, maxParallel, math.MaxInt64)
+	if err != nil {
+		fatal(err)
+	}
+	set, err := gpgpumem.ParseScalingSet(flag.Lookup("scale").Value.String())
+	if err != nil {
+		fatal(err)
+	}
+	var cache *resultcache.Cache
+	if *cacheDir != "" {
+		if cache, err = resultcache.New(resultcache.Options{Dir: *cacheDir, Validate: validateEntry}); err != nil {
+			fatal(err)
+		}
+	}
 	// Profiling brackets exactly the simulations, and both profiles
 	// are finalized before any exit path — no fatal() runs while a
 	// profile is open, so an error can't leave a truncated file.
@@ -163,7 +184,12 @@ func main() {
 			fatal(err)
 		}
 	}
-	results, err := measure(job, specs, *jobs, *cacheDir)
+	results := make([]gpgpumem.Results, len(sw.Grid))
+	_, err = sw.Run(context.Background(), func(_ context.Context, i int, key string) ([]byte, gpgpumem.Results, error) {
+		enc, err := measure(sw, i, key, eng, cache)
+		enc, results[i], err = api.Decode(enc, err)
+		return enc, results[i], err
+	})
 	if *cpuProf != "" {
 		pprof.StopCPUProfile()
 	}
@@ -177,78 +203,38 @@ func main() {
 	for i, sp := range specs {
 		wls[i] = sp
 	}
-	fmt.Print(gpgpumem.RenderBatchReport(set.String(), *warmup, *window, wls, results))
+	fmt.Print(gpgpumem.RenderBatchReport(set.String(), sw.Params.WarmupCycles, sw.Params.WindowCycles, wls, results))
 	if *stalls {
 		fmt.Print("\n" + gpgpumem.RenderBatchStallReport(wls, results))
 	}
 }
 
-func loadConfig(data []byte) (gpgpumem.Config, error) {
-	return gpgpumem.ConfigFromJSON(data)
+// measure obtains grid entry i of the batch, whose job key is key: a
+// simulation on eng, or under -cache-dir the entry a gpusimd cache
+// holds for the key, simulated and stored on a miss. Results are pure
+// functions of the job, so the report is byte-identical either way.
+func measure(sw api.Sweep, i int, key string, eng gpgpumem.Engine, cache *resultcache.Cache) ([]byte, error) {
+	simulate := func() ([]byte, error) {
+		j := api.Job(sw.Grid[i], sw.Params)
+		j.Engine = eng
+		return api.Simulate(j)
+	}
+	if cache == nil {
+		return simulate()
+	}
+	enc, _, err := cache.GetOrCompute(key, simulate)
+	return enc, err
 }
 
-// measure runs one job per spec, each a copy of job with the spec as
-// its workload, optionally through a content-addressed result cache
-// shared with gpusimd. Results are pure functions of (config, spec,
-// seed, warmup, window), so a cache hit decodes to the exact snapshot
-// a fresh simulation would produce and the rendered report is
-// byte-identical either way.
-func measure(job gpgpumem.Job, specs []gpgpumem.WorkloadSpec, jobs int, cacheDir string) ([]gpgpumem.Results, error) {
-	batch := make([]gpgpumem.Job, len(specs))
-	for i, sp := range specs {
-		batch[i] = job
-		batch[i].Workload = sp
-	}
-	if cacheDir == "" {
-		return gpgpumem.MeasureBatch(context.Background(), batch, jobs, nil)
-	}
-	cache, err := gpgpumem.NewResultCache(gpgpumem.ResultCacheOptions{Dir: cacheDir})
+// validateEntry is gpusimd's cache entry check, saying on stderr which
+// entry it rejects: a corrupt or stale entry is recomputed, not
+// trusted.
+func validateEntry(key string, val []byte) ([]byte, error) {
+	canon, err := api.ValidateEntry(key, val)
 	if err != nil {
-		return nil, err
+		fmt.Fprintf(os.Stderr, "gpusim: ignoring bad cache entry %s: %v\n", key, err)
 	}
-	results := make([]gpgpumem.Results, len(batch))
-	keys := make([]string, len(batch))
-	var misses []int
-	for i, sp := range specs {
-		key, err := gpgpumem.SimResultKey(job.Config, sp, job.WarmupCycles, job.WindowCycles)
-		if err != nil {
-			return nil, err
-		}
-		keys[i] = key
-		data, ok := cache.Get(key)
-		if !ok {
-			misses = append(misses, i)
-			continue
-		}
-		res, err := gpgpumem.DecodeResults(data)
-		if err != nil {
-			// A corrupt or stale entry is recomputed, not trusted.
-			fmt.Fprintf(os.Stderr, "gpusim: ignoring bad cache entry for %s: %v\n", sp.Name(), err)
-			misses = append(misses, i)
-			continue
-		}
-		results[i] = res
-	}
-	if len(misses) == 0 {
-		return results, nil
-	}
-	fresh := make([]gpgpumem.Job, len(misses))
-	for bi, i := range misses {
-		fresh[bi] = batch[i]
-	}
-	computed, err := gpgpumem.MeasureBatch(context.Background(), fresh, jobs, nil)
-	if err != nil {
-		return nil, err
-	}
-	for bi, i := range misses {
-		results[i] = computed[bi]
-		enc, err := gpgpumem.EncodeResults(computed[bi])
-		if err != nil {
-			return nil, err
-		}
-		cache.Put(keys[i], enc)
-	}
-	return results, nil
+	return canon, err
 }
 
 // writeHeapProfile snapshots the live heap to path. Failures are

@@ -166,3 +166,30 @@ func TestGpusimConfigRejectsUnknownField(t *testing.T) {
 		t.Fatalf("typo'd -config error does not name the field: %s", stderr)
 	}
 }
+
+// TestGpusimConfigSeed: a -config file's seed is the run's seed unless
+// -seed is given — it dumps back unchanged, and the file's run prints
+// the bytes of the same run under -seed, not of the baseline seed.
+func TestGpusimConfigSeed(t *testing.T) {
+	bin := clitest.Build(t, "repro/cmd/gpusim")
+	cfg, _ := clitest.Run(t, bin, "-dump-config")
+	if !strings.Contains(cfg, `"seed": 1,`) {
+		t.Fatalf("dumped baseline has no seed 1:\n%s", cfg)
+	}
+	path := filepath.Join(t.TempDir(), "seed7.json")
+	if err := os.WriteFile(path, []byte(strings.Replace(cfg, `"seed": 1,`, `"seed": 7,`, 1)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if dumped, _ := clitest.Run(t, bin, "-config", path, "-dump-config"); !strings.Contains(dumped, `"seed": 7,`) {
+		t.Fatalf("-config seed 7 dumped as:\n%s", dumped)
+	}
+	args := []string{"-workload", "sc", "-warmup", "200", "-window", "600"}
+	fromFile, _ := clitest.Run(t, bin, append(args, "-config", path)...)
+	fromFlag, _ := clitest.Run(t, bin, append(args, "-seed", "7")...)
+	if fromFile != fromFlag {
+		t.Fatalf("-config seed 7 report differs from -seed 7:\n--- config\n%s\n--- flag\n%s", fromFile, fromFlag)
+	}
+	if seed1, _ := clitest.Run(t, bin, args...); seed1 == fromFile {
+		t.Fatal("seed 7 and seed 1 print the same report; the check above shows nothing")
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	gpgpumem "repro"
+	"repro/internal/api"
 )
 
 // runSweep is `gpusim sweep <kind> [flags]`: one kind of the sweep
@@ -24,18 +25,16 @@ func runSweep(args []string) error {
 	var (
 		names  = fs.String("workloads", "", "comma-separated workloads (default: the kind's standard set)")
 		jobs   = fs.Int("j", 0, "parallel simulations (0 = all cores)")
-		scale  = fs.String("scale", "baseline", "Table I scaling set: baseline|l1|l2|dram|l1l2|l2dram|all")
-		seed   = fs.Uint64("seed", 1, "simulation seed")
-		warmup = fs.Int64("warmup", 6000, "warm-up cycles before measurement")
-		window = fs.Int64("window", 20000, "measurement window in core cycles")
 		csv    = fs.Bool("csv", false, "emit CSV instead of the table")
 		asJSON = fs.Bool("json", false, "emit the report as compact JSON (the /v1/sweep/{kind} report payload)")
 	)
+	methodology := api.MethodologyFlags(fs)
 	fs.Parse(args[1:])
 	if fs.NArg() > 0 {
 		return fmt.Errorf("sweep: unexpected arguments %q", fs.Args())
 	}
-	req := gpgpumem.JobRequest{Scale: *scale, Seed: seed, Warmup: warmup, Window: window, Parallelism: *jobs}
+	req := gpgpumem.JobRequest{Parallelism: *jobs}
+	methodology(&req)
 	if *names != "" {
 		for _, n := range strings.Split(*names, ",") {
 			req.Workloads = append(req.Workloads, strings.TrimSpace(n))

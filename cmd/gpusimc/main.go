@@ -12,7 +12,12 @@
 //
 //	# or run one sweep from the command line and exit
 //	gpusimc -workers ... -sweep advise [-workloads cfd,lbm]
-//	        [-warmup N] [-window N] [-seed N] [-scale half-bw] [-j N]
+//	        [-warmup N] [-window N] [-seed N] [-scale l2dram] [-j N]
+//
+// -scale, -seed, -warmup and -window are the methodology flags gpusim
+// shares. One left unset keeps the base config's scale and seed and
+// the default methodology; one given is sent as given, so -seed 0
+// asks for seed 0.
 //
 // Flags -config, -max-attempts, -backoff, -cooldown, -max-window and
 // -job-timeout tune the coordinator (see docs/operations.md). The
@@ -54,10 +59,6 @@ func main() {
 		addr     = flag.String("addr", ":8338", "listen address for serve mode (host:port; port 0 picks a free port)")
 		sweep    = flag.String("sweep", "", "run one sweep and exit: "+strings.Join(gpgpumem.SweepKindNames(), ", "))
 		names    = flag.String("workloads", "", "comma-separated workload names for -sweep (default: the sweep's standard set)")
-		warmup   = flag.Int64("warmup", -1, "warm-up cycles before measurement (-1 = default methodology)")
-		window   = flag.Int64("window", -1, "measured window cycles (-1 = default methodology)")
-		seed     = flag.Uint64("seed", 0, "override the base config's RNG seed (0 = keep)")
-		scale    = flag.String("scale", "", "apply a Table I scaling set by name")
 		jobs     = flag.Int("j", 0, "jobs in flight across the fleet (0 = four per worker)")
 		cfgPath  = flag.String("config", "", "base architecture JSON that fleet sweeps measure; jobs carry it to the workers (default: GTX480 baseline)")
 		attempts = flag.Int("max-attempts", 0, "workers tried per job before the sweep fails (0 = 3)")
@@ -66,6 +67,7 @@ func main() {
 		maxWin   = flag.Int64("max-window", 0, "largest accepted warmup+window cycles per job (0 = default)")
 		jobTO    = flag.Duration("job-timeout", 0, "per-attempt timeout including simulation time (0 = 5m)")
 	)
+	methodology := api.MethodologyFlags(flag.CommandLine)
 	flag.Parse()
 
 	if *workers == "" {
@@ -101,7 +103,9 @@ func main() {
 	}
 
 	if *sweep != "" {
-		runOnce(coord, *sweep, *names, *warmup, *window, *seed, *scale, *jobs)
+		req := api.JobRequest{Parallelism: *jobs}
+		methodology(&req)
+		runOnce(coord, *sweep, *names, req)
 		return
 	}
 
@@ -135,23 +139,13 @@ func main() {
 
 // runOnce runs one sweep in CLI mode, streaming per-job progress to
 // stderr and the merged envelope to stdout.
-func runOnce(coord *fabric.Coordinator, kind, names string, warmup, window int64, seed uint64, scale string, jobs int) {
-	req := api.JobRequest{Scale: scale, Parallelism: jobs}
+func runOnce(coord *fabric.Coordinator, kind, names string, req api.JobRequest) {
 	if names != "" {
 		for _, n := range strings.Split(names, ",") {
 			if n = strings.TrimSpace(n); n != "" {
 				req.Workloads = append(req.Workloads, n)
 			}
 		}
-	}
-	if warmup >= 0 {
-		req.Warmup = &warmup
-	}
-	if window >= 0 {
-		req.Window = &window
-	}
-	if seed != 0 {
-		req.Seed = &seed
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -21,6 +21,7 @@ package api
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"net/http"
@@ -33,7 +34,8 @@ import (
 // JobRequest is the shared request shape of every job-submitting
 // endpoint — /v1/run, the /v1/sweep/{kind} family, and the
 // coordinator's fabric endpoints, which accept exactly the same body.
-// Field semantics match the gpusim flags of the same names.
+// The CLIs fill Scale, Seed, Warmup and Window from the flags
+// MethodologyFlags declares.
 type JobRequest struct {
 	// Workload is a built-in benchmark or scenario name; Spec is an
 	// inline JSON workload spec (exactly one of the two for /v1/run).
@@ -64,6 +66,34 @@ type JobRequest struct {
 	// not part of the cache key (results are bit-identical at any
 	// worker count).
 	Parallelism int `json:"parallelism,omitempty"`
+}
+
+// MethodologyFlags declares the methodology flags of every CLI —
+// -scale, -seed, -warmup and -window — on fs, and returns the function
+// that copies the ones given on the command line into a request. A
+// flag left unset leaves its field unset, so ResolveMethodology
+// applies the one default: the base config's scale and seed, and
+// exp.DefaultRunParams, whose values the help text shows.
+func MethodologyFlags(fs *flag.FlagSet) func(*JobRequest) {
+	p := exp.DefaultRunParams()
+	scale := fs.String("scale", "baseline", "Table I scaling set: baseline|l1|l2|dram|l1l2|l2dram|all")
+	seed := fs.Uint64("seed", 0, fmt.Sprintf("simulation seed (default: the base config's, %d in the baseline)", config.GTX480Baseline().Seed))
+	warmup := fs.Int64("warmup", p.WarmupCycles, "warm-up cycles before measurement")
+	window := fs.Int64("window", p.WindowCycles, "measurement window in core cycles")
+	return func(req *JobRequest) {
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "scale":
+				req.Scale = *scale
+			case "seed":
+				req.Seed = seed
+			case "warmup":
+				req.Warmup = warmup
+			case "window":
+				req.Window = window
+			}
+		})
+	}
 }
 
 // DecodeJobRequest strictly parses the JSON request body of a job

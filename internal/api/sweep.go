@@ -32,10 +32,9 @@ type Sweep struct {
 // ResolveSweep is the one definition of "which sweep does this request
 // describe", shared by the single-node server, the fabric coordinator
 // and the `gpusim sweep` CLI: the kind lookup, the rejection of the
-// single-job workload/spec fields, the kind's default scope, each
-// name's spec, the methodology against base and the caller's caps, the
-// kind's request check, and its grid, whose every entry is validated
-// here. Every error it returns is the request's fault.
+// single-job workload/spec fields, the kind's default scope and each
+// name's spec, then Kind.Resolve. Every error it returns is the
+// request's fault.
 func ResolveSweep(kind string, base config.Config, req JobRequest, maxParallel int, maxWindow int64) (Sweep, error) {
 	k, err := KindByName(kind)
 	if err != nil {
@@ -56,6 +55,18 @@ func ResolveSweep(kind string, base config.Config, req JobRequest, maxParallel i
 		if specs[i], err = workload.SpecByName(n); err != nil {
 			return Sweep{}, err
 		}
+	}
+	return k.Resolve(specs, base, req, maxParallel, maxWindow)
+}
+
+// Resolve is the kind's sweep over specs already in hand — gpusim's
+// batch passes spec-file workloads here: the methodology against base
+// and the caller's caps, the kind's request check, and its grid, whose
+// every entry is validated here. req's workload fields are not read.
+func (k Kind) Resolve(specs []workload.Spec, base config.Config, req JobRequest, maxParallel int, maxWindow int64) (Sweep, error) {
+	names := make([]string, len(specs))
+	for i, sp := range specs {
+		names[i] = sp.SpecName
 	}
 	cfg, p, err := ResolveMethodology(base, req, maxParallel, maxWindow)
 	if err != nil {
@@ -151,26 +162,57 @@ func (s Sweep) merge(res []GridResult) (any, error) {
 	return s.Kind.Report(s, rows, res), nil
 }
 
-// Simulate is the one "measure and encode": it simulates grid job g on
-// the calling goroutine and returns its exp.EncodeResults bytes, which
-// Sweep.Local decodes and gpusimd caches under the job's key.
-func Simulate(g exp.GridJob, p exp.RunParams) ([]byte, error) {
-	r, err := exp.Measure(g.Config, g.Spec, p)
+// Job binds grid job g to p's methodology as a runner job on the
+// default engine.
+func Job(g exp.GridJob, p exp.RunParams) runner.Job {
+	return runner.Job{
+		Config: g.Config, Workload: g.Spec,
+		WarmupCycles: p.WarmupCycles, WindowCycles: p.WindowCycles,
+	}
+}
+
+// Simulate is the one "measure and encode": it runs j on the calling
+// goroutine and returns its exp.EncodeResults bytes, which Sweep.Local
+// decodes and gpusimd caches under the job's key.
+func Simulate(j runner.Job) ([]byte, error) {
+	r, err := runner.Execute(j)
 	if err != nil {
 		return nil, err
 	}
 	return exp.EncodeResults(r)
 }
 
-// Local is the in-process Measure: Simulate grid entry i, then decode
-// its bytes, so a local merge consumes what a fleet merge does.
-func (s Sweep) Local(_ context.Context, i int, _ string) ([]byte, sim.Results, error) {
-	enc, err := Simulate(s.Grid[i], s.Params)
+// Decode completes a Measure from an entry's bytes, or from the error
+// that obtaining them returned: the bytes and the snapshot they decode
+// to.
+func Decode(enc []byte, err error) ([]byte, sim.Results, error) {
 	if err != nil {
 		return nil, sim.Results{}, err
 	}
 	r, err := exp.DecodeResults(enc)
 	return enc, r, err
+}
+
+// ValidateEntry vets a job's result-cache entry loaded from disk or
+// fetched from a peer before it is served, and returns it in canonical
+// form (resultcache.Canonical), so an envelope can splice it in as it
+// is: the entry must decode as a valid snapshot. gpusimd and
+// `gpusim -cache-dir` both recompute, never trust, an entry it rejects.
+func ValidateEntry(key string, val []byte) ([]byte, error) {
+	if _, err := exp.DecodeResults(val); err != nil {
+		return nil, err
+	}
+	canon, err := resultcache.Canonical(val)
+	if err != nil {
+		return nil, fmt.Errorf("cache entry %s is not valid JSON", key)
+	}
+	return canon, nil
+}
+
+// Local is the in-process Measure: Simulate grid entry i, then decode
+// its bytes, so a local merge consumes what a fleet merge does.
+func (s Sweep) Local(_ context.Context, i int, _ string) ([]byte, sim.Results, error) {
+	return Decode(Simulate(Job(s.Grid[i], s.Params)))
 }
 
 // Compute runs the sweep locally and returns its typed report — the

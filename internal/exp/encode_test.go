@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/runner"
 	"repro/internal/workload"
 )
 
@@ -26,7 +27,7 @@ func TestResultsEncodeRoundTrip(t *testing.T) {
 	cfgs["fixed"] = fixed
 
 	for name, cfg := range cfgs {
-		res, err := Measure(cfg, wl, p)
+		res, err := runner.Execute(runner.Job{Config: cfg, Workload: wl, WarmupCycles: p.WarmupCycles, WindowCycles: p.WindowCycles})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -63,7 +64,7 @@ func TestResultsEncodeRoundTrip(t *testing.T) {
 // this code could not have produced.
 func TestDecodeResultsRejectsCorrupt(t *testing.T) {
 	wl, _ := workload.ByName("sc")
-	res, err := Measure(config.GTX480Baseline(), wl, RunParams{WarmupCycles: 200, WindowCycles: 400})
+	res, err := runner.Execute(runner.Job{Config: config.GTX480Baseline(), Workload: wl, WarmupCycles: 200, WindowCycles: 400})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,15 +17,6 @@
 // report is bit-identical at any parallelism.
 package exp
 
-import (
-	"fmt"
-
-	"repro/internal/config"
-	"repro/internal/runner"
-	"repro/internal/sim"
-	"repro/internal/workload"
-)
-
 // RunParams sets the measurement methodology shared by all harnesses:
 // warm up the caches and queues, reset statistics, then measure a
 // fixed window (steady-state IPC, like GPGPU-Sim's periodic stats).
@@ -41,24 +32,4 @@ type RunParams struct {
 // flags lengthen the runs and change the worker count.
 func DefaultRunParams() RunParams {
 	return RunParams{WarmupCycles: 6000, WindowCycles: 20000}
-}
-
-// job binds a (config, workload) pair to p's methodology.
-func job(cfg config.Config, wl workload.Workload, p RunParams) runner.Job {
-	return runner.Job{
-		Config: cfg, Workload: wl,
-		WarmupCycles: p.WarmupCycles, WindowCycles: p.WindowCycles,
-	}
-}
-
-// Measure builds a GPU for (cfg, wl), runs warmup+window, and returns
-// the window's results. It is the single-job form of the engine: the
-// worker pool executes exactly this per job, so a batch at any
-// parallelism is bit-identical to calling Measure in a loop.
-func Measure(cfg config.Config, wl workload.Workload, p RunParams) (sim.Results, error) {
-	r, err := runner.Execute(job(cfg, wl, p))
-	if err != nil {
-		return sim.Results{}, fmt.Errorf("exp: %w", err)
-	}
-	return r, nil
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -31,7 +32,8 @@ func congested() workload.Spec {
 }
 
 func TestMeasureProducesResults(t *testing.T) {
-	r, err := Measure(smallConfig(), congested(), fastParams())
+	p := fastParams()
+	r, err := runner.Execute(runner.Job{Config: smallConfig(), Workload: congested(), WarmupCycles: p.WarmupCycles, WindowCycles: p.WindowCycles})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +45,8 @@ func TestMeasureProducesResults(t *testing.T) {
 func TestMeasureRejectsBadConfig(t *testing.T) {
 	cfg := smallConfig()
 	cfg.L1.Sets = 0
-	if _, err := Measure(cfg, congested(), fastParams()); err == nil {
+	p := fastParams()
+	if _, err := runner.Execute(runner.Job{Config: cfg, Workload: congested(), WarmupCycles: p.WarmupCycles, WindowCycles: p.WindowCycles}); err == nil {
 		t.Fatalf("expected error")
 	}
 }

@@ -19,7 +19,7 @@ func runGrid(t *testing.T, grid []GridJob, p RunParams) []sim.Results {
 	t.Helper()
 	jobs := make([]runner.Job, len(grid))
 	for i, g := range grid {
-		jobs[i] = job(g.Config, g.Spec, p)
+		jobs[i] = runner.Job{Config: g.Config, Workload: g.Spec, WarmupCycles: p.WarmupCycles, WindowCycles: p.WindowCycles}
 	}
 	res, err := runner.Run(context.Background(), jobs, runner.Options{Parallelism: p.Parallelism})
 	if err != nil {

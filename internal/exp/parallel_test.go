@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/runner"
 	"repro/internal/workload"
 )
 
@@ -82,12 +83,13 @@ func TestBaselinesMatchesMeasure(t *testing.T) {
 	cfg, suite := testConfig(), testSuite(t)
 	batch := variantRows(t, cfg, suite, nil, testParams(4)).Bases
 	for i, sp := range suite {
-		single, err := Measure(cfg, sp, testParams(1))
+		p := testParams(1)
+		single, err := runner.Execute(runner.Job{Config: cfg, Workload: sp, WarmupCycles: p.WarmupCycles, WindowCycles: p.WindowCycles})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if batch[i] != single {
-			t.Fatalf("baseline for %s differs between batch and Measure", sp.SpecName)
+			t.Fatalf("baseline for %s differs between batch and runner.Execute", sp.SpecName)
 		}
 	}
 }

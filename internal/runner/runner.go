@@ -81,9 +81,9 @@ func (o Options) workers(jobs int) int {
 // statistics, run the measurement window. A fixed-latency job runs
 // its SMs on up to GOMAXPROCS goroutines (sim.GPU.Run); any other job
 // runs entirely on the calling goroutine. This is the one definition
-// of the measurement methodology; the serial exp.Measure path and
-// every pool worker both funnel through it, which is what makes "same
-// job, any parallelism, same bits" checkable.
+// of the measurement methodology; api.Simulate and every pool worker
+// both funnel through it, which is what makes "same job, any
+// parallelism, same bits" checkable.
 func Execute(j Job) (sim.Results, error) {
 	g, err := sim.New(j.Config, j.Workload)
 	if err != nil {

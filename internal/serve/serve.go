@@ -153,7 +153,7 @@ func New(o Options) (*Server, error) {
 	cache, err := resultcache.New(resultcache.Options{
 		MaxBytes: o.CacheBytes,
 		Dir:      o.CacheDir,
-		Validate: validateEntry,
+		Validate: api.ValidateEntry,
 	})
 	if err != nil {
 		return nil, err
@@ -275,7 +275,7 @@ func (s *Server) measure(ctx context.Context, key string, resolve func() (exp.Gr
 		if err != nil {
 			return nil, err
 		}
-		return s.runJob(func() ([]byte, error) { return api.Simulate(g, p) })
+		return s.runJob(func() ([]byte, error) { return api.Simulate(api.Job(g, p)) })
 	})
 	if hit {
 		source = sourceHit
@@ -322,23 +322,6 @@ func (s *Server) Simulations() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.simulations
-}
-
-// validateEntry vets result-cache entries loaded from disk or fetched
-// from a peer before they are served, and returns them in canonical
-// form (resultcache.Canonical), so an envelope can splice them in as
-// they are: every entry is one job's results and must decode as a
-// valid snapshot. A truncated or tampered entry is recomputed, never
-// trusted.
-func validateEntry(key string, val []byte) ([]byte, error) {
-	if _, err := exp.DecodeResults(val); err != nil {
-		return nil, err
-	}
-	canon, err := resultcache.Canonical(val)
-	if err != nil {
-		return nil, fmt.Errorf("serve: cache entry %s is not valid JSON", key)
-	}
-	return canon, nil
 }
 
 // runTableSlots sizes the /v1/run resolution table.
@@ -523,8 +506,7 @@ func (s *Server) sweep(w http.ResponseWriter, r *http.Request, kindName string) 
 			source = src
 		}
 		mu.Unlock()
-		res, err := exp.DecodeResults(val)
-		return val, res, err
+		return api.Decode(val, nil)
 	})
 	if err != nil {
 		api.Error(w, errStatus(err), err)
@@ -636,7 +618,7 @@ func (s *Server) peerFetch(ctx context.Context, key string) ([]byte, bool) {
 		if err != nil || resp.StatusCode != http.StatusOK {
 			continue
 		}
-		if val, err = validateEntry(key, val); err != nil {
+		if val, err = api.ValidateEntry(key, val); err != nil {
 			continue
 		}
 		s.mu.Lock()
