@@ -70,6 +70,7 @@ import (
 
 	gpgpumem "repro"
 	"repro/internal/api"
+	"repro/internal/config"
 	"repro/internal/resultcache"
 )
 
@@ -162,10 +163,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	set, err := gpgpumem.ParseScalingSet(flag.Lookup("scale").Value.String())
-	if err != nil {
-		fatal(err)
-	}
 	var cache *resultcache.Cache
 	if *cacheDir != "" {
 		if cache, err = resultcache.New(resultcache.Options{Dir: *cacheDir, Validate: validateEntry}); err != nil {
@@ -203,7 +200,12 @@ func main() {
 	for i, sp := range specs {
 		wls[i] = sp
 	}
-	fmt.Print(gpgpumem.RenderBatchReport(set.String(), sw.Params.WarmupCycles, sw.Params.WindowCycles, wls, results))
+	// The header names the measured config's architecture. Like the
+	// seed, a fixed-latency backend is left out of the name, so a
+	// -fixed-latency run names its base.
+	arch := sw.Config
+	arch.FixedLatency = config.FixedLatencyConfig{}
+	fmt.Print(gpgpumem.RenderBatchReport(config.Architecture(arch), sw.Params.WarmupCycles, sw.Params.WindowCycles, wls, results))
 	if *stalls {
 		fmt.Print("\n" + gpgpumem.RenderBatchStallReport(wls, results))
 	}

@@ -193,3 +193,29 @@ func TestGpusimConfigSeed(t *testing.T) {
 		t.Fatal("seed 7 and seed 1 print the same report; the check above shows nothing")
 	}
 }
+
+// TestGpusimConfigHeader: the batch header names the measured config,
+// not the -scale flag, so a config file dumped under -scale l2 prints
+// byte for byte what -scale l2 prints, header included; and a
+// -fixed-latency run names its base.
+func TestGpusimConfigHeader(t *testing.T) {
+	bin := clitest.Build(t, "repro/cmd/gpusim")
+	cfg, _ := clitest.Run(t, bin, "-scale", "l2", "-dump-config")
+	path := filepath.Join(t.TempDir(), "l2.json")
+	if err := os.WriteFile(path, []byte(cfg), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	args := []string{"-workload", "sc", "-warmup", "200", "-window", "600"}
+	fromFile, _ := clitest.Run(t, bin, append(args, "-config", path)...)
+	fromFlag, _ := clitest.Run(t, bin, append(args, "-scale", "l2")...)
+	if fromFile != fromFlag {
+		t.Fatalf("-config l2.json report differs from -scale l2:\n--- config\n%s\n--- flag\n%s", fromFile, fromFlag)
+	}
+	if !strings.HasPrefix(fromFlag, "workload sc on L2 config") {
+		t.Fatalf("-scale l2 header: %q", strings.SplitN(fromFlag, "\n", 2)[0])
+	}
+	fixed, _ := clitest.Run(t, bin, append(args, "-scale", "l2", "-fixed-latency", "100")...)
+	if !strings.HasPrefix(fixed, "workload sc on L2 config") {
+		t.Fatalf("-scale l2 -fixed-latency 100 header: %q", strings.SplitN(fixed, "\n", 2)[0])
+	}
+}

@@ -177,12 +177,7 @@ func (s *System) Results() Results { return s.gpu.Results() }
 
 // Measure is the standard methodology in one call: run warmup cycles,
 // reset statistics, run window cycles, and return the window results.
-func (s *System) Measure(warmup, window int64) Results {
-	s.gpu.Run(warmup)
-	s.gpu.ResetStats()
-	s.gpu.Run(window)
-	return s.gpu.Results()
-}
+func (s *System) Measure(warmup, window int64) Results { return s.gpu.Measure(warmup, window) }
 
 // Job is one independent simulation for MeasureBatch: a configuration,
 // a workload, and the warmup/window methodology. Its Engine field

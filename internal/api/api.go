@@ -96,43 +96,38 @@ func MethodologyFlags(fs *flag.FlagSet) func(*JobRequest) {
 	}
 }
 
-// DecodeJobRequest strictly parses the JSON request body of a job
-// endpoint: unknown fields and trailing data are rejected, like every
-// other parser in this codebase — a concatenated second request must
-// fail loudly, not be silently dropped. Shared by the workers and the
-// fabric coordinator so both layers accept exactly the same bodies.
-func DecodeJobRequest(r *http.Request) (JobRequest, error) {
-	return decodeJobRequest(http.MaxBytesReader(nil, r.Body, maxRequestBytes))
-}
-
-// ReadJobBody reads a job request's body whole, under
-// DecodeJobRequest's size cap, for a caller that looks the body up
-// before parsing it with DecodeJobBody. A body that cannot be read
-// whole fails with the error DecodeJobRequest gives it.
+// ReadJobBody reads a job request's body whole, capped at
+// maxRequestBytes. It is the one reader of every job endpoint's body:
+// /v1/run looks the bytes up before parsing them, and every endpoint
+// parses them with DecodeJobBody.
 func ReadJobBody(r *http.Request) ([]byte, error) {
 	body, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, maxRequestBytes))
-	if err == nil {
-		return body, nil
+	if err != nil {
+		return nil, fmt.Errorf("parse request: %w", err)
 	}
-	// Replay the bytes read, then the read error, so the parser fails
-	// where it fails reading the body directly.
-	if _, derr := decodeJobRequest(io.MultiReader(bytes.NewReader(body), errReader{err})); derr != nil {
-		return nil, derr
-	}
-	return nil, fmt.Errorf("parse request: %w", err)
-}
-
-// DecodeJobBody is DecodeJobRequest over a body read by ReadJobBody.
-func DecodeJobBody(body []byte) (JobRequest, error) {
-	return decodeJobRequest(bytes.NewReader(body))
+	return body, nil
 }
 
 // maxRequestBytes caps a job request body.
 const maxRequestBytes = 1 << 20
 
-func decodeJobRequest(r io.Reader) (JobRequest, error) {
+// MaxFetchBytes caps a result one daemon fetches from another: a
+// peer's /v1/cache entry or a worker's /v1/run envelope. Encoded
+// Results have a fixed set of numeric fields, so they are small: the
+// largest over the 12 built-ins at 500+1500 cycles is 1,514 bytes, and
+// with every counter at its widest 2,195 bytes. A worker's envelope
+// adds a head of about 200 bytes. 64 KiB is 29 times the widest entry,
+// so a body past it comes from a broken or hostile daemon.
+const MaxFetchBytes = 64 << 10
+
+// DecodeJobBody strictly parses a job request body: unknown fields and
+// trailing data are rejected, like every other parser in this
+// codebase — a concatenated second request must fail loudly, not be
+// silently dropped. The workers and the fabric coordinator share it,
+// so both layers accept exactly the same bodies.
+func DecodeJobBody(body []byte) (JobRequest, error) {
 	var req JobRequest
-	dec := json.NewDecoder(r)
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		return JobRequest{}, fmt.Errorf("parse request: %w", err)
@@ -142,11 +137,6 @@ func decodeJobRequest(r io.Reader) (JobRequest, error) {
 	}
 	return req, nil
 }
-
-// errReader fails every read with err.
-type errReader struct{ err error }
-
-func (e errReader) Read([]byte) (int, error) { return 0, e.err }
 
 // ResolveMethodology resolves a request's config transforms and run
 // parameters against a base config and the serving layer's caps. It

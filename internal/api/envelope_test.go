@@ -2,10 +2,8 @@ package api
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -83,34 +81,4 @@ func FuzzEnvelopeJSON(f *testing.F) {
 			t.Fatalf("WriteEnvelope:\n got %q\nwant %q", rec.Body.String(), string(want)+"\n")
 		}
 	})
-}
-
-// TestReadJobBodyMatchesDecode: reading a body whole and then parsing
-// it accepts what DecodeJobRequest accepts and fails with its message
-// on everything else, oversized bodies included.
-func TestReadJobBodyMatchesDecode(t *testing.T) {
-	big := strings.Repeat("a", 2<<20)
-	for name, body := range map[string]string{
-		"valid":            `{"workload":"sc","warmup_cycles":200,"window_cycles":600}`,
-		"empty":            ``,
-		"unknown field":    `{"workload":"sc","bogus":1}`,
-		"trailing request": `{"workload":"sc"}{"workload":"nn"}`,
-		"syntax":           `{"workload":`,
-		"oversized value":  `{"workload":"` + big + `"}`,
-		"oversized tail":   `{"workload":"sc"}` + strings.Repeat(" ", 2<<20),
-		"oversized junk":   `x` + big,
-	} {
-		want, wantErr := DecodeJobRequest(httptest.NewRequest(http.MethodPost, "/v1/run", strings.NewReader(body)))
-		got, err := ReadJobBody(httptest.NewRequest(http.MethodPost, "/v1/run", strings.NewReader(body)))
-		var req JobRequest
-		if err == nil {
-			req, err = DecodeJobBody(got)
-		}
-		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
-			t.Errorf("%s: error %v, DecodeJobRequest gives %v", name, err, wantErr)
-		}
-		if !reflect.DeepEqual(req, want) {
-			t.Errorf("%s: request %+v, DecodeJobRequest gives %+v", name, req, want)
-		}
-	}
 }

@@ -88,7 +88,7 @@ func kinds() []Kind {
 			Name:         "latsweep",
 			ResponseKind: "sweep-latsweep",
 			Description:  "Fig. 1 latency tolerance: IPC vs a fixed L1 miss latency, 0 to 800 cycles (exp.Fig1Report)",
-			Defaults:     suiteNames,
+			Defaults:     workload.SuiteNames,
 			Check:        hierarchyOnly("latsweep", "sets the fixed latency itself"),
 			Variants:     exp.LatencyVariants(lats),
 			Report: func(s Sweep, rows exp.VariantRows, _ []GridResult) any {
@@ -99,7 +99,7 @@ func kinds() []Kind {
 			Name:         "occupancy",
 			ResponseKind: "sweep-occupancy",
 			Description:  "§III queue full-of-usage occupancy of the L2 access and DRAM scheduler queues (exp.OccupancyReport)",
-			Defaults:     suiteNames,
+			Defaults:     workload.SuiteNames,
 			Check:        hierarchyOnly("occupancy", "measures the L2 and DRAM queues"),
 			Report: func(s Sweep, rows exp.VariantRows, _ []GridResult) any {
 				return exp.BuildOccupancyReport(s.Config, s.Specs, rows.Bases)
@@ -109,7 +109,7 @@ func kinds() []Kind {
 			Name:         "designspace",
 			ResponseKind: "sweep-designspace",
 			Description:  "Table I and the §IV design space: speedups with Table I groups scaled ~4x (exp.DesignSpaceResult)",
-			Defaults:     suiteNames,
+			Defaults:     workload.SuiteNames,
 			Check:        hierarchyOnly("designspace", "scales the L2 and DRAM"),
 			Variants:     exp.ScalingVariants(sets),
 			Report: func(s Sweep, rows exp.VariantRows, _ []GridResult) any {
@@ -129,7 +129,7 @@ func kinds() []Kind {
 			Name:         "scenarios",
 			ResponseKind: "sweep-scenarios",
 			Description:  "multi-phase scenarios vs their fixed-mix controls (exp.ScenarioReport)",
-			Defaults:     scenarioNames,
+			Defaults:     workload.ScenarioNames,
 			Check: func(_ config.Config, specs []workload.Spec) error {
 				return exp.CheckScenarios(specs)
 			},
@@ -152,7 +152,7 @@ func kinds() []Kind {
 			Name:         "mitigation",
 			ResponseKind: "sweep-mitigation",
 			Description:  "mitigation policies: scenario × policy grid of the internal/policy seams (exp.MitigationReport)",
-			Defaults:     scenarioNames,
+			Defaults:     workload.ScenarioNames,
 			Variants:     exp.Mitigations(),
 			Report: func(s Sweep, rows exp.VariantRows, _ []GridResult) any {
 				return exp.BuildMitigationReport(s.Specs, s.Kind.Variants, s.Params, rows)
@@ -205,31 +205,10 @@ func KindByName(name string) (Kind, error) {
 	return Kind{}, fmt.Errorf("unknown sweep kind %q (want %s)", name, strings.Join(KindNames(), ", "))
 }
 
-// suiteNames is the default scope of the paper kinds: the Fig. 1
-// benchmark suite in figure order.
-func suiteNames() []string {
-	suite := workload.Suite()
-	names := make([]string, len(suite))
-	for i, wl := range suite {
-		names[i] = wl.Name()
-	}
-	return names
-}
-
 // suiteAndScenarioNames is the default scope of the bottleneck and
 // advise kinds: the paper's Fig. 1 benchmark suite followed by the
 // built-in multi-phase scenarios, so a sweep covers both steady and
 // phased behaviour.
 func suiteAndScenarioNames() []string {
-	return append(suiteNames(), scenarioNames()...)
-}
-
-// scenarioNames lists the built-in multi-phase scenarios.
-func scenarioNames() []string {
-	ss := workload.Scenarios()
-	names := make([]string, len(ss))
-	for i, sp := range ss {
-		names[i] = sp.SpecName
-	}
-	return names
+	return append(workload.SuiteNames(), workload.ScenarioNames()...)
 }

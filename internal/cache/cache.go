@@ -414,42 +414,6 @@ func (c *Cache) Probe(addr uint64) AccessResult {
 	return Miss
 }
 
-// ProbeAndConsumeHit is the fused form of Probe followed by — only
-// when the probe finds a plain Hit — the counting Lookup, in a single
-// set scan. It exists for pipelines whose hit path has no feasibility
-// gate between the probe and the consuming lookup (the L1 load path):
-// there a Hit is always consumed immediately, and re-scanning the set
-// to commit it is pure overhead. HitReserved and Miss results count
-// nothing, exactly like Probe; the caller runs its gates and then the
-// usual Lookup.
-func (c *Cache) ProbeAndConsumeHit(addr uint64, isWrite bool, now int64) AccessResult {
-	setIdx := c.SetIndex(addr)
-	set := c.set(setIdx)
-	tag := c.tag(addr)
-	for i := range set {
-		ln := &set[i]
-		if ln.state() == Invalid || ln.tag != tag {
-			continue
-		}
-		if ln.state() == Reserved {
-			return HitReserved
-		}
-		if c.lru {
-			ln.setStamp(now)
-		}
-		if c.hits != nil {
-			c.hits[setIdx*c.cfg.Ways+i]++
-		}
-		if isWrite && c.cfg.WriteBack {
-			ln.markDirty()
-		}
-		c.stats.Accesses++
-		c.stats.Hits++
-		return Hit
-	}
-	return Miss
-}
-
 // CanReserve reports whether Reserve for addr would succeed: the set
 // has an Invalid way or an evictable Valid way.
 func (c *Cache) CanReserve(addr uint64) bool {

@@ -548,11 +548,9 @@ func (s *SM) accessL1(cycle int64) {
 		return
 	}
 
-	// The Hit arm has no feasibility gate, so the fused call commits
-	// the hit in the same set scan that classifies the access;
-	// HitReserved/Miss count nothing until their gates pass.
-	switch s.l1.ProbeAndConsumeHit(line, false, cycle) {
+	switch s.l1.Probe(line) {
 	case cache.Hit:
+		s.l1.Lookup(line, false, cycle)
 		s.hitPipe.Push(hitDone{doneAt: cycle + s.hitLatency, tracker: t.tracker})
 		s.popHead()
 		// An L1 hit never leaves the core: the request retires here

@@ -12,16 +12,17 @@ import (
 // BatchReport renders the full measurement report of a batch of
 // simulations, one section per workload — the exact output of
 // cmd/gpusim, shared with the golden-output tests so the CLI and the
-// snapshot gate can never drift apart. scale names the applied
-// scaling set ("baseline" for the unmodified architecture).
-func BatchReport(scale string, warmup, window int64, wls []workload.Workload, res []sim.Results) string {
+// snapshot gate can never drift apart. arch names the measured
+// architecture (config.Architecture: "baseline", a scaling set's label
+// or "custom").
+func BatchReport(arch string, warmup, window int64, wls []workload.Workload, res []sim.Results) string {
 	var b strings.Builder
 	for i, wl := range wls {
 		if i > 0 {
 			b.WriteString("\n")
 		}
 		fmt.Fprintf(&b, "workload %s on %s config (%d-cycle window after %d warm-up)\n\n",
-			wl.Name(), scale, window, warmup)
+			wl.Name(), arch, window, warmup)
 		b.WriteString(res[i].String())
 	}
 	return b.String()

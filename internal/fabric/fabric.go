@@ -83,9 +83,8 @@ type Options struct {
 	// sweep fails (0 = 3; the cap includes the first attempt).
 	MaxAttempts int
 	// Backoff is the delay before a job's second attempt, doubling
-	// each retry (0 = 100ms); MaxBackoff caps the doubling (0 = 2s).
-	Backoff    time.Duration
-	MaxBackoff time.Duration
+	// each retry up to 2s (0 = 100ms).
+	Backoff time.Duration
 	// Cooldown is how long a worker that just failed is deprioritized
 	// in routing (0 = 3s). It is advisory: if every worker is cooling
 	// down, jobs still try them rather than giving up early.
@@ -107,7 +106,6 @@ type Coordinator struct {
 	client      *http.Client
 	maxAttempts int
 	backoff     time.Duration
-	maxBackoff  time.Duration
 	cooldown    time.Duration
 	maxParallel int
 	maxWindow   int64
@@ -153,9 +151,6 @@ func New(o Options) (*Coordinator, error) {
 	if o.Backoff <= 0 {
 		o.Backoff = 100 * time.Millisecond
 	}
-	if o.MaxBackoff <= 0 {
-		o.MaxBackoff = 2 * time.Second
-	}
 	if o.Cooldown <= 0 {
 		o.Cooldown = 3 * time.Second
 	}
@@ -171,7 +166,6 @@ func New(o Options) (*Coordinator, error) {
 		client:      o.Client,
 		maxAttempts: o.MaxAttempts,
 		backoff:     o.Backoff,
-		maxBackoff:  o.MaxBackoff,
 		cooldown:    o.Cooldown,
 		maxParallel: o.MaxParallelism,
 		maxWindow:   o.MaxWindowCycles,
@@ -230,24 +224,6 @@ func (c *Coordinator) Workers() []WorkerStatus {
 	return out
 }
 
-// RequestError marks a sweep failure caused by the request itself
-// (unknown workload, bad methodology, wrong shape) — an HTTP 400, as
-// opposed to a fleet failure (502/503).
-type RequestError struct {
-	// Err is the underlying validation failure.
-	Err error
-}
-
-// Error returns the underlying message.
-func (e *RequestError) Error() string { return e.Err.Error() }
-
-// Unwrap exposes the underlying error to errors.Is/As.
-func (e *RequestError) Unwrap() error { return e.Err }
-
-func badRequest(format string, args ...any) error {
-	return &RequestError{Err: fmt.Errorf(format, args...)}
-}
-
 // RunSweep shards the requested sweep — any kind registered in
 // internal/api — across the fleet and returns the merged response
 // envelope. The envelope — key, kind, workload names, methodology and
@@ -256,21 +232,11 @@ func badRequest(format string, args ...any) error {
 // /v1/sweep/{kind} endpoint. progress, when non-nil, is called
 // serially after each job completes.
 func (c *Coordinator) RunSweep(ctx context.Context, kind string, req api.JobRequest, progress func(JobEvent)) (api.Envelope, error) {
-	sw, err := c.resolve(kind, req)
+	sw, err := api.ResolveSweep(kind, c.base, req, c.maxParallel, c.maxWindow)
 	if err != nil {
 		return api.Envelope{}, err
 	}
 	return c.runSweep(ctx, sw, progress)
-}
-
-// resolve checks a sweep request against the registry and this
-// coordinator's base and caps; every failure is a RequestError.
-func (c *Coordinator) resolve(kind string, req api.JobRequest) (api.Sweep, error) {
-	sw, err := api.ResolveSweep(kind, c.base, req, c.maxParallel, c.maxWindow)
-	if err != nil {
-		return api.Sweep{}, badRequest("%v", err)
-	}
-	return sw, nil
 }
 
 // runSweep shards a resolved sweep across the fleet: the sweep's own
@@ -402,7 +368,7 @@ func (c *Coordinator) post(ctx context.Context, worker string, body []byte) (env
 	if err != nil {
 		return api.Envelope{}, "", true, err
 	}
-	data, err := io.ReadAll(http.MaxBytesReader(nil, resp.Body, maxWorkerResponseBytes))
+	data, err := io.ReadAll(http.MaxBytesReader(nil, resp.Body, api.MaxFetchBytes))
 	resp.Body.Close()
 	if err != nil {
 		return api.Envelope{}, "", true, fmt.Errorf("read response: %w", err)
@@ -416,10 +382,6 @@ func (c *Coordinator) post(ctx context.Context, worker string, body []byte) (env
 	}
 	return env, resp.Header.Get("X-Cache"), false, nil
 }
-
-// maxWorkerResponseBytes bounds one worker response; encoded results
-// are kilobytes.
-const maxWorkerResponseBytes = 64 << 20
 
 // firstLine trims an error body for embedding in one-line messages.
 func firstLine(data []byte) string {
@@ -475,16 +437,19 @@ func (c *Coordinator) noteFailure(w string) {
 	c.mu.Unlock()
 }
 
+// maxBackoff caps the doubling retry delay.
+const maxBackoff = 2 * time.Second
+
 // backoffFor returns the bounded exponential delay before the given
 // attempt (attempt 2 waits Backoff, 3 waits 2×, ... capped at
-// MaxBackoff).
+// maxBackoff).
 func (c *Coordinator) backoffFor(attempt int) time.Duration {
 	d := c.backoff
-	for i := 2; i < attempt && d < c.maxBackoff; i++ {
+	for i := 2; i < attempt && d < maxBackoff; i++ {
 		d *= 2
 	}
-	if d > c.maxBackoff {
-		d = c.maxBackoff
+	if d > maxBackoff {
+		d = maxBackoff
 	}
 	return d
 }
@@ -501,13 +466,10 @@ func (c *Coordinator) sleep(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// errStatus maps sweep errors to HTTP codes: request mistakes are
-// 400, cancellations 503 (retryable), fleet failures 502.
+// errStatus maps the errors of a sweep already resolved, so never the
+// request's fault, to HTTP codes: cancellations 503 (retryable), fleet
+// failures 502.
 func errStatus(err error) int {
-	var reqErr *RequestError
-	if errors.As(err, &reqErr) {
-		return http.StatusBadRequest
-	}
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return http.StatusServiceUnavailable
 	}

@@ -38,7 +38,7 @@ func newWorker(t *testing.T, o serve.Options) (*serve.Server, string) {
 
 // newFleet starts n workers with their caches peer-wired to each
 // other (every worker lists the others as -peers would).
-func newFleet(t *testing.T, n int, o serve.Options) ([]*serve.Server, []string) {
+func newFleet(t testing.TB, n int, o serve.Options) ([]*serve.Server, []string) {
 	t.Helper()
 	handlers := make([]atomic.Value, n)
 	urls := make([]string, n)
@@ -75,14 +75,11 @@ func newFleet(t *testing.T, n int, o serve.Options) ([]*serve.Server, []string) 
 }
 
 // newCoordinator builds a coordinator with test-speed retry timings.
-func newCoordinator(t *testing.T, urls []string, o Options) *Coordinator {
+func newCoordinator(t testing.TB, urls []string, o Options) *Coordinator {
 	t.Helper()
 	o.Workers = urls
 	if o.Backoff == 0 {
 		o.Backoff = time.Millisecond
-	}
-	if o.MaxBackoff == 0 {
-		o.MaxBackoff = 5 * time.Millisecond
 	}
 	if o.Cooldown == 0 {
 		o.Cooldown = 50 * time.Millisecond
@@ -339,9 +336,9 @@ func TestDuplicateCompletionDeduped(t *testing.T) {
 // -1: well-formed JSON that no simulation can produce.
 var negativeCycles = regexp.MustCompile(`"Cycles":[0-9]+`)
 
-// corruptRuns wraps a worker handler: every POST /v1/run answers 200
-// with its results' cycle counts rewritten to -1.
-func corruptRuns(inner http.Handler) http.Handler {
+// rewriteRuns wraps a worker handler: every POST /v1/run answers with
+// its status and headers and the body rewrite makes of its own.
+func rewriteRuns(inner http.Handler, rewrite func([]byte) []byte) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost || r.URL.Path != "/v1/run" {
 			inner.ServeHTTP(w, r)
@@ -353,18 +350,25 @@ func corruptRuns(inner http.Handler) http.Handler {
 			w.Header()[k] = v
 		}
 		w.WriteHeader(rec.Code)
-		w.Write(negativeCycles.ReplaceAll(rec.Body.Bytes(), []byte(`"Cycles":-1`)))
+		w.Write(rewrite(rec.Body.Bytes()))
 	})
 }
 
-// TestCorruptWorkerResultsRetried: a worker whose results fail to
-// decode is a worker fault, like a 5xx. The coordinator counts the
-// failure against it and retries the job on the next-ranked worker, so
-// the sweep still answers the single node's bytes. The corrupting
-// worker is the first job's rendezvous primary, so the fault is met
-// whatever ports the workers got.
-func TestCorruptWorkerResultsRetried(t *testing.T) {
-	body := `{"workloads":["sc","cfd","nn","nw","kmeans","bfs"],"warmup_cycles":200,"window_cycles":500}`
+// corruptRuns wraps a worker handler: every POST /v1/run answers 200
+// with its results' cycle counts rewritten to -1.
+func corruptRuns(inner http.Handler) http.Handler {
+	return rewriteRuns(inner, func(b []byte) []byte {
+		return negativeCycles.ReplaceAll(b, []byte(`"Cycles":-1`))
+	})
+}
+
+// faultyPrimaryFleet starts two workers and wraps with fault the one
+// that is the rendezvous primary of sc's job at 200+500 cycles, the
+// first job of every sweep the fault tests send, so the fault is met
+// whatever ports the workers got. It returns both URLs and the faulty
+// worker's.
+func faultyPrimaryFleet(t *testing.T, fault func(http.Handler) http.Handler) (urls []string, bad string) {
+	t.Helper()
 	sc, err := workload.SpecByName("sc")
 	if err != nil {
 		t.Fatal(err)
@@ -374,7 +378,7 @@ func TestCorruptWorkerResultsRetried(t *testing.T) {
 		t.Fatal(err)
 	}
 	handlers := make([]atomic.Value, 2)
-	urls := make([]string, 2)
+	urls = make([]string, 2)
 	for i := range handlers {
 		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			handlers[i].Load().(http.Handler).ServeHTTP(w, r)
@@ -382,7 +386,7 @@ func TestCorruptWorkerResultsRetried(t *testing.T) {
 		t.Cleanup(ts.Close)
 		urls[i] = ts.URL
 	}
-	bad := resultcache.Rank(key, urls)[0]
+	bad = resultcache.Rank(key, urls)[0]
 	for i := range handlers {
 		s, err := serve.New(serve.Options{})
 		if err != nil {
@@ -390,11 +394,20 @@ func TestCorruptWorkerResultsRetried(t *testing.T) {
 		}
 		h := http.Handler(s.Handler())
 		if urls[i] == bad {
-			h = corruptRuns(h)
+			h = fault(h)
 		}
 		handlers[i].Store(h)
 	}
+	return urls, bad
+}
 
+// TestCorruptWorkerResultsRetried: a worker whose results fail to
+// decode is a worker fault, like a 5xx. The coordinator counts the
+// failure against it and retries the job on the next-ranked worker, so
+// the sweep still answers the single node's bytes.
+func TestCorruptWorkerResultsRetried(t *testing.T) {
+	body := `{"workloads":["sc","cfd","nn","nw","kmeans","bfs"],"warmup_cycles":200,"window_cycles":500}`
+	urls, bad := faultyPrimaryFleet(t, corruptRuns)
 	_, single := newWorker(t, serve.Options{})
 	code, want := post(t, single, "/v1/sweep/run", body, nil)
 	if code != http.StatusOK {
@@ -605,6 +618,63 @@ func TestRequestErrors(t *testing.T) {
 	}
 }
 
+// TestOversizedRequestBody: every job endpoint of both daemons reads
+// its body with api.ReadJobBody, so a body over 1 MiB gets the same
+// 400 everywhere, even when its JSON is a valid request.
+func TestOversizedRequestBody(t *testing.T) {
+	_, urls := newFleet(t, 1, serve.Options{})
+	cts := httptest.NewServer(newCoordinator(t, urls, Options{}).Handler())
+	defer cts.Close()
+	pad := strings.Repeat(" ", 1<<20)
+	run := `{"workload":"sc","warmup_cycles":50,"window_cycles":150` + pad + `}`
+	sweep := `{"workloads":["sc"],"warmup_cycles":50,"window_cycles":150` + pad + `}`
+	for _, tc := range []struct{ daemon, url, path, body string }{
+		{"gpusimd", urls[0], "/v1/run", run},
+		{"gpusimd", urls[0], "/v1/sweep/bottleneck", sweep},
+		{"gpusimd", urls[0], "/v1/advise", sweep},
+		{"gpusimc", cts.URL, "/v1/sweep/bottleneck", sweep},
+	} {
+		code, body := post(t, tc.url, tc.path, tc.body, nil)
+		if code != http.StatusBadRequest || !strings.Contains(body, "request body too large") {
+			t.Errorf("%s %s: code=%d body=%s, want 400 naming the size cap", tc.daemon, tc.path, code, body)
+		}
+	}
+}
+
+// TestOversizedWorkerResponseRetried: a worker response over
+// api.MaxFetchBytes is a worker fault, like a 5xx. The worker that pads
+// its /v1/run envelopes with spaces (still valid JSON) past the cap has
+// its failure counted, the job retries on the next-ranked worker, and
+// the sweep still answers the single node's bytes. Padded to exactly
+// the cap, the response is taken.
+func TestOversizedWorkerResponseRetried(t *testing.T) {
+	body := `{"workloads":["sc","nn"],"warmup_cycles":200,"window_cycles":500}`
+	_, single := newWorker(t, serve.Options{})
+	code, want := post(t, single, "/v1/sweep/run", body, nil)
+	if code != http.StatusOK {
+		t.Fatalf("single node: %d %s", code, want)
+	}
+	for _, size := range []int{api.MaxFetchBytes, api.MaxFetchBytes + 1} {
+		urls, bad := faultyPrimaryFleet(t, func(h http.Handler) http.Handler {
+			return rewriteRuns(h, func(b []byte) []byte {
+				return append(b, strings.Repeat(" ", size-len(b))...)
+			})
+		})
+		coord := newCoordinator(t, urls, Options{})
+		cts := httptest.NewServer(coord.Handler())
+		defer cts.Close()
+		code, got := post(t, cts.URL, "/v1/sweep/run", body, nil)
+		if code != http.StatusOK || got != want {
+			t.Errorf("worker padding to %d bytes: code=%d identical=%v: %s", size, code, got == want, got)
+		}
+		for _, ws := range coord.Workers() {
+			if failing := size > api.MaxFetchBytes && ws.URL == bad; failing != (ws.Failures > 0) {
+				t.Errorf("padding to %d bytes: worker %s (padding=%v) has %d failures", size, ws.URL, ws.URL == bad, ws.Failures)
+			}
+		}
+	}
+}
+
 // TestHealthAndWorkers covers the coordinator's observation
 // endpoints, including failure accounting after a dead worker.
 func TestHealthAndWorkers(t *testing.T) {
@@ -734,12 +804,12 @@ func TestSweepSSE(t *testing.T) {
 
 // TestBackoffBounded pins the retry delay schedule.
 func TestBackoffBounded(t *testing.T) {
-	c := &Coordinator{backoff: 100 * time.Millisecond, maxBackoff: 300 * time.Millisecond}
+	c := &Coordinator{backoff: 700 * time.Millisecond}
 	want := map[int]time.Duration{
-		2: 100 * time.Millisecond,
-		3: 200 * time.Millisecond,
-		4: 300 * time.Millisecond,
-		5: 300 * time.Millisecond,
+		2: 700 * time.Millisecond,
+		3: 1400 * time.Millisecond,
+		4: maxBackoff,
+		5: maxBackoff,
 	}
 	for attempt, d := range want {
 		if got := c.backoffFor(attempt); got != d {

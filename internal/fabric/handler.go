@@ -54,12 +54,16 @@ func (c *Coordinator) handleWorkers(w http.ResponseWriter, r *http.Request) {
 // before the SSE path commits its 200 keeps every request mistake a
 // status code, not a mid-stream error event.
 func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
-	req, err := api.DecodeJobRequest(r)
+	body, err := api.ReadJobBody(r)
+	var req api.JobRequest
+	if err == nil {
+		req, err = api.DecodeJobBody(body)
+	}
 	if err != nil {
 		api.Error(w, http.StatusBadRequest, err)
 		return
 	}
-	sw, err := c.resolve(r.PathValue("kind"), req)
+	sw, err := api.ResolveSweep(r.PathValue("kind"), c.base, req, c.maxParallel, c.maxWindow)
 	if err != nil {
 		api.Error(w, http.StatusBadRequest, err)
 		return

@@ -77,23 +77,19 @@ func (o Options) workers(jobs int) int {
 }
 
 // Execute runs a single job to completion, returning on the calling
-// goroutine: validate and build the GPU, run warmup, reset
-// statistics, run the measurement window. A fixed-latency job runs
-// its SMs on up to GOMAXPROCS goroutines (sim.GPU.Run); any other job
-// runs entirely on the calling goroutine. This is the one definition
-// of the measurement methodology; api.Simulate and every pool worker
-// both funnel through it, which is what makes "same job, any
-// parallelism, same bits" checkable.
+// goroutine: validate and build the GPU, then measure it
+// (sim.GPU.Measure). A fixed-latency job runs its SMs on up to
+// GOMAXPROCS goroutines (sim.GPU.Run); any other job runs entirely on
+// the calling goroutine. api.Simulate and every pool worker both
+// funnel through it, which is what makes "same job, any parallelism,
+// same bits" checkable.
 func Execute(j Job) (sim.Results, error) {
 	g, err := sim.New(j.Config, j.Workload)
 	if err != nil {
 		return sim.Results{}, err
 	}
 	g.SetEngine(j.Engine)
-	g.Run(j.WarmupCycles)
-	g.ResetStats()
-	g.Run(j.WindowCycles)
-	return g.Results(), nil
+	return g.Measure(j.WarmupCycles, j.WindowCycles), nil
 }
 
 // Run executes every job on a bounded worker pool and returns the

@@ -127,18 +127,27 @@ func TestConcurrentIdenticalSweepsRunEachJobOnce(t *testing.T) {
 	keys := map[string]bool{}
 	gridKeys(t, "designspace", body, keys)
 	bodies := make([]string, 2)
+	release := holdRunSlots(s)
 	var wg sync.WaitGroup
 	for i := range bodies {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			code, _, b := post(t, ts, "/v1/sweep/designspace", body)
+			code, src, b := post(t, ts, "/v1/sweep/designspace", body)
 			if code != http.StatusOK {
 				t.Errorf("sweep %d: code=%d %s", i, code, b)
+			}
+			// Each job ran once, for one of the two sweeps; the other
+			// waited on it, which docs/api.md documents as a miss.
+			if src != sourceMiss {
+				t.Errorf("sweep %d: X-Cache %q, want %q", i, src, sourceMiss)
 			}
 			bodies[i] = b
 		}()
 	}
+	// Each sweep has its two workers (the parallelism cap) blocked on a
+	// job before any job can finish, so neither sweep is all hits.
+	release(t, 2*cap(s.sem))
 	wg.Wait()
 	if bodies[0] != bodies[1] {
 		t.Fatal("concurrent identical sweeps answered different bytes")

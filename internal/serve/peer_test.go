@@ -8,6 +8,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"repro/internal/api"
 )
 
 // TestPeerFetchServesWithoutRecompute is the shared-cache contract: a
@@ -121,6 +123,49 @@ func TestPeerFetchRejectsGarbage(t *testing.T) {
 	code, _, want := post(t, tsC, "/v1/run", body)
 	if code != http.StatusOK || got != want {
 		t.Errorf("garbage peer changed the response bytes")
+	}
+}
+
+// TestPeerFetchSizeCap: a peer entry over api.MaxFetchBytes is a peer
+// miss and the job simulates locally. The peer serves the true entry
+// padded with spaces, which validates: padded to exactly the cap it is
+// a peer hit.
+func TestPeerFetchSizeCap(t *testing.T) {
+	body := `{"workload":"sc","warmup_cycles":200,"window_cycles":600}`
+	a, tsA := newTestServer(t, Options{})
+	code, _, want := post(t, tsA, "/v1/run", body)
+	if code != http.StatusOK {
+		t.Fatalf("code=%d %s", code, want)
+	}
+	var env api.Envelope
+	if err := json.Unmarshal([]byte(want), &env); err != nil {
+		t.Fatal(err)
+	}
+	entry, ok := a.Cache().Get(env.Key)
+	if !ok {
+		t.Fatal("worker A did not cache its job")
+	}
+	for _, tc := range []struct {
+		size   int
+		source string
+		sims   int64
+	}{
+		{api.MaxFetchBytes, sourcePeer, 0},
+		{api.MaxFetchBytes + 1, sourceMiss, 1},
+	} {
+		peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.Write(entry)
+			w.Write([]byte(strings.Repeat(" ", tc.size-len(entry))))
+		}))
+		defer peer.Close()
+		b, tsB := newTestServer(t, Options{Peers: []string{peer.URL}})
+		code, src, got := post(t, tsB, "/v1/run", body)
+		if code != http.StatusOK || src != tc.source || got != want {
+			t.Errorf("peer entry of %d bytes: code=%d X-Cache %q (want %q), same bytes %v", tc.size, code, src, tc.source, got == want)
+		}
+		if b.Simulations() != tc.sims {
+			t.Errorf("peer entry of %d bytes: %d simulations, want %d", tc.size, b.Simulations(), tc.sims)
+		}
 	}
 }
 

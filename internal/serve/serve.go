@@ -107,11 +107,11 @@ type Options struct {
 	// Order does not matter: peers are consulted in resultcache.Rank
 	// order for the key, so the likeliest holder is asked first.
 	Peers []string
-	// PeerTimeout bounds each single peer-fetch attempt (0 = 2s). A
-	// slow or dead peer must cost less than the simulation it might
-	// have saved.
-	PeerTimeout time.Duration
 }
+
+// peerTimeout bounds each single peer-fetch attempt: a slow or dead
+// peer must cost less than the simulation it might have saved.
+const peerTimeout = 2 * time.Second
 
 // Server is the experiment service. Build with New, mount Handler,
 // stop with Drain.
@@ -170,9 +170,6 @@ func New(o Options) (*Server, error) {
 	if o.MaxWindowCycles <= 0 {
 		o.MaxWindowCycles = 10_000_000
 	}
-	if o.PeerTimeout <= 0 {
-		o.PeerTimeout = 2 * time.Second
-	}
 	for _, p := range o.Peers {
 		u, err := url.Parse(p)
 		if err != nil || u.Scheme == "" || u.Host == "" {
@@ -187,7 +184,7 @@ func New(o Options) (*Server, error) {
 		maxWindow:  o.MaxWindowCycles,
 		queueDepth: o.QueueDepth,
 		peers:      append([]string(nil), o.Peers...),
-		peerClient: &http.Client{Timeout: o.PeerTimeout},
+		peerClient: &http.Client{Timeout: peerTimeout},
 	}
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux.HandleFunc("GET /v1/workloads", s.handleWorkloads)
@@ -479,7 +476,11 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 // as a job is, and serve the merged report. X-Cache is hit if every job
 // was, peer if none was simulated here and one came from a peer.
 func (s *Server) sweep(w http.ResponseWriter, r *http.Request, kindName string) {
-	req, err := api.DecodeJobRequest(r)
+	body, err := api.ReadJobBody(r)
+	var req api.JobRequest
+	if err == nil {
+		req, err = api.DecodeJobBody(body)
+	}
 	if err != nil {
 		api.Error(w, http.StatusBadRequest, err)
 		return
@@ -533,19 +534,9 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
-	suite := workload.Suite()
-	benches := make([]string, len(suite))
-	for i, wl := range suite {
-		benches[i] = wl.Name()
-	}
-	ss := workload.Scenarios()
-	scenarios := make([]string, len(ss))
-	for i, sp := range ss {
-		scenarios[i] = sp.SpecName
-	}
 	api.WriteJSON(w, http.StatusOK, map[string]any{
-		"benchmarks": benches,
-		"scenarios":  scenarios,
+		"benchmarks": workload.SuiteNames(),
+		"scenarios":  workload.ScenarioNames(),
 	})
 }
 
@@ -613,7 +604,7 @@ func (s *Server) peerFetch(ctx context.Context, key string) ([]byte, bool) {
 		if err != nil {
 			continue
 		}
-		val, err := io.ReadAll(http.MaxBytesReader(nil, resp.Body, maxPeerEntryBytes))
+		val, err := io.ReadAll(http.MaxBytesReader(nil, resp.Body, api.MaxFetchBytes))
 		resp.Body.Close()
 		if err != nil || resp.StatusCode != http.StatusOK {
 			continue
@@ -631,10 +622,6 @@ func (s *Server) peerFetch(ctx context.Context, key string) ([]byte, bool) {
 	s.mu.Unlock()
 	return nil, false
 }
-
-// maxPeerEntryBytes bounds a peer-fetched payload; real entries are
-// kilobytes, so anything near this is a broken or hostile peer.
-const maxPeerEntryBytes = 16 << 20
 
 // X-Cache header values: where the response payload came from.
 const (

@@ -179,18 +179,25 @@ func TestConcurrentIdenticalSubmissionsRunOnce(t *testing.T) {
 	body := `{"workload":"sc","warmup_cycles":300,"window_cycles":1500}`
 	const herd = 6
 	bodies := make([]string, herd)
+	release := holdRunSlots(s)
 	var wg sync.WaitGroup
 	for i := 0; i < herd; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			code, _, b := post(t, ts, "/v1/run", body)
+			code, src, b := post(t, ts, "/v1/run", body)
 			if code != http.StatusOK {
 				t.Errorf("request %d: code %d: %s", i, code, b)
+			}
+			// A follower waited on another request's simulation: as
+			// docs/api.md says, that is a miss, not a hit.
+			if src != sourceMiss {
+				t.Errorf("request %d: X-Cache %q, want %q", i, src, sourceMiss)
 			}
 			bodies[i] = b
 		}(i)
 	}
+	release(t, herd)
 	wg.Wait()
 	for i := 1; i < herd; i++ {
 		if bodies[i] != bodies[0] {
@@ -199,6 +206,37 @@ func TestConcurrentIdenticalSubmissionsRunOnce(t *testing.T) {
 	}
 	if st := s.Cache().Stats(); st.Computes != 1 {
 		t.Fatalf("herd of %d identical submissions ran %d simulations, want 1 (%+v)", herd, st.Computes, st)
+	}
+}
+
+// holdRunSlots occupies every run slot of s, so no job can finish, and
+// returns the function that waits until calls job measures are blocked
+// (each either queued for a slot or following another's compute), then
+// frees the slots. Every call it counted then answers a miss.
+func holdRunSlots(s *Server) func(t *testing.T, calls int) {
+	for range cap(s.sem) {
+		s.sem <- struct{}{}
+	}
+	return func(t *testing.T, calls int) {
+		t.Helper()
+		defer func() {
+			for range cap(s.sem) {
+				<-s.sem
+			}
+		}()
+		for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
+			s.mu.Lock()
+			waiting := s.waiting
+			s.mu.Unlock()
+			shared := s.Cache().Stats().Shared
+			if waiting+int(shared) == calls {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Errorf("%d queued + %d following job measures, want %d blocked", waiting, shared, calls)
+				return
+			}
+		}
 	}
 }
 

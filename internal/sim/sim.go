@@ -576,6 +576,17 @@ func (g *GPU) SMs() []*core.SM { return g.sms }
 // Partitions exposes the memory partitions; empty in Fig. 1 mode.
 func (g *GPU) Partitions() []*l2.Partition { return g.parts }
 
+// Measure is the measurement methodology, defined once: run warmup
+// cycles, reset every statistic, run window cycles and return the
+// window's results. runner.Execute and gpgpumem's System.Measure both
+// call it.
+func (g *GPU) Measure(warmup, window int64) Results {
+	g.Run(warmup)
+	g.ResetStats()
+	g.Run(window)
+	return g.Results()
+}
+
 // ResetStats zeroes every statistic in the system, marking the start
 // of a measurement window (architectural state is untouched). Call it
 // after a warm-up run.

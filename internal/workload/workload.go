@@ -49,6 +49,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -786,12 +787,23 @@ func Names() []string {
 	return out
 }
 
+// suiteNames is the paper's Fig. 1 benchmark suite in the figure's
+// legend order.
+var suiteNames = []string{"cfd", "dwt2d", "leukocyte", "nn", "nw", "sc", "lbm", "ss"}
+
+// SuiteNames lists the Fig. 1 benchmark suite in the figure's legend
+// order.
+func SuiteNames() []string { return slices.Clone(suiteNames) }
+
+// ScenarioNames lists the built-in multi-phase scenarios in reporting
+// order.
+func ScenarioNames() []string { return slices.Clone(scenarioNames) }
+
 // Suite returns the paper's Fig. 1 benchmark suite in the figure's
 // legend order.
 func Suite() []Workload {
-	names := []string{"cfd", "dwt2d", "leukocyte", "nn", "nw", "sc", "lbm", "ss"}
-	out := make([]Workload, len(names))
-	for i, n := range names {
+	out := make([]Workload, len(suiteNames))
+	for i, n := range suiteNames {
 		w, err := ByName(n)
 		if err != nil {
 			panic(err)

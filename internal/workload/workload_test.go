@@ -72,21 +72,20 @@ func TestRegistryHasPaperSuite(t *testing.T) {
 	if want := len(paper) + len(scenarios); len(Names()) != want {
 		t.Errorf("registry has %d entries, want %d: %v", len(Names()), want, Names())
 	}
-	suite := Suite()
-	if len(suite) != 8 || suite[0].Name() != "cfd" || suite[7].Name() != "ss" {
-		t.Errorf("suite order wrong: %v", suiteNames(suite))
+	if got := SuiteNames(); !slices.Equal(got, paper) {
+		t.Errorf("suite order wrong: %v", got)
+	}
+	for i, w := range Suite() {
+		if w.Name() != paper[i] {
+			t.Errorf("Suite()[%d] = %s, want %s", i, w.Name(), paper[i])
+		}
+	}
+	if got := ScenarioNames(); !slices.Equal(got, scenarios) {
+		t.Errorf("scenario order wrong: %v", got)
 	}
 	if got := Scenarios(); len(got) != len(scenarios) || len(got[0].Phases) == 0 {
 		t.Errorf("scenarios wrong: %v", got)
 	}
-}
-
-func suiteNames(ws []Workload) []string {
-	out := make([]string, len(ws))
-	for i, w := range ws {
-		out[i] = w.Name()
-	}
-	return out
 }
 
 func TestByNameUnknown(t *testing.T) {
